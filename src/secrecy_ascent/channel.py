@@ -136,13 +136,48 @@ def build_channel(params: ChannelParams, paths: list[PathComponent]) -> np.ndarr
     if len(paths) != params.n_paths:
         raise ValueError(f"expected {params.n_paths} paths, got {len(paths)}")
     gains = np.array([p.gain for p in paths])
-    a_rx = _steering_matrix(params.n_rx, np.array([p.aoa_azimuth for p in paths]))
-    a_tx = _steering_matrix(params.n_tx, np.array([p.aod_azimuth for p in paths]))
+    aoa = np.array([p.aoa_azimuth for p in paths])
+    aod = np.array([p.aod_azimuth for p in paths])
+    return _assemble(params, gains, aoa, aod)
+
+
+def _assemble(params: ChannelParams, gains: np.ndarray, aoa: np.ndarray,
+              aod: np.ndarray) -> np.ndarray:
+    a_rx = _steering_matrix(params.n_rx, aoa)
+    a_tx = _steering_matrix(params.n_tx, aod)
     scale = math.sqrt(params.n_rx * params.n_tx / params.n_paths)
     return scale * ((a_rx * gains) @ a_tx.conj().T)
 
 
+def _draw_channel(params: ChannelParams, rng: np.random.Generator) -> np.ndarray:
+    """``build_channel(params, draw_paths(params, rng))``, drawn a cluster at
+    a time.
+
+    The draws and their order are those of ``draw_paths``: four uniform
+    cluster centers, then per ray four angle offsets and the two parts of
+    the gain, so one (n_rays, 6) standard-normal draw holds a cluster's rays.
+    ``spread * z`` is what ``rng.normal(0, spread)`` computes, and the gain
+    parts are divided separately, as Python's complex-by-float division
+    does. The elevation angles are drawn only to keep the stream unchanged.
+    """
+    spread = math.radians(params.angular_spread_deg)
+    n_cl, n_ray = params.n_clusters, params.n_rays
+    gains = np.empty((n_cl, n_ray), dtype=complex)
+    aoa = np.empty((n_cl, n_ray))
+    aod = np.empty((n_cl, n_ray))
+    root2 = math.sqrt(2.0)
+    for c in range(n_cl):
+        centers = rng.uniform(0.0, 2.0 * np.pi, size=4)  # aoa_az, aoa_el, aod_az, aod_el
+        z = rng.standard_normal((n_ray, 6))
+        offsets = spread * z[:, :4]
+        aoa[c] = centers[0] + offsets[:, 0]
+        aod[c] = centers[2] + offsets[:, 2]
+        gains[c].real = z[:, 4] / root2
+        gains[c].imag = z[:, 5] / root2
+    return _assemble(params, gains.ravel(), aoa.ravel(), aod.ravel())
+
+
 def draw_channel_set(params: ChannelParams, rng: np.random.Generator) -> ChannelSet:
     """Draw four independent channels sharing one geometry configuration."""
-    h_sl, h_se, h_jl, h_je = (build_channel(params, draw_paths(params, rng)) for _ in range(4))
+    h_sl, h_se, h_jl, h_je = (_draw_channel(params, rng) for _ in range(4))
     return ChannelSet(h_sl=h_sl, h_se=h_se, h_jl=h_jl, h_je=h_je)

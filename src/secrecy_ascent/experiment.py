@@ -143,13 +143,18 @@ def _map_trials(worker, cfg: SystemConfig, threads: int):
             except Exception as exc:
                 raise TrialError(i, cfg.seed, exc) from exc
         return
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    pool = ProcessPoolExecutor(max_workers=threads)
+    try:
         futures = [pool.submit(worker, cfg, i) for i in indices]
         for i, fut in enumerate(futures):
             try:
                 yield i, fut.result()
             except Exception as exc:
                 raise TrialError(i, cfg.seed, exc) from exc
+    finally:
+        # on a failure (or an abandoned generator) the trials not yet started
+        # are dropped; only those already running are waited for
+        pool.shutdown(cancel_futures=True)
 
 
 def run_fixed_power_experiment(

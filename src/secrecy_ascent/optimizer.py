@@ -1,8 +1,12 @@
 """Projected gradient ascent over constant-amplitude analog beamformers.
 
-Every update follows the same pattern: gradient step, 2-norm projection,
-constant-amplitude projection. A step that decreases the objective is a
-perturbation: the iterate is reverted and the step size halved (floored at
+The four beamformers travel as one packed state x = [w_l | w_e | f_s | f_j]
+through ``gradients.LinkKernel``, built once per ascent. Every pass is one
+gradient call, one gradient step and one constant-amplitude projection of
+the whole packed step, then one link evaluation of the candidate. A 2-norm
+step before the projection would change nothing, since ``project_ca`` keeps
+only the phases. A step that decreases the objective is a perturbation: the
+iterate (and its gradient) is kept and the step size halved (floored at
 ``delta_min``), which keeps the accepted trajectory monotone.
 
 The acceptance and convergence tests run on the unclamped capacity
@@ -21,8 +25,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .channel import ChannelParams, ChannelSet
-from .gradients import _grad_fj, _grad_fs, _grad_we, _grad_wl, _Links
-from .metrics import BeamformerState, PowerConfig, SecrecySnapshot, db_to_linear
+from .gradients import LinkKernel, Links
+from .metrics import BeamformerState, PowerConfig, SecrecySnapshot, _check_dims, db_to_linear
 
 
 @dataclass(frozen=True)
@@ -142,52 +146,63 @@ def warm_start(params: ChannelParams, rng: np.random.Generator) -> BeamformerSta
     )
 
 
-def _snapshot(lk: _Links) -> SecrecySnapshot:
-    c_l = lk.c_l()
-    c_e = lk.c_e()
-    gamma_l = lk.den_l1 / lk.den_l0 - 1.0
-    gamma_e = lk.den_e1 / lk.den_e0 - 1.0
-    return SecrecySnapshot(gamma_l=gamma_l, gamma_e=gamma_e, c_l=c_l, c_e=c_e,
-                           c_s=max(c_l - c_e, 0.0))
+def _snapshot(lk: Links) -> SecrecySnapshot:
+    den_l0, den_l1, den_e0, den_e1 = lk.den
+    return SecrecySnapshot(gamma_l=den_l1 / den_l0 - 1.0, gamma_e=den_e1 / den_e0 - 1.0,
+                           c_l=lk.c_l, c_e=lk.c_e, c_s=max(lk.c_l - lk.c_e, 0.0))
+
+
+def _project_packed(kernel: LinkKernel, step: np.ndarray) -> np.ndarray:
+    """``project_ca`` of every block of a packed step, in one pass.
+
+    When no modulus is below the 1e-12 guard this is exactly ``project_ca``
+    block by block, with each block's 1/sqrt(N) from ``kernel.ca_scale``;
+    otherwise each block goes through ``project_ca`` itself, and a block
+    that is exactly zero, which has no direction to keep, is a degenerate
+    iterate.
+    """
+    mag = np.abs(step)
+    if mag.min() >= 1e-12:
+        return step * (kernel.ca_scale / mag)
+    blocks = kernel.unpack(step).vectors()
+    if not all(v.any() for v in blocks):
+        raise ValueError("cannot project a zero step block")
+    return np.concatenate([project_ca(v) for v in blocks])
 
 
 def _run_cycle(
-    ch: ChannelSet,
+    kernel: LinkKernel,
     pw: PowerConfig,
     cfg: OptimizerConfig,
-    bf: BeamformerState,
+    x: np.ndarray,
     cycle: int,
     records: list[IterationRecord],
     on_accept: Optional[Callable[[BeamformerState], None]],
 ):
-    """One fixed-power ascent until |change| <= epsilon or the cap.
+    """One fixed-power ascent of the packed state x until |change| <= epsilon
+    or the cap.
 
-    Returns (state, links, passes, reason). Rejected passes consume an
-    iteration index but leave the iterate and the records untouched.
+    Returns (links, passes, reason); the final state is ``links.x``. Rejected
+    passes consume an iteration index but leave the iterate, its gradient and
+    the records untouched.
     """
-    lk = _Links(ch, bf, pw)
-    diff = lk.capacity_difference()
+    lk = kernel.links(x, pw)
+    diff = lk.c_l - lk.c_e
     if not math.isfinite(diff):
         raise ValueError("non-finite objective at the initial state")
+    n_rx = kernel.n_rx
     delta = cfg.delta0
     reason = TerminationReason.ITER_CAP
+    grad = None
     n = 0
     for n in range(1, cfg.max_iters + 1):
-        g_wl = _grad_wl(lk, bf, pw)
-        g_fj = _grad_fj(lk, ch, bf, pw)
-        g_fs = _grad_fs(lk, ch, bf, pw)
-        cand = BeamformerState(
-            w_l=project_ca(project_unit_norm(bf.w_l + delta * g_wl)),
-            w_e=project_ca(project_unit_norm(bf.w_e + delta * _grad_we(lk, bf, pw)))
-            if cfg.optimize_we
-            else bf.w_e,
-            f_s=project_ca(project_unit_norm(bf.f_s + delta * g_fs)),
-            f_j=project_ca(project_unit_norm(bf.f_j + delta * g_fj)),
-        )
-        lk_cand = _Links(ch, cand, pw)
-        c_l_cand = lk_cand.c_l()
-        c_e_cand = lk_cand.c_e()
-        diff_cand = c_l_cand - c_e_cand
+        if grad is None:
+            grad = kernel.gradient(lk, pw, cfg.optimize_we)
+        cand = _project_packed(kernel, lk.x + delta * grad)
+        if not cfg.optimize_we:
+            cand[n_rx:2 * n_rx] = lk.x[n_rx:2 * n_rx]
+        lk_cand = kernel.links(cand, pw)
+        diff_cand = lk_cand.c_l - lk_cand.c_e
         if not math.isfinite(diff_cand):
             raise ValueError(f"non-finite objective at iteration {n}")
         change = diff_cand - diff
@@ -198,21 +213,30 @@ def _run_cycle(
                 break
             delta = max(0.5 * delta, cfg.delta_min)
             continue
-        bf, lk, diff = cand, lk_cand, diff_cand
+        lk, diff, grad = lk_cand, diff_cand, None
         records.append(
-            IterationRecord(cycle, n, max(diff, 0.0), c_l_cand, c_e_cand, delta, pw.p_s)
+            IterationRecord(cycle, n, max(diff, 0.0), lk.c_l, lk.c_e, delta, pw.p_s)
         )
         if on_accept is not None:
-            on_accept(bf)
+            on_accept(kernel.unpack(cand))
         if change <= cfg.epsilon:
             reason = TerminationReason.CONVERGED
             break
-    return bf, lk, n, reason
+    return lk, n, reason
 
 
-def _require_ca(init: BeamformerState) -> None:
+def _start(ch: ChannelSet, pw: PowerConfig, cfg: OptimizerConfig, init: BeamformerState):
+    """Check the start, stack the channels for the whole ascent, and record
+    the starting point as iteration 0. Returns (kernel, x, trace)."""
+    _check_dims(ch, init)
     if state_ca_violation(init) > 1e-6:
         raise ValueError("initial state violates the constant-amplitude constraint")
+    kernel = LinkKernel(ch)
+    x = kernel.pack(init)
+    s0 = _snapshot(kernel.links(x, pw))
+    trace = OptimizerTrace()
+    trace.records.append(IterationRecord(1, 0, s0.c_s, s0.c_l, s0.c_e, cfg.delta0, pw.p_s))
+    return kernel, x, trace
 
 
 def ascend_fixed_power(
@@ -228,19 +252,13 @@ def ascend_fixed_power(
     ``cfg.optimize_we`` turns on the benchmark variant, which ascends w_e
     alongside the other three vectors.
     """
-    _require_ca(init)
-    trace = OptimizerTrace()
-    lk0 = _Links(ch, init, pw)
-    s0 = _snapshot(lk0)
-    trace.records.append(
-        IterationRecord(1, 0, s0.c_s, s0.c_l, s0.c_e, cfg.delta0, pw.p_s)
-    )
-    bf, lk, n, reason = _run_cycle(ch, pw, cfg, init.copy(), 1, trace.records, on_accept)
+    kernel, x, trace = _start(ch, pw, cfg, init)
+    lk, n, reason = _run_cycle(kernel, pw, cfg, x, 1, trace.records, on_accept)
     snap = _snapshot(lk)
     trace.cycles.append(CycleRecord(1, snap.c_s, pw.p_s, n))
     trace.reason = reason
     trace.n_iters = n
-    return OptimizeResult(state=bf, snapshot=snap, p_s=pw.p_s, trace=trace)
+    return OptimizeResult(state=kernel.unpack(lk.x), snapshot=snap, p_s=pw.p_s, trace=trace)
 
 
 def ascend_variable_power(
@@ -259,19 +277,14 @@ def ascend_variable_power(
     """
     if cfg.zeta is None:
         raise ValueError("variable-power ascent needs cfg.zeta")
-    _require_ca(init)
-    trace = OptimizerTrace()
+    kernel, x, trace = _start(ch, pw, cfg, init)
     p_s = pw.p_s
-    bf = init.copy()
-    lk0 = _Links(ch, bf, pw)
-    s0 = _snapshot(lk0)
-    trace.records.append(IterationRecord(1, 0, s0.c_s, s0.c_l, s0.c_e, cfg.delta0, p_s))
-    lk = lk0
     total = 0
     reason = TerminationReason.CYCLE_CAP
     for cycle in range(1, cfg.max_cycles + 1):
         pw_c = replace(pw, p_s=p_s)
-        bf, lk, n, _ = _run_cycle(ch, pw_c, cfg, bf, cycle, trace.records, on_accept)
+        lk, n, _ = _run_cycle(kernel, pw_c, cfg, x, cycle, trace.records, on_accept)
+        x = lk.x
         total += n
         snap = _snapshot(lk)
         trace.cycles.append(CycleRecord(cycle, snap.c_s, p_s, n))
@@ -285,4 +298,4 @@ def ascend_variable_power(
         p_s = bumped
     trace.reason = reason
     trace.n_iters = total
-    return OptimizeResult(state=bf, snapshot=_snapshot(lk), p_s=p_s, trace=trace)
+    return OptimizeResult(state=kernel.unpack(x), snapshot=_snapshot(lk), p_s=p_s, trace=trace)

@@ -121,6 +121,19 @@ def test_draw_channel_set_deterministic_under_seed():
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 
+@pytest.mark.parametrize("params", [MMWAVE_PARAMS, SUB6_PARAMS])
+def test_draw_channel_set_equals_per_ray_reference(params):
+    # the array draw must reproduce the per-ray path list bit for bit and
+    # consume exactly the same stream
+    fast, ref = np.random.default_rng(8), np.random.default_rng(8)
+    for _ in range(3):
+        ch = sa.draw_channel_set(params, fast)
+        for name in ("h_sl", "h_se", "h_jl", "h_je"):
+            expected = sa.build_channel(params, sa.draw_paths(params, ref))
+            assert getattr(ch, name).tobytes() == expected.tobytes()
+        assert fast.bit_generator.state == ref.bit_generator.state
+
+
 def test_channel_set_rejects_mixed_shapes():
     with pytest.raises(ValueError):
         sa.ChannelSet(

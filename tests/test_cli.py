@@ -133,6 +133,7 @@ def test_run_bad_config_exit_2(tiny_cfg, tmp_path):
 def test_gradcheck_default_and_scalar_dims():
     assert run_cli("gradcheck", "--instances", "2") == 0
     assert run_cli("gradcheck", "--n-rx", "1", "--n-tx", "1", "--instances", "2") == 0
+    assert run_cli("gradcheck", "--n-rx", "4", "--n-tx", "64", "--instances", "2") == 0
 
 
 def test_gradcheck_corrupt_negative_control(capsys):

@@ -1,3 +1,4 @@
+import time
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -132,6 +133,33 @@ def test_trial_error_identifies_seed(monkeypatch):
     assert err.value.trial_index == 0
     assert err.value.master_seed == 77
     assert "77" in str(err.value)
+
+
+TRIAL_SLEEP_S = 0.5
+
+
+def _fail_first_then_sleep(cfg, trial_index):
+    # module level: a process pool pickles its worker by name
+    if trial_index == 0:
+        raise RuntimeError("synthetic failure")
+    time.sleep(TRIAL_SLEEP_S)
+
+
+def test_pool_failure_cancels_pending_trials(monkeypatch):
+    # 40 trials on 2 workers: finishing every sleeping trial takes ~9.75 s, so
+    # an error that waits for them misses the bound; only the few trials
+    # already handed to the workers may still run
+    import secrecy_ascent.experiment as exp
+
+    monkeypatch.setattr(exp, "_fixed_trial", _fail_first_then_sleep)
+    cfg = small_config(n_trials=40, seed=78)
+    started = time.perf_counter()
+    with pytest.raises(sa.TrialError) as err:
+        sa.run_fixed_power_experiment(cfg, threads=2)
+    elapsed = time.perf_counter() - started
+    assert err.value.trial_index == 0
+    assert err.value.master_seed == 78
+    assert elapsed < 10 * TRIAL_SLEEP_S
 
 
 def test_system_config_validation():
