@@ -1,28 +1,37 @@
 """Monte Carlo harness tying channel draws, ascent runs, and benchmarks.
 
 Each trial owns an independent random stream derived from the master seed
-and its trial index, so results are identical no matter how trials are
-scheduled. Aggregation always reduces in trial-index order.
+and its trial index. Trials run in contiguous shards of at most
+``SHARD_TRIALS``: a shard draws each trial's channel and start from its own
+stream, in trial order, and runs all its ascents as the rows of one
+lockstep ascent (``optimizer.ascend_rows``), two rows per fixed-power trial
+(w_e held and w_e optimized) and one per variable-power trial. A process
+pool, if any, maps shards. Since a row's result does not depend on its
+batch, results are identical for any shard size or worker count.
+Aggregation always reduces in trial-index order.
 """
 
 from __future__ import annotations
 
 import enum
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+import multiprocessing
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from .channel import ChannelParams, draw_channel_set
 from .metrics import PowerConfig, linear_to_db, svd_upper_bound
-from .optimizer import (
-    OptimizeResult,
-    OptimizerConfig,
-    ascend_fixed_power,
-    ascend_variable_power,
-    warm_start,
-)
+from .optimizer import AscentRow, OptimizeResult, OptimizerConfig, ascend_rows, warm_start
+
+# The single-ascent entry points stay importable from this module, where
+# tools that wrap its per-trial layers look them up; the shards themselves
+# run every ascent through ``ascend_rows``.
+from .optimizer import ascend_fixed_power, ascend_variable_power  # noqa: F401
+
+# Trials per shard, the unit a worker runs as one lockstep batch: tens of
+# trials keep a batch's memory and the wait for a failing shard bounded.
+SHARD_TRIALS = 20
 
 
 class ExperimentKind(str, enum.Enum):
@@ -116,45 +125,104 @@ def _pad_mean(curves: list[np.ndarray]) -> list[float]:
     return padded.mean(axis=0).tolist()
 
 
-def _fixed_trial(cfg: SystemConfig, trial_index: int):
-    rng = seed_fanout(cfg.seed, trial_index)
-    ch = draw_channel_set(cfg.channel, rng)
-    init = warm_start(cfg.channel, rng)
-    res_rand = ascend_fixed_power(ch, cfg.powers, replace(cfg.optimizer, optimize_we=False), init)
-    res_opt = ascend_fixed_power(ch, cfg.powers, replace(cfg.optimizer, optimize_we=True), init)
-    bound = svd_upper_bound(ch, cfg.powers, literal=cfg.svd_bound_literal)
-    return res_rand, res_opt, bound
+def _draw_trials(cfg: SystemConfig, start: int, stop: int):
+    """Channel and warm start of trials start..stop-1, each from its own
+    stream, in trial order. Stops at the first trial whose draw fails and
+    returns (draws, (trial, error) or None)."""
+    draws = []
+    for i in range(start, stop):
+        try:
+            rng = seed_fanout(cfg.seed, i)
+            ch = draw_channel_set(cfg.channel, rng)
+            draws.append((ch, warm_start(cfg.channel, rng)))
+        except Exception as exc:
+            return draws, (i, exc)
+    return draws, None
 
 
-def _variable_trial(cfg: SystemConfig, trial_index: int):
-    rng = seed_fanout(cfg.seed, trial_index)
-    ch = draw_channel_set(cfg.channel, rng)
-    init = warm_start(cfg.channel, rng)
-    return ascend_variable_power(ch, cfg.powers, cfg.optimizer, init)
+def _fixed_shard(cfg: SystemConfig, start: int, stop: int):
+    """Trials start..stop-1 of a fixed-power study as rows of one lockstep
+    ascent: per trial, w_e held then w_e optimized, on the same channel and
+    start. Then the SVD diagnostic of each trial, in order.
+
+    Returns ([(res_rand, res_opt, bound)] for the leading trials that
+    finished, (first failed trial, its error) or None).
+    """
+    draws, draw_failure = _draw_trials(cfg, start, stop)
+    rows = [AscentRow(ch, cfg.powers, init, optimize_we)
+            for ch, init in draws for optimize_we in (False, True)]
+    results, error = ascend_rows(rows, cfg.optimizer)
+    # rows exist only for the trials drawn, so an ascent failure comes first
+    failure = draw_failure if error is None else (start + len(results) // 2, error)
+    trials = []
+    for k, (ch, _init) in enumerate(draws[:len(results) // 2]):
+        try:
+            bound = svd_upper_bound(ch, cfg.powers, literal=cfg.svd_bound_literal)
+        except Exception as exc:
+            return trials, (start + k, exc)
+        trials.append((results[2 * k], results[2 * k + 1], bound))
+    return trials, failure
 
 
-def _map_trials(worker, cfg: SystemConfig, threads: int):
-    """Run trials 0..n_trials-1, yielding results in trial-index order."""
-    indices = range(cfg.n_trials)
-    if threads <= 1:
-        for i in indices:
-            try:
-                yield i, worker(cfg, i)
-            except Exception as exc:
-                raise TrialError(i, cfg.seed, exc) from exc
-        return
-    pool = ProcessPoolExecutor(max_workers=threads)
+def _variable_shard(cfg: SystemConfig, start: int, stop: int):
+    """Trials start..stop-1 of a variable-power study as rows of one
+    lockstep ascent, one row per trial. Returns ([result] for the leading
+    trials that finished, (first failed trial, its error) or None)."""
+    draws, draw_failure = _draw_trials(cfg, start, stop)
+    rows = [AscentRow(ch, cfg.powers, init, cfg.optimizer.optimize_we) for ch, init in draws]
+    results, error = ascend_rows(rows, cfg.optimizer, variable=True)
+    return results, draw_failure if error is None else (start + len(results), error)
+
+
+def _shard_bounds(n_trials: int, threads: int) -> list[tuple[int, int]]:
+    """Contiguous shards of SHARD_TRIALS trials, fewer when that would leave
+    a worker idle."""
+    size = max(1, min(SHARD_TRIALS, -(-n_trials // max(threads, 1))))
+    return [(a, min(a + size, n_trials)) for a in range(0, n_trials, size)]
+
+
+def _run_shard(job):
+    """One shard in a worker. An error the shard raises is reported as data,
+    as the failure of its first trial: a TrialError would not survive the
+    trip back to the parent."""
+    shard, cfg, start, stop = job
     try:
-        futures = [pool.submit(worker, cfg, i) for i in indices]
-        for i, fut in enumerate(futures):
+        return shard(cfg, start, stop)
+    except Exception as exc:
+        return [], (start, exc)
+
+
+def _map_trials(shard, cfg: SystemConfig, threads: int):
+    """Run trials 0..n_trials-1 in shards, yielding (index, result) in trial
+    order, and raise TrialError for the first trial that failed.
+
+    With threads > 1 a pool runs the shards; on a failure, or when the
+    caller stops early, its workers are stopped at once rather than waited
+    for.
+    """
+    bounds = _shard_bounds(cfg.n_trials, threads)
+    jobs = [(shard, cfg, a, b) for a, b in bounds]
+    pool = None
+    if threads > 1 and len(jobs) > 1:
+        pool = multiprocessing.Pool(min(threads, len(jobs)))
+        outcomes = pool.imap(_run_shard, jobs)
+    else:
+        outcomes = map(_run_shard, jobs)
+    try:
+        for start, _ in bounds:
             try:
-                yield i, fut.result()
-            except Exception as exc:
-                raise TrialError(i, cfg.seed, exc) from exc
+                trials, failure = next(outcomes)
+            except Exception as exc:  # the outcome could not come back from the pool
+                trials, failure = [], (start, exc)
+            for offset, result in enumerate(trials):
+                yield start + offset, result
+            if failure is not None:
+                index, cause = failure
+                raise TrialError(index, cfg.seed, cause) from cause
     finally:
-        # on a failure (or an abandoned generator) the trials not yet started
-        # are dropped; only those already running are waited for
-        pool.shutdown(cancel_futures=True)
+        if pool is not None:
+            pool.terminate()
+            pool.join()
 
 
 def run_fixed_power_experiment(
@@ -174,7 +242,7 @@ def run_fixed_power_experiment(
     finals_rand, finals_opt, bounds, iters = [], [], [], []
     violations = []
     reasons: dict[str, int] = {}
-    for i, (res_rand, res_opt, bound) in _map_trials(_fixed_trial, cfg, threads):
+    for i, (res_rand, res_opt, bound) in _map_trials(_fixed_shard, cfg, threads):
         if on_trial is not None:
             on_trial(i, res_rand, res_opt, bound)
         curves_rand.append(_dense_curve(res_rand.trace.records, res_rand.trace.n_iters))
@@ -214,7 +282,7 @@ def run_variable_power_experiment(
     c_s_curves, p_db_curves = [], []
     n_cycles, finals, final_p_db = [], [], []
     reasons: dict[str, int] = {}
-    for i, res in _map_trials(_variable_trial, cfg, threads):
+    for i, res in _map_trials(_variable_shard, cfg, threads):
         if on_trial is not None:
             on_trial(i, res)
         cyc = res.trace.cycles

@@ -9,11 +9,16 @@ c_l - c_e; the clamp max(., 0) is flat wherever it binds and the ascent
 direction of the difference is what drives the optimizer.
 
 Every analytic value comes from one fused kernel, ``LinkKernel``, which
-works on a packed state x = [w_l | w_e | f_s | f_j]: one stacked matmul
-gives the four receive images, one reduction the four bilinear scalars and
-the combiner norms, and one gradient call the packed conjugate gradient.
-The optimizer's loop and the public ``grad_*``, ``gradient_bundle`` and
-``capacity_difference`` all evaluate through it.
+works on a batch of B rows, each a channel realization with a packed state
+x = [w_l | w_e | f_s | f_j]: one stacked matmul gives every row's four
+receive images, one reduction the bilinear scalars and combiner norms, and
+one gradient call the packed conjugate gradients. Each row's powers enter
+only the denominators (``RowPowers``), so a power change re-weights the
+stored scalars without a matmul. Every operation is row-wise: a row's
+values are bit-identical however many rows share its batch. The
+optimizer's lockstep loop runs on it, and the public ``grad_*``,
+``gradient_bundle`` and ``capacity_difference`` evaluate through a batch
+of one row.
 
 ``fd_gradient`` is an independent central-difference oracle over the real
 and imaginary parts of each coordinate, assembled into the same convention
@@ -66,47 +71,144 @@ def quad_forms(ch: ChannelSet, bf: BeamformerState) -> QuadForms:
     )
 
 
-class Links:
-    """Link quantities at one packed state, shared by the objective and the
-    gradient.
+class RowPowers:
+    """Per-row powers in the two forms the kernel applies them.
 
-    z[t, r] is the receive image H f of transmitter t (0 source, 1 jammer)
-    at receiver r (0 legitimate, 1 eavesdropper); z[2] holds the combiners
-    [w_l, w_e]. s = (s_sl, s_se, s_jl, s_je) are the bilinear scalars
-    w^H H f, and den = (den_l0, den_l1, den_e0, den_e1) with
-    den_*0 = noise + jamming and den_*1 = den_*0 + source term, so that
-    c_l = log2(den_l1 / den_l0) and c_e = log2(den_e1 / den_e0).
+    ``link[b]`` is [[p_s, p_s], [p_j, p_j], [sigma2_l, sigma2_e]], the
+    weights of |s_s|^2, |s_j|^2 and the combiner norm in each receiver's
+    denominators (columns: legitimate, eavesdropper). ``grad[b]`` is the same
+    with the eavesdropper column negated and 1/ln 2 folded in, the weights of
+    the conjugate gradient of c_l - c_e.
     """
 
-    __slots__ = ("x", "z", "s", "den", "c_l", "c_e")
+    __slots__ = ("link", "grad")
 
-    def __init__(self, x, z, s, den):
-        self.x, self.z, self.s, self.den = x, z, s, den
-        self.c_l = math.log2(den[1]) - math.log2(den[0])
-        self.c_e = math.log2(den[3]) - math.log2(den[2])
+    def __init__(self, link: np.ndarray):
+        self.link = link
+        self.grad = link * _GRAD_SIGN
+
+    @classmethod
+    def of(cls, powers) -> "RowPowers":
+        return cls(np.array([[[pw.p_s, pw.p_s], [pw.p_j, pw.p_j], [pw.sigma2_l, pw.sigma2_e]]
+                             for pw in powers], dtype=float))
+
+    def set_p_s(self, row: int, p_s: float) -> None:
+        self.link[row, 0] = p_s
+        np.multiply(self.link[row, 0], _GRAD_SIGN, out=self.grad[row, 0])
+
+    def take(self, keep: np.ndarray) -> "RowPowers":
+        return RowPowers(self.link[keep])
+
+
+_GRAD_SIGN = np.array([1.0, -1.0]) / LN2
+
+
+# Rows [1/den1, 1/den1 - 1/den0, 1/den1 - 1/den0] from [1/(sigma2 |w|^2), 1/den0,
+# 1/den1]: the denominator factors of the source, jammer and combiner terms.
+# Its products are exact, so each entry rounds once.
+_DEN_FACTORS = np.array([[0.0, 0.0, 1.0], [0.0, -1.0, 1.0], [0.0, -1.0, 1.0]])
+
+
+class _Work:
+    """Scratch of the link and gradient evaluations of one Links, and the
+    views of it and of the Links that they use, made once per batch."""
+
+    def __init__(self, lk: "Links", n_rx: int, n_tx: int):
+        b, r2 = len(lk.buf), 2 * n_rx
+        self.t = np.empty((b, 3, 2))
+        self.t_s, self.t_rev = self.t[:, :2], self.t[:, ::-1]
+        self.logs = np.empty((b, 3, 2))
+        self.log0, self.log1 = self.logs[:, 1], self.logs[:, 2]
+        self.c, self.c_l, self.c_e = lk.cd[:, :2], lk.cd[:, 0], lk.cd[:, 1]
+        self.inv = np.empty((b, 3, 2))
+        self.factors = np.empty((b, 3, 2))
+        self.coef = np.empty((b, 3, 2), dtype=complex)
+        self.factors_w, self.coef_w = self.factors[:, 2], self.coef[:, 2]
+        self.coef_z = self.coef[..., None]
+        # receiver-major legs: [sl | jl] weighted by w_l, [se | je] by w_e
+        self.coef_legs = self.coef[:, :2].swapaxes(1, 2)[..., None, None]
+        self.w_legs = lk.x[:, :r2].reshape(b, 2, 1, 1, n_rx)
+        self.weighted = np.empty((b, 2, 2, 1, n_rx), dtype=complex)
+        self.weighted_legs = self.weighted.reshape(b, 4, 1, n_rx)
+        self.legs = np.empty((b, 4, 1, n_tx), dtype=complex)
+        self.legs_l, self.legs_e = self.legs.reshape(b, 2, 2 * n_tx).transpose(1, 0, 2)
+        self.mag = np.empty(lk.x.shape)
+
+
+class Links:
+    """Link quantities of B packed states, one row each.
+
+    ``buf`` row: [z_s | z_j | w_l w_e | f_s f_j]. z_t = [H_tl f_t | H_te f_t]
+    are transmitter t's receive images (s source, j jammer); the last two
+    blocks are the packed state ``x`` = [w_l | w_e | f_s | f_j]. ``zb`` views
+    the first three blocks as (B, 3, 2, n_rx). ``s`` = w^H [z_s, z_j, w] per
+    receiver (B, 3, 2): the bilinear scalars, then the combiner norms.
+    ``den`` = [sigma2 |w|^2, den0, den1] per receiver, with den0 = noise +
+    jamming and den1 = den0 + source term, and ``cd`` = [c_l, c_e, c_l - c_e].
+    """
+
+    def __init__(self, buf, s, den, cd, n_rx: int, n_tx: int):
+        b, r2 = len(buf), 2 * n_rx
+        self.buf, self.s, self.den, self.cd = buf, s, den, cd
+        self.x = buf[:, 2 * r2:]
+        self.x_re = self.x.view(float)  # real and imaginary parts, interleaved
+        self.zb = buf[:, :3 * r2].reshape(b, 3, 2, n_rx)
+        self.w = self.zb[:, 2:]
+        self.we = self.x[:, n_rx:r2]
+        self.diff = cd[:, 2]
+        self._images = buf[:, :2 * r2].reshape(b, 2, r2, 1)
+        self._precoders = buf[:, 3 * r2:].reshape(b, 2, n_tx, 1)
+        self._work = _Work(self, n_rx, n_tx)
+
+    @classmethod
+    def empty(cls, n_rows: int, n_rx: int, n_tx: int) -> "Links":
+        return cls(np.empty((n_rows, 6 * n_rx + 2 * n_tx), dtype=complex),
+                   np.empty((n_rows, 3, 2), dtype=complex), np.empty((n_rows, 3, 2)),
+                   np.empty((n_rows, 3)), n_rx, n_tx)
+
+    def take(self, keep: np.ndarray, n_rx: int, n_tx: int) -> "Links":
+        return Links(self.buf[keep], self.s[keep], self.den[keep], self.cd[keep], n_rx, n_tx)
+
+    def assign(self, other: "Links", rows: np.ndarray) -> None:
+        """Copy ``other``'s rows where ``rows`` is set."""
+        np.copyto(self.buf, other.buf, where=rows[:, None])
+        np.copyto(self.s, other.s, where=rows[:, None, None])
+        np.copyto(self.den, other.den, where=rows[:, None, None])
+        np.copyto(self.cd, other.cd, where=rows[:, None])
 
 
 class LinkKernel:
-    """The four channels of one realization, stacked once, and the fused
-    link and gradient evaluation on packed states.
+    """The four channels of B realizations, stacked once, and the fused
+    link and gradient evaluation of B packed states, one row each.
 
-    ``h`` is stack(h_sl, h_se, h_jl, h_je), viewed as (2, 2, n_rx, n_tx) by
-    transmitter and receiver, so one stacked matmul with the precoders
-    [f_s, f_j], broadcast over the receivers, gives all four receive images,
-    and one with ``h_adj`` (the conjugate transpose of each channel) gives
-    the four legs of the precoder gradients, which are then summed in
-    pairs. Each link keeps its own matmul slice, so links with equal inputs
-    get equal values and symmetric legs cancel exactly.
+    ``h`` is (B, 2, 2*n_rx, n_tx): for each transmitter (source, jammer) its
+    channels to the legitimate receiver and the eavesdropper stacked, so one
+    stacked mat-vec per transmitter gives both receive images. ``h_conj``
+    (B, 4, n_rx, n_tx) holds the conjugate of each channel in the order
+    sl, jl, se, je: the four legs H^H a of the precoder gradients are
+    computed as row vectors a^T conj(H), each in its own slice, and the
+    legitimate and eavesdropper legs are summed in pairs, so legs with equal
+    inputs get equal values and symmetric legs cancel exactly. Every
+    operation is row-wise, so a row's values do not depend on the other rows
+    of its batch.
     """
 
-    def __init__(self, ch: ChannelSet):
-        n_rx, n_tx = ch.n_rx, ch.n_tx
+    def __init__(self, channels):
+        if isinstance(channels, ChannelSet):
+            channels = (channels,)
+        n_rx, n_tx = channels[0].n_rx, channels[0].n_tx
+        if any((c.n_rx, c.n_tx) != (n_rx, n_tx) for c in channels):
+            raise ValueError("all rows of a kernel must share n_rx and n_tx")
         self.n_rx, self.n_tx = n_rx, n_tx
-        self.h = np.array((ch.h_sl, ch.h_se, ch.h_jl, ch.h_je)).reshape(2, 2, n_rx, n_tx)
+        self.h = np.array([(c.h_sl, c.h_se, c.h_jl, c.h_je) for c in channels],
+                          dtype=complex).reshape(len(channels), 2, 2 * n_rx, n_tx)
 
     @functools.cached_property
-    def h_adj(self) -> np.ndarray:
-        return np.ascontiguousarray(self.h.conj().swapaxes(2, 3)).reshape(4, self.n_tx, self.n_rx)
+    def h_conj(self) -> np.ndarray:
+        """conj(h) with the legs in receiver-major order sl, jl, se, je."""
+        return np.ascontiguousarray(self.h.conj().reshape(
+            len(self.h), 2, 2, self.n_rx, self.n_tx).swapaxes(1, 2)).reshape(
+            len(self.h), 4, self.n_rx, self.n_tx)
 
     @functools.cached_property
     def ca_scale(self) -> np.ndarray:
@@ -114,72 +216,92 @@ class LinkKernel:
         return np.repeat([1.0 / math.sqrt(self.n_rx), 1.0 / math.sqrt(self.n_tx)],
                          [2 * self.n_rx, 2 * self.n_tx])
 
-    def pack(self, bf: BeamformerState) -> np.ndarray:
-        """x = [w_l | w_e | f_s | f_j], a fresh complex array."""
-        return np.concatenate(bf.vectors()).astype(complex, copy=False)
+    def take(self, keep: np.ndarray) -> "LinkKernel":
+        """The kernel of the rows where ``keep`` is set."""
+        out = object.__new__(LinkKernel)
+        out.n_rx, out.n_tx, out.h = self.n_rx, self.n_tx, self.h[keep]
+        if "h_conj" in self.__dict__:
+            out.h_conj = self.h_conj[keep]
+        if "ca_scale" in self.__dict__:
+            out.ca_scale = self.ca_scale
+        return out
+
+    def pack(self, states) -> np.ndarray:
+        """Rows x = [w_l | w_e | f_s | f_j], a fresh (B, 2*n_rx + 2*n_tx) array."""
+        return np.array([np.concatenate(bf.vectors()) for bf in states], dtype=complex)
 
     def unpack(self, x: np.ndarray) -> BeamformerState:
-        """Views of the four blocks of x, in BeamformerState order."""
+        """Views of the four blocks of one row x, in BeamformerState order."""
         r, t = self.n_rx, self.n_tx
         return BeamformerState(w_l=x[:r], w_e=x[r:2 * r], f_s=x[2 * r:2 * r + t],
                                f_j=x[2 * r + t:])
 
-    def links(self, x: np.ndarray, pw: PowerConfig) -> Links:
-        """Receive images, bilinear scalars, denominators and capacities at x."""
-        r2 = 2 * self.n_rx
-        z = np.empty((3, 2, self.n_rx), dtype=complex)
-        np.matmul(self.h, x[r2:].reshape(2, 1, self.n_tx, 1),
-                  out=z[:2].reshape(2, 2, self.n_rx, 1))
-        z[2] = x[:r2].reshape(2, self.n_rx)
-        (s_sl, s_se), (s_jl, s_je), (wl2, we2) = np.vecdot(z[2], z).tolist()
-        den_l0 = pw.sigma2_l * wl2.real + pw.p_j * abs(s_jl) ** 2
-        den_e0 = pw.sigma2_e * we2.real + pw.p_j * abs(s_je) ** 2
-        den = (den_l0, den_l0 + pw.p_s * abs(s_sl) ** 2,
-               den_e0, den_e0 + pw.p_s * abs(s_se) ** 2)
-        return Links(x, z, (s_sl, s_se, s_jl, s_je), den)
+    def links(self, x: np.ndarray, pw: RowPowers) -> Links:
+        """Links of fresh buffers at the rows of x."""
+        lk = Links.empty(len(x), self.n_rx, self.n_tx)
+        lk.x[...] = x
+        self.evaluate(lk, pw)
+        return lk
 
-    def gradient(self, lk: Links, pw: PowerConfig, with_we: bool) -> np.ndarray:
-        """Packed conjugate gradient [g_wl | g_we | g_fs | g_fj] of c_l - c_e
-        at lk's state. The g_we block is zero unless ``with_we``.
+    def evaluate(self, lk: Links, pw: RowPowers) -> None:
+        """Fill lk's receive images, scalars, denominators and capacities
+        from its states ``lk.x``."""
+        np.matmul(self.h, lk._precoders, out=lk._images)
+        np.vecdot(lk.w, lk.zb, out=lk.s)
+        self.refresh(lk, pw)
 
-        coef[t, r] / ln2 weights receiver r's combiner in transmitter t's
-        precoder gradient; its conjugate weights the receive image z[t, r] in
-        combiner r's gradient, and coef[2, r] weights the combiner itself.
+    def refresh(self, lk: Links, pw: RowPowers) -> None:
+        """Denominators and capacities from lk's scalars under the powers
+        ``pw``; no matmul, so a power change costs only this."""
+        work = lk._work
+        np.abs(lk.s, out=work.t)
+        np.square(work.t_s, out=work.t_s)
+        np.multiply(work.t, pw.link, out=work.t)
+        np.add.accumulate(work.t_rev, axis=1, out=lk.den)
+        np.log2(lk.den, out=work.logs)
+        np.subtract(work.log1, work.log0, out=work.c)
+        np.subtract(work.c_l, work.c_e, out=lk.diff)
+
+    def gradient(self, lk: Links, pw: RowPowers, hold: Optional[np.ndarray] = None,
+                 out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Packed conjugate gradients [g_wl | g_we | g_fs | g_fj] of c_l - c_e
+        at lk's states, one row each. The g_we block is zero in the rows
+        where ``hold`` is set.
+
+        coef[t, r] weights receiver r's combiner in transmitter t's precoder
+        gradient; its conjugate weights the receive image z[t, r] in combiner
+        r's gradient, and coef[2, r] weights the combiner itself.
         """
-        den_l0, den_l1, den_e0, den_e1 = lk.den
-        s_sl, s_se, s_jl, s_je = lk.s
-        inv_l = 1.0 / den_l1 - 1.0 / den_l0
-        inv_e = 1.0 / den_e1 - 1.0 / den_e0
-        coef = np.array([
-            [pw.p_s * s_sl / den_l1, -pw.p_s * s_se / den_e1],
-            [pw.p_j * s_jl * inv_l, -pw.p_j * s_je * inv_e],
-            [pw.sigma2_l * inv_l, -pw.sigma2_e * inv_e],
-        ]) / LN2
-        r, r2 = self.n_rx, 2 * self.n_rx
-        g = np.empty(lk.x.size, dtype=complex)
-        weighted = (coef[:2, :, None] * lk.z[2]).reshape(4, r, 1)
-        legs = np.matmul(self.h_adj, weighted)
-        np.add(legs[0::2], legs[1::2], out=g[r2:].reshape(2, self.n_tx, 1))
-        if with_we:
-            np.vecdot(coef[:, :, None], lk.z, axis=0, out=g[:r2].reshape(2, r))
-        else:
-            np.vecdot(coef[:, :1, None], lk.z[:, :1], axis=0, out=g[:r].reshape(1, r))
-            g[r:r2] = 0.0
+        b, r, r2 = len(lk.x), self.n_rx, 2 * self.n_rx
+        g = np.empty(lk.x.shape, dtype=complex) if out is None else out
+        work = lk._work
+        np.matmul(_DEN_FACTORS, np.divide(1.0, lk.den, out=work.inv), out=work.factors)
+        np.multiply(work.factors, pw.grad, out=work.factors)
+        np.multiply(work.factors, lk.s, out=work.coef)
+        np.copyto(work.coef_w, work.factors_w)
+        np.multiply(work.coef_legs, work.w_legs, out=work.weighted)
+        np.matmul(work.weighted_legs, self.h_conj, out=work.legs)
+        np.add(work.legs_l, work.legs_e, out=g[:, r2:])
+        np.vecdot(work.coef_z, lk.zb, axis=1, out=g[:, :r2].reshape(b, 2, r))
+        if hold is not None:
+            np.copyto(g[:, r:r2], 0.0, where=hold[:, None])
         return g
 
 
 def _evaluate(ch: ChannelSet, bf: BeamformerState, pw: PowerConfig):
     _check_dims(ch, bf)
     kernel = LinkKernel(ch)
-    return kernel, kernel.links(kernel.pack(bf), pw)
+    powers = RowPowers.of([pw])
+    return kernel, powers, kernel.links(kernel.pack([bf]), powers)
 
 
 def gradient_bundle(
     ch: ChannelSet, bf: BeamformerState, pw: PowerConfig, include_we: bool = False
 ) -> GradientBundle:
-    """All gradients at one state, from one kernel evaluation."""
-    kernel, lk = _evaluate(ch, bf, pw)
-    g = kernel.unpack(kernel.gradient(lk, pw, include_we))
+    """All gradients at one state, from one kernel evaluation (a batch of
+    one row)."""
+    kernel, powers, lk = _evaluate(ch, bf, pw)
+    g = kernel.unpack(kernel.gradient(lk, powers, np.array([not include_we]))[0])
     return GradientBundle(g_wl=g.w_l, g_fj=g.f_j, g_fs=g.f_s,
                           g_we=g.w_e if include_we else None)
 
@@ -207,8 +329,7 @@ def grad_we(ch: ChannelSet, bf: BeamformerState, pw: PowerConfig) -> np.ndarray:
 
 def capacity_difference(ch: ChannelSet, bf: BeamformerState, pw: PowerConfig) -> float:
     """Unclamped c_l - c_e, the smooth function the gradients differentiate."""
-    _, lk = _evaluate(ch, bf, pw)
-    return lk.c_l - lk.c_e
+    return float(_evaluate(ch, bf, pw)[2].diff[0])
 
 
 def gradient_check_error(analytic: np.ndarray, reference: np.ndarray) -> float:

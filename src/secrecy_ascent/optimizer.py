@@ -1,13 +1,21 @@
 """Projected gradient ascent over constant-amplitude analog beamformers.
 
-The four beamformers travel as one packed state x = [w_l | w_e | f_s | f_j]
-through ``gradients.LinkKernel``, built once per ascent. Every pass is one
-gradient call, one gradient step and one constant-amplitude projection of
-the whole packed step, then one link evaluation of the candidate. A 2-norm
-step before the projection would change nothing, since ``project_ca`` keeps
-only the phases. A step that decreases the objective is a perturbation: the
-iterate (and its gradient) is kept and the step size halved (floored at
-``delta_min``), which keeps the accepted trajectory monotone.
+There is one ascent loop, ``ascend_rows``, and it runs many ascents in
+lockstep: each row of its batch is one ascent (a channel realization, the
+powers, a start, and whether w_e is ascended too), and the rows travel as
+one (B, 2*n_rx + 2*n_tx) array of packed states x = [w_l | w_e | f_s | f_j]
+through ``gradients.LinkKernel``, built once per batch. Every pass makes,
+for all active rows at once, one gradient call, one gradient step and one
+constant-amplitude projection of the packed steps, one link evaluation of
+the candidates and one vectorized accept / revert-and-halve / converge
+decision. A 2-norm step before the projection would change nothing, since
+``project_ca`` keeps only the phases. A step that decreases a row's
+objective is a perturbation: the row keeps its iterate (and gradient) and
+halves its step size (floored at ``delta_min``), which keeps the accepted
+trajectory monotone. Rows that finish leave the batch, which then shrinks.
+A row's records, final state and termination reason are bit-identical
+however many rows share its batch; ``ascend_fixed_power`` and
+``ascend_variable_power`` are batches of one row.
 
 The acceptance and convergence tests run on the unclamped capacity
 difference c_l - c_e. The reported secrecy capacity clamps at zero; running
@@ -19,13 +27,13 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from dataclasses import dataclass, field
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .channel import ChannelParams, ChannelSet
-from .gradients import LinkKernel, Links
+from .gradients import LinkKernel, Links, RowPowers
 from .metrics import BeamformerState, PowerConfig, SecrecySnapshot, _check_dims, db_to_linear
 
 
@@ -60,9 +68,10 @@ class TerminationReason(str, enum.Enum):
     CYCLE_CAP = "cycle_cap"
 
 
-@dataclass(frozen=True)
-class IterationRecord:
-    """One accepted iteration (iteration 0 is the starting point)."""
+class IterationRecord(NamedTuple):
+    """One accepted iteration (iteration 0 is the starting point). A named
+    tuple: an ascent writes one per accepted pass, and a tuple is the
+    cheapest immutable record to build."""
 
     cycle: int
     iteration: int
@@ -146,97 +155,302 @@ def warm_start(params: ChannelParams, rng: np.random.Generator) -> BeamformerSta
     )
 
 
-def _snapshot(lk: Links) -> SecrecySnapshot:
-    den_l0, den_l1, den_e0, den_e1 = lk.den
+def _snapshot(lk: Links, row: int) -> SecrecySnapshot:
+    (_, den_l0, den_l1), (_, den_e0, den_e1) = lk.den[row].T.tolist()
+    c_l, c_e, _ = lk.cd[row].tolist()
     return SecrecySnapshot(gamma_l=den_l1 / den_l0 - 1.0, gamma_e=den_e1 / den_e0 - 1.0,
-                           c_l=lk.c_l, c_e=lk.c_e, c_s=max(lk.c_l - lk.c_e, 0.0))
+                           c_l=c_l, c_e=c_e, c_s=max(c_l - c_e, 0.0))
 
 
-def _project_packed(kernel: LinkKernel, step: np.ndarray) -> np.ndarray:
-    """``project_ca`` of every block of a packed step, in one pass.
+def _project_packed(kernel: LinkKernel, y: np.ndarray,
+                    mag: Optional[np.ndarray] = None) -> dict[int, ValueError]:
+    """``project_ca`` of every block of every row of y, in place.
 
     When no modulus is below the 1e-12 guard this is exactly ``project_ca``
     block by block, with each block's 1/sqrt(N) from ``kernel.ca_scale``;
-    otherwise each block goes through ``project_ca`` itself, and a block
-    that is exactly zero, which has no direction to keep, is a degenerate
-    iterate.
+    otherwise the rows holding such an entry go through ``project_ca`` block
+    by block. A row with an exactly-zero block, which has no direction to
+    keep, is a degenerate iterate: it is left as it is and returned, by row
+    index, with its error. ``mag`` is scratch of y's shape, if given.
     """
-    mag = np.abs(step)
+    mag = np.abs(y, out=mag)
     if mag.min() >= 1e-12:
-        return step * (kernel.ca_scale / mag)
-    blocks = kernel.unpack(step).vectors()
-    if not all(v.any() for v in blocks):
-        raise ValueError("cannot project a zero step block")
-    return np.concatenate([project_ca(v) for v in blocks])
+        y *= np.divide(kernel.ca_scale, mag, out=mag)
+        return {}
+    guarded = ~(mag.min(axis=1) >= 1e-12)
+    failed = {}
+    for row in np.flatnonzero(guarded).tolist():
+        blocks = kernel.unpack(y[row]).vectors()
+        if all(v.any() for v in blocks):
+            y[row] = np.concatenate([project_ca(v) for v in blocks])
+        else:
+            failed[row] = ValueError("cannot project a zero step block")
+    fast = ~guarded
+    y[fast] *= kernel.ca_scale / mag[fast]
+    return failed
 
 
-def _run_cycle(
-    kernel: LinkKernel,
-    pw: PowerConfig,
-    cfg: OptimizerConfig,
-    x: np.ndarray,
-    cycle: int,
-    records: list[IterationRecord],
-    on_accept: Optional[Callable[[BeamformerState], None]],
-):
-    """One fixed-power ascent of the packed state x until |change| <= epsilon
-    or the cap.
+@dataclass(frozen=True)
+class AscentRow:
+    """One ascent of a lockstep batch: a channel realization, the powers,
+    the starting point, and whether w_e is ascended too (the benchmark
+    variant) or held at its start."""
 
-    Returns (links, passes, reason); the final state is ``links.x``. Rejected
-    passes consume an iteration index but leave the iterate, its gradient and
-    the records untouched.
-    """
-    lk = kernel.links(x, pw)
-    diff = lk.c_l - lk.c_e
-    if not math.isfinite(diff):
-        raise ValueError("non-finite objective at the initial state")
-    n_rx = kernel.n_rx
-    delta = cfg.delta0
-    reason = TerminationReason.ITER_CAP
-    grad = None
-    n = 0
-    for n in range(1, cfg.max_iters + 1):
-        if grad is None:
-            grad = kernel.gradient(lk, pw, cfg.optimize_we)
-        cand = _project_packed(kernel, lk.x + delta * grad)
-        if not cfg.optimize_we:
-            cand[n_rx:2 * n_rx] = lk.x[n_rx:2 * n_rx]
-        lk_cand = kernel.links(cand, pw)
-        diff_cand = lk_cand.c_l - lk_cand.c_e
-        if not math.isfinite(diff_cand):
-            raise ValueError(f"non-finite objective at iteration {n}")
-        change = diff_cand - diff
-        if change < 0.0:
-            # perturbation: revert, then halve the step
-            if -change <= cfg.epsilon or delta <= cfg.delta_min:
-                reason = TerminationReason.CONVERGED
-                break
-            delta = max(0.5 * delta, cfg.delta_min)
-            continue
-        lk, diff, grad = lk_cand, diff_cand, None
-        records.append(
-            IterationRecord(cycle, n, max(diff, 0.0), lk.c_l, lk.c_e, delta, pw.p_s)
-        )
-        if on_accept is not None:
-            on_accept(kernel.unpack(cand))
-        if change <= cfg.epsilon:
-            reason = TerminationReason.CONVERGED
-            break
-    return lk, n, reason
+    channel: ChannelSet
+    powers: PowerConfig
+    init: BeamformerState
+    optimize_we: bool = False
 
 
-def _start(ch: ChannelSet, pw: PowerConfig, cfg: OptimizerConfig, init: BeamformerState):
-    """Check the start, stack the channels for the whole ascent, and record
-    the starting point as iteration 0. Returns (kernel, x, trace)."""
-    _check_dims(ch, init)
-    if state_ca_violation(init) > 1e-6:
+def _check_start(row: AscentRow) -> None:
+    _check_dims(row.channel, row.init)
+    if state_ca_violation(row.init) > 1e-6:
         raise ValueError("initial state violates the constant-amplitude constraint")
-    kernel = LinkKernel(ch)
-    x = kernel.pack(init)
-    s0 = _snapshot(kernel.links(x, pw))
-    trace = OptimizerTrace()
-    trace.records.append(IterationRecord(1, 0, s0.c_s, s0.c_l, s0.c_e, cfg.delta0, pw.p_s))
-    return kernel, x, trace
+
+
+class _Lockstep:
+    """The rows of one ``ascend_rows`` call and their shared pass loop.
+
+    Row-indexed arrays (kernel, links, gradient, ``delta``, ``hold``,
+    powers, ``ids``) hold the active rows only, in row order, and shrink
+    when rows leave; everything else is kept per row id.
+    """
+
+    def __init__(self, rows, cfg: OptimizerConfig, variable: bool, on_accept):
+        self.cfg, self.variable, self.on_accept = cfg, variable, on_accept
+        self.results: list[Optional[OptimizeResult]] = [None] * len(rows)
+        self.failed_at, self.error = len(rows), None
+        for i, row in enumerate(rows):
+            try:
+                _check_start(row)
+            except ValueError as exc:
+                self._fail(i, exc)
+                break
+        rows = rows[:self.failed_at]
+        self.n_active = len(rows)
+        if not rows:
+            return
+        self.kernel = LinkKernel([row.channel for row in rows])
+        self.powers = RowPowers.of([row.powers for row in rows])
+        self.cur = self.kernel.links(self.kernel.pack([row.init for row in rows]), self.powers)
+        self.ids = np.arange(len(rows))
+        self.hold = np.array([not row.optimize_we for row in rows])
+        self.delta = np.full(len(rows), cfg.delta0)
+        self.p_s = [row.powers.p_s for row in rows]
+        self.cycle = [1] * len(rows)
+        self.start = [0] * len(rows)
+        self.traces = [OptimizerTrace() for _ in rows]
+        self.records = [trace.records for trace in self.traces]
+        for i, (c_l, c_e, _) in enumerate(self.cur.cd.tolist()):
+            self.traces[i].records.append(IterationRecord(
+                1, 0, max(c_l - c_e, 0.0), c_l, c_e, cfg.delta0, self.p_s[i]))
+        self._check_finite(range(len(rows)), "the initial state")
+        self._compact()
+
+    def _fail(self, row_id: int, exc: Exception) -> None:
+        if row_id < self.failed_at:
+            self.failed_at, self.error = row_id, exc
+
+    def _check_finite(self, rows, where: str) -> None:
+        diff = self.cur.diff
+        for j in rows:
+            if not math.isfinite(diff[j]):
+                self._fail(int(self.ids[j]), ValueError(f"non-finite objective at {where}"))
+
+    def _compact(self, finished: Optional[np.ndarray] = None) -> None:
+        """Drop finished rows and every row at or after the first failed one."""
+        keep = self.ids < self.failed_at
+        if finished is not None:
+            keep &= ~finished
+        if keep.all():
+            return
+        self.n_active = int(keep.sum())
+        k = self.kernel
+        self.kernel = k.take(keep)
+        self.cur = self.cur.take(keep, k.n_rx, k.n_tx)
+        self.powers = self.powers.take(keep)
+        self.ids, self.hold, self.delta = self.ids[keep], self.hold[keep], self.delta[keep]
+
+    def _accept(self, rows, n_pass: int) -> None:
+        """Record the accepted rows' new iterates (already in ``cur``)."""
+        ids, delta, cd = self.ids.tolist(), self.delta.tolist(), self.cur.cd.tolist()
+        records, cycle, start, p_s = self.records, self.cycle, self.start, self.p_s
+        for j in rows:
+            i = ids[j]
+            c_l, c_e, diff = cd[j]
+            records[i].append(IterationRecord(
+                cycle[i], n_pass - start[i], max(diff, 0.0), c_l, c_e, delta[j], p_s[i]))
+            if self.on_accept is not None:
+                self.on_accept(i, self.kernel.unpack(self.cur.x[j].copy()))
+
+    def _end_cycle(self, j: int, reason: TerminationReason, n_pass: int) -> bool:
+        """Close row j's cycle; True if the row is finished, False if it
+        starts its next cycle at a higher power."""
+        i = int(self.ids[j])
+        trace, p_s = self.traces[i], self.p_s[i]
+        snap = _snapshot(self.cur, j)
+        trace.cycles.append(CycleRecord(self.cycle[i], snap.c_s, p_s, n_pass - self.start[i]))
+        if self.variable:
+            cfg = self.cfg
+            if snap.c_s >= cfg.zeta:
+                reason = TerminationReason.TARGET_REACHED
+            elif p_s + cfg.kappa * p_s > cfg.mu:
+                reason = TerminationReason.POWER_CAP
+            else:
+                self.p_s[i] = p_s = p_s + cfg.kappa * p_s
+                if self.cycle[i] == cfg.max_cycles:
+                    reason = TerminationReason.CYCLE_CAP
+                else:
+                    self.cycle[i] += 1
+                    self.start[i] = n_pass
+                    self.delta[j] = cfg.delta0
+                    self.powers.set_p_s(j, p_s)
+                    return False
+        trace.reason, trace.n_iters = reason, n_pass
+        state = self.kernel.unpack(self.cur.x[j].copy())
+        self.results[i] = OptimizeResult(state=state, snapshot=snap, p_s=p_s, trace=trace)
+        return True
+
+    def _failures(self, change: np.ndarray, degenerate: dict, n_pass: int) -> np.ndarray:
+        """Fail the rows whose step had a zero block or whose candidate
+        objective is not finite; returns their mask."""
+        failed = ~np.isfinite(change)
+        for j in degenerate:
+            failed[j] = True
+        for j in np.flatnonzero(failed).tolist():
+            i = int(self.ids[j])
+            self._fail(i, degenerate.get(j) or ValueError(
+                f"non-finite objective at iteration {n_pass - self.start[i]}"))
+        change[failed] = 0.0
+        return failed
+
+    def _next_cap(self) -> int:
+        """The pass at which the first active row's cycle reaches max_iters."""
+        return min(self.start[i] for i in self.ids.tolist()) + self.cfg.max_iters
+
+    def run(self) -> None:
+        cfg = self.cfg
+        eps, delta_min = cfg.epsilon, cfg.delta_min
+        n_pass, n_rows = 0, 0
+        while self.n_active:
+            n_pass += 1
+            if n_rows != self.n_active:
+                # rows left: fresh buffers, and the gradient of the rest
+                n_rows, kernel, delta = self.n_active, self.kernel, self.delta
+                powers, delta_col = self.powers, delta[:, None]
+                hold = self.hold[:, None] if self.hold.any() else None
+                cand = Links.empty(n_rows, kernel.n_rx, kernel.n_tx)
+                grad = np.empty(cand.x.shape, dtype=complex)
+                grad_re = grad.view(float)
+                change, ended_by = np.empty(n_rows), np.empty(n_rows)
+                accepted, ended = np.empty(n_rows, dtype=bool), np.empty(n_rows, dtype=bool)
+                stale, next_cap = True, self._next_cap()
+            cur = self.cur
+            if stale:
+                # held rows need no zero g_we block: their w_e is restored below
+                kernel.gradient(cur, powers, out=grad)
+            np.multiply(grad_re, delta_col, out=cand.x_re)
+            cand.x += cur.x
+            degenerate = _project_packed(kernel, cand.x, cand._work.mag)
+            if hold is not None:
+                np.copyto(cand.we, cur.we, where=hold)
+            kernel.evaluate(cand, powers)
+
+            # the decision, for every row at once: accept a step that does not
+            # lower c_l - c_e; end the cycle when |change| <= epsilon, or when
+            # a rejected step was already at the floor; otherwise revert and
+            # halve the step (floored at delta_min)
+            np.subtract(cand.diff, cur.diff, out=change)
+            failed = None
+            if degenerate or not math.isfinite(np.add.reduce(change)):
+                failed = self._failures(change, degenerate, n_pass)
+            np.greater_equal(change, 0.0, out=accepted)
+            np.less_equal(np.abs(change, out=ended_by), eps, out=ended)
+            n_accepted = np.count_nonzero(accepted)
+            if n_accepted < n_rows:
+                rejected = ~(accepted | ended)
+                ended |= (delta <= delta_min) & rejected
+                rejected &= ~ended
+                np.multiply(delta, 0.5, out=delta, where=rejected)
+                np.maximum(delta, delta_min, out=delta)
+            if failed is not None:
+                accepted &= ~failed
+                ended &= ~failed
+                n_accepted = np.count_nonzero(accepted)
+            stale = n_accepted > 0
+            if n_accepted == n_rows:
+                self.cur, cand = cand, cur
+                self._accept(range(n_rows), n_pass)
+            elif stale:
+                cur.assign(cand, accepted)
+                self._accept(accepted.nonzero()[0].tolist(), n_pass)
+
+            ends = []
+            if np.count_nonzero(ended):
+                ends = [(j, TerminationReason.CONVERGED) for j in ended.nonzero()[0].tolist()]
+            if n_pass == next_cap:
+                ends += [(j, TerminationReason.ITER_CAP) for j, i in enumerate(self.ids.tolist())
+                         if n_pass - self.start[i] == cfg.max_iters and not ended[j]
+                         and (failed is None or not failed[j])]
+            if not ends and failed is None:
+                continue
+            finished = np.zeros(n_rows, dtype=bool) if failed is None else failed
+            restarted = []
+            for j, reason in ends:
+                if self._end_cycle(j, reason, n_pass):
+                    finished[j] = True
+                else:
+                    restarted.append(j)
+            if restarted:
+                kernel.refresh(self.cur, powers)
+                self._check_finite(restarted, "the initial state")
+                stale = True
+            self._compact(finished)
+            next_cap = self._next_cap() if self.n_active else 0
+
+
+def ascend_rows(
+    rows,
+    cfg: OptimizerConfig,
+    variable: bool = False,
+    on_accept: Optional[Callable[[int, BeamformerState], None]] = None,
+) -> tuple[list[OptimizeResult], Optional[Exception]]:
+    """Run the ascents of ``rows`` (AscentRows sharing n_rx and n_tx) in
+    lockstep, as rows of one batch.
+
+    Each pass makes one gradient call, one step and one CA projection, one
+    link evaluation and one vectorized accept / revert-and-halve / converge
+    decision for all active rows. A step that decreases a row's objective is
+    a perturbation: that row keeps its iterate (and gradient) and halves its
+    step size, floored at ``cfg.delta_min``. At fixed power each row runs
+    one cycle until |change| <= epsilon or ``cfg.max_iters`` passes. With
+    ``variable`` set each row repeats cycles, raising its own P_s by
+    kappa*P_s after a cycle that misses the secrecy target zeta, up to the
+    ceiling mu: its step size restarts at delta0 and its denominators are
+    recomputed from the stored scalars, while the other rows carry on. A row
+    that finishes leaves the batch. ``cfg.optimize_we`` is ignored: each
+    row's own flag decides.
+
+    Returns the results of the leading rows that finished, up to the first
+    row that failed (a start that fails its checks, a non-finite objective,
+    a zero step block), and that row's error, or None if no row failed. The
+    rows after a failed one are abandoned. A row's records, final state and
+    reason do not depend on the other rows of its batch. ``on_accept(row,
+    state)`` observes every accepted iterate.
+    """
+    if variable and cfg.zeta is None:
+        raise ValueError("variable-power ascent needs cfg.zeta")
+    batch = _Lockstep(list(rows), cfg, variable, on_accept)
+    batch.run()
+    return batch.results[:batch.failed_at], batch.error
+
+
+def _ascend_one(row: AscentRow, cfg: OptimizerConfig, variable: bool, on_accept):
+    observe = None if on_accept is None else (lambda _row, state: on_accept(state))
+    results, error = ascend_rows([row], cfg, variable, observe)
+    if error is not None:
+        raise error
+    return results[0]
 
 
 def ascend_fixed_power(
@@ -246,19 +460,14 @@ def ascend_fixed_power(
     init: BeamformerState,
     on_accept: Optional[Callable[[BeamformerState], None]] = None,
 ) -> OptimizeResult:
-    """Maximize the secrecy objective at constant source power.
+    """Maximize the secrecy objective at constant source power: a batch of
+    one row in ``ascend_rows``.
 
     The eavesdropper combiner stays at its initial value unless
     ``cfg.optimize_we`` turns on the benchmark variant, which ascends w_e
     alongside the other three vectors.
     """
-    kernel, x, trace = _start(ch, pw, cfg, init)
-    lk, n, reason = _run_cycle(kernel, pw, cfg, x, 1, trace.records, on_accept)
-    snap = _snapshot(lk)
-    trace.cycles.append(CycleRecord(1, snap.c_s, pw.p_s, n))
-    trace.reason = reason
-    trace.n_iters = n
-    return OptimizeResult(state=kernel.unpack(lk.x), snapshot=snap, p_s=pw.p_s, trace=trace)
+    return _ascend_one(AscentRow(ch, pw, init, cfg.optimize_we), cfg, False, on_accept)
 
 
 def ascend_variable_power(
@@ -269,7 +478,8 @@ def ascend_variable_power(
     on_accept: Optional[Callable[[BeamformerState], None]] = None,
 ) -> OptimizeResult:
     """Repeat fixed-power cycles, raising P_s by kappa*P_s after any cycle
-    that misses the secrecy target zeta, up to the power ceiling mu.
+    that misses the secrecy target zeta, up to the power ceiling mu: a batch
+    of one row in ``ascend_rows``.
 
     The beamformers carry over between cycles; the step size restarts at
     delta0 each cycle. At least one cycle always runs, so zeta = 0 reports
@@ -277,25 +487,4 @@ def ascend_variable_power(
     """
     if cfg.zeta is None:
         raise ValueError("variable-power ascent needs cfg.zeta")
-    kernel, x, trace = _start(ch, pw, cfg, init)
-    p_s = pw.p_s
-    total = 0
-    reason = TerminationReason.CYCLE_CAP
-    for cycle in range(1, cfg.max_cycles + 1):
-        pw_c = replace(pw, p_s=p_s)
-        lk, n, _ = _run_cycle(kernel, pw_c, cfg, x, cycle, trace.records, on_accept)
-        x = lk.x
-        total += n
-        snap = _snapshot(lk)
-        trace.cycles.append(CycleRecord(cycle, snap.c_s, p_s, n))
-        if snap.c_s >= cfg.zeta:
-            reason = TerminationReason.TARGET_REACHED
-            break
-        bumped = p_s + cfg.kappa * p_s
-        if bumped > cfg.mu:
-            reason = TerminationReason.POWER_CAP
-            break
-        p_s = bumped
-    trace.reason = reason
-    trace.n_iters = total
-    return OptimizeResult(state=kernel.unpack(x), snapshot=_snapshot(lk), p_s=p_s, trace=trace)
+    return _ascend_one(AscentRow(ch, pw, init, cfg.optimize_we), cfg, True, on_accept)

@@ -123,10 +123,10 @@ def test_variable_power_experiment_deterministic():
 def test_trial_error_identifies_seed(monkeypatch):
     import secrecy_ascent.experiment as exp
 
-    def boom(cfg, i):
+    def boom(cfg, start, stop):
         raise RuntimeError("synthetic failure")
 
-    monkeypatch.setattr(exp, "_fixed_trial", boom)
+    monkeypatch.setattr(exp, "_fixed_shard", boom)
     cfg = small_config(n_trials=2, seed=77)
     with pytest.raises(sa.TrialError) as err:
         sa.run_fixed_power_experiment(cfg)
@@ -138,20 +138,20 @@ def test_trial_error_identifies_seed(monkeypatch):
 TRIAL_SLEEP_S = 0.5
 
 
-def _fail_first_then_sleep(cfg, trial_index):
+def _fail_first_then_sleep(cfg, start, stop):
     # module level: a process pool pickles its worker by name
-    if trial_index == 0:
+    if start == 0:
         raise RuntimeError("synthetic failure")
-    time.sleep(TRIAL_SLEEP_S)
+    time.sleep(TRIAL_SLEEP_S * (stop - start))
 
 
 def test_pool_failure_cancels_pending_trials(monkeypatch):
-    # 40 trials on 2 workers: finishing every sleeping trial takes ~9.75 s, so
-    # an error that waits for them misses the bound; only the few trials
-    # already handed to the workers may still run
+    # 40 trials on 2 workers, each shard sleeping 0.5 s per trial: finishing
+    # the sleeping shard takes 10 s, so an error that waits for it misses the
+    # bound
     import secrecy_ascent.experiment as exp
 
-    monkeypatch.setattr(exp, "_fixed_trial", _fail_first_then_sleep)
+    monkeypatch.setattr(exp, "_fixed_shard", _fail_first_then_sleep)
     cfg = small_config(n_trials=40, seed=78)
     started = time.perf_counter()
     with pytest.raises(sa.TrialError) as err:
@@ -160,6 +160,28 @@ def test_pool_failure_cancels_pending_trials(monkeypatch):
     assert err.value.trial_index == 0
     assert err.value.master_seed == 78
     assert elapsed < 10 * TRIAL_SLEEP_S
+
+
+def _fail_now_or_sleep_long(cfg, start, stop):
+    if start == 0:
+        return [], (0, RuntimeError("synthetic failure"))
+    time.sleep(5.0)
+    return [], None
+
+
+def test_failing_shard_stops_the_other_workers(monkeypatch):
+    # shard 0 reports a failure at once while the other worker's shard
+    # sleeps 5 s: the error must not wait for it
+    import secrecy_ascent.experiment as exp
+
+    monkeypatch.setattr(exp, "_fixed_shard", _fail_now_or_sleep_long)
+    cfg = small_config(n_trials=2, seed=79)
+    started = time.perf_counter()
+    with pytest.raises(sa.TrialError) as err:
+        sa.run_fixed_power_experiment(cfg, threads=2)
+    assert time.perf_counter() - started < 2.0
+    assert err.value.trial_index == 0
+    assert err.value.master_seed == 79
 
 
 def test_system_config_validation():

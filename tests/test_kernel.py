@@ -12,7 +12,7 @@ import pytest
 
 import secrecy_ascent as sa
 from helpers import random_instance
-from secrecy_ascent.gradients import LN2, LinkKernel
+from secrecy_ascent.gradients import LN2, LinkKernel, RowPowers
 from secrecy_ascent.optimizer import _project_packed
 
 REL_TOL = 1e-12
@@ -75,10 +75,15 @@ def ref_gradients(ch, bf, pw):
     }
 
 
+def one_row(ch, bf, pw):
+    """A batch of one row: the kernel, its powers and the links at bf."""
+    kernel, powers = LinkKernel(ch), RowPowers.of([pw])
+    return kernel, powers, kernel.links(kernel.pack([bf]), powers)
+
+
 def fused_gradients(ch, bf, pw):
-    kernel = LinkKernel(ch)
-    lk = kernel.links(kernel.pack(bf), pw)
-    g = kernel.unpack(kernel.gradient(lk, pw, with_we=True))
+    kernel, powers, lk = one_row(ch, bf, pw)
+    g = kernel.unpack(kernel.gradient(lk, powers)[0])
     return lk, {"w_l": g.w_l, "w_e": g.w_e, "f_s": g.f_s, "f_j": g.f_j}
 
 
@@ -100,8 +105,9 @@ def assert_kernel_matches_reference(ch, bf, pw):
     for name in ref:
         assert got[name].shape == ref[name].shape
         assert np.linalg.norm(got[name] - ref[name]) <= REL_TOL * scale, name
-    assert lk.c_l == pytest.approx(ref_lk.c_l, rel=REL_TOL, abs=1e-300)
-    assert lk.c_e == pytest.approx(ref_lk.c_e, rel=REL_TOL, abs=1e-300)
+    c_l, c_e, _ = lk.cd[0]
+    assert c_l == pytest.approx(ref_lk.c_l, rel=REL_TOL, abs=1e-300)
+    assert c_e == pytest.approx(ref_lk.c_e, rel=REL_TOL, abs=1e-300)
 
 
 @pytest.mark.parametrize("n_rx,n_tx,p_s,p_j,seed", list(cases()))
@@ -130,15 +136,14 @@ def test_public_gradients_are_the_kernel():
     for name, fn in (("w_l", sa.grad_wl), ("w_e", sa.grad_we),
                      ("f_s", sa.grad_fs), ("f_j", sa.grad_fj)):
         np.testing.assert_array_equal(fn(ch, bf, pw), got[name])
-    assert sa.capacity_difference(ch, bf, pw) == lk.c_l - lk.c_e
+    assert sa.capacity_difference(ch, bf, pw) == lk.cd[0, 0] - lk.cd[0, 1]
 
 
 def test_gradient_without_we_leaves_that_block_zero():
     ch, bf, pw = random_instance(3, 8, seed=43)
-    kernel = LinkKernel(ch)
-    lk = kernel.links(kernel.pack(bf), pw)
-    full = kernel.unpack(kernel.gradient(lk, pw, with_we=True))
-    part = kernel.unpack(kernel.gradient(lk, pw, with_we=False))
+    kernel, powers, lk = one_row(ch, bf, pw)
+    full = kernel.unpack(kernel.gradient(lk, powers)[0])
+    part = kernel.unpack(kernel.gradient(lk, powers, hold=np.array([True]))[0])
     assert not part.w_e.any()
     for name in ("w_l", "f_s", "f_j"):
         np.testing.assert_array_equal(getattr(part, name), getattr(full, name))
@@ -156,7 +161,9 @@ def test_packed_projection_matches_project_ca_per_block():
     for guard_entries in ((), (0, 5, 9), (3, 4, 5)):
         step = packed_step(kernel, rng)
         step[list(guard_entries)] = 1e-13  # below the 1e-12 modulus guard
-        got = kernel.unpack(_project_packed(kernel, step))
+        got = step[None].copy()
+        assert _project_packed(kernel, got) == {}
+        got = kernel.unpack(got[0])
         want = kernel.unpack(step)
         for v_got, v_step in zip(got.vectors(), want.vectors()):
             assert v_got.tobytes() == sa.project_ca(v_step).tobytes()
@@ -168,5 +175,42 @@ def test_packed_projection_rejects_a_zero_block(block):
     kernel = LinkKernel(ch)
     step = packed_step(kernel, np.random.default_rng(47))
     kernel.unpack(step).vectors()[block][:] = 0.0
-    with pytest.raises(ValueError):
-        _project_packed(kernel, step)
+    failed = _project_packed(kernel, step[None])
+    assert list(failed) == [0] and isinstance(failed[0], ValueError)
+
+
+def test_packed_projection_treats_each_row_alone():
+    ch, _, _ = random_instance(3, 7, seed=48)
+    kernel = LinkKernel(ch)
+    rng = np.random.default_rng(49)
+    steps = np.array([packed_step(kernel, rng) for _ in range(3)])
+    steps[1, [2, 8]] = 1e-13  # guard entries in row 1 only
+    steps[2, 6:13] = 0.0  # row 2's f_s block is zero
+    got = steps.copy()
+    failed = _project_packed(kernel, got)
+    assert list(failed) == [2] and isinstance(failed[2], ValueError)
+    assert got[2].tobytes() == steps[2].tobytes()
+    for row in (0, 1):
+        for v_got, v_step in zip(kernel.unpack(got[row]).vectors(),
+                                 kernel.unpack(steps[row]).vectors()):
+            assert v_got.tobytes() == sa.project_ca(v_step).tobytes()
+
+
+def test_batched_kernel_rows_match_single_rows():
+    # every kernel operation is row-wise: a row's links and gradient are
+    # bit-identical in a batch of five and alone
+    instances = [random_instance(3, 9, seed=60 + k, p_s=10.0 ** (k - 2), p_j=2.0 * k)
+                 for k in range(5)]
+    kernel = LinkKernel([ch for ch, _, _ in instances])
+    powers = RowPowers.of([pw for _, _, pw in instances])
+    lk = kernel.links(kernel.pack([bf for _, bf, _ in instances]), powers)
+    hold = np.array([True, False, True, True, False])
+    g = kernel.gradient(lk, powers, hold)
+    for k, (ch, bf, pw) in enumerate(instances):
+        one_kernel, one_powers, one = one_row(ch, bf, pw)
+        assert one.buf.tobytes() == lk.buf[k:k + 1].tobytes()
+        assert one.s.tobytes() == lk.s[k:k + 1].tobytes()
+        assert one.den.tobytes() == lk.den[k:k + 1].tobytes()
+        assert one.cd.tobytes() == lk.cd[k:k + 1].tobytes()
+        one_g = one_kernel.gradient(one, one_powers, hold[k:k + 1])
+        assert one_g.tobytes() == g[k:k + 1].tobytes()
