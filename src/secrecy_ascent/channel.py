@@ -7,6 +7,13 @@ path gains times outer products of uniform-linear-array response vectors:
 
 Arrays are half-wavelength ULAs with an azimuth-only response; elevation
 angles are drawn and kept on each path but do not enter the response.
+
+A response is built by power doubling: with u = exp(j*pi*sin(az)), entry k
+is u**k/sqrt(n), and entries m..2m-1 are entries 0..m-1 times u**m. That is
+one complex exponential per path and at most log2(n) multiplies per entry;
+the entries stay within a few ulps per doubling of exp(j*pi*k*sin(az))/sqrt(n).
+``draw_channel_set`` makes exactly the draws of four ``draw_paths`` calls, in
+the same order, and assembles all four channels in one batched product.
 """
 
 from __future__ import annotations
@@ -94,14 +101,23 @@ def steering_vector(n_antennas: int, azimuth: float) -> np.ndarray:
     """
     if n_antennas < 1:
         raise ValueError("n_antennas must be >= 1")
-    k = np.arange(n_antennas)
-    return np.exp(1j * np.pi * k * math.sin(azimuth)) / math.sqrt(n_antennas)
+    return _steering_matrix(n_antennas, np.array([azimuth], dtype=float))[:, 0]
 
 
 def _steering_matrix(n_antennas: int, azimuths: np.ndarray) -> np.ndarray:
-    # column p is steering_vector(n_antennas, azimuths[p])
-    k = np.arange(n_antennas)[:, None]
-    return np.exp(1j * np.pi * k * np.sin(azimuths)[None, :]) / math.sqrt(n_antennas)
+    """ULA responses of azimuths of shape (..., P), as columns of an
+    (..., n, P) array, built by power doubling (see the module docstring)."""
+    u = np.exp(1j * np.pi * np.sin(azimuths))
+    out = np.empty(u.shape[:-1] + (n_antennas, u.shape[-1]), dtype=complex)
+    out[..., 0, :] = 1.0 / math.sqrt(n_antennas)
+    m = 1
+    while m < n_antennas:  # u holds u**m
+        k = min(m, n_antennas - m)
+        np.multiply(out[..., :k, :], u[..., None, :], out=out[..., m:m + k, :])
+        m *= 2
+        if m < n_antennas:
+            u = u * u  # not in place: numpy rounds an aliased 1-element product differently
+    return out
 
 
 def draw_paths(params: ChannelParams, rng: np.random.Generator) -> list[PathComponent]:
@@ -143,41 +159,40 @@ def build_channel(params: ChannelParams, paths: list[PathComponent]) -> np.ndarr
 
 def _assemble(params: ChannelParams, gains: np.ndarray, aoa: np.ndarray,
               aod: np.ndarray) -> np.ndarray:
+    """The channels of path sets stacked as (..., P) arrays, as one
+    (..., n_rx, n_tx) array from one (batched) matrix product."""
     a_rx = _steering_matrix(params.n_rx, aoa)
     a_tx = _steering_matrix(params.n_tx, aod)
+    np.conjugate(a_tx, out=a_tx)
     scale = math.sqrt(params.n_rx * params.n_tx / params.n_paths)
-    return scale * ((a_rx * gains) @ a_tx.conj().T)
-
-
-def _draw_channel(params: ChannelParams, rng: np.random.Generator) -> np.ndarray:
-    """``build_channel(params, draw_paths(params, rng))``, drawn a cluster at
-    a time.
-
-    The draws and their order are those of ``draw_paths``: four uniform
-    cluster centers, then per ray four angle offsets and the two parts of
-    the gain, so one (n_rays, 6) standard-normal draw holds a cluster's rays.
-    ``spread * z`` is what ``rng.normal(0, spread)`` computes, and the gain
-    parts are divided separately, as Python's complex-by-float division
-    does. The elevation angles are drawn only to keep the stream unchanged.
-    """
-    spread = math.radians(params.angular_spread_deg)
-    n_cl, n_ray = params.n_clusters, params.n_rays
-    gains = np.empty((n_cl, n_ray), dtype=complex)
-    aoa = np.empty((n_cl, n_ray))
-    aod = np.empty((n_cl, n_ray))
-    root2 = math.sqrt(2.0)
-    for c in range(n_cl):
-        centers = rng.uniform(0.0, 2.0 * np.pi, size=4)  # aoa_az, aoa_el, aod_az, aod_el
-        z = rng.standard_normal((n_ray, 6))
-        offsets = spread * z[:, :4]
-        aoa[c] = centers[0] + offsets[:, 0]
-        aod[c] = centers[2] + offsets[:, 2]
-        gains[c].real = z[:, 4] / root2
-        gains[c].imag = z[:, 5] / root2
-    return _assemble(params, gains.ravel(), aoa.ravel(), aod.ravel())
+    return scale * ((a_rx * gains[..., None, :]) @ a_tx.swapaxes(-1, -2))
 
 
 def draw_channel_set(params: ChannelParams, rng: np.random.Generator) -> ChannelSet:
-    """Draw four independent channels sharing one geometry configuration."""
-    h_sl, h_se, h_jl, h_je = (_draw_channel(params, rng) for _ in range(4))
-    return ChannelSet(h_sl=h_sl, h_se=h_se, h_jl=h_jl, h_je=h_je)
+    """Draw four independent channels sharing one geometry configuration.
+
+    The draws and their order are those of four ``draw_paths`` calls: per
+    cluster, four uniform centers, then per ray four angle offsets and the
+    two parts of the gain, so one (n_rays, 6) standard-normal block holds a
+    cluster's rays. ``2*pi*u`` is what ``rng.uniform(0, 2*pi)`` computes,
+    ``spread * z`` what ``rng.normal(0, spread)`` computes, and the gain
+    parts are divided separately, as Python's complex-by-float division
+    does; so each channel equals ``build_channel(params, draw_paths(params,
+    rng))`` bit for bit. The elevation angles are drawn only to keep the
+    stream unchanged.
+    """
+    n_cl, n_ray = params.n_clusters, params.n_rays
+    centers = np.empty((4, n_cl, 4))  # aoa_az, aoa_el, aod_az, aod_el
+    z = np.empty((4, n_cl, n_ray, 6))
+    for h in range(4):
+        for c in range(n_cl):
+            rng.random(out=centers[h, c])
+            rng.standard_normal(out=z[h, c])
+    centers *= 2.0 * np.pi
+    spread = math.radians(params.angular_spread_deg)
+    # azimuths (aoa, aod) as the last axis; the elevations are never used
+    az = (centers[:, :, None, ::2] + spread * z[..., 0:4:2]).reshape(4, -1, 2)
+    gains = np.empty((4, n_cl * n_ray), dtype=complex)
+    np.divide(z[..., 4:], math.sqrt(2.0), out=gains.view(float).reshape(4, n_cl, n_ray, 2))
+    h = _assemble(params, gains, az[..., 0], az[..., 1])
+    return ChannelSet(h_sl=h[0], h_se=h[1], h_jl=h[2], h_je=h[3])

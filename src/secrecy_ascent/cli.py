@@ -55,10 +55,24 @@ def _p_s_db(p_s: float) -> float:
 
 
 def _trace_rows(trial: int, records) -> list[list]:
-    return [
-        [trial, r.cycle, r.iteration, r.c_s, r.c_l, r.c_e, r.delta, _p_s_db(r.p_s)]
-        for r in records
-    ]
+    """The trace.csv rows of one trial's records.
+
+    ``delta`` takes a few values per trial and ``p_s`` one per cycle, so each
+    value is formatted once, as ``csv.writer`` would format the float, and
+    its text is reused.
+    """
+    deltas: dict[float, str] = {}
+    p_s_dbs: dict[float, str] = {}
+    rows = []
+    for cycle, iteration, c_s, c_l, c_e, delta, p_s in records:
+        delta_text = deltas.get(delta)
+        if delta_text is None:
+            delta_text = deltas[delta] = repr(delta)
+        p_s_db_text = p_s_dbs.get(p_s)
+        if p_s_db_text is None:
+            p_s_db_text = p_s_dbs[p_s] = repr(_p_s_db(p_s))
+        rows.append([trial, cycle, iteration, c_s, c_l, c_e, delta_text, p_s_db_text])
+    return rows
 
 
 def cmd_run(config_path: str, overrides: dict[str, str], output_dir: str, threads: int) -> int:
@@ -127,6 +141,9 @@ def cmd_run(config_path: str, overrides: dict[str, str], output_dir: str, thread
         f"{report.experiment}: n_trials={report.n_trials} "
         f"converged c_s mean={report.converged_c_s_mean:.4f} bps/Hz"
     )
+    reasons = ", ".join(f"{name}={count}"
+                        for name, count in sorted(report.termination_reasons.items()))
+    print(f"termination: {reasons}")
     if cfg.experiment is ExperimentKind.FIXED_POWER and report.svd_violations:
         print(
             f"note: converged c_s exceeded the SVD diagnostic in "

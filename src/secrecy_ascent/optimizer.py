@@ -28,6 +28,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -98,6 +99,18 @@ class OptimizerTrace:
     cycles: list[CycleRecord] = field(default_factory=list)
     reason: TerminationReason = TerminationReason.ITER_CAP
     n_iters: int = 0
+
+    def __reduce__(self):
+        # The records pickle as plain tuples: a named tuple pickles through a
+        # Python-level __getnewargs__ per record, which dominates the cost of
+        # sending a shard's results back from a worker.
+        rows = list(map(tuple, self.records))
+        return _trace_from_rows, (rows, self.cycles, self.reason, self.n_iters)
+
+
+def _trace_from_rows(rows, cycles, reason, n_iters) -> OptimizerTrace:
+    records = list(map(tuple.__new__, repeat(IterationRecord), rows))
+    return OptimizerTrace(records, cycles, reason, n_iters)
 
 
 @dataclass

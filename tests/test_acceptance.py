@@ -16,6 +16,8 @@ import pytest
 import secrecy_ascent as sa
 from helpers import MMWAVE_PARAMS, SUB6_PARAMS, objective_in, random_instance
 
+pytestmark = pytest.mark.acceptance
+
 POWERS = sa.PowerConfig(p_s=10.0, p_j=10.0)
 
 FIXED_TRIALS = 200

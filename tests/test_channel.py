@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import secrecy_ascent as sa
+from secrecy_ascent import channel
 from helpers import MMWAVE_PARAMS, SUB6_PARAMS
 
 
@@ -29,6 +30,36 @@ def test_steering_vector_unit_norm_property():
         n = int(rng.integers(1, 257))
         angle = rng.uniform(-2 * np.pi, 2 * np.pi)
         assert abs(np.linalg.norm(sa.steering_vector(n, angle)) - 1.0) < 1e-12
+
+
+def _steering_angles():
+    special = [0.0, math.pi / 2, -math.pi / 2, math.pi, 4 * math.pi, -4 * math.pi, 7.5, -7.5]
+    return np.concatenate([special, np.random.default_rng(10).uniform(-4 * np.pi, 4 * np.pi, 24)])
+
+
+def test_steering_by_power_doubling_matches_closed_form():
+    # entry k is u**k/sqrt(n), built by doubling; it must stay at rounding
+    # distance of exp(j*pi*k*sin(az))/sqrt(n) up to 256 antennas
+    angles = _steering_angles()
+    for n in range(1, 257):
+        k = np.arange(n)[:, None]
+        expected = np.exp(1j * np.pi * k * np.sin(angles)) / math.sqrt(n)
+        a = channel._steering_matrix(n, angles)
+        assert a.shape == (n, angles.size)
+        assert np.max(np.abs(a - expected)) < 1e-12
+        for p, az in enumerate(angles):
+            v = sa.steering_vector(n, float(az))
+            assert np.max(np.abs(v - expected[:, p])) < 1e-12
+            assert v.tobytes() == a[:, p].tobytes()
+
+
+def test_steering_matrix_leading_axes():
+    # a stack of angle sets gives the stack of their matrices, bit for bit
+    angles = _steering_angles().reshape(4, 8)
+    stacked = channel._steering_matrix(16, angles)
+    assert stacked.shape == (4, 16, 8)
+    for h in range(4):
+        assert stacked[h].tobytes() == channel._steering_matrix(16, angles[h]).tobytes()
 
 
 def test_steering_vector_rejects_bad_count():

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 import os
@@ -114,6 +115,44 @@ def test_run_variable_power_outputs(tiny_cfg, tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["report"]["experiment"] == "variable_power"
     assert report["report"]["mean_cycles"] >= 1.0
+
+
+def test_run_summary_names_termination_reasons(tiny_cfg, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", tiny_cfg, "--out", str(out)) == 0
+    reasons = json.loads((out / "report.json").read_text())["report"]["termination_reasons"]
+    assert sum(reasons.values()) == 2
+    line = "termination: " + ", ".join(f"{k}={v}" for k, v in sorted(reasons.items()))
+    assert line in capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"experiment": "variable_power", "zeta": "1000", "mu_db": "12", "kappa": "0.1",
+     "max_iters": "40"},
+])
+def test_trace_rows_match_per_record_formatting(tiny_cfg, tmp_path, overrides):
+    # trace.csv reuses the text of repeated delta and p_s values; it must be
+    # byte-identical to formatting every field of every record
+    argv = ["run", "--config", tiny_cfg, "--out", str(tmp_path)]
+    for key, value in overrides.items():
+        argv += [f"--{key.replace('_', '-')}", value]
+    assert run_cli(*argv) == 0
+    cfg = cli.build_system_config(cli.resolve_config_file(tiny_cfg, overrides))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(TRACE_HEADER)
+
+    def write(i, res, *_):
+        writer.writerows([i, r.cycle, r.iteration, r.c_s, r.c_l, r.c_e, r.delta,
+                          10.0 * math.log10(r.p_s)] for r in res.trace.records)
+
+    if overrides:
+        cli.run_variable_power_experiment(cfg, on_trial=write)
+        assert len({row[7] for row in csv.reader(io.StringIO(buf.getvalue()))}) > 3
+    else:
+        cli.run_fixed_power_experiment(cfg, on_trial=write)
+    assert (tmp_path / "trace.csv").read_bytes() == buf.getvalue().encode()
 
 
 def test_run_override_changes_trials(tiny_cfg, tmp_path):

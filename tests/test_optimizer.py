@@ -1,10 +1,12 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 import secrecy_ascent as sa
 from helpers import random_instance
+from secrecy_ascent.optimizer import IterationRecord
 
 SMALL = sa.ChannelParams(n_clusters=2, n_rays=3, n_rx=2, n_tx=8, angular_spread_deg=10)
 PW = sa.PowerConfig(p_s=10.0, p_j=10.0)
@@ -170,6 +172,30 @@ def test_variable_power_trace_iterations_increase_within_cycles():
         by_cycle.setdefault(r.cycle, []).append(r.iteration)
     for iters in by_cycle.values():
         assert all(b > a for a, b in zip(iters, iters[1:]))
+
+
+@pytest.mark.parametrize("variable", [False, True])
+def test_result_pickle_round_trip(variable):
+    # results cross the process pool with their records as plain tuples;
+    # they must come back as the same IterationRecords, bit for bit
+    ch, init = small_problem(5)
+    if variable:
+        cfg = sa.OptimizerConfig(zeta=1e6, max_cycles=4, max_iters=50)
+        res = sa.ascend_variable_power(ch, PW, cfg, init)
+        assert len(res.trace.cycles) == 4
+    else:
+        res = sa.ascend_fixed_power(ch, PW, sa.OptimizerConfig(max_iters=200), init)
+    back = pickle.loads(pickle.dumps(res))
+    assert len(back.trace.records) == len(res.trace.records) > 1
+    for got, want in zip(back.trace.records, res.trace.records):
+        assert type(got) is IterationRecord
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+    assert back.trace.cycles == res.trace.cycles
+    assert back.trace.reason is res.trace.reason
+    assert back.trace.n_iters == res.trace.n_iters
+    assert back.p_s == res.p_s and back.snapshot == res.snapshot
+    for got, want in zip(back.state.vectors(), res.state.vectors()):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_optimizer_config_validation():
