@@ -11,13 +11,12 @@ Outputs of ``run``:
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -50,35 +49,61 @@ class RunManifest:
     outputs: dict[str, str] = field(default_factory=dict)
 
 
-def _p_s_db(p_s: float) -> float:
-    return 10.0 * math.log10(p_s)
+def _p_s_db_text(p_s: float) -> str:
+    return repr(10.0 * math.log10(p_s))
 
 
-def _trace_rows(trial: int, records) -> list[list]:
-    """The trace.csv rows of one trial's records.
+def _texts(values: np.ndarray, fmt) -> map:
+    """fmt(v) for each of ``values``, computed once per distinct value."""
+    distinct, index = np.unique(values, return_inverse=True)
+    return map([fmt(v) for v in distinct.tolist()].__getitem__, index.tolist())
 
-    ``delta`` takes a few values per trial and ``p_s`` one per cycle, so each
-    value is formatted once, as ``csv.writer`` would format the float, and
-    its text is reused.
+
+def _trace_text(trial: int, trace) -> str:
+    """The trace.csv rows of one trial's main ascent, read from the columns
+    of its iteration log.
+
+    Each row is one ``%`` format of Python ints and floats: a float's ``%s``
+    text is its repr, as in ``csv.writer`` (and ``%s`` formats a float
+    faster than ``%r``). ``delta`` takes a few values per trial and ``p_s``
+    one per cycle, so their text is made once per distinct value.
     """
-    deltas: dict[float, str] = {}
-    p_s_dbs: dict[float, str] = {}
-    rows = []
-    for cycle, iteration, c_s, c_l, c_e, delta, p_s in records:
-        delta_text = deltas.get(delta)
-        if delta_text is None:
-            delta_text = deltas[delta] = repr(delta)
-        p_s_db_text = p_s_dbs.get(p_s)
-        if p_s_db_text is None:
-            p_s_db_text = p_s_dbs[p_s] = repr(_p_s_db(p_s))
-        rows.append([trial, cycle, iteration, c_s, c_l, c_e, delta_text, p_s_db_text])
-    return rows
+    log = trace.log
+    row = f"{trial},%d,%d,%s,%s,%s,%s,%s\n"
+    return "".join(map(row.__mod__, zip(
+        log["cycle"].tolist(), log["iteration"].tolist(), log["c_s"].tolist(),
+        log["c_l"].tolist(), log["c_e"].tolist(),
+        _texts(log["delta"], repr), _texts(log["p_s"], _p_s_db_text))))
+
+
+def _aggregate_text(report, fixed: bool) -> str:
+    """aggregate.csv: the mean curves, one ``%`` format per row, as in
+    ``_trace_text``."""
+    if fixed:
+        main_curve, opt_curve = report.c_s_mean_curve, report.c_s_we_opt_mean_curve
+        n = max(len(main_curve), len(opt_curve))
+        main_curve = main_curve + main_curve[-1:] * (n - len(main_curve))
+        opt_curve = opt_curve + opt_curve[-1:] * (n - len(opt_curve))
+        row = f"%d,%s,%s,{report.svd_bound_mean!r}\n"
+        header = "iteration,c_s_mean,c_s_we_opt_mean,svd_bound_mean\n"
+        rows = zip(range(n), main_curve, opt_curve)
+    else:
+        row, header = "%d,%s,%s\n", "cycle,c_s_mean,p_s_db_mean\n"
+        rows = zip(range(1, len(report.c_s_mean_curve) + 1), report.c_s_mean_curve,
+                   report.p_s_db_mean_curve)
+    return header + "".join(map(row.__mod__, rows))
+
+
+def _fields(obj) -> dict:
+    """A dataclass's fields as a dict, without copying their values."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
 def cmd_run(config_path: str, overrides: dict[str, str], output_dir: str, threads: int) -> int:
     started = time.perf_counter()
     resolved = resolve_config_file(config_path, overrides)
     cfg = build_system_config(resolved)
+    fixed = cfg.experiment is ExperimentKind.FIXED_POWER
 
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -87,39 +112,22 @@ def cmd_run(config_path: str, overrides: dict[str, str], output_dir: str, thread
     report_path = out / "report.json"
 
     with open(trace_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRACE_HEADER)
-        if cfg.experiment is ExperimentKind.FIXED_POWER:
+        fh.write(",".join(TRACE_HEADER) + "\n")
+        if fixed:
             report = run_fixed_power_experiment(
                 cfg,
                 threads=threads,
-                on_trial=lambda i, res, _opt, _b: writer.writerows(
-                    _trace_rows(i, res.trace.records)
-                ),
+                on_trial=lambda i, res, _opt, _b: fh.write(_trace_text(i, res.trace)),
             )
         else:
             report = run_variable_power_experiment(
                 cfg,
                 threads=threads,
-                on_trial=lambda i, res: writer.writerows(_trace_rows(i, res.trace.records)),
+                on_trial=lambda i, res: fh.write(_trace_text(i, res.trace)),
             )
 
     with open(aggregate_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        if cfg.experiment is ExperimentKind.FIXED_POWER:
-            writer.writerow(["iteration", "c_s_mean", "c_s_we_opt_mean", "svd_bound_mean"])
-            main_curve = report.c_s_mean_curve
-            opt_curve = report.c_s_we_opt_mean_curve
-            for t in range(max(len(main_curve), len(opt_curve))):
-                c_s = main_curve[min(t, len(main_curve) - 1)]
-                opt = opt_curve[min(t, len(opt_curve) - 1)]
-                writer.writerow([t, c_s, opt, report.svd_bound_mean])
-        else:
-            writer.writerow(["cycle", "c_s_mean", "p_s_db_mean"])
-            for k, (c_s, p_db) in enumerate(
-                zip(report.c_s_mean_curve, report.p_s_db_mean_curve), start=1
-            ):
-                writer.writerow([k, c_s, p_db])
+        fh.write(_aggregate_text(report, fixed))
 
     manifest = RunManifest(
         config=dict(flat_items(resolved)),
@@ -133,8 +141,8 @@ def cmd_run(config_path: str, overrides: dict[str, str], output_dir: str, thread
         },
     )
     with open(report_path, "w") as fh:
-        json.dump({"manifest": asdict(manifest), "report": asdict(report)}, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps({"manifest": _fields(manifest), "report": _fields(report)},
+                            indent=2) + "\n")
 
     print(f"wrote {trace_path}, {aggregate_path}, {report_path}")
     print(
@@ -144,7 +152,7 @@ def cmd_run(config_path: str, overrides: dict[str, str], output_dir: str, thread
     reasons = ", ".join(f"{name}={count}"
                         for name, count in sorted(report.termination_reasons.items()))
     print(f"termination: {reasons}")
-    if cfg.experiment is ExperimentKind.FIXED_POWER and report.svd_violations:
+    if fixed and report.svd_violations:
         print(
             f"note: converged c_s exceeded the SVD diagnostic in "
             f"{report.svd_violations}/{report.n_trials} trials"

@@ -22,7 +22,14 @@ import numpy as np
 
 from .channel import ChannelParams, draw_channel_set
 from .metrics import PowerConfig, linear_to_db, svd_upper_bound
-from .optimizer import AscentRow, OptimizeResult, OptimizerConfig, ascend_rows, warm_start
+from .optimizer import (
+    AscentRow,
+    OptimizeResult,
+    OptimizerConfig,
+    OptimizerTrace,
+    ascend_rows,
+    warm_start,
+)
 
 # The single-ascent entry points stay importable from this module, where
 # tools that wrap its per-trial layers look them up; the shards themselves
@@ -103,16 +110,15 @@ def seed_fanout(master_seed: int, trial_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([master_seed, trial_index]))
 
 
-def _dense_curve(records, n_iters: int) -> np.ndarray:
-    """Expand accepted-iteration records to one value per loop pass.
+def _dense_curve(trace: OptimizerTrace) -> np.ndarray:
+    """Expand an ascent's accepted-iteration c_s to one value per loop pass.
 
-    Passes with no accepted record hold the last accepted value, which is
+    Passes with no accepted iteration hold the last accepted value, which is
     exactly the objective of the iterate kept through those passes.
     """
-    positions = np.array([r.iteration for r in records])
-    values = np.array([r.c_s for r in records])
-    idx = np.searchsorted(positions, np.arange(n_iters + 1), side="right") - 1
-    return values[idx]
+    log = trace.log
+    idx = np.searchsorted(log["iteration"], np.arange(trace.n_iters + 1), side="right") - 1
+    return log["c_s"][idx]
 
 
 def _pad_mean(curves: list[np.ndarray]) -> list[float]:
@@ -245,8 +251,8 @@ def run_fixed_power_experiment(
     for i, (res_rand, res_opt, bound) in _map_trials(_fixed_shard, cfg, threads):
         if on_trial is not None:
             on_trial(i, res_rand, res_opt, bound)
-        curves_rand.append(_dense_curve(res_rand.trace.records, res_rand.trace.n_iters))
-        curves_opt.append(_dense_curve(res_opt.trace.records, res_opt.trace.n_iters))
+        curves_rand.append(_dense_curve(res_rand.trace))
+        curves_opt.append(_dense_curve(res_opt.trace))
         finals_rand.append(res_rand.snapshot.c_s)
         finals_opt.append(res_opt.snapshot.c_s)
         bounds.append(bound)

@@ -92,9 +92,10 @@ class RowPowers:
         return cls(np.array([[[pw.p_s, pw.p_s], [pw.p_j, pw.p_j], [pw.sigma2_l, pw.sigma2_e]]
                              for pw in powers], dtype=float))
 
-    def set_p_s(self, row: int, p_s: float) -> None:
-        self.link[row, 0] = p_s
-        np.multiply(self.link[row, 0], _GRAD_SIGN, out=self.grad[row, 0])
+    def set_p_s(self, p_s: np.ndarray) -> None:
+        """Set the source power of every row, one value per row."""
+        np.copyto(self.link[:, 0], p_s[:, None])
+        np.multiply(self.link[:, 0], _GRAD_SIGN, out=self.grad[:, 0])
 
     def take(self, keep: np.ndarray) -> "RowPowers":
         return RowPowers(self.link[keep])
@@ -138,40 +139,45 @@ class _Work:
 class Links:
     """Link quantities of B packed states, one row each.
 
-    ``buf`` row: [z_s | z_j | w_l w_e | f_s f_j]. z_t = [H_tl f_t | H_te f_t]
-    are transmitter t's receive images (s source, j jammer); the last two
-    blocks are the packed state ``x`` = [w_l | w_e | f_s | f_j]. ``zb`` views
-    the first three blocks as (B, 3, 2, n_rx). ``s`` = w^H [z_s, z_j, w] per
-    receiver (B, 3, 2): the bilinear scalars, then the combiner norms.
-    ``den`` = [sigma2 |w|^2, den0, den1] per receiver, with den0 = noise +
-    jamming and den1 = den0 + source term, and ``cd`` = [c_l, c_e, c_l - c_e].
+    ``x`` row: the packed state [w_l | w_e | f_s | f_j], an array of its own
+    so that the step and the projection run on contiguous rows. ``buf`` row:
+    [z_s | z_j | w_l w_e], where z_t = [H_tl f_t | H_te f_t] are transmitter
+    t's receive images (s source, j jammer) and the last block is a copy of
+    the combiners, made at each evaluation; ``zb`` views it as
+    (B, 3, 2, n_rx). ``s`` = w^H [z_s, z_j, w] per receiver (B, 3, 2): the
+    bilinear scalars, then the combiner norms. ``den`` = [sigma2 |w|^2, den0,
+    den1] per receiver, with den0 = noise + jamming and den1 = den0 + source
+    term, and ``cd`` = [c_l, c_e, c_l - c_e].
     """
 
-    def __init__(self, buf, s, den, cd, n_rx: int, n_tx: int):
+    def __init__(self, buf, x, s, den, cd, n_rx: int, n_tx: int):
         b, r2 = len(buf), 2 * n_rx
-        self.buf, self.s, self.den, self.cd = buf, s, den, cd
-        self.x = buf[:, 2 * r2:]
-        self.x_re = self.x.view(float)  # real and imaginary parts, interleaved
-        self.zb = buf[:, :3 * r2].reshape(b, 3, 2, n_rx)
+        self.buf, self.x, self.s, self.den, self.cd = buf, x, s, den, cd
+        self.x_re = x.view(float)  # real and imaginary parts, interleaved
+        self.zb = buf.reshape(b, 3, 2, n_rx)
         self.w = self.zb[:, 2:]
-        self.we = self.x[:, n_rx:r2]
+        self.we = x[:, n_rx:r2]
         self.diff = cd[:, 2]
         self._images = buf[:, :2 * r2].reshape(b, 2, r2, 1)
-        self._precoders = buf[:, 3 * r2:].reshape(b, 2, n_tx, 1)
+        self._combiners, self._combiner_copy = x[:, :r2], buf[:, 2 * r2:]
+        self._precoders = x[:, r2:].reshape(b, 2, n_tx, 1)
         self._work = _Work(self, n_rx, n_tx)
 
     @classmethod
     def empty(cls, n_rows: int, n_rx: int, n_tx: int) -> "Links":
-        return cls(np.empty((n_rows, 6 * n_rx + 2 * n_tx), dtype=complex),
+        return cls(np.empty((n_rows, 6 * n_rx), dtype=complex),
+                   np.empty((n_rows, 2 * n_rx + 2 * n_tx), dtype=complex),
                    np.empty((n_rows, 3, 2), dtype=complex), np.empty((n_rows, 3, 2)),
                    np.empty((n_rows, 3)), n_rx, n_tx)
 
     def take(self, keep: np.ndarray, n_rx: int, n_tx: int) -> "Links":
-        return Links(self.buf[keep], self.s[keep], self.den[keep], self.cd[keep], n_rx, n_tx)
+        return Links(self.buf[keep], self.x[keep], self.s[keep], self.den[keep], self.cd[keep],
+                     n_rx, n_tx)
 
     def assign(self, other: "Links", rows: np.ndarray) -> None:
         """Copy ``other``'s rows where ``rows`` is set."""
         np.copyto(self.buf, other.buf, where=rows[:, None])
+        np.copyto(self.x, other.x, where=rows[:, None])
         np.copyto(self.s, other.s, where=rows[:, None, None])
         np.copyto(self.den, other.den, where=rows[:, None, None])
         np.copyto(self.cd, other.cd, where=rows[:, None])
@@ -247,6 +253,7 @@ class LinkKernel:
         """Fill lk's receive images, scalars, denominators and capacities
         from its states ``lk.x``."""
         np.matmul(self.h, lk._precoders, out=lk._images)
+        np.copyto(lk._combiner_copy, lk._combiners)
         np.vecdot(lk.w, lk.zb, out=lk.s)
         self.refresh(lk, pw)
 

@@ -17,6 +17,12 @@ A row's records, final state and termination reason are bit-identical
 however many rows share its batch; ``ascend_fixed_power`` and
 ``ascend_variable_power`` are batches of one row.
 
+The bookkeeping is per batch, not per row: each pass logs its accepted rows
+with a few array copies, and each row's cycle, cycle start and p_s sit in
+one array that shrinks with the batch. When the batch ends the log becomes
+one column array per ascent (``OptimizerTrace.log``); records are built
+from it only on request.
+
 The acceptance and convergence tests run on the unclamped capacity
 difference c_l - c_e. The reported secrecy capacity clamps at zero; running
 the loop on the clamped value would freeze any start where the eavesdropper
@@ -26,6 +32,7 @@ is ahead, since the clamp is flat there while the difference still climbs.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -70,9 +77,7 @@ class TerminationReason(str, enum.Enum):
 
 
 class IterationRecord(NamedTuple):
-    """One accepted iteration (iteration 0 is the starting point). A named
-    tuple: an ascent writes one per accepted pass, and a tuple is the
-    cheapest immutable record to build."""
+    """One accepted iteration (iteration 0 is the starting point)."""
 
     cycle: int
     iteration: int
@@ -81,6 +86,12 @@ class IterationRecord(NamedTuple):
     c_e: float
     delta: float
     p_s: float
+
+
+# An ascent's iteration log: one element per accepted iteration, with the
+# fields of IterationRecord.
+ITERATION_DTYPE = np.dtype([("cycle", np.int64), ("iteration", np.int64), ("c_s", float),
+                            ("c_l", float), ("c_e", float), ("delta", float), ("p_s", float)])
 
 
 @dataclass(frozen=True)
@@ -93,24 +104,29 @@ class CycleRecord:
     n_iters: int
 
 
-@dataclass
+@dataclass(eq=False)
 class OptimizerTrace:
-    records: list[IterationRecord] = field(default_factory=list)
+    """How one ascent went: its accepted iterations, its fixed-power cycles,
+    why it ended and after how many loop passes.
+
+    ``log`` holds the accepted iterations as columns, an ITERATION_DTYPE
+    array in order of acceptance; it crosses a process pool as one array.
+    ``records`` is the same as a list of IterationRecords, built on first
+    use: the loop and the run outputs read the columns.
+    """
+
+    log: np.ndarray = field(default_factory=lambda: np.empty(0, ITERATION_DTYPE))
     cycles: list[CycleRecord] = field(default_factory=list)
     reason: TerminationReason = TerminationReason.ITER_CAP
     n_iters: int = 0
 
+    @functools.cached_property
+    def records(self) -> list[IterationRecord]:
+        return list(map(tuple.__new__, repeat(IterationRecord), self.log.tolist()))
+
     def __reduce__(self):
-        # The records pickle as plain tuples: a named tuple pickles through a
-        # Python-level __getnewargs__ per record, which dominates the cost of
-        # sending a shard's results back from a worker.
-        rows = list(map(tuple, self.records))
-        return _trace_from_rows, (rows, self.cycles, self.reason, self.n_iters)
-
-
-def _trace_from_rows(rows, cycles, reason, n_iters) -> OptimizerTrace:
-    records = list(map(tuple.__new__, repeat(IterationRecord), rows))
-    return OptimizerTrace(records, cycles, reason, n_iters)
+        # the records, if built, are not sent: they are rebuilt on demand
+        return OptimizerTrace, (self.log, self.cycles, self.reason, self.n_iters)
 
 
 @dataclass
@@ -225,8 +241,16 @@ class _Lockstep:
     """The rows of one ``ascend_rows`` call and their shared pass loop.
 
     Row-indexed arrays (kernel, links, gradient, ``delta``, ``hold``,
-    powers, ``ids``) hold the active rows only, in row order, and shrink
-    when rows leave; everything else is kept per row id.
+    powers, ``ids``, ``meta``) hold the active rows only, in row order, and
+    shrink when rows leave; results and cycle records are kept per row id.
+    ``meta`` row j is [row id, cycle, pass the cycle started at, p_s].
+
+    The iteration log is kept per pass, as (pass, meta rows, [c_l, c_e,
+    c_l - c_e] rows, ``delta`` rows) of the rows accepted in it; when the
+    batch ends ``_split_log`` turns it into each row's ITERATION_DTYPE log.
+    A pass that accepts every row logs ``meta`` itself, so ``meta`` is
+    replaced, never written in place. Its p_s column is the p_s the powers
+    hold.
     """
 
     def __init__(self, rows, cfg: OptimizerConfig, variable: bool, on_accept):
@@ -249,14 +273,10 @@ class _Lockstep:
         self.ids = np.arange(len(rows))
         self.hold = np.array([not row.optimize_we for row in rows])
         self.delta = np.full(len(rows), cfg.delta0)
-        self.p_s = [row.powers.p_s for row in rows]
-        self.cycle = [1] * len(rows)
-        self.start = [0] * len(rows)
-        self.traces = [OptimizerTrace() for _ in rows]
-        self.records = [trace.records for trace in self.traces]
-        for i, (c_l, c_e, _) in enumerate(self.cur.cd.tolist()):
-            self.traces[i].records.append(IterationRecord(
-                1, 0, max(c_l - c_e, 0.0), c_l, c_e, cfg.delta0, self.p_s[i]))
+        self.meta = np.array([(i, 1, 0, row.powers.p_s) for i, row in enumerate(rows)],
+                             dtype=float)
+        self.cycles = [[] for _ in rows]
+        self.log = [(0, self.meta, self.cur.cd.copy(), self.delta.copy())]
         self._check_finite(range(len(rows)), "the initial state")
         self._compact()
 
@@ -283,46 +303,60 @@ class _Lockstep:
         self.cur = self.cur.take(keep, k.n_rx, k.n_tx)
         self.powers = self.powers.take(keep)
         self.ids, self.hold, self.delta = self.ids[keep], self.hold[keep], self.delta[keep]
+        self.meta = self.meta[keep]
 
-    def _accept(self, rows, n_pass: int) -> None:
-        """Record the accepted rows' new iterates (already in ``cur``)."""
-        ids, delta, cd = self.ids.tolist(), self.delta.tolist(), self.cur.cd.tolist()
-        records, cycle, start, p_s = self.records, self.cycle, self.start, self.p_s
-        for j in rows:
-            i = ids[j]
-            c_l, c_e, diff = cd[j]
-            records[i].append(IterationRecord(
-                cycle[i], n_pass - start[i], max(diff, 0.0), c_l, c_e, delta[j], p_s[i]))
-            if self.on_accept is not None:
-                self.on_accept(i, self.kernel.unpack(self.cur.x[j].copy()))
+    def _log(self, n_pass: int, rows: Optional[np.ndarray] = None) -> None:
+        """Log the new iterates (already in ``cur``) of every row, or of the
+        rows at the indices ``rows``."""
+        cur = self.cur
+        if rows is None:
+            self.log.append((n_pass, self.meta, cur.cd.copy(), self.delta.copy()))
+        else:
+            self.log.append((n_pass, self.meta[rows], cur.cd[rows], self.delta[rows]))
+        if self.on_accept is not None:
+            for j in range(self.n_active) if rows is None else rows.tolist():
+                self.on_accept(int(self.ids[j]), self.kernel.unpack(cur.x[j].copy()))
 
-    def _end_cycle(self, j: int, reason: TerminationReason, n_pass: int) -> bool:
-        """Close row j's cycle; True if the row is finished, False if it
-        starts its next cycle at a higher power."""
-        i = int(self.ids[j])
-        trace, p_s = self.traces[i], self.p_s[i]
-        snap = _snapshot(self.cur, j)
-        trace.cycles.append(CycleRecord(self.cycle[i], snap.c_s, p_s, n_pass - self.start[i]))
-        if self.variable:
-            cfg = self.cfg
-            if snap.c_s >= cfg.zeta:
-                reason = TerminationReason.TARGET_REACHED
-            elif p_s + cfg.kappa * p_s > cfg.mu:
-                reason = TerminationReason.POWER_CAP
-            else:
-                self.p_s[i] = p_s = p_s + cfg.kappa * p_s
-                if self.cycle[i] == cfg.max_cycles:
-                    reason = TerminationReason.CYCLE_CAP
+    def _end_cycles(self, ends, n_pass: int) -> tuple[list[int], bool]:
+        """Close the cycles of the rows ``ends`` [(j, reason)]. Returns the
+        rows that finished and whether any row starts its next cycle, at a
+        higher power; the decisions are made row by row, and the new meta,
+        step sizes and powers are written once for all such rows."""
+        cfg = self.cfg
+        cd, meta = self.cur.cd.tolist(), self.meta.tolist()
+        finished, restart = [], []
+        for j, reason in ends:
+            i, cycle, start, p_s = meta[j]
+            i, c_s = int(i), max(cd[j][2], 0.0)
+            self.cycles[i].append(CycleRecord(int(cycle), c_s, p_s, n_pass - int(start)))
+            if self.variable:
+                if c_s >= cfg.zeta:
+                    reason = TerminationReason.TARGET_REACHED
+                elif p_s + cfg.kappa * p_s > cfg.mu:
+                    reason = TerminationReason.POWER_CAP
                 else:
-                    self.cycle[i] += 1
-                    self.start[i] = n_pass
-                    self.delta[j] = cfg.delta0
-                    self.powers.set_p_s(j, p_s)
-                    return False
-        trace.reason, trace.n_iters = reason, n_pass
+                    p_s = p_s + cfg.kappa * p_s
+                    if cycle == cfg.max_cycles:
+                        reason = TerminationReason.CYCLE_CAP
+                    else:
+                        restart.append(j)
+                        meta[j] = [i, cycle + 1.0, n_pass, p_s]
+                        continue
+            self._finish(j, i, reason, p_s, n_pass)
+            finished.append(j)
+        if restart:
+            self.meta = np.array(meta)  # a new array: the log holds the old one
+            self.delta.put(restart, cfg.delta0)
+            self.powers.set_p_s(self.meta[:, 3])
+            self.kernel.refresh(self.cur, self.powers)
+            self._check_finite(restart, "the initial state")
+        return finished, bool(restart)
+
+    def _finish(self, j: int, i: int, reason: TerminationReason, p_s: float,
+                n_pass: int) -> None:
+        trace = OptimizerTrace(cycles=self.cycles[i], reason=reason, n_iters=n_pass)
         state = self.kernel.unpack(self.cur.x[j].copy())
-        self.results[i] = OptimizeResult(state=state, snapshot=snap, p_s=p_s, trace=trace)
-        return True
+        self.results[i] = OptimizeResult(state, _snapshot(self.cur, j), p_s, trace)
 
     def _failures(self, change: np.ndarray, degenerate: dict, n_pass: int) -> np.ndarray:
         """Fail the rows whose step had a zero block or whose candidate
@@ -331,15 +365,39 @@ class _Lockstep:
         for j in degenerate:
             failed[j] = True
         for j in np.flatnonzero(failed).tolist():
-            i = int(self.ids[j])
-            self._fail(i, degenerate.get(j) or ValueError(
-                f"non-finite objective at iteration {n_pass - self.start[i]}"))
+            iteration = n_pass - int(self.meta[j, 2])
+            self._fail(int(self.ids[j]), degenerate.get(j) or ValueError(
+                f"non-finite objective at iteration {iteration}"))
         change[failed] = 0.0
         return failed
 
     def _next_cap(self) -> int:
         """The pass at which the first active row's cycle reaches max_iters."""
-        return min(self.start[i] for i in self.ids.tolist()) + self.cfg.max_iters
+        return int(np.minimum.reduce(self.meta[:, 2])) + self.cfg.max_iters
+
+    def _split_log(self) -> None:
+        """Give each finished row's trace its log: the rows' entries of the
+        pass log, in pass order, as one ITERATION_DTYPE array per row."""
+        n_done = self.failed_at
+        if not n_done:
+            return
+        passes, metas, cds, deltas = zip(*self.log)
+        meta = np.concatenate(metas)
+        order = np.argsort(meta[:, 0], kind="stable")
+        meta = meta[order]
+        cd = np.concatenate(cds)[order]
+        counts = np.fromiter(map(len, metas), dtype=np.intp, count=len(metas))
+        log = np.empty(len(meta), ITERATION_DTYPE)
+        log["cycle"] = meta[:, 1]
+        log["iteration"] = np.repeat(passes, counts)[order] - meta[:, 2]
+        # max(c_l - c_e, 0) exactly as the builtin takes it, -0.0 included
+        log["c_s"] = np.where(cd[:, 2] < 0.0, 0.0, cd[:, 2])
+        log["c_l"], log["c_e"] = cd[:, 0], cd[:, 1]
+        log["delta"] = np.concatenate(deltas)[order]
+        log["p_s"] = meta[:, 3]
+        bounds = np.searchsorted(meta[:, 0], np.arange(n_done + 1)).tolist()
+        for i in range(n_done):
+            self.results[i].trace.log = log[bounds[i]:bounds[i + 1]]
 
     def run(self) -> None:
         cfg = self.cfg
@@ -393,33 +451,29 @@ class _Lockstep:
             stale = n_accepted > 0
             if n_accepted == n_rows:
                 self.cur, cand = cand, cur
-                self._accept(range(n_rows), n_pass)
+                self._log(n_pass)
             elif stale:
                 cur.assign(cand, accepted)
-                self._accept(accepted.nonzero()[0].tolist(), n_pass)
+                self._log(n_pass, accepted.nonzero()[0])
 
             ends = []
             if np.count_nonzero(ended):
                 ends = [(j, TerminationReason.CONVERGED) for j in ended.nonzero()[0].tolist()]
             if n_pass == next_cap:
-                ends += [(j, TerminationReason.ITER_CAP) for j, i in enumerate(self.ids.tolist())
-                         if n_pass - self.start[i] == cfg.max_iters and not ended[j]
-                         and (failed is None or not failed[j])]
+                capped = (self.meta[:, 2] == n_pass - cfg.max_iters) & ~ended
+                if failed is not None:
+                    capped &= ~failed
+                ends += [(j, TerminationReason.ITER_CAP) for j in capped.nonzero()[0].tolist()]
             if not ends and failed is None:
                 continue
             finished = np.zeros(n_rows, dtype=bool) if failed is None else failed
-            restarted = []
-            for j, reason in ends:
-                if self._end_cycle(j, reason, n_pass):
-                    finished[j] = True
-                else:
-                    restarted.append(j)
-            if restarted:
-                kernel.refresh(self.cur, powers)
-                self._check_finite(restarted, "the initial state")
-                stale = True
+            if ends:
+                done, restarted = self._end_cycles(ends, n_pass)
+                finished[done] = True
+                stale |= restarted
             self._compact(finished)
             next_cap = self._next_cap() if self.n_active else 0
+        self._split_log()
 
 
 def ascend_rows(

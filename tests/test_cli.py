@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+from dataclasses import asdict
 
 import pytest
 
@@ -153,6 +154,50 @@ def test_trace_rows_match_per_record_formatting(tiny_cfg, tmp_path, overrides):
     else:
         cli.run_fixed_power_experiment(cfg, on_trial=write)
     assert (tmp_path / "trace.csv").read_bytes() == buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("overrides", [
+    {"epsilon": "1e-3", "max_iters": "400"},  # the w_e-held curve is the longer one
+    {"epsilon": "1e-3", "max_iters": "400", "seed": "6"},  # the w_e-optimized one is
+    {"experiment": "variable_power", "zeta": "1000", "mu_db": "12", "kappa": "0.1",
+     "max_iters": "40"},
+])
+def test_finalize_matches_asdict_and_csv_writer(tiny_cfg, tmp_path, overrides):
+    # report.json and aggregate.csv are written from shallow field dicts and
+    # one format per row; they must be byte-identical to dumping
+    # dataclasses.asdict with json.dump(indent=2) and writing the rows
+    # through csv.writer
+    argv = ["run", "--config", tiny_cfg, "--out", str(tmp_path)]
+    for key, value in overrides.items():
+        argv += [f"--{key.replace('_', '-')}", value]
+    assert run_cli(*argv) == 0
+    cfg = cli.build_system_config(cli.resolve_config_file(tiny_cfg, overrides))
+    variable = overrides.get("experiment") == "variable_power"
+    if variable:
+        report = cli.run_variable_power_experiment(cfg)
+    else:
+        report = cli.run_fixed_power_experiment(cfg)
+    written = json.loads((tmp_path / "report.json").read_text())
+    manifest = cli.RunManifest(**written["manifest"])
+    buf = io.StringIO()
+    json.dump({"manifest": asdict(manifest), "report": asdict(report)}, buf, indent=2)
+    buf.write("\n")
+    assert (tmp_path / "report.json").read_text() == buf.getvalue()
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    if variable:
+        writer.writerow(["cycle", "c_s_mean", "p_s_db_mean"])
+        writer.writerows([k, c_s, p_db] for k, (c_s, p_db) in enumerate(
+            zip(report.c_s_mean_curve, report.p_s_db_mean_curve), start=1))
+    else:
+        main, opt = report.c_s_mean_curve, report.c_s_we_opt_mean_curve
+        assert len(main) != len(opt)
+        writer.writerow(["iteration", "c_s_mean", "c_s_we_opt_mean", "svd_bound_mean"])
+        writer.writerows([t, main[min(t, len(main) - 1)], opt[min(t, len(opt) - 1)],
+                          report.svd_bound_mean] for t in range(max(len(main), len(opt))))
+    assert len(buf.getvalue().splitlines()) > 3
+    assert (tmp_path / "aggregate.csv").read_bytes() == buf.getvalue().encode()
 
 
 def test_run_override_changes_trials(tiny_cfg, tmp_path):

@@ -1,3 +1,4 @@
+import pickle
 import time
 from dataclasses import asdict, replace
 
@@ -5,8 +6,9 @@ import numpy as np
 import pytest
 
 import secrecy_ascent as sa
+import secrecy_ascent.experiment as exp
 from secrecy_ascent.experiment import _dense_curve, _pad_mean
-from secrecy_ascent.optimizer import IterationRecord
+from secrecy_ascent.optimizer import ITERATION_DTYPE, IterationRecord, OptimizerTrace
 
 SMALL = sa.ChannelParams(n_clusters=2, n_rays=3, n_rx=2, n_tx=8, angular_spread_deg=10)
 
@@ -41,9 +43,45 @@ def test_dense_curve_carries_values_forward():
         IterationRecord(1, 2, 0.9, 1.4, 0.5, 0.1, 10.0),
         IterationRecord(1, 5, 1.2, 1.7, 0.5, 0.1, 10.0),
     ]
+    trace = OptimizerTrace(np.array(recs, dtype=ITERATION_DTYPE), n_iters=7)
     np.testing.assert_allclose(
-        _dense_curve(recs, 7), [0.5, 0.5, 0.9, 0.9, 0.9, 1.2, 1.2, 1.2]
+        _dense_curve(trace), [0.5, 0.5, 0.9, 0.9, 0.9, 1.2, 1.2, 1.2]
     )
+
+
+@pytest.mark.parametrize("kind", list(sa.ExperimentKind))
+def test_shard_results_pickle_round_trip(kind):
+    # shard results cross the process pool: states as one packed array each,
+    # traces as their column logs; they must come back bit for bit
+    cfg = small_config(n_trials=3, experiment=kind, max_iters=60)
+    fixed = kind is sa.ExperimentKind.FIXED_POWER
+    trials, failure = (exp._fixed_shard if fixed else exp._variable_shard)(cfg, 0, 3)
+    assert failure is None and len(trials) == 3
+    back, _ = pickle.loads(pickle.dumps((trials, failure)))
+    if fixed:
+        assert [t[2] for t in back] == [t[2] for t in trials]
+        pairs = [(g, w) for got, want in zip(back, trials) for g, w in zip(got[:2], want[:2])]
+    else:
+        pairs = list(zip(back, trials))
+    for got, want in pairs:
+        for g, w in zip(got.state.vectors(), want.state.vectors()):
+            assert (g.shape, g.dtype) == (w.shape, w.dtype)
+            assert g.tobytes() == w.tobytes()
+        assert got.trace.log.dtype == want.trace.log.dtype
+        assert got.trace.log.tobytes() == want.trace.log.tobytes()
+        assert got.trace.records == want.trace.records
+        assert got.trace.cycles == want.trace.cycles
+        assert (got.trace.reason, got.trace.n_iters) == (want.trace.reason, want.trace.n_iters)
+        assert (got.p_s, got.snapshot) == (want.p_s, want.snapshot)
+
+
+def test_state_pickle_keeps_mixed_blocks():
+    # blocks of different dtypes or ranks are not packed; each comes back as it was
+    bf = sa.BeamformerState(w_l=np.ones(2), w_e=np.ones(2, dtype=complex),
+                            f_s=np.arange(3.0) + 1j, f_j=np.zeros((1, 3), dtype=complex))
+    back = pickle.loads(pickle.dumps(bf))
+    for g, w in zip(back.vectors(), bf.vectors()):
+        assert (g.shape, g.dtype, g.tobytes()) == (w.shape, w.dtype, w.tobytes())
 
 
 def test_pad_mean_carries_terminal_values():
@@ -64,7 +102,7 @@ def test_fixed_power_single_trial_equals_its_trace():
     assert report.converged_c_s_mean == pytest.approx(res.snapshot.c_s)
     assert report.svd_bound_mean == pytest.approx(seen["bound"])
     assert report.mean_iterations == res.trace.n_iters
-    dense = _dense_curve(res.trace.records, res.trace.n_iters)
+    dense = _dense_curve(res.trace)
     np.testing.assert_allclose(report.c_s_mean_curve, dense)
 
 

@@ -7,6 +7,7 @@ for any shard size and any worker count. The shard size is patched through
 """
 
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -149,6 +150,78 @@ def test_lockstep_rows_are_monotone_feasible_and_batch_independent(
         alone, alone_error = ascend_rows([row], cfg, variable=variable)
         assert alone_error is None
         assert same_result(alone[0], res)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n_rx=st.integers(1, 3),
+    n_tx=st.integers(1, 6),
+    power_db=st.sampled_from([None, -5.0, 0.0, 10.0]),
+    seeds=st.lists(st.integers(0, 2**16), min_size=1, max_size=5),
+    holds=st.lists(st.booleans(), min_size=5, max_size=5),
+    variable=st.booleans(),
+)
+def test_lockstep_bookkeeping_invariants(n_rx, n_tx, power_db, seeds, holds, variable):
+    # the iteration log is kept as per-pass columns and split per row at the
+    # end; each row's records and cycles must still tell one consistent story
+    p = 0.0 if power_db is None else sa.db_to_linear(power_db)
+    powers = sa.PowerConfig(p_s=p, p_j=p)
+    cfg = sa.OptimizerConfig(max_iters=40, epsilon=1e-6, zeta=3.0 if variable else None,
+                             mu=sa.db_to_linear(12.0), kappa=0.2, max_cycles=4)
+    results, error = ascend_rows(rows_of(n_rx, n_tx, powers, seeds, holds), cfg,
+                                 variable=variable)
+    assert error is None
+    for res in results:
+        trace = res.trace
+        records, cycles = trace.records, trace.cycles
+        assert records[0].iteration == 0 and records[0].cycle == 1
+        assert [c.cycle for c in cycles] == list(range(1, len(cycles) + 1))
+        for a, b in zip(records, records[1:]):
+            assert b.cycle > a.cycle or (b.cycle == a.cycle and b.iteration > a.iteration)
+        for rec in records:
+            assert rec.p_s == cycles[rec.cycle - 1].p_s
+            clamped = max(rec.c_l - rec.c_e, 0.0)
+            assert np.float64(rec.c_s).tobytes() == np.float64(clamped).tobytes()
+        for a, b in zip(cycles, cycles[1:]):
+            assert b.p_s == a.p_s + cfg.kappa * a.p_s
+        assert sum(c.n_iters for c in cycles) == trace.n_iters
+        back = pickle.loads(pickle.dumps(trace))
+        assert back.log.dtype == trace.log.dtype
+        assert back.log.tobytes() == trace.log.tobytes()
+        assert back.records == records
+        assert all(type(r) is type(records[0]) for r in back.records)
+
+
+@pytest.mark.parametrize("variable", [False, True])
+def test_log_agrees_with_an_independent_evaluator(variable):
+    # on_accept sees every accepted iterate; each one's record must carry
+    # the c_l and c_e that metrics.secrecy_capacity, a separate evaluation
+    # path, gives for it at the record's p_s, in a batch mixing held and
+    # optimized w_e
+    powers = sa.PowerConfig(p_s=sa.db_to_linear(5.0), p_j=sa.db_to_linear(3.0),
+                            sigma2_l=0.7, sigma2_e=1.3)
+    cfg = sa.OptimizerConfig(max_iters=40, epsilon=1e-6, zeta=1e6 if variable else None,
+                             mu=sa.db_to_linear(12.0), kappa=0.2, max_cycles=4)
+    rows = rows_of(3, 6, powers, range(30, 36), [True, False, False, True, True, False])
+    seen = {i: [] for i in range(len(rows))}
+    results, error = ascend_rows(rows, cfg, variable=variable,
+                                 on_accept=lambda i, state: seen[i].append(state))
+    assert error is None and len(results) == len(rows)
+    for i, (row, res) in enumerate(zip(rows, results)):
+        records = res.trace.records
+        assert len(seen[i]) == len(records) - 1 > 0
+        if variable:
+            assert len(res.trace.cycles) > 1
+        for rec, state in zip(records, [row.init] + seen[i]):
+            pw = sa.PowerConfig(p_s=rec.p_s, p_j=powers.p_j, sigma2_l=powers.sigma2_l,
+                                sigma2_e=powers.sigma2_e)
+            snap = sa.secrecy_capacity(row.channel, state, pw)
+            # the kernel takes each capacity as log2(den1) - log2(den0), so
+            # its rounding is relative to the record's larger capacity: an
+            # optimized w_e drives c_e far below it
+            scale = max(abs(rec.c_l), abs(rec.c_e))
+            assert abs(snap.c_l - rec.c_l) <= 1e-12 * scale
+            assert abs(snap.c_e - rec.c_e) <= 1e-12 * scale
 
 
 def test_rows_before_a_failed_row_finish_and_the_rest_are_dropped():
