@@ -235,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="config file path or bundled preset (mmwave, sub6)")
     p_run.add_argument("--out", required=True, help="output directory")
     p_run.add_argument("--threads", type=int, default=None,
-                       help="worker processes (default: SECRECY_ASCENT_THREADS or 1)")
+                       help="processes that run trials at once (default: SECRECY_ASCENT_THREADS or 1)")
     _add_override_flags(p_run)
 
     p_val = sub.add_parser("validate", help="parse and validate a config, print it resolved")

@@ -7,6 +7,7 @@ ignored. Powers are written in dB and converted to linear scale on load
 
 from __future__ import annotations
 
+import math
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -72,7 +73,8 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
 
 
 def resolve_values(raw: dict[str, str]) -> dict:
-    """Apply the schema: convert types, fill defaults, reject unknown keys."""
+    """Apply the schema: convert types, fill defaults, reject unknown keys
+    and non-finite floats."""
     for key in raw:
         if key not in SCHEMA:
             raise ConfigError(f"unknown key {key!r}")
@@ -83,6 +85,9 @@ def resolve_values(raw: dict[str, str]) -> dict:
                 resolved[key] = convert(raw[key])
             except ValueError as exc:
                 raise ConfigError(f"invalid value for {key!r}: {exc}") from exc
+            # float() accepts nan and inf, which no key has a meaning for
+            if convert is float and not math.isfinite(resolved[key]):
+                raise ConfigError(f"invalid value for {key!r}: not finite: {raw[key]!r}")
         elif default is REQUIRED:
             raise ConfigError(f"missing required key {key!r}")
         else:

@@ -5,15 +5,19 @@ and its trial index. Trials run in contiguous shards of at most
 ``SHARD_TRIALS``: a shard draws each trial's channel and start from its own
 stream, in trial order, and runs all its ascents as the rows of one
 lockstep ascent (``optimizer.ascend_rows``), two rows per fixed-power trial
-(w_e held and w_e optimized) and one per variable-power trial. A process
-pool, if any, maps shards. Since a row's result does not depend on its
-batch, results are identical for any shard size or worker count.
-Aggregation always reduces in trial-index order.
+(w_e held and w_e optimized) and one per variable-power trial. With more
+than one worker and more than one shard, a process pool maps the shards;
+when every shard can have a process of its own, the calling process runs
+the first shard itself and the pool has one worker per other shard. Since
+a row's result does not depend on its batch, results are identical for any
+shard size or worker count. Aggregation always reduces in trial-index
+order.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import multiprocessing
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -188,9 +192,9 @@ def _shard_bounds(n_trials: int, threads: int) -> list[tuple[int, int]]:
 
 
 def _run_shard(job):
-    """One shard in a worker. An error the shard raises is reported as data,
-    as the failure of its first trial: a TrialError would not survive the
-    trip back to the parent."""
+    """One shard, in a pool worker or in the calling process. An error the
+    shard raises is reported as data, as the failure of its first trial: a
+    TrialError would not survive the trip back from a worker."""
     shard, cfg, start, stop = job
     try:
         return shard(cfg, start, stop)
@@ -202,16 +206,26 @@ def _map_trials(shard, cfg: SystemConfig, threads: int):
     """Run trials 0..n_trials-1 in shards, yielding (index, result) in trial
     order, and raise TrialError for the first trial that failed.
 
-    With threads > 1 a pool runs the shards; on a failure, or when the
-    caller stops early, its workers are stopped at once rather than waited
-    for.
+    With threads > 1 and more than one shard, a pool runs the shards, and
+    no more than threads processes run trials at once. When there are no
+    more shards than threads, this process runs shard 0 through
+    ``_run_shard`` while a pool of shards - 1 workers starts and maps the
+    rest: a two-shard study forks one worker. With more shards, a pool of
+    threads workers maps them all. On a failure, or when the caller stops
+    early, the pool's workers are stopped at once rather than waited for.
     """
     bounds = _shard_bounds(cfg.n_trials, threads)
     jobs = [(shard, cfg, a, b) for a, b in bounds]
     pool = None
     if threads > 1 and len(jobs) > 1:
-        pool = multiprocessing.Pool(min(threads, len(jobs)))
-        outcomes = pool.imap(_run_shard, jobs)
+        # this process takes a shard only while that keeps the processes
+        # running trials at threads or fewer: past that, running one more here
+        # gained no speed and held the workers' finished shards in memory
+        own = 1 if len(jobs) <= threads else 0
+        pool = multiprocessing.Pool(min(threads, len(jobs) - own))
+        # imap hands the pool its shards now; map runs this process's shard
+        # lazily, on the first next() inside the try below
+        outcomes = itertools.chain(map(_run_shard, jobs[:own]), pool.imap(_run_shard, jobs[own:]))
     else:
         outcomes = map(_run_shard, jobs)
     try:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,9 +30,11 @@ class PowerConfig:
     sigma2_e: float = 1.0
 
     def __post_init__(self):
-        if self.p_s < 0 or self.p_j < 0:
+        if not all(map(math.isfinite, (self.p_s, self.p_j, self.sigma2_l, self.sigma2_e))):
+            raise ValueError("powers and noise variances must be finite")
+        if not (self.p_s >= 0 and self.p_j >= 0):
             raise ValueError("powers must be >= 0")
-        if self.sigma2_l <= 0 or self.sigma2_e <= 0:
+        if not (self.sigma2_l > 0 and self.sigma2_e > 0):
             raise ValueError("noise variances must be > 0")
 
 

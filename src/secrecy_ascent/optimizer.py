@@ -60,9 +60,12 @@ class OptimizerConfig:
     optimize_we: bool = False
 
     def __post_init__(self):
-        if self.delta0 <= 0 or self.epsilon <= 0 or self.kappa <= 0:
+        floats = (self.delta0, self.epsilon, self.kappa, self.mu, self.delta_min)
+        if not all(map(math.isfinite, floats + ((self.zeta,) if self.zeta is not None else ()))):
+            raise ValueError("delta0, epsilon, kappa, zeta, mu and delta_min must be finite")
+        if not (self.delta0 > 0 and self.epsilon > 0 and self.kappa > 0):
             raise ValueError("delta0, epsilon and kappa must be > 0")
-        if self.mu <= 0 or self.delta_min <= 0:
+        if not (self.mu > 0 and self.delta_min > 0):
             raise ValueError("mu and delta_min must be > 0")
         if self.max_iters < 1 or self.max_cycles < 1:
             raise ValueError("max_iters and max_cycles must be >= 1")
@@ -149,11 +152,15 @@ def project_ca(v: np.ndarray) -> np.ndarray:
     """Force every entry onto modulus 1/sqrt(N), keeping phases.
 
     Entries with modulus below 1e-12 have no usable phase and are set to
-    1/sqrt(N) with phase zero. The output always has unit 2-norm.
+    1/sqrt(N) with phase zero. The output always has unit 2-norm. A NaN or
+    infinite entry has no phase either, but it is a degenerate iterate, not
+    a small one: it raises ValueError.
     """
     n = v.size
     scale = 1.0 / math.sqrt(n)
     mag = np.abs(v)
+    if not np.isfinite(mag).all():
+        raise ValueError("cannot project a non-finite vector")
     out = np.full(v.shape, scale, dtype=complex)
     ok = mag >= 1e-12
     out[ok] = v[ok] * (scale / mag[ok])
@@ -197,10 +204,13 @@ def _project_packed(kernel: LinkKernel, y: np.ndarray,
 
     When no modulus is below the 1e-12 guard this is exactly ``project_ca``
     block by block, with each block's 1/sqrt(N) from ``kernel.ca_scale``;
-    otherwise the rows holding such an entry go through ``project_ca`` block
-    by block. A row with an exactly-zero block, which has no direction to
-    keep, is a degenerate iterate: it is left as it is and returned, by row
-    index, with its error. ``mag`` is scratch of y's shape, if given.
+    otherwise the rows holding such an entry, or a NaN (which fails the
+    guard's comparison), go through ``project_ca`` block by block. Such a
+    row with an exactly-zero block, which has no direction to keep, or with
+    a non-finite entry is a degenerate iterate: it is left as it is and
+    returned, by row index, with its error. (An infinite entry in a row the
+    guard passes comes out NaN, and fails as a non-finite objective.)
+    ``mag`` is scratch of y's shape, if given.
     """
     mag = np.abs(y, out=mag)
     if mag.min() >= 1e-12:
@@ -210,10 +220,12 @@ def _project_packed(kernel: LinkKernel, y: np.ndarray,
     failed = {}
     for row in np.flatnonzero(guarded).tolist():
         blocks = kernel.unpack(y[row]).vectors()
-        if all(v.any() for v in blocks):
+        try:
+            if not all(v.any() for v in blocks):
+                raise ValueError("cannot project a zero step block")
             y[row] = np.concatenate([project_ca(v) for v in blocks])
-        else:
-            failed[row] = ValueError("cannot project a zero step block")
+        except ValueError as exc:
+            failed[row] = exc
     fast = ~guarded
     y[fast] *= kernel.ca_scale / mag[fast]
     return failed

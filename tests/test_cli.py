@@ -9,6 +9,7 @@ import pytest
 
 import secrecy_ascent.cli as cli
 from secrecy_ascent.cli import TRACE_HEADER
+from secrecy_ascent.config import SCHEMA
 
 TINY = """
 n_tx = 8
@@ -54,6 +55,20 @@ def test_validate_reports_field_errors(tiny_cfg, capsys):
     assert "zeta" in capsys.readouterr().err
     assert run_cli("validate", "--config", tiny_cfg, "--p-s-db", "garble") == 2
     assert "p_s_db" in capsys.readouterr().err
+
+
+FLOAT_KEYS = [key for key, (convert, _) in SCHEMA.items() if convert is float]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_validate_rejects_non_finite_floats(tiny_cfg, capsys, key, value):
+    # float() parses these; each one used to run, silently wrong or failing
+    # later as a trial error
+    flag = f"--{key.replace('_', '-')}={value}"
+    assert run_cli("validate", "--config", tiny_cfg, flag) == 2
+    err = capsys.readouterr().err
+    assert repr(key) in err and "not finite" in err
 
 
 def test_validate_rejects_unknown_key(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import multiprocessing
+import os
 import pickle
 import time
 from dataclasses import asdict, replace
@@ -220,6 +222,65 @@ def test_failing_shard_stops_the_other_workers(monkeypatch):
     assert time.perf_counter() - started < 2.0
     assert err.value.trial_index == 0
     assert err.value.master_seed == 79
+
+
+def _fail_past_the_first_shard(cfg, start, stop):
+    if start == 0:
+        return [], None
+    raise RuntimeError("synthetic failure")
+
+
+def test_failure_in_a_pool_shard_names_its_trial(monkeypatch):
+    # shard 0 runs in this process; a failure in a shard the pool runs must
+    # come back with its own trial index
+    monkeypatch.setattr(exp, "_fixed_shard", _fail_past_the_first_shard)
+    cfg = small_config(n_trials=40, seed=80)
+    with pytest.raises(sa.TrialError) as err:
+        sa.run_fixed_power_experiment(cfg, threads=2)
+    assert err.value.trial_index == 20
+    assert err.value.master_seed == 80
+
+
+def _fail_naming_the_process(cfg, start, stop):
+    raise RuntimeError(os.getpid())
+
+
+@pytest.mark.parametrize("n_trials, threads, lead_here", [
+    (40, 2, True),   # two shards, two processes: this one runs shard 0
+    (60, 2, False),  # three shards: two workers run them all
+    (60, 3, True),
+])
+def test_lead_shard_runs_here_only_while_threads_bound_the_processes(
+        monkeypatch, n_trials, threads, lead_here):
+    monkeypatch.setattr(exp, "_fixed_shard", _fail_naming_the_process)
+    cfg = small_config(n_trials=n_trials)
+    with pytest.raises(sa.TrialError) as err:
+        sa.run_fixed_power_experiment(cfg, threads=threads)
+    assert err.value.trial_index == 0
+    assert (err.value.__cause__.args[0] == os.getpid()) is lead_here
+
+
+@pytest.mark.parametrize("n_trials, threads, shard_trials, pool_sizes", [
+    (2, 2, 20, [1]),  # two shards: this process runs one, one worker the other
+    (1, 2, 20, []),   # one shard: no pool
+    (3, 2, 1, [2]),   # more shards than threads: threads workers run them all
+    (3, 4, 1, [2]),
+    (3, 1, 1, []),
+])
+def test_pool_has_a_worker_per_shard_past_the_first(
+        monkeypatch, n_trials, threads, shard_trials, pool_sizes):
+    real_pool, sizes = multiprocessing.Pool, []
+
+    def recording_pool(processes):
+        sizes.append(processes)
+        return real_pool(processes)
+
+    monkeypatch.setattr(exp, "SHARD_TRIALS", shard_trials)
+    monkeypatch.setattr(multiprocessing, "Pool", recording_pool)
+    cfg = small_config(n_trials=n_trials, max_iters=30)
+    report = sa.run_fixed_power_experiment(cfg, threads=threads)
+    assert sizes == pool_sizes
+    assert asdict(report) == asdict(sa.run_fixed_power_experiment(cfg))
 
 
 def test_system_config_validation():

@@ -183,13 +183,16 @@ def test_packed_projection_treats_each_row_alone():
     ch, _, _ = random_instance(3, 7, seed=48)
     kernel = LinkKernel(ch)
     rng = np.random.default_rng(49)
-    steps = np.array([packed_step(kernel, rng) for _ in range(3)])
+    steps = np.array([packed_step(kernel, rng) for _ in range(4)])
     steps[1, [2, 8]] = 1e-13  # guard entries in row 1 only
     steps[2, 6:13] = 0.0  # row 2's f_s block is zero
+    steps[3, 4] = np.nan  # row 3 holds a NaN, which the guard also diverts
     got = steps.copy()
     failed = _project_packed(kernel, got)
-    assert list(failed) == [2] and isinstance(failed[2], ValueError)
-    assert got[2].tobytes() == steps[2].tobytes()
+    assert list(failed) == [2, 3] and all(isinstance(e, ValueError) for e in failed.values())
+    assert "non-finite" in str(failed[3])
+    for row in (2, 3):
+        assert got[row].tobytes() == steps[row].tobytes()
     for row in (0, 1):
         for v_got, v_step in zip(kernel.unpack(got[row]).vectors(),
                                  kernel.unpack(steps[row]).vectors()):

@@ -156,6 +156,10 @@ def test_power_config_validation():
         sa.PowerConfig(p_s=-1.0, p_j=0.0)
     with pytest.raises(ValueError):
         sa.PowerConfig(p_s=1.0, p_j=1.0, sigma2_l=0.0)
+    for field in ("p_s", "p_j", "sigma2_l", "sigma2_e"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                sa.PowerConfig(**{"p_s": 1.0, "p_j": 1.0, field: value})
 
 
 def test_db_conversions_round_trip():

@@ -6,7 +6,7 @@ import pytest
 
 import secrecy_ascent as sa
 from helpers import random_instance
-from secrecy_ascent.optimizer import IterationRecord
+from secrecy_ascent.optimizer import AscentRow, IterationRecord, ascend_rows
 
 SMALL = sa.ChannelParams(n_clusters=2, n_rays=3, n_rx=2, n_tx=8, angular_spread_deg=10)
 PW = sa.PowerConfig(p_s=10.0, p_j=10.0)
@@ -41,6 +41,14 @@ def test_project_ca_preserves_phases():
 def test_project_ca_near_zero_entry_gets_phase_zero():
     out = sa.project_ca(np.array([1e-20, 1.0], dtype=complex))
     np.testing.assert_allclose(out, [1 / math.sqrt(2), 1 / math.sqrt(2)], atol=1e-15)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+def test_project_ca_rejects_a_non_finite_entry(bad):
+    # NaN fails the 1e-12 guard like a tiny entry, but it is not one: it
+    # must not come back as phase zero
+    with pytest.raises(ValueError, match="non-finite"):
+        sa.project_ca(np.array([bad, 1.0], dtype=complex))
 
 
 def test_projection_properties_random_vectors():
@@ -174,6 +182,27 @@ def test_variable_power_trace_iterations_increase_within_cycles():
         assert all(b > a for a, b in zip(iters, iters[1:]))
 
 
+def test_target_reached_power_follows_the_cycle_count():
+    # every cycle that misses zeta raises p_s by kappa*p_s, so a trial that
+    # stops at target_reached after c cycles ends at
+    # p_s_db0 + 10*log10(1 + kappa)*(c - 1) dB, whatever its channel
+    p_s_db0 = -10.0
+    cfg = sa.OptimizerConfig(zeta=2.0, mu=sa.db_to_linear(30.0), kappa=0.05,
+                             max_iters=60, epsilon=1e-4)
+    powers = sa.PowerConfig(p_s=sa.db_to_linear(p_s_db0), p_j=10.0)
+    rows = [AscentRow(ch, powers, init)
+            for ch, init in map(small_problem, range(20, 28))]
+    results, error = ascend_rows(rows, cfg, variable=True)
+    assert error is None
+    reached = [res for res in results
+               if res.trace.reason is sa.TerminationReason.TARGET_REACHED]
+    assert any(len(res.trace.cycles) > 20 for res in reached)
+    for res in reached:
+        cycles = len(res.trace.cycles)
+        expected = p_s_db0 + 10.0 * math.log10(1.0 + cfg.kappa) * (cycles - 1)
+        assert abs(sa.linear_to_db(res.p_s) - expected) <= 1e-9
+
+
 @pytest.mark.parametrize("variable", [False, True])
 def test_result_pickle_round_trip(variable):
     # results cross the process pool with their records as plain tuples;
@@ -205,3 +234,8 @@ def test_optimizer_config_validation():
         sa.OptimizerConfig(epsilon=-1.0)
     with pytest.raises(ValueError):
         sa.OptimizerConfig(max_iters=0)
+    for field in ("delta0", "epsilon", "kappa", "zeta", "mu", "delta_min"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                sa.OptimizerConfig(**{field: value})
+    assert sa.OptimizerConfig(zeta=0.0).zeta == 0.0  # finite and unset zeta are fine
