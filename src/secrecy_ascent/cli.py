@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -25,6 +24,7 @@ from . import __version__
 from .channel import ChannelParams, draw_channel_set
 from .config import SCHEMA, ConfigError, build_system_config, flat_items, resolve_config_file
 from .experiment import (
+    TRACE_HEADER,
     ExperimentKind,
     TrialError,
     run_fixed_power_experiment,
@@ -34,7 +34,6 @@ from .gradients import capacity_difference, fd_gradient, gradient_bundle, gradie
 from .metrics import PowerConfig
 from .optimizer import warm_start
 
-TRACE_HEADER = ["trial", "cycle", "iteration", "c_s", "c_l", "c_e", "delta", "p_s_db"]
 GRADCHECK_TOL = 1e-5
 
 
@@ -49,36 +48,9 @@ class RunManifest:
     outputs: dict[str, str] = field(default_factory=dict)
 
 
-def _p_s_db_text(p_s: float) -> str:
-    return repr(10.0 * math.log10(p_s))
-
-
-def _texts(values: np.ndarray, fmt) -> map:
-    """fmt(v) for each of ``values``, computed once per distinct value."""
-    distinct, index = np.unique(values, return_inverse=True)
-    return map([fmt(v) for v in distinct.tolist()].__getitem__, index.tolist())
-
-
-def _trace_text(trial: int, trace) -> str:
-    """The trace.csv rows of one trial's main ascent, read from the columns
-    of its iteration log.
-
-    Each row is one ``%`` format of Python ints and floats: a float's ``%s``
-    text is its repr, as in ``csv.writer`` (and ``%s`` formats a float
-    faster than ``%r``). ``delta`` takes a few values per trial and ``p_s``
-    one per cycle, so their text is made once per distinct value.
-    """
-    log = trace.log
-    row = f"{trial},%d,%d,%s,%s,%s,%s,%s\n"
-    return "".join(map(row.__mod__, zip(
-        log["cycle"].tolist(), log["iteration"].tolist(), log["c_s"].tolist(),
-        log["c_l"].tolist(), log["c_e"].tolist(),
-        _texts(log["delta"], repr), _texts(log["p_s"], _p_s_db_text))))
-
-
 def _aggregate_text(report, fixed: bool) -> str:
-    """aggregate.csv: the mean curves, one ``%`` format per row, as in
-    ``_trace_text``."""
+    """aggregate.csv: the mean curves, one ``%`` format per row, as
+    ``experiment._trace_text`` writes trace.csv."""
     if fixed:
         main_curve, opt_curve = report.c_s_mean_curve, report.c_s_we_opt_mean_curve
         n = max(len(main_curve), len(opt_curve))
@@ -113,18 +85,10 @@ def cmd_run(config_path: str, overrides: dict[str, str], output_dir: str, thread
 
     with open(trace_path, "w", newline="") as fh:
         fh.write(",".join(TRACE_HEADER) + "\n")
-        if fixed:
-            report = run_fixed_power_experiment(
-                cfg,
-                threads=threads,
-                on_trial=lambda i, res, _opt, _b: fh.write(_trace_text(i, res.trace)),
-            )
-        else:
-            report = run_variable_power_experiment(
-                cfg,
-                threads=threads,
-                on_trial=lambda i, res: fh.write(_trace_text(i, res.trace)),
-            )
+        # the shards render each trial's rows where it ran; this only writes them
+        run = run_fixed_power_experiment if fixed else run_variable_power_experiment
+        report = run(cfg, threads=threads,
+                     on_trial=lambda i, res, *_: fh.write(res.trace.csv_rows))
 
     with open(aggregate_path, "w", newline="") as fh:
         fh.write(_aggregate_text(report, fixed))

@@ -6,18 +6,22 @@ and its trial index. Trials run in contiguous shards of at most
 stream, in trial order, and runs all its ascents as the rows of one
 lockstep ascent (``optimizer.ascend_rows``), two rows per fixed-power trial
 (w_e held and w_e optimized) and one per variable-power trial. With more
-than one worker and more than one shard, a process pool maps the shards;
-when every shard can have a process of its own, the calling process runs
-the first shard itself and the pool has one worker per other shard. Since
-a row's result does not depend on its batch, results are identical for any
-shard size or worker count. Aggregation always reduces in trial-index
-order.
+than one worker and more than one shard, worker processes run the shards
+and send each outcome back over a pipe of their own; when every shard can
+have a process of its own, the calling process runs the first shard itself
+and there is one worker per other shard. When a study has an observer for
+its trials, each trial's main ascent gets its trace.csv rows in the
+process that ran it: a worker renders its shard before sending it, and the
+calling process renders each trial of its own shard just before handing it
+on. Since a row's result does not depend on its batch, results are
+identical for any shard size or worker count.
+Aggregation always reduces in trial-index order.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
+import math
 import multiprocessing
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -135,6 +139,37 @@ def _pad_mean(curves: list[np.ndarray]) -> list[float]:
     return padded.mean(axis=0).tolist()
 
 
+# trace.csv: one row per accepted iteration of every trial's main ascent
+TRACE_HEADER = ["trial", "cycle", "iteration", "c_s", "c_l", "c_e", "delta", "p_s_db"]
+
+
+def _p_s_db_text(p_s: float) -> str:
+    return repr(10.0 * math.log10(p_s))
+
+
+def _texts(values: np.ndarray, fmt) -> map:
+    """fmt(v) for each of ``values``, computed once per distinct value."""
+    distinct, index = np.unique(values, return_inverse=True)
+    return map([fmt(v) for v in distinct.tolist()].__getitem__, index.tolist())
+
+
+def _trace_text(trial: int, trace: OptimizerTrace) -> str:
+    """The trace.csv rows of one trial's main ascent, read from the columns
+    of its iteration log.
+
+    Each row is one ``%`` format of Python ints and floats: a float's ``%s``
+    text is its repr, as in ``csv.writer`` (and ``%s`` formats a float
+    faster than ``%r``). ``delta`` takes a few values per trial and ``p_s``
+    one per cycle, so their text is made once per distinct value.
+    """
+    log = trace.log
+    row = f"{trial},%d,%d,%s,%s,%s,%s,%s\n"
+    return "".join(map(row.__mod__, zip(
+        log["cycle"].tolist(), log["iteration"].tolist(), log["c_s"].tolist(),
+        log["c_l"].tolist(), log["c_e"].tolist(),
+        _texts(log["delta"], repr), _texts(log["p_s"], _p_s_db_text))))
+
+
 def _draw_trials(cfg: SystemConfig, start: int, stop: int):
     """Channel and warm start of trials start..stop-1, each from its own
     stream, in trial order. Stops at the first trial whose draw fails and
@@ -191,58 +226,118 @@ def _shard_bounds(n_trials: int, threads: int) -> list[tuple[int, int]]:
     return [(a, min(a + size, n_trials)) for a in range(0, n_trials, size)]
 
 
-def _run_shard(job):
-    """One shard, in a pool worker or in the calling process. An error the
-    shard raises is reported as data, as the failure of its first trial: a
+def _run_shard(shard, cfg: SystemConfig, start: int, stop: int):
+    """One shard, in a worker or in the calling process. An error the shard
+    raises is reported as data, as the failure of its first trial: a
     TrialError would not survive the trip back from a worker."""
-    shard, cfg, start, stop = job
     try:
         return shard(cfg, start, stop)
     except Exception as exc:
         return [], (start, exc)
 
 
-def _map_trials(shard, cfg: SystemConfig, threads: int):
+def _render(index: int, trial) -> None:
+    """Put trial ``index``'s trace.csv rows on its main ascent's trace (the
+    first result of a fixed-power trial), in ``trace.csv_rows``."""
+    trace = (trial[0] if isinstance(trial, tuple) else trial).trace
+    trace.csv_rows = _trace_text(index, trace)
+
+
+def _shard_worker(conn, shard, cfg: SystemConfig, bounds, render: bool) -> None:
+    """Run the shards ``bounds`` in order in a worker process, render their
+    trials if asked and send each outcome on ``conn``; stop after a failed
+    one. An outcome that cannot be sent ends the worker, which fails that
+    shard in the calling process."""
+    for start, stop in bounds:
+        outcome = _run_shard(shard, cfg, start, stop)
+        if render:
+            trials = outcome[0]
+            for offset in range(len(trials)):  # no loop variable keeps a trial
+                _render(start + offset, trials[offset])
+            del trials
+        conn.send(outcome)
+        if outcome[1] is not None:
+            break
+        del outcome  # sent: free it before the next shard runs
+    conn.close()
+
+
+def _receive(worker, conn, start: int, stop: int):
+    """The outcome of the shard of trials start..stop-1 from ``worker``; a
+    worker that exits without sending it fails the shard's first trial."""
+    try:
+        return conn.recv()
+    except EOFError:
+        worker.join()
+        cause = ChildProcessError(f"worker process exited with code {worker.exitcode} "
+                                  f"before sending trials {start}..{stop - 1}")
+    except Exception as exc:  # the outcome could not be read back
+        cause = exc
+    return [], (start, cause)
+
+
+def _map_trials(shard, cfg: SystemConfig, threads: int, render: bool):
     """Run trials 0..n_trials-1 in shards, yielding (index, result) in trial
     order, and raise TrialError for the first trial that failed.
 
-    With threads > 1 and more than one shard, a pool runs the shards, and
-    no more than threads processes run trials at once. When there are no
-    more shards than threads, this process runs shard 0 through
-    ``_run_shard`` while a pool of shards - 1 workers starts and maps the
-    rest: a two-shard study forks one worker. With more shards, a pool of
-    threads workers maps them all. On a failure, or when the caller stops
-    early, the pool's workers are stopped at once rather than waited for.
+    With threads > 1 and more than one shard, worker processes run the
+    shards, and no more than threads processes run trials at once.
+    When there are no more shards than threads, this process runs shard 0
+    and there is one worker per other shard: a two-shard study starts one
+    worker. With more shards, threads workers run them all and this process
+    only collects. Of n workers, worker k runs the k-th, (k+n)-th, ...
+    remaining shard in order and sends each outcome over a pipe of its own,
+    so shard i is read from worker i mod n and every outcome waits in its
+    worker until this process reads it. A worker that exits without sending
+    a shard fails that shard's first trial, with its exit code. On a
+    failure, or when the caller stops early, the live workers are stopped
+    at once rather than waited for. Workers start with the platform's
+    default start method: on Linux, fork, which starts one in milliseconds
+    where spawning it and importing the package takes a third of a second.
+
+    With ``render``, every trial comes with its trace.csv rows
+    (``_render``): a worker's shard arrives rendered, and a trial this
+    process ran is rendered as it is yielded. A shard's list lets go of
+    each trial once yielded, so this process holds the rows it rendered
+    for the current trial only.
     """
     bounds = _shard_bounds(cfg.n_trials, threads)
-    jobs = [(shard, cfg, a, b) for a, b in bounds]
-    pool = None
-    if threads > 1 and len(jobs) > 1:
-        # this process takes a shard only while that keeps the processes
-        # running trials at threads or fewer: past that, running one more here
-        # gained no speed and held the workers' finished shards in memory
-        own = 1 if len(jobs) <= threads else 0
-        pool = multiprocessing.Pool(min(threads, len(jobs) - own))
-        # imap hands the pool its shards now; map runs this process's shard
-        # lazily, on the first next() inside the try below
-        outcomes = itertools.chain(map(_run_shard, jobs[:own]), pool.imap(_run_shard, jobs[own:]))
-    else:
-        outcomes = map(_run_shard, jobs)
+    own, workers = len(bounds), []  # this process runs the first ``own`` shards
     try:
-        for start, _ in bounds:
-            try:
-                trials, failure = next(outcomes)
-            except Exception as exc:  # the outcome could not come back from the pool
-                trials, failure = [], (start, exc)
-            for offset, result in enumerate(trials):
+        if threads > 1 and len(bounds) > 1:
+            # this process takes a shard only while that keeps the processes
+            # running trials at threads or fewer: past that, running one more
+            # here gained no speed and held the workers' finished shards in memory
+            own = 1 if len(bounds) <= threads else 0
+            n = min(threads, len(bounds) - own)
+            for k in range(n):
+                conn, child = multiprocessing.Pipe(duplex=False)
+                worker = multiprocessing.Process(
+                    target=_shard_worker, daemon=True,
+                    args=(child, shard, cfg, bounds[own + k::n], render))
+                worker.start()
+                workers.append((worker, conn))
+                child.close()  # a sibling forked later must not hold it open
+        for i, (start, stop) in enumerate(bounds):
+            if i < own:
+                trials, failure = _run_shard(shard, cfg, start, stop)
+            else:
+                trials, failure = _receive(*workers[(i - own) % len(workers)], start, stop)
+            for offset in range(len(trials)):
+                result, trials[offset] = trials[offset], None
+                if render and i < own:
+                    _render(start + offset, result)
                 yield start + offset, result
             if failure is not None:
                 index, cause = failure
                 raise TrialError(index, cfg.seed, cause) from cause
     finally:
-        if pool is not None:
-            pool.terminate()
-            pool.join()
+        for worker, conn in workers:
+            if worker.is_alive():
+                worker.terminate()
+        for worker, conn in workers:
+            worker.join()
+            conn.close()
 
 
 def run_fixed_power_experiment(
@@ -254,7 +349,10 @@ def run_fixed_power_experiment(
     random start, one benchmark ascent that optimizes it too (same channel
     and same start), and the SVD diagnostic for that realization.
 
-    ``on_trial`` observes every trial in index order, e.g. to stream traces.
+    ``on_trial`` observes every trial in index order, e.g. to stream traces:
+    the first result it gets carries the trial's trace.csv rows in
+    ``trace.csv_rows``, rendered where the trial ran. Without an observer
+    no rows are rendered, since nothing could read them.
     """
     if cfg.experiment is not ExperimentKind.FIXED_POWER:
         raise ValueError("config does not describe a fixed-power experiment")
@@ -262,7 +360,8 @@ def run_fixed_power_experiment(
     finals_rand, finals_opt, bounds, iters = [], [], [], []
     violations = []
     reasons: dict[str, int] = {}
-    for i, (res_rand, res_opt, bound) in _map_trials(_fixed_shard, cfg, threads):
+    trials = _map_trials(_fixed_shard, cfg, threads, on_trial is not None)
+    for i, (res_rand, res_opt, bound) in trials:
         if on_trial is not None:
             on_trial(i, res_rand, res_opt, bound)
         curves_rand.append(_dense_curve(res_rand.trace))
@@ -296,13 +395,14 @@ def run_variable_power_experiment(
     threads: int = 1,
     on_trial: Optional[Callable[[int, OptimizeResult], None]] = None,
 ) -> AggregateReport:
-    """Per trial: one variable-power ascent toward the secrecy target."""
+    """Per trial: one variable-power ascent toward the secrecy target.
+    ``on_trial`` is as in ``run_fixed_power_experiment``."""
     if cfg.experiment is not ExperimentKind.VARIABLE_POWER:
         raise ValueError("config does not describe a variable-power experiment")
     c_s_curves, p_db_curves = [], []
     n_cycles, finals, final_p_db = [], [], []
     reasons: dict[str, int] = {}
-    for i, res in _map_trials(_variable_shard, cfg, threads):
+    for i, res in _map_trials(_variable_shard, cfg, threads, on_trial is not None):
         if on_trial is not None:
             on_trial(i, res)
         cyc = res.trace.cycles

@@ -113,15 +113,19 @@ class OptimizerTrace:
     why it ended and after how many loop passes.
 
     ``log`` holds the accepted iterations as columns, an ITERATION_DTYPE
-    array in order of acceptance; it crosses a process pool as one array.
+    array in order of acceptance; it crosses a worker's pipe as one array.
     ``records`` is the same as a list of IterationRecords, built on first
-    use: the loop and the run outputs read the columns.
+    use: the loop and the run outputs read the columns. ``csv_rows`` is text
+    a study renders from the log in the process that ran the ascent
+    (``experiment._trace_text``), so that it crosses a pipe ready to write;
+    None when none was rendered.
     """
 
     log: np.ndarray = field(default_factory=lambda: np.empty(0, ITERATION_DTYPE))
     cycles: list[CycleRecord] = field(default_factory=list)
     reason: TerminationReason = TerminationReason.ITER_CAP
     n_iters: int = 0
+    csv_rows: Optional[str] = None
 
     @functools.cached_property
     def records(self) -> list[IterationRecord]:
@@ -129,7 +133,8 @@ class OptimizerTrace:
 
     def __reduce__(self):
         # the records, if built, are not sent: they are rebuilt on demand
-        return OptimizerTrace, (self.log, self.cycles, self.reason, self.n_iters)
+        return OptimizerTrace, (self.log, self.cycles, self.reason, self.n_iters,
+                                self.csv_rows)
 
 
 @dataclass
@@ -208,8 +213,9 @@ def _project_packed(kernel: LinkKernel, y: np.ndarray,
     guard's comparison), go through ``project_ca`` block by block. Such a
     row with an exactly-zero block, which has no direction to keep, or with
     a non-finite entry is a degenerate iterate: it is left as it is and
-    returned, by row index, with its error. (An infinite entry in a row the
-    guard passes comes out NaN, and fails as a non-finite objective.)
+    returned, by row index, with its error. An infinite entry passes the
+    guard and comes out NaN; the pass then finds the row's objective
+    non-finite, and ``_Lockstep._failures`` names the step as the cause.
     ``mag`` is scratch of y's shape, if given.
     """
     mag = np.abs(y, out=mag)
@@ -370,16 +376,24 @@ class _Lockstep:
         state = self.kernel.unpack(self.cur.x[j].copy())
         self.results[i] = OptimizeResult(state, _snapshot(self.cur, j), p_s, trace)
 
-    def _failures(self, change: np.ndarray, degenerate: dict, n_pass: int) -> np.ndarray:
+    def _failures(self, change: np.ndarray, degenerate: dict, cand: np.ndarray,
+                  n_pass: int) -> np.ndarray:
         """Fail the rows whose step had a zero block or whose candidate
-        objective is not finite; returns their mask."""
+        objective is not finite; returns their mask. A candidate with a
+        non-finite entry came from a non-finite step, not from the
+        objective."""
         failed = ~np.isfinite(change)
         for j in degenerate:
             failed[j] = True
         for j in np.flatnonzero(failed).tolist():
-            iteration = n_pass - int(self.meta[j, 2])
-            self._fail(int(self.ids[j]), degenerate.get(j) or ValueError(
-                f"non-finite objective at iteration {iteration}"))
+            if j in degenerate:
+                error = degenerate[j]
+            elif not np.isfinite(cand[j]).all():
+                error = ValueError("cannot project a non-finite vector")
+            else:
+                error = ValueError(f"non-finite objective at iteration "
+                                   f"{n_pass - int(self.meta[j, 2])}")
+            self._fail(int(self.ids[j]), error)
         change[failed] = 0.0
         return failed
 
@@ -446,7 +460,7 @@ class _Lockstep:
             np.subtract(cand.diff, cur.diff, out=change)
             failed = None
             if degenerate or not math.isfinite(np.add.reduce(change)):
-                failed = self._failures(change, degenerate, n_pass)
+                failed = self._failures(change, degenerate, cand.x, n_pass)
             np.greater_equal(change, 0.0, out=accepted)
             np.less_equal(np.abs(change, out=ended_by), eps, out=ended)
             n_accepted = np.count_nonzero(accepted)

@@ -1,8 +1,12 @@
 import multiprocessing
 import os
 import pickle
+import subprocess
+import sys
 import time
+import weakref
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,7 +57,7 @@ def test_dense_curve_carries_values_forward():
 
 @pytest.mark.parametrize("kind", list(sa.ExperimentKind))
 def test_shard_results_pickle_round_trip(kind):
-    # shard results cross the process pool: states as one packed array each,
+    # shard results cross a worker's pipe: states as one packed array each,
     # traces as their column logs; they must come back bit for bit
     cfg = small_config(n_trials=3, experiment=kind, max_iters=60)
     fixed = kind is sa.ExperimentKind.FIXED_POWER
@@ -106,6 +110,36 @@ def test_fixed_power_single_trial_equals_its_trace():
     assert report.mean_iterations == res.trace.n_iters
     dense = _dense_curve(res.trace)
     np.testing.assert_allclose(report.c_s_mean_curve, dense)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_each_trial_comes_with_its_rows_and_is_let_go_once_observed(threads):
+    # the main ascent carries its trace.csv rows, rendered where it ran; a
+    # trial observed before the current one is no longer held, rows and all
+    cfg = small_config(n_trials=4, max_iters=30)
+    seen = []
+
+    def observe(i, res, res_opt, bound):
+        assert [ref() for ref in seen] == [None] * i
+        assert res.trace.csv_rows == exp._trace_text(i, res.trace)
+        assert res_opt.trace.csv_rows is None
+        seen.append(weakref.ref(res.trace))
+
+    sa.run_fixed_power_experiment(cfg, threads=threads, on_trial=observe)
+    assert len(seen) == 4
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_study_without_an_observer_renders_no_rows(monkeypatch, threads):
+    # nothing could read the rows; a worker that tried would die and fail
+    # the study
+    def refuse(i, trace):
+        raise AssertionError("rendered")
+
+    monkeypatch.setattr(exp, "_trace_text", refuse)
+    cfg = small_config(n_trials=4, max_iters=30)
+    assert asdict(sa.run_fixed_power_experiment(cfg, threads=threads)) == asdict(
+        sa.run_fixed_power_experiment(cfg))
 
 
 def test_fixed_power_experiment_deterministic():
@@ -179,7 +213,7 @@ TRIAL_SLEEP_S = 0.5
 
 
 def _fail_first_then_sleep(cfg, start, stop):
-    # module level: a process pool pickles its worker by name
+    # module level, as the shard functions it stands in for
     if start == 0:
         raise RuntimeError("synthetic failure")
     time.sleep(TRIAL_SLEEP_S * (stop - start))
@@ -260,26 +294,91 @@ def test_lead_shard_runs_here_only_while_threads_bound_the_processes(
     assert (err.value.__cause__.args[0] == os.getpid()) is lead_here
 
 
+DEAD_WORKER_STUDY = """
+import os
+import secrecy_ascent as sa
+import secrecy_ascent.experiment as exp
+
+def die_past_the_first_shard(cfg, start, stop):
+    if start == 0:
+        return [], None
+    os._exit(3)
+
+if __name__ == "__main__":
+    exp._fixed_shard = die_past_the_first_shard
+    cfg = sa.SystemConfig(
+        channel=sa.ChannelParams(n_clusters=2, n_rays=3, n_rx=2, n_tx=8, angular_spread_deg=10),
+        powers=sa.PowerConfig(p_s=10.0, p_j=10.0), optimizer=sa.OptimizerConfig(),
+        n_trials=4, seed=81, experiment=sa.ExperimentKind.FIXED_POWER)
+    try:
+        sa.run_fixed_power_experiment(cfg, threads=2)
+    except sa.TrialError as err:
+        print(err.trial_index, err.master_seed, repr(err.__cause__), sep="|")
+"""
+
+
+def test_a_worker_that_dies_fails_the_study(tmp_path):
+    # a 4-trial study at threads=2: its second shard's worker exits without
+    # sending a result; the study must fail naming trial 2 and the exit
+    # code, not wait for the result. The study runs in a child interpreter,
+    # so a hang fails this test at the timeout instead of stalling the suite;
+    # it is a file, so a worker that is not forked can import its shard
+    script = tmp_path / "study.py"
+    script.write_text(DEAD_WORKER_STUDY)
+    env = dict(os.environ, PYTHONPATH=str(Path(exp.__file__).parents[1]))
+    done = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    trial, seed, cause = done.stdout.strip().split("|")
+    assert (trial, seed) == ("2", "81")
+    assert "exited with code 3" in cause
+
+
+def _fail_past_the_first_shard_fast(cfg, start, stop):
+    if start == 0:
+        return [], None
+    return [], (start, RuntimeError("synthetic failure"))
+
+
+@pytest.mark.parametrize("shard, n_trials", [
+    (None, 2),                              # succeeds
+    (_fail_now_or_sleep_long, 2),           # fails in this process's shard
+    (_fail_past_the_first_shard_fast, 40),  # fails in a worker's shard
+])
+def test_no_worker_outlives_its_study(monkeypatch, shard, n_trials):
+    if shard is not None:
+        monkeypatch.setattr(exp, "_fixed_shard", shard)
+    cfg = small_config(n_trials=n_trials, max_iters=30)
+    if shard is None:
+        sa.run_fixed_power_experiment(cfg, threads=2)
+    else:
+        with pytest.raises(sa.TrialError):
+            sa.run_fixed_power_experiment(cfg, threads=2)
+    assert multiprocessing.active_children() == []
+
+
 @pytest.mark.parametrize("n_trials, threads, shard_trials, pool_sizes", [
     (2, 2, 20, [1]),  # two shards: this process runs one, one worker the other
-    (1, 2, 20, []),   # one shard: no pool
+    (1, 2, 20, []),   # one shard: no workers
     (3, 2, 1, [2]),   # more shards than threads: threads workers run them all
     (3, 4, 1, [2]),
     (3, 1, 1, []),
 ])
 def test_pool_has_a_worker_per_shard_past_the_first(
         monkeypatch, n_trials, threads, shard_trials, pool_sizes):
-    real_pool, sizes = multiprocessing.Pool, []
+    # pool_sizes: the worker processes the study starts, as one pool, or no
+    # pool when it starts none
+    real_start, started = multiprocessing.Process.start, []
 
-    def recording_pool(processes):
-        sizes.append(processes)
-        return real_pool(processes)
+    def recording_start(process):
+        started.append(process)
+        real_start(process)
 
     monkeypatch.setattr(exp, "SHARD_TRIALS", shard_trials)
-    monkeypatch.setattr(multiprocessing, "Pool", recording_pool)
+    monkeypatch.setattr(multiprocessing.Process, "start", recording_start)
     cfg = small_config(n_trials=n_trials, max_iters=30)
     report = sa.run_fixed_power_experiment(cfg, threads=threads)
-    assert sizes == pool_sizes
+    assert ([len(started)] if started else []) == pool_sizes
     assert asdict(report) == asdict(sa.run_fixed_power_experiment(cfg))
 
 

@@ -241,10 +241,9 @@ def test_rows_before_a_failed_row_finish_and_the_rest_are_dropped():
         sa.ascend_fixed_power(rows[2].channel, rows[2].powers, cfg, rows[2].init)
 
 
-def test_a_non_finite_step_fails_its_row(monkeypatch):
-    # the projection used to give a NaN entry phase zero, so a NaN step came
-    # back as a feasible iterate; the row must fail instead, and the rows
-    # before it finish as when run alone
+def assert_a_poisoned_step_fails_its_row(monkeypatch, value):
+    """Put ``value`` into the last of three rows' third step: that row fails
+    as a non-finite step, and the rows before it finish as when run alone."""
     cfg = sa.OptimizerConfig(max_iters=30)
     rows = rows_of(2, 5, sa.PowerConfig(p_s=10.0, p_j=10.0), range(3), [True, False, True])
     project = opt._project_packed
@@ -253,17 +252,30 @@ def test_a_non_finite_step_fails_its_row(monkeypatch):
     def poison_third_pass(kernel, y, mag=None):
         calls.append(len(y))
         if len(calls) == 3:
-            y[-1, 0] = np.nan
+            y[-1, 0] = value
         return project(kernel, y, mag)
 
     monkeypatch.setattr(opt, "_project_packed", poison_third_pass)
-    results, error = ascend_rows(rows, cfg)
+    with np.errstate(invalid="ignore"):  # inf * 0 in the projection
+        results, error = ascend_rows(rows, cfg)
     assert calls[2] == len(rows)  # no row had left the batch
     assert isinstance(error, ValueError) and str(error) == "cannot project a non-finite vector"
     assert len(results) == 2
     monkeypatch.setattr(opt, "_project_packed", project)
     for row, res in zip(rows, results):
         assert same_result(ascend_rows([row], cfg)[0][0], res)
+
+
+def test_a_non_finite_step_fails_its_row(monkeypatch):
+    # the projection used to give a NaN entry phase zero, so a NaN step came
+    # back as a feasible iterate; the row must fail instead
+    assert_a_poisoned_step_fails_its_row(monkeypatch, np.nan)
+
+
+def test_an_infinite_step_fails_its_row_as_a_non_finite_step(monkeypatch):
+    # an infinite entry passes the projection's guard and comes out NaN
+    # (inf * 0); the row must fail naming its step, not its objective
+    assert_a_poisoned_step_fails_its_row(monkeypatch, np.inf)
 
 
 def test_a_start_off_the_ca_manifold_fails_its_row():

@@ -205,7 +205,7 @@ def test_target_reached_power_follows_the_cycle_count():
 
 @pytest.mark.parametrize("variable", [False, True])
 def test_result_pickle_round_trip(variable):
-    # results cross the process pool with their records as plain tuples;
+    # results cross a worker's pipe with their records as plain tuples;
     # they must come back as the same IterationRecords, bit for bit
     ch, init = small_problem(5)
     if variable:
