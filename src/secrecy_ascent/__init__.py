@@ -7,19 +7,8 @@ and power-adaptive variants plus benchmark diagnostics.
 
 __version__ = "0.1.0"
 
-from .channel import (
-    Band,
-    ChannelParams,
-    ChannelSet,
-    PathComponent,
-    build_channel,
-    draw_channel_set,
-    draw_paths,
-    steering_vector,
-)
-from .config import ConfigError, load_config
+from .channel import Band, ChannelParams, ChannelSet, draw_channel_set
 from .experiment import (
-    AggregateReport,
     ExperimentKind,
     SystemConfig,
     TrialError,
@@ -28,8 +17,6 @@ from .experiment import (
     seed_fanout,
 )
 from .gradients import (
-    GradientBundle,
-    QuadForms,
     capacity_difference,
     fd_gradient,
     grad_fj,
@@ -38,24 +25,10 @@ from .gradients import (
     grad_wl,
     gradient_bundle,
     gradient_check_error,
-    quad_forms,
 )
-from .metrics import (
-    BeamformerState,
-    PowerConfig,
-    SecrecySnapshot,
-    capacity,
-    db_to_linear,
-    linear_to_db,
-    secrecy_capacity,
-    sinr_eavesdropper,
-    sinr_legitimate,
-    svd_upper_bound,
-)
+from .metrics import BeamformerState, PowerConfig, db_to_linear, linear_to_db, svd_upper_bound
 from .optimizer import (
-    OptimizeResult,
     OptimizerConfig,
-    OptimizerTrace,
     TerminationReason,
     ascend_fixed_power,
     ascend_variable_power,
@@ -65,23 +38,27 @@ from .optimizer import (
     state_ca_violation,
     warm_start,
 )
+from .reference import (
+    PathComponent,
+    build_channel,
+    capacity,
+    draw_paths,
+    quad_forms,
+    secrecy_capacity,
+    sinr_eavesdropper,
+    sinr_legitimate,
+    steering_vector,
+)
 
 __all__ = [
-    "AggregateReport",
     "Band",
     "BeamformerState",
     "ChannelParams",
     "ChannelSet",
-    "ConfigError",
     "ExperimentKind",
-    "GradientBundle",
-    "OptimizeResult",
     "OptimizerConfig",
-    "OptimizerTrace",
     "PathComponent",
     "PowerConfig",
-    "QuadForms",
-    "SecrecySnapshot",
     "SystemConfig",
     "TerminationReason",
     "TrialError",
@@ -102,7 +79,6 @@ __all__ = [
     "gradient_bundle",
     "gradient_check_error",
     "linear_to_db",
-    "load_config",
     "project_ca",
     "project_unit_norm",
     "quad_forms",

@@ -6,14 +6,17 @@ path gains times outer products of uniform-linear-array response vectors:
     H = sqrt(N_rx*N_tx / (N_cl*N_ray)) * sum_paths  gain * a_rx(aoa) a_tx(aod)^H
 
 Arrays are half-wavelength ULAs with an azimuth-only response; elevation
-angles are drawn and kept on each path but do not enter the response.
+angles are drawn but do not enter the response.
 
 A response is built by power doubling: with u = exp(j*pi*sin(az)), entry k
 is u**k/sqrt(n), and entries m..2m-1 are entries 0..m-1 times u**m. That is
 one complex exponential per path and at most log2(n) multiplies per entry;
 the entries stay within a few ulps per doubling of exp(j*pi*k*sin(az))/sqrt(n).
-``draw_channel_set`` makes exactly the draws of four ``draw_paths`` calls, in
-the same order, and assembles all four channels in one batched product.
+``draw_channel_set`` makes exactly the draws of four per-ray
+``reference.draw_paths`` calls, in the same order, and assembles all four
+channels in one batched product; the per-ray model (``PathComponent``,
+``steering_vector``, ``build_channel``) lives in ``reference`` with the
+other test oracles.
 """
 
 from __future__ import annotations
@@ -55,17 +58,6 @@ class ChannelParams:
         return self.n_clusters * self.n_rays
 
 
-@dataclass(frozen=True)
-class PathComponent:
-    """One ray: complex gain plus arrival/departure angles in radians."""
-
-    gain: complex
-    aoa_azimuth: float
-    aoa_elevation: float
-    aod_azimuth: float
-    aod_elevation: float
-
-
 @dataclass
 class ChannelSet:
     """The four N_rx x N_tx channels of one realization.
@@ -94,16 +86,6 @@ class ChannelSet:
         return self.h_sl.shape[1]
 
 
-def steering_vector(n_antennas: int, azimuth: float) -> np.ndarray:
-    """Half-wavelength ULA response: entry k is exp(j*pi*k*sin(az))/sqrt(n).
-
-    The result always has unit 2-norm.
-    """
-    if n_antennas < 1:
-        raise ValueError("n_antennas must be >= 1")
-    return _steering_matrix(n_antennas, np.array([azimuth], dtype=float))[:, 0]
-
-
 def _steering_matrix(n_antennas: int, azimuths: np.ndarray) -> np.ndarray:
     """ULA responses of azimuths of shape (..., P), as columns of an
     (..., n, P) array, built by power doubling (see the module docstring)."""
@@ -118,43 +100,6 @@ def _steering_matrix(n_antennas: int, azimuths: np.ndarray) -> np.ndarray:
         if m < n_antennas:
             u = u * u  # not in place: numpy rounds an aliased 1-element product differently
     return out
-
-
-def draw_paths(params: ChannelParams, rng: np.random.Generator) -> list[PathComponent]:
-    """Draw N_cl*N_ray path components.
-
-    Gains are i.i.d. CN(0,1). Cluster-center azimuths are uniform on
-    [0, 2*pi); per-ray offsets are zero-mean Gaussian with the configured
-    angular spread. Arrival and departure angles are independent, and
-    elevation angles follow the same cluster/offset construction as azimuths.
-    """
-    spread = math.radians(params.angular_spread_deg)
-    paths = []
-    for _ in range(params.n_clusters):
-        centers = rng.uniform(0.0, 2.0 * np.pi, size=4)  # aoa_az, aoa_el, aod_az, aod_el
-        for _ in range(params.n_rays):
-            offsets = rng.normal(0.0, spread, size=4)
-            re, im = rng.standard_normal(2)
-            paths.append(
-                PathComponent(
-                    gain=complex(re, im) / math.sqrt(2.0),
-                    aoa_azimuth=centers[0] + offsets[0],
-                    aoa_elevation=centers[1] + offsets[1],
-                    aod_azimuth=centers[2] + offsets[2],
-                    aod_elevation=centers[3] + offsets[3],
-                )
-            )
-    return paths
-
-
-def build_channel(params: ChannelParams, paths: list[PathComponent]) -> np.ndarray:
-    """Assemble the channel matrix from path components."""
-    if len(paths) != params.n_paths:
-        raise ValueError(f"expected {params.n_paths} paths, got {len(paths)}")
-    gains = np.array([p.gain for p in paths])
-    aoa = np.array([p.aoa_azimuth for p in paths])
-    aod = np.array([p.aod_azimuth for p in paths])
-    return _assemble(params, gains, aoa, aod)
 
 
 def _assemble(params: ChannelParams, gains: np.ndarray, aoa: np.ndarray,
@@ -177,9 +122,9 @@ def draw_channel_set(params: ChannelParams, rng: np.random.Generator) -> Channel
     cluster's rays. ``2*pi*u`` is what ``rng.uniform(0, 2*pi)`` computes,
     ``spread * z`` what ``rng.normal(0, spread)`` computes, and the gain
     parts are divided separately, as Python's complex-by-float division
-    does; so each channel equals ``build_channel(params, draw_paths(params,
-    rng))`` bit for bit. The elevation angles are drawn only to keep the
-    stream unchanged.
+    does; so each channel equals ``reference.build_channel(params,
+    reference.draw_paths(params, rng))`` bit for bit. The elevation angles
+    are drawn only to keep the stream unchanged.
     """
     n_cl, n_ray = params.n_clusters, params.n_rays
     centers = np.empty((4, n_cl, 4))  # aoa_az, aoa_el, aod_az, aod_el

@@ -15,7 +15,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -140,14 +140,14 @@ def cmd_gradcheck(n_rx: int, n_tx: int, seed: int, instances: int, corrupt: bool
     for _ in range(instances):
         ch = draw_channel_set(params, rng)
         bf = warm_start(params, rng)
-        bundle = gradient_bundle(ch, bf, pw, include_we=True)
-        analytic = {"w_l": bundle.g_wl, "f_j": bundle.g_fj, "f_s": bundle.g_fs, "w_e": bundle.g_we}
-        if corrupt:
-            analytic["w_l"] = analytic["w_l"] + 1e-3
-        for name, grad in analytic.items():
+        bundle = gradient_bundle(ch, bf, pw)
+        for name in worst:
+            grad = getattr(bundle, name)
+            if corrupt and name == "w_l":
+                grad = grad + 1e-3
+
             def objective(v, _name=name):
-                probe = replace_vector(bf, _name, v)
-                return capacity_difference(ch, probe, pw)
+                return capacity_difference(ch, replace(bf, **{_name: v}), pw)
 
             ref = fd_gradient(objective, getattr(bf, name))
             worst[name] = max(worst[name], gradient_check_error(grad, ref))
@@ -156,12 +156,6 @@ def cmd_gradcheck(n_rx: int, n_tx: int, seed: int, instances: int, corrupt: bool
         status = "ok" if err < GRADCHECK_TOL else "FAIL"
         print(f"grad {name}: max relative error {err:.3e}  [{status}]")
     return 0 if ok else 1
-
-
-def replace_vector(bf, name: str, v: np.ndarray):
-    probe = bf.copy()
-    setattr(probe, name, v)
-    return probe
 
 
 def _add_override_flags(parser: argparse.ArgumentParser) -> None:

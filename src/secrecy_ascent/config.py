@@ -95,6 +95,22 @@ def resolve_values(raw: dict[str, str]) -> dict:
     return resolved
 
 
+def _linear_power(resolved: dict, key: str, may_be_zero: bool = False) -> float:
+    """The linear power of the dB key ``key``. A dB value whose power
+    overflows a float is rejected, and so is one whose power rounds to 0
+    unless ``may_be_zero`` (a silent jammer is a valid plan; a silent source
+    or a zero power ceiling is not)."""
+    value = resolved[key]
+    try:
+        power = db_to_linear(value)
+    except OverflowError:
+        raise ConfigError(f"invalid value for {key!r}: {value!r} dB overflows "
+                          f"as a linear power") from None
+    if power == 0.0 and not may_be_zero:
+        raise ConfigError(f"invalid value for {key!r}: {value!r} dB is a linear power of 0")
+    return power
+
+
 def build_system_config(resolved: dict) -> SystemConfig:
     """Typed SystemConfig from resolved values, with field-named errors."""
     try:
@@ -107,15 +123,15 @@ def build_system_config(resolved: dict) -> SystemConfig:
             carrier_band=resolved["band"],
         )
         powers = PowerConfig(
-            p_s=db_to_linear(resolved["p_s_db"]),
-            p_j=db_to_linear(resolved["p_j_db"]),
+            p_s=_linear_power(resolved, "p_s_db"),
+            p_j=_linear_power(resolved, "p_j_db", may_be_zero=True),
         )
         optimizer = OptimizerConfig(
             delta0=resolved["delta0"],
             epsilon=resolved["epsilon"],
             kappa=resolved["kappa"],
             zeta=resolved["zeta"],
-            mu=db_to_linear(resolved["mu_db"]),
+            mu=_linear_power(resolved, "mu_db"),
             max_iters=resolved["max_iters"],
             max_cycles=resolved["max_cycles"],
             delta_min=resolved["delta_min"],

@@ -214,7 +214,7 @@ def _variable_shard(cfg: SystemConfig, start: int, stop: int):
     lockstep ascent, one row per trial. Returns ([result] for the leading
     trials that finished, (first failed trial, its error) or None)."""
     draws, draw_failure = _draw_trials(cfg, start, stop)
-    rows = [AscentRow(ch, cfg.powers, init, cfg.optimizer.optimize_we) for ch, init in draws]
+    rows = [AscentRow(ch, cfg.powers, init) for ch, init in draws]
     results, error = ascend_rows(rows, cfg.optimizer, variable=True)
     return results, draw_failure if error is None else (start + len(results), error)
 

@@ -16,9 +16,11 @@ one gradient call the packed conjugate gradients. Each row's powers enter
 only the denominators (``RowPowers``), so a power change re-weights the
 stored scalars without a matmul. Every operation is row-wise: a row's
 values are bit-identical however many rows share its batch. The
-optimizer's lockstep loop runs on it, and the public ``grad_*``,
-``gradient_bundle`` and ``capacity_difference`` evaluate through a batch
-of one row.
+optimizer's lockstep loop runs on it. At a single state,
+``capacity_difference`` is a batch of one row, ``gradient_bundle`` returns
+that row's four gradient blocks as a ``BeamformerState``, and each
+``grad_*`` is one field of it. The per-vector forms the kernel is tested
+against (SINRs, quadratic forms) are in ``reference``.
 
 ``fd_gradient`` is an independent central-difference oracle over the real
 and imaginary parts of each coordinate, assembled into the same convention
@@ -32,43 +34,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .channel import ChannelSet
 from .metrics import LN2, BeamformerState, PowerConfig, _check_dims
-
-
-@dataclass(frozen=True)
-class QuadForms:
-    """The four squared bilinear forms |w^H H f|^2, one per link."""
-
-    psi_sl: float
-    psi_jl: float
-    psi_se: float
-    psi_je: float
-
-
-@dataclass
-class GradientBundle:
-    """Conjugate gradients of the secrecy objective at one state."""
-
-    g_wl: np.ndarray
-    g_fj: np.ndarray
-    g_fs: np.ndarray
-    g_we: Optional[np.ndarray] = None
-
-
-def quad_forms(ch: ChannelSet, bf: BeamformerState) -> QuadForms:
-    _check_dims(ch, bf)
-    return QuadForms(
-        psi_sl=abs(bf.w_l.conj() @ ch.h_sl @ bf.f_s) ** 2,
-        psi_jl=abs(bf.w_l.conj() @ ch.h_jl @ bf.f_j) ** 2,
-        psi_se=abs(bf.w_e.conj() @ ch.h_se @ bf.f_s) ** 2,
-        psi_je=abs(bf.w_e.conj() @ ch.h_je @ bf.f_j) ** 2,
-    )
 
 
 class RowPowers:
@@ -269,11 +240,9 @@ class LinkKernel:
         np.subtract(work.log1, work.log0, out=work.c)
         np.subtract(work.c_l, work.c_e, out=lk.diff)
 
-    def gradient(self, lk: Links, pw: RowPowers, hold: Optional[np.ndarray] = None,
-                 out: Optional[np.ndarray] = None) -> np.ndarray:
+    def gradient(self, lk: Links, pw: RowPowers, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Packed conjugate gradients [g_wl | g_we | g_fs | g_fj] of c_l - c_e
-        at lk's states, one row each. The g_we block is zero in the rows
-        where ``hold`` is set.
+        at lk's states, one row each.
 
         coef[t, r] weights receiver r's combiner in transmitter t's precoder
         gradient; its conjugate weights the receive image z[t, r] in combiner
@@ -290,8 +259,6 @@ class LinkKernel:
         np.matmul(work.weighted_legs, self.h_conj, out=work.legs)
         np.add(work.legs_l, work.legs_e, out=g[:, r2:])
         np.vecdot(work.coef_z, lk.zb, axis=1, out=g[:, :r2].reshape(b, 2, r))
-        if hold is not None:
-            np.copyto(g[:, r:r2], 0.0, where=hold[:, None])
         return g
 
 
@@ -302,36 +269,33 @@ def _evaluate(ch: ChannelSet, bf: BeamformerState, pw: PowerConfig):
     return kernel, powers, kernel.links(kernel.pack([bf]), powers)
 
 
-def gradient_bundle(
-    ch: ChannelSet, bf: BeamformerState, pw: PowerConfig, include_we: bool = False
-) -> GradientBundle:
-    """All gradients at one state, from one kernel evaluation (a batch of
-    one row)."""
+def gradient_bundle(ch: ChannelSet, bf: BeamformerState, pw: PowerConfig) -> BeamformerState:
+    """The conjugate gradients of c_l - c_e w.r.t. all four vectors at one
+    state, in the state's fields, from one kernel evaluation (a batch of one
+    row)."""
     kernel, powers, lk = _evaluate(ch, bf, pw)
-    g = kernel.unpack(kernel.gradient(lk, powers, np.array([not include_we]))[0])
-    return GradientBundle(g_wl=g.w_l, g_fj=g.f_j, g_fs=g.f_s,
-                          g_we=g.w_e if include_we else None)
+    return kernel.unpack(kernel.gradient(lk, powers)[0])
 
 
 def grad_wl(ch: ChannelSet, bf: BeamformerState, pw: PowerConfig) -> np.ndarray:
     """Gradient w.r.t. the conjugate of the legitimate combiner."""
-    return gradient_bundle(ch, bf, pw).g_wl
+    return gradient_bundle(ch, bf, pw).w_l
 
 
 def grad_fj(ch: ChannelSet, bf: BeamformerState, pw: PowerConfig) -> np.ndarray:
     """Gradient w.r.t. the conjugate of the jammer precoder."""
-    return gradient_bundle(ch, bf, pw).g_fj
+    return gradient_bundle(ch, bf, pw).f_j
 
 
 def grad_fs(ch: ChannelSet, bf: BeamformerState, pw: PowerConfig) -> np.ndarray:
     """Gradient w.r.t. the conjugate of the source precoder."""
-    return gradient_bundle(ch, bf, pw).g_fs
+    return gradient_bundle(ch, bf, pw).f_s
 
 
 def grad_we(ch: ChannelSet, bf: BeamformerState, pw: PowerConfig) -> np.ndarray:
     """Gradient w.r.t. the conjugate of the eavesdropper combiner
     (benchmark mode: ascending it degrades the eavesdropper link)."""
-    return gradient_bundle(ch, bf, pw, include_we=True).g_we
+    return gradient_bundle(ch, bf, pw).w_e
 
 
 def capacity_difference(ch: ChannelSet, bf: BeamformerState, pw: PowerConfig) -> float:

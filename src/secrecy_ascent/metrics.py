@@ -1,4 +1,10 @@
-"""SINRs, link capacities, secrecy capacity, and the SVD diagnostic bound."""
+"""The types the link quantities are stated in (powers, beamformer states,
+snapshots of both links), dB conversions, and the SVD diagnostic bound.
+
+The links themselves are evaluated in one place, ``gradients.LinkKernel``;
+the per-vector SINR and capacity formulas it is tested against are in
+``reference``.
+"""
 
 from __future__ import annotations
 
@@ -89,49 +95,6 @@ def _check_dims(ch: ChannelSet, bf: BeamformerState) -> None:
         raise ValueError(f"combiners must have shape ({n_rx},)")
     if bf.f_s.shape != (n_tx,) or bf.f_j.shape != (n_tx,):
         raise ValueError(f"precoders must have shape ({n_tx},)")
-
-
-def _bilinear_power(w: np.ndarray, h: np.ndarray, f: np.ndarray) -> float:
-    s = w.conj() @ (h @ f)
-    return float(s.real * s.real + s.imag * s.imag)
-
-
-def sinr_legitimate(ch: ChannelSet, bf: BeamformerState, pw: PowerConfig) -> float:
-    """P_s|w_l^H H_sl f_s|^2 / (w_l^H w_l sigma_l^2 + P_j|w_l^H H_jl f_j|^2)."""
-    _check_dims(ch, bf)
-    num = pw.p_s * _bilinear_power(bf.w_l, ch.h_sl, bf.f_s)
-    den = pw.sigma2_l * float(np.vdot(bf.w_l, bf.w_l).real) + pw.p_j * _bilinear_power(
-        bf.w_l, ch.h_jl, bf.f_j
-    )
-    return num / den
-
-
-def sinr_eavesdropper(ch: ChannelSet, bf: BeamformerState, pw: PowerConfig) -> float:
-    """Mirror of sinr_legitimate on the eavesdropper side."""
-    _check_dims(ch, bf)
-    num = pw.p_s * _bilinear_power(bf.w_e, ch.h_se, bf.f_s)
-    den = pw.sigma2_e * float(np.vdot(bf.w_e, bf.w_e).real) + pw.p_j * _bilinear_power(
-        bf.w_e, ch.h_je, bf.f_j
-    )
-    return num / den
-
-
-def capacity(gamma: float) -> float:
-    """Shannon capacity log2(1 + gamma) in bps/Hz."""
-    if gamma < 0:
-        raise ValueError("gamma must be >= 0")
-    return float(np.log2(1.0 + gamma))
-
-
-def secrecy_capacity(ch: ChannelSet, bf: BeamformerState, pw: PowerConfig) -> SecrecySnapshot:
-    """Evaluate both links and clamp the capacity difference at zero."""
-    gamma_l = sinr_legitimate(ch, bf, pw)
-    gamma_e = sinr_eavesdropper(ch, bf, pw)
-    c_l = capacity(gamma_l)
-    c_e = capacity(gamma_e)
-    return SecrecySnapshot(
-        gamma_l=gamma_l, gamma_e=gamma_e, c_l=c_l, c_e=c_e, c_s=max(c_l - c_e, 0.0)
-    )
 
 
 def svd_upper_bound(ch: ChannelSet, pw: PowerConfig, literal: bool = False) -> float:

@@ -57,7 +57,6 @@ class OptimizerConfig:
     max_iters: int = 10_000
     max_cycles: int = 1_000
     delta_min: float = 1e-6
-    optimize_we: bool = False
 
     def __post_init__(self):
         floats = (self.delta0, self.epsilon, self.kappa, self.mu, self.delta_min)
@@ -521,8 +520,8 @@ def ascend_rows(
     kappa*P_s after a cycle that misses the secrecy target zeta, up to the
     ceiling mu: its step size restarts at delta0 and its denominators are
     recomputed from the stored scalars, while the other rows carry on. A row
-    that finishes leaves the batch. ``cfg.optimize_we`` is ignored: each
-    row's own flag decides.
+    that finishes leaves the batch. Each row's ``optimize_we`` decides
+    whether its w_e is ascended.
 
     Returns the results of the leading rows that finished, up to the first
     row that failed (a start that fails its checks, a non-finite objective,
@@ -556,11 +555,11 @@ def ascend_fixed_power(
     """Maximize the secrecy objective at constant source power: a batch of
     one row in ``ascend_rows``.
 
-    The eavesdropper combiner stays at its initial value unless
-    ``cfg.optimize_we`` turns on the benchmark variant, which ascends w_e
-    alongside the other three vectors.
+    The eavesdropper combiner stays at its initial value; the benchmark
+    variant, which ascends w_e alongside the other three vectors, is an
+    ``AscentRow(..., optimize_we=True)`` in ``ascend_rows``.
     """
-    return _ascend_one(AscentRow(ch, pw, init, cfg.optimize_we), cfg, False, on_accept)
+    return _ascend_one(AscentRow(ch, pw, init), cfg, False, on_accept)
 
 
 def ascend_variable_power(
@@ -576,8 +575,7 @@ def ascend_variable_power(
 
     The beamformers carry over between cycles; the step size restarts at
     delta0 each cycle. At least one cycle always runs, so zeta = 0 reports
-    the target as reached without touching the power.
+    the target as reached without touching the power. The eavesdropper
+    combiner stays at its initial value.
     """
-    if cfg.zeta is None:
-        raise ValueError("variable-power ascent needs cfg.zeta")
-    return _ascend_one(AscentRow(ch, pw, init, cfg.optimize_we), cfg, True, on_accept)
+    return _ascend_one(AscentRow(ch, pw, init), cfg, True, on_accept)

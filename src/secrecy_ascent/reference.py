@@ -1,0 +1,141 @@
+"""Reference formulas: per-ray, per-vector forms that no runtime path calls.
+
+Each function here evaluates, one path or one vector at a time, a quantity
+the engine computes in batched form; they are the test suite's independent
+oracles. ``draw_paths`` + ``build_channel`` are the per-ray channel model
+whose random stream and channels ``channel.draw_channel_set`` reproduces bit
+for bit; ``sinr_*``, ``capacity`` and ``secrecy_capacity`` evaluate the links
+that ``gradients.LinkKernel`` fuses; ``quad_forms`` gives the four squared
+bilinear forms directly. No engine module imports this one.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .channel import ChannelParams, ChannelSet, _assemble, _steering_matrix
+from .metrics import BeamformerState, PowerConfig, SecrecySnapshot, _check_dims
+
+
+@dataclass(frozen=True)
+class PathComponent:
+    """One ray: complex gain plus arrival/departure angles in radians."""
+
+    gain: complex
+    aoa_azimuth: float
+    aoa_elevation: float
+    aod_azimuth: float
+    aod_elevation: float
+
+
+def steering_vector(n_antennas: int, azimuth: float) -> np.ndarray:
+    """Half-wavelength ULA response: entry k is exp(j*pi*k*sin(az))/sqrt(n).
+
+    The result always has unit 2-norm.
+    """
+    if n_antennas < 1:
+        raise ValueError("n_antennas must be >= 1")
+    return _steering_matrix(n_antennas, np.array([azimuth], dtype=float))[:, 0]
+
+
+def draw_paths(params: ChannelParams, rng: np.random.Generator) -> list[PathComponent]:
+    """Draw N_cl*N_ray path components.
+
+    Gains are i.i.d. CN(0,1). Cluster-center azimuths are uniform on
+    [0, 2*pi); per-ray offsets are zero-mean Gaussian with the configured
+    angular spread. Arrival and departure angles are independent, and
+    elevation angles follow the same cluster/offset construction as azimuths.
+    """
+    spread = math.radians(params.angular_spread_deg)
+    paths = []
+    for _ in range(params.n_clusters):
+        centers = rng.uniform(0.0, 2.0 * np.pi, size=4)  # aoa_az, aoa_el, aod_az, aod_el
+        for _ in range(params.n_rays):
+            offsets = rng.normal(0.0, spread, size=4)
+            re, im = rng.standard_normal(2)
+            paths.append(
+                PathComponent(
+                    gain=complex(re, im) / math.sqrt(2.0),
+                    aoa_azimuth=centers[0] + offsets[0],
+                    aoa_elevation=centers[1] + offsets[1],
+                    aod_azimuth=centers[2] + offsets[2],
+                    aod_elevation=centers[3] + offsets[3],
+                )
+            )
+    return paths
+
+
+def build_channel(params: ChannelParams, paths: list[PathComponent]) -> np.ndarray:
+    """Assemble the channel matrix from path components."""
+    if len(paths) != params.n_paths:
+        raise ValueError(f"expected {params.n_paths} paths, got {len(paths)}")
+    gains = np.array([p.gain for p in paths])
+    aoa = np.array([p.aoa_azimuth for p in paths])
+    aod = np.array([p.aod_azimuth for p in paths])
+    return _assemble(params, gains, aoa, aod)
+
+
+def _bilinear_power(w: np.ndarray, h: np.ndarray, f: np.ndarray) -> float:
+    s = w.conj() @ (h @ f)
+    return float(s.real * s.real + s.imag * s.imag)
+
+
+def sinr_legitimate(ch: ChannelSet, bf: BeamformerState, pw: PowerConfig) -> float:
+    """P_s|w_l^H H_sl f_s|^2 / (w_l^H w_l sigma_l^2 + P_j|w_l^H H_jl f_j|^2)."""
+    _check_dims(ch, bf)
+    num = pw.p_s * _bilinear_power(bf.w_l, ch.h_sl, bf.f_s)
+    den = pw.sigma2_l * float(np.vdot(bf.w_l, bf.w_l).real) + pw.p_j * _bilinear_power(
+        bf.w_l, ch.h_jl, bf.f_j
+    )
+    return num / den
+
+
+def sinr_eavesdropper(ch: ChannelSet, bf: BeamformerState, pw: PowerConfig) -> float:
+    """Mirror of sinr_legitimate on the eavesdropper side."""
+    _check_dims(ch, bf)
+    num = pw.p_s * _bilinear_power(bf.w_e, ch.h_se, bf.f_s)
+    den = pw.sigma2_e * float(np.vdot(bf.w_e, bf.w_e).real) + pw.p_j * _bilinear_power(
+        bf.w_e, ch.h_je, bf.f_j
+    )
+    return num / den
+
+
+def capacity(gamma: float) -> float:
+    """Shannon capacity log2(1 + gamma) in bps/Hz."""
+    if gamma < 0:
+        raise ValueError("gamma must be >= 0")
+    return float(np.log2(1.0 + gamma))
+
+
+def secrecy_capacity(ch: ChannelSet, bf: BeamformerState, pw: PowerConfig) -> SecrecySnapshot:
+    """Evaluate both links and clamp the capacity difference at zero."""
+    gamma_l = sinr_legitimate(ch, bf, pw)
+    gamma_e = sinr_eavesdropper(ch, bf, pw)
+    c_l = capacity(gamma_l)
+    c_e = capacity(gamma_e)
+    return SecrecySnapshot(
+        gamma_l=gamma_l, gamma_e=gamma_e, c_l=c_l, c_e=c_e, c_s=max(c_l - c_e, 0.0)
+    )
+
+
+@dataclass(frozen=True)
+class QuadForms:
+    """The four squared bilinear forms |w^H H f|^2, one per link."""
+
+    psi_sl: float
+    psi_jl: float
+    psi_se: float
+    psi_je: float
+
+
+def quad_forms(ch: ChannelSet, bf: BeamformerState) -> QuadForms:
+    _check_dims(ch, bf)
+    return QuadForms(
+        psi_sl=abs(bf.w_l.conj() @ ch.h_sl @ bf.f_s) ** 2,
+        psi_jl=abs(bf.w_l.conj() @ ch.h_jl @ bf.f_j) ** 2,
+        psi_se=abs(bf.w_e.conj() @ ch.h_se @ bf.f_s) ** 2,
+        psi_je=abs(bf.w_e.conj() @ ch.h_je @ bf.f_j) ** 2,
+    )

@@ -6,6 +6,8 @@ import os
 from dataclasses import asdict
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import secrecy_ascent.cli as cli
 from secrecy_ascent.cli import TRACE_HEADER
@@ -69,6 +71,60 @@ def test_validate_rejects_non_finite_floats(tiny_cfg, capsys, key, value):
     assert run_cli("validate", "--config", tiny_cfg, flag) == 2
     err = capsys.readouterr().err
     assert repr(key) in err and "not finite" in err
+
+
+DB_KEYS = ("p_s_db", "p_j_db", "mu_db")
+BOUNDARY_PLAN = """n_tx = 4
+n_rx = 2
+n_clusters = 1
+n_rays = 2
+n_trials = 1
+seed = 7
+max_iters = 5
+max_cycles = 3
+zeta = 1.0
+"""
+
+
+def out_of_range(key, value_db):
+    """A dB value whose linear power overflows, or is 0 where 0 is invalid
+    (a silent jammer is a valid plan; a silent source or ceiling is not)."""
+    try:
+        power = 10.0 ** (value_db / 10.0)
+    except OverflowError:
+        return True
+    return power == 0.0 and key != "p_j_db"
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(values=st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 3))
+@example(values=(4000.0, 10.0, 30.0))
+@example(values=(-4000.0, 10.0, 30.0))
+@example(values=(10.0, -4000.0, 30.0))
+@example(values=(10.0, 10.0, -4000.0))
+def test_db_keys_at_any_finite_value(tmp_path, capsys, values):
+    # every finite dB value either runs, is rejected naming its key, or
+    # fails a trial naming it and the master seed; nothing else escapes
+    bad = [key for key, value in zip(DB_KEYS, values) if out_of_range(key, value)]
+    flags = [f"--{key.replace('_', '-')}={value!r}" for key, value in zip(DB_KEYS, values)]
+    for experiment in ("fixed_power", "variable_power"):
+        path = tmp_path / f"{experiment}.cfg"
+        path.write_text(BOUNDARY_PLAN + f"experiment = {experiment}\n")
+        capsys.readouterr()
+        code = run_cli("validate", "--config", str(path), *flags)
+        err = capsys.readouterr().err
+        assert code == (2 if bad else 0), err
+        if bad:
+            assert any(f"'{key}'" in err for key in bad), err
+        code = run_cli("run", "--config", str(path), "--out", str(tmp_path / "out"), *flags)
+        err = capsys.readouterr().err
+        if bad:
+            assert code == 2 and any(f"'{key}'" in err for key in bad), err
+        else:
+            assert code in (0, 1), err
+            if code == 1:
+                assert "trial 0 (master seed 7) failed" in err, err
 
 
 def test_validate_rejects_unknown_key(tmp_path, capsys):

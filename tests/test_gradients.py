@@ -155,12 +155,10 @@ def test_grad_wl_phase_covariance():
 
 def test_gradient_bundle_matches_individual_calls():
     ch, bf, pw = random_instance(2, 4, seed=28)
-    bundle = sa.gradient_bundle(ch, bf, pw, include_we=True)
-    np.testing.assert_array_equal(bundle.g_wl, sa.grad_wl(ch, bf, pw))
-    np.testing.assert_array_equal(bundle.g_fj, sa.grad_fj(ch, bf, pw))
-    np.testing.assert_array_equal(bundle.g_fs, sa.grad_fs(ch, bf, pw))
-    np.testing.assert_array_equal(bundle.g_we, sa.grad_we(ch, bf, pw))
-    assert sa.gradient_bundle(ch, bf, pw).g_we is None
+    bundle = sa.gradient_bundle(ch, bf, pw)
+    assert isinstance(bundle, sa.BeamformerState)
+    for name, fn in GRAD_FN.items():
+        np.testing.assert_array_equal(getattr(bundle, name), fn(ch, bf, pw))
 
 
 def test_gradient_check_error_zero_guard():

@@ -139,16 +139,6 @@ def test_public_gradients_are_the_kernel():
     assert sa.capacity_difference(ch, bf, pw) == lk.cd[0, 0] - lk.cd[0, 1]
 
 
-def test_gradient_without_we_leaves_that_block_zero():
-    ch, bf, pw = random_instance(3, 8, seed=43)
-    kernel, powers, lk = one_row(ch, bf, pw)
-    full = kernel.unpack(kernel.gradient(lk, powers)[0])
-    part = kernel.unpack(kernel.gradient(lk, powers, hold=np.array([True]))[0])
-    assert not part.w_e.any()
-    for name in ("w_l", "f_s", "f_j"):
-        np.testing.assert_array_equal(getattr(part, name), getattr(full, name))
-
-
 def packed_step(kernel, rng):
     n = 2 * (kernel.n_rx + kernel.n_tx)
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -207,13 +197,12 @@ def test_batched_kernel_rows_match_single_rows():
     kernel = LinkKernel([ch for ch, _, _ in instances])
     powers = RowPowers.of([pw for _, _, pw in instances])
     lk = kernel.links(kernel.pack([bf for _, bf, _ in instances]), powers)
-    hold = np.array([True, False, True, True, False])
-    g = kernel.gradient(lk, powers, hold)
+    g = kernel.gradient(lk, powers)
     for k, (ch, bf, pw) in enumerate(instances):
         one_kernel, one_powers, one = one_row(ch, bf, pw)
         assert one.buf.tobytes() == lk.buf[k:k + 1].tobytes()
         assert one.s.tobytes() == lk.s[k:k + 1].tobytes()
         assert one.den.tobytes() == lk.den[k:k + 1].tobytes()
         assert one.cd.tobytes() == lk.cd[k:k + 1].tobytes()
-        one_g = one_kernel.gradient(one, one_powers, hold[k:k + 1])
+        one_g = one_kernel.gradient(one, one_powers)
         assert one_g.tobytes() == g[k:k + 1].tobytes()

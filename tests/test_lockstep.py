@@ -3,10 +3,13 @@
 A row's records, final state and termination reason must be bit-identical
 however many rows share its batch, so the run outputs must be byte-identical
 for any shard size and any worker count. The shard size is patched through
-``experiment.SHARD_TRIALS``; worker processes fork after the patch.
+``experiment.SHARD_TRIALS``, which the study process reads when it splits
+the trials; each worker gets its shards' bounds from it, so the patch holds
+under any start method.
 """
 
 import json
+import math
 import pickle
 
 import numpy as np
@@ -73,11 +76,10 @@ def test_outputs_independent_of_shard_size_and_threads(plan, tmp_path, monkeypat
 
 
 POISONED_SEED, POISONED_TRIAL = 11, 4
-_draw = exp.draw_channel_set
+_draw, _fixed_shard = exp.draw_channel_set, exp._fixed_shard
 
 
 def _poisoned_draw(params, rng):
-    # module level: pool workers fork with this patched in
     ch = _draw(params, rng)
     if rng.bit_generator.seed_seq.entropy == [POISONED_SEED, POISONED_TRIAL]:
         ch = sa.ChannelSet(h_sl=np.full_like(ch.h_sl, np.nan), h_se=ch.h_se,
@@ -85,8 +87,18 @@ def _poisoned_draw(params, rng):
     return ch
 
 
+def _poisoned_fixed_shard(cfg, start, stop):
+    # module level, so that a worker imports it by name under any start
+    # method; it poisons the draws of whichever process runs the shard
+    exp.draw_channel_set = _poisoned_draw
+    try:
+        return _fixed_shard(cfg, start, stop)
+    finally:
+        exp.draw_channel_set = _draw
+
+
 def test_poisoned_trial_fails_alike_for_any_sharding(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(exp, "draw_channel_set", _poisoned_draw)
+    monkeypatch.setattr(exp, "_fixed_shard", _poisoned_fixed_shard)
     text = PLANS["fixed"][0]
     traces, errors = [], []
     for shard, threads in SHARDINGS:
@@ -193,10 +205,46 @@ def test_lockstep_bookkeeping_invariants(n_rx, n_tx, power_db, seeds, holds, var
         assert all(type(r) is type(records[0]) for r in back.records)
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    n_rx=st.integers(1, 3),
+    n_tx=st.integers(1, 6),
+    power_db=st.floats(-10.0, 20.0),
+    sigma2_l=st.floats(0.25, 4.0),
+    seeds=st.lists(st.integers(0, 2**16), min_size=1, max_size=5),
+    holds=st.lists(st.booleans(), min_size=5, max_size=5),
+    variable=st.booleans(),
+)
+def test_legitimate_capacity_stays_under_its_single_link_bound(
+        n_rx, n_tx, power_db, sigma2_l, seeds, holds, variable):
+    # |w_l^H H_sl f_s|^2 <= |w_l|^2 sigma_max(H_sl)^2 |f_s|^2, |f_s| = 1 on
+    # the CA manifold and jamming only adds to the denominator, so
+    # c_l <= log2(1 + p_s sigma_max(H_sl)^2 / sigma_l^2) at every iterate
+    powers = sa.PowerConfig(p_s=sa.db_to_linear(power_db), p_j=sa.db_to_linear(power_db),
+                            sigma2_l=sigma2_l)
+    cfg = sa.OptimizerConfig(max_iters=40, epsilon=1e-6, zeta=3.0 if variable else None,
+                             mu=sa.db_to_linear(25.0), kappa=0.2, max_cycles=4)
+    rows = rows_of(n_rx, n_tx, powers, seeds, holds)
+    results, error = ascend_rows(rows, cfg, variable=variable)
+    assert error is None and len(results) == len(rows)
+    for row, res in zip(rows, results):
+        gain = np.linalg.svd(row.channel.h_sl, compute_uv=False)[0] ** 2 / sigma2_l
+
+        def bound(p_s):
+            return math.log2(1.0 + p_s * gain) * (1.0 + 1e-12)
+
+        for rec in res.trace.records:
+            assert rec.c_l <= bound(rec.p_s)
+        # the snapshot is of the last cycle's final iterate, at that cycle's
+        # power (after a cycle_cap, res.p_s is already the next cycle's)
+        assert res.snapshot.c_l <= bound(res.trace.cycles[-1].p_s)
+        assert res.snapshot.c_s <= res.snapshot.c_l
+
+
 @pytest.mark.parametrize("variable", [False, True])
 def test_log_agrees_with_an_independent_evaluator(variable):
     # on_accept sees every accepted iterate; each one's record must carry
-    # the c_l and c_e that metrics.secrecy_capacity, a separate evaluation
+    # the c_l and c_e that reference.secrecy_capacity, a separate evaluation
     # path, gives for it at the record's p_s, in a batch mixing held and
     # optimized w_e
     powers = sa.PowerConfig(p_s=sa.db_to_linear(5.0), p_j=sa.db_to_linear(3.0),

@@ -130,9 +130,9 @@ def test_optimize_we_updates_eavesdropper_combiner():
     ch, init = small_problem(4)
     fixed = sa.ascend_fixed_power(ch, PW, sa.OptimizerConfig(max_iters=200), init)
     np.testing.assert_array_equal(fixed.state.w_e, init.w_e)
-    moved = sa.ascend_fixed_power(
-        ch, PW, sa.OptimizerConfig(max_iters=200, optimize_we=True), init
-    )
+    (moved,), error = ascend_rows([AscentRow(ch, PW, init, optimize_we=True)],
+                                  sa.OptimizerConfig(max_iters=200))
+    assert error is None
     assert not np.array_equal(moved.state.w_e, init.w_e)
 
 

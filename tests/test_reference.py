@@ -1,0 +1,65 @@
+"""The package layout: the oracles live in ``reference`` alone, and the
+package namespace holds what the tests reach through it."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import secrecy_ascent as sa
+from secrecy_ascent import reference
+
+PACKAGE = Path(sa.__file__).parent
+ENGINE = ("channel", "metrics", "gradients", "optimizer", "experiment", "config", "cli")
+MOVED = ("sinr_legitimate", "sinr_eavesdropper", "capacity", "secrecy_capacity",
+         "_bilinear_power", "quad_forms", "QuadForms", "draw_paths", "build_channel",
+         "PathComponent", "steering_vector")
+
+
+def top_level_names(tree: ast.Module) -> set[str]:
+    """Names a module binds at top level: definitions, assignments, imports."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+    return names
+
+
+def imported_modules(tree: ast.Module):
+    """Dotted names of what a module imports, each import's names included
+    (``from . import x`` imports ``.x``)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            yield node.module or ""
+            yield from (f"{node.module or ''}.{a.name}" for a in node.names)
+        elif isinstance(node, ast.Import):
+            yield from (a.name for a in node.names)
+
+
+@pytest.mark.parametrize("module", ENGINE)
+def test_engine_modules_neither_define_nor_import_the_oracles(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    assert not any("reference" in name.split(".") for name in imported_modules(tree))
+    assert not top_level_names(tree) & set(MOVED)
+
+
+def test_the_oracles_are_in_reference_and_keep_their_package_names():
+    for name in MOVED:
+        assert hasattr(reference, name)
+    for name in set(MOVED) & set(sa.__all__):
+        assert getattr(sa, name) is getattr(reference, name)
+
+
+def test_public_names_are_those_the_tests_use():
+    used = set()
+    for path in Path(__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "sa"):
+                used.add(node.attr)
+    assert set(sa.__all__) == {name for name in used if not name.startswith("__")}
