@@ -7,6 +7,7 @@ ignored. Powers are written in dB and converted to linear scale on load
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from importlib import resources
 from pathlib import Path
@@ -30,8 +31,10 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-# key -> (converter, default); REQUIRED means the key must appear.
+# key -> (converter, default); REQUIRED means the key must appear. The
+# optimizer keys take their defaults from OptimizerConfig; mu_db is mu in dB.
 REQUIRED = object()
+_OPTIMIZER = {f.name: f.default for f in dataclasses.fields(OptimizerConfig)}
 SCHEMA = {
     "n_tx": (int, REQUIRED),
     "n_rx": (int, REQUIRED),
@@ -41,14 +44,14 @@ SCHEMA = {
     "band": (Band, Band.MMWAVE),
     "p_s_db": (float, 10.0),
     "p_j_db": (float, 10.0),
-    "delta0": (float, 0.1),
-    "epsilon": (float, 1e-7),
-    "kappa": (float, 1e-2),
-    "zeta": (float, None),
+    "delta0": (float, _OPTIMIZER["delta0"]),
+    "epsilon": (float, _OPTIMIZER["epsilon"]),
+    "kappa": (float, _OPTIMIZER["kappa"]),
+    "zeta": (float, _OPTIMIZER["zeta"]),
     "mu_db": (float, 30.0),
-    "max_iters": (int, 10_000),
-    "max_cycles": (int, 1_000),
-    "delta_min": (float, 1e-6),
+    "max_iters": (int, _OPTIMIZER["max_iters"]),
+    "max_cycles": (int, _OPTIMIZER["max_cycles"]),
+    "delta_min": (float, _OPTIMIZER["delta_min"]),
     "n_trials": (int, 1000),
     "seed": (int, 0),
     "experiment": (ExperimentKind, REQUIRED),

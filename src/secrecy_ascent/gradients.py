@@ -13,12 +13,12 @@ works on a batch of B rows, each a channel realization with a packed state
 x = [w_l | w_e | f_s | f_j]: one stacked matmul gives every row's four
 receive images, one reduction the bilinear scalars and combiner norms, and
 one gradient call the packed conjugate gradients. Each row's powers enter
-only the denominators (``RowPowers``), so a power change re-weights the
-stored scalars without a matmul. Every operation is row-wise: a row's
-values are bit-identical however many rows share its batch. The
-optimizer's lockstep loop runs on it. At a single state,
-``capacity_difference`` is a batch of one row, ``gradient_bundle`` returns
-that row's four gradient blocks as a ``BeamformerState``, and each
+only the denominators and are held in the kernel next to its channels, so
+a power change re-weights the stored scalars without a matmul. Every
+operation is row-wise: a row's values are bit-identical however many rows
+share its batch. The optimizer's lockstep loop runs on it. At a single
+state, ``capacity_difference`` is a batch of one row, ``gradient_bundle``
+returns that row's four gradient blocks as a ``BeamformerState``, and each
 ``grad_*`` is one field of it. The per-vector forms the kernel is tested
 against (SINRs, quadratic forms) are in ``reference``.
 
@@ -40,36 +40,6 @@ import numpy as np
 
 from .channel import ChannelSet
 from .metrics import LN2, BeamformerState, PowerConfig, _check_dims
-
-
-class RowPowers:
-    """Per-row powers in the two forms the kernel applies them.
-
-    ``link[b]`` is [[p_s, p_s], [p_j, p_j], [sigma2_l, sigma2_e]], the
-    weights of |s_s|^2, |s_j|^2 and the combiner norm in each receiver's
-    denominators (columns: legitimate, eavesdropper). ``grad[b]`` is the same
-    with the eavesdropper column negated and 1/ln 2 folded in, the weights of
-    the conjugate gradient of c_l - c_e.
-    """
-
-    __slots__ = ("link", "grad")
-
-    def __init__(self, link: np.ndarray):
-        self.link = link
-        self.grad = link * _GRAD_SIGN
-
-    @classmethod
-    def of(cls, powers) -> "RowPowers":
-        return cls(np.array([[[pw.p_s, pw.p_s], [pw.p_j, pw.p_j], [pw.sigma2_l, pw.sigma2_e]]
-                             for pw in powers], dtype=float))
-
-    def set_p_s(self, p_s: np.ndarray) -> None:
-        """Set the source power of every row, one value per row."""
-        np.copyto(self.link[:, 0], p_s[:, None])
-        np.multiply(self.link[:, 0], _GRAD_SIGN, out=self.grad[:, 0])
-
-    def take(self, keep: np.ndarray) -> "RowPowers":
-        return RowPowers(self.link[keep])
 
 
 _GRAD_SIGN = np.array([1.0, -1.0]) / LN2
@@ -165,20 +135,30 @@ class LinkKernel:
     sl, jl, se, je: the four legs H^H a of the precoder gradients are
     computed as row vectors a^T conj(H), each in its own slice, and the
     legitimate and eavesdropper legs are summed in pairs, so legs with equal
-    inputs get equal values and symmetric legs cancel exactly. Every
-    operation is row-wise, so a row's values do not depend on the other rows
-    of its batch.
+    inputs get equal values and symmetric legs cancel exactly.
+
+    ``link_weights`` row b is [[p_s, p_s], [p_j, p_j], [sigma2_l,
+    sigma2_e]], from row b of ``powers``: the weights of |s_s|^2, |s_j|^2
+    and the combiner norm in each receiver's denominators (columns:
+    legitimate, eavesdropper). ``grad_weights`` is the same with the
+    eavesdropper column negated and 1/ln 2 folded in, the weights of the
+    conjugate gradient of c_l - c_e. Every operation is row-wise, so a row's
+    values do not depend on the other rows of its batch.
     """
 
-    def __init__(self, channels):
-        if isinstance(channels, ChannelSet):
-            channels = (channels,)
+    def __init__(self, channels, powers):
         n_rx, n_tx = channels[0].n_rx, channels[0].n_tx
         if any((c.n_rx, c.n_tx) != (n_rx, n_tx) for c in channels):
             raise ValueError("all rows of a kernel must share n_rx and n_tx")
+        if len(powers) != len(channels):
+            raise ValueError("a kernel needs one PowerConfig per channel set")
         self.n_rx, self.n_tx = n_rx, n_tx
         self.h = np.array([(c.h_sl, c.h_se, c.h_jl, c.h_je) for c in channels],
                           dtype=complex).reshape(len(channels), 2, 2 * n_rx, n_tx)
+        self.link_weights = np.array(
+            [[[pw.p_s, pw.p_s], [pw.p_j, pw.p_j], [pw.sigma2_l, pw.sigma2_e]] for pw in powers],
+            dtype=float)
+        self.grad_weights = self.link_weights * _GRAD_SIGN
 
     @functools.cached_property
     def h_conj(self) -> np.ndarray:
@@ -193,10 +173,16 @@ class LinkKernel:
         return np.repeat([1.0 / math.sqrt(self.n_rx), 1.0 / math.sqrt(self.n_tx)],
                          [2 * self.n_rx, 2 * self.n_tx])
 
+    def set_p_s(self, p_s: np.ndarray) -> None:
+        """Set the source power of every row, one value per row."""
+        np.copyto(self.link_weights[:, 0], p_s[:, None])
+        np.multiply(self.link_weights[:, 0], _GRAD_SIGN, out=self.grad_weights[:, 0])
+
     def take(self, keep: np.ndarray) -> "LinkKernel":
         """The kernel of the rows where ``keep`` is set."""
         out = object.__new__(LinkKernel)
         out.n_rx, out.n_tx, out.h = self.n_rx, self.n_tx, self.h[keep]
+        out.link_weights, out.grad_weights = self.link_weights[keep], self.grad_weights[keep]
         if "h_conj" in self.__dict__:
             out.h_conj = self.h_conj[keep]
         if "ca_scale" in self.__dict__:
@@ -213,34 +199,34 @@ class LinkKernel:
         return BeamformerState(w_l=x[:r], w_e=x[r:2 * r], f_s=x[2 * r:2 * r + t],
                                f_j=x[2 * r + t:])
 
-    def links(self, x: np.ndarray, pw: RowPowers) -> Links:
+    def links(self, x: np.ndarray) -> Links:
         """Links of fresh buffers at the rows of x."""
         lk = Links.empty(len(x), self.n_rx, self.n_tx)
         lk.x[...] = x
-        self.evaluate(lk, pw)
+        self.evaluate(lk)
         return lk
 
-    def evaluate(self, lk: Links, pw: RowPowers) -> None:
+    def evaluate(self, lk: Links) -> None:
         """Fill lk's receive images, scalars, denominators and capacities
         from its states ``lk.x``."""
         np.matmul(self.h, lk._precoders, out=lk._images)
         np.copyto(lk._combiner_copy, lk._combiners)
         np.vecdot(lk.w, lk.zb, out=lk.s)
-        self.refresh(lk, pw)
+        self.refresh(lk)
 
-    def refresh(self, lk: Links, pw: RowPowers) -> None:
-        """Denominators and capacities from lk's scalars under the powers
-        ``pw``; no matmul, so a power change costs only this."""
+    def refresh(self, lk: Links) -> None:
+        """Denominators and capacities from lk's scalars under the rows'
+        powers; no matmul, so a power change costs only this."""
         work = lk._work
         np.abs(lk.s, out=work.t)
         np.square(work.t_s, out=work.t_s)
-        np.multiply(work.t, pw.link, out=work.t)
+        np.multiply(work.t, self.link_weights, out=work.t)
         np.add.accumulate(work.t_rev, axis=1, out=lk.den)
         np.log2(lk.den, out=work.logs)
         np.subtract(work.log1, work.log0, out=work.c)
         np.subtract(work.c_l, work.c_e, out=lk.diff)
 
-    def gradient(self, lk: Links, pw: RowPowers, out: Optional[np.ndarray] = None) -> np.ndarray:
+    def gradient(self, lk: Links, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Packed conjugate gradients [g_wl | g_we | g_fs | g_fj] of c_l - c_e
         at lk's states, one row each.
 
@@ -252,7 +238,7 @@ class LinkKernel:
         g = np.empty(lk.x.shape, dtype=complex) if out is None else out
         work = lk._work
         np.matmul(_DEN_FACTORS, np.divide(1.0, lk.den, out=work.inv), out=work.factors)
-        np.multiply(work.factors, pw.grad, out=work.factors)
+        np.multiply(work.factors, self.grad_weights, out=work.factors)
         np.multiply(work.factors, lk.s, out=work.coef)
         np.copyto(work.coef_w, work.factors_w)
         np.multiply(work.coef_legs, work.w_legs, out=work.weighted)
@@ -264,17 +250,16 @@ class LinkKernel:
 
 def _evaluate(ch: ChannelSet, bf: BeamformerState, pw: PowerConfig):
     _check_dims(ch, bf)
-    kernel = LinkKernel(ch)
-    powers = RowPowers.of([pw])
-    return kernel, powers, kernel.links(kernel.pack([bf]), powers)
+    kernel = LinkKernel((ch,), (pw,))
+    return kernel, kernel.links(kernel.pack([bf]))
 
 
 def gradient_bundle(ch: ChannelSet, bf: BeamformerState, pw: PowerConfig) -> BeamformerState:
     """The conjugate gradients of c_l - c_e w.r.t. all four vectors at one
     state, in the state's fields, from one kernel evaluation (a batch of one
     row)."""
-    kernel, powers, lk = _evaluate(ch, bf, pw)
-    return kernel.unpack(kernel.gradient(lk, powers)[0])
+    kernel, lk = _evaluate(ch, bf, pw)
+    return kernel.unpack(kernel.gradient(lk)[0])
 
 
 def grad_wl(ch: ChannelSet, bf: BeamformerState, pw: PowerConfig) -> np.ndarray:
@@ -300,7 +285,7 @@ def grad_we(ch: ChannelSet, bf: BeamformerState, pw: PowerConfig) -> np.ndarray:
 
 def capacity_difference(ch: ChannelSet, bf: BeamformerState, pw: PowerConfig) -> float:
     """Unclamped c_l - c_e, the smooth function the gradients differentiate."""
-    return float(_evaluate(ch, bf, pw)[2].diff[0])
+    return float(_evaluate(ch, bf, pw)[1].diff[0])
 
 
 def gradient_check_error(analytic: np.ndarray, reference: np.ndarray) -> float:

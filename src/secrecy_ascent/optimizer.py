@@ -18,8 +18,8 @@ however many rows share its batch; ``ascend_fixed_power`` and
 ``ascend_variable_power`` are batches of one row.
 
 The bookkeeping is per batch, not per row: each pass logs its accepted rows
-with a few array copies, and each row's cycle, cycle start and p_s sit in
-one array that shrinks with the batch. When the batch ends the log becomes
+with a few array copies, and each row's id, cycle, cycle start and p_s sit
+in one array that shrinks with the batch. When the batch ends the log becomes
 one column array per ascent (``OptimizerTrace.log``); records are built
 from it only on request.
 
@@ -41,7 +41,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .channel import ChannelParams, ChannelSet
-from .gradients import LinkKernel, Links, RowPowers
+from .gradients import LinkKernel, Links
 from .metrics import BeamformerState, PowerConfig, SecrecySnapshot, _check_dims, db_to_linear
 
 
@@ -140,8 +140,13 @@ class OptimizerTrace:
 class OptimizeResult:
     state: BeamformerState
     snapshot: SecrecySnapshot
-    p_s: float
     trace: OptimizerTrace
+
+    @property
+    def p_s(self) -> float:
+        """The source power of the last cycle, the one the state and the
+        snapshot are at."""
+        return self.trace.cycles[-1].p_s
 
 
 def project_unit_norm(v: np.ndarray) -> np.ndarray:
@@ -257,17 +262,18 @@ def _check_start(row: AscentRow) -> None:
 class _Lockstep:
     """The rows of one ``ascend_rows`` call and their shared pass loop.
 
-    Row-indexed arrays (kernel, links, gradient, ``delta``, ``hold``,
-    powers, ``ids``, ``meta``) hold the active rows only, in row order, and
-    shrink when rows leave; results and cycle records are kept per row id.
-    ``meta`` row j is [row id, cycle, pass the cycle started at, p_s].
+    Row-indexed arrays (kernel, with the rows' channels and powers, links,
+    gradient, ``delta``, ``hold``, ``meta``) hold the active rows only, in
+    row order, and shrink when rows leave; results and cycle records are
+    kept per row id. ``meta`` row j is [row id, cycle, pass the cycle
+    started at, p_s].
 
     The iteration log is kept per pass, as (pass, meta rows, [c_l, c_e,
     c_l - c_e] rows, ``delta`` rows) of the rows accepted in it; when the
     batch ends ``_split_log`` turns it into each row's ITERATION_DTYPE log.
     A pass that accepts every row logs ``meta`` itself, so ``meta`` is
-    replaced, never written in place. Its p_s column is the p_s the powers
-    hold.
+    replaced, never written in place. Its p_s column is the p_s the kernel
+    holds.
     """
 
     def __init__(self, rows, cfg: OptimizerConfig, variable: bool, on_accept):
@@ -284,10 +290,8 @@ class _Lockstep:
         self.n_active = len(rows)
         if not rows:
             return
-        self.kernel = LinkKernel([row.channel for row in rows])
-        self.powers = RowPowers.of([row.powers for row in rows])
-        self.cur = self.kernel.links(self.kernel.pack([row.init for row in rows]), self.powers)
-        self.ids = np.arange(len(rows))
+        self.kernel = LinkKernel([row.channel for row in rows], [row.powers for row in rows])
+        self.cur = self.kernel.links(self.kernel.pack([row.init for row in rows]))
         self.hold = np.array([not row.optimize_we for row in rows])
         self.delta = np.full(len(rows), cfg.delta0)
         self.meta = np.array([(i, 1, 0, row.powers.p_s) for i, row in enumerate(rows)],
@@ -305,11 +309,11 @@ class _Lockstep:
         diff = self.cur.diff
         for j in rows:
             if not math.isfinite(diff[j]):
-                self._fail(int(self.ids[j]), ValueError(f"non-finite objective at {where}"))
+                self._fail(int(self.meta[j, 0]), ValueError(f"non-finite objective at {where}"))
 
     def _compact(self, finished: Optional[np.ndarray] = None) -> None:
         """Drop finished rows and every row at or after the first failed one."""
-        keep = self.ids < self.failed_at
+        keep = self.meta[:, 0] < self.failed_at
         if finished is not None:
             keep &= ~finished
         if keep.all():
@@ -318,9 +322,7 @@ class _Lockstep:
         k = self.kernel
         self.kernel = k.take(keep)
         self.cur = self.cur.take(keep, k.n_rx, k.n_tx)
-        self.powers = self.powers.take(keep)
-        self.ids, self.hold, self.delta = self.ids[keep], self.hold[keep], self.delta[keep]
-        self.meta = self.meta[keep]
+        self.hold, self.delta, self.meta = self.hold[keep], self.delta[keep], self.meta[keep]
 
     def _log(self, n_pass: int, rows: Optional[np.ndarray] = None) -> None:
         """Log the new iterates (already in ``cur``) of every row, or of the
@@ -332,7 +334,7 @@ class _Lockstep:
             self.log.append((n_pass, self.meta[rows], cur.cd[rows], self.delta[rows]))
         if self.on_accept is not None:
             for j in range(self.n_active) if rows is None else rows.tolist():
-                self.on_accept(int(self.ids[j]), self.kernel.unpack(cur.x[j].copy()))
+                self.on_accept(int(self.meta[j, 0]), self.kernel.unpack(cur.x[j].copy()))
 
     def _end_cycles(self, ends, n_pass: int) -> tuple[list[int], bool]:
         """Close the cycles of the rows ``ends`` [(j, reason)]. Returns the
@@ -347,33 +349,31 @@ class _Lockstep:
             i, c_s = int(i), max(cd[j][2], 0.0)
             self.cycles[i].append(CycleRecord(int(cycle), c_s, p_s, n_pass - int(start)))
             if self.variable:
+                raised = p_s + cfg.kappa * p_s
                 if c_s >= cfg.zeta:
                     reason = TerminationReason.TARGET_REACHED
-                elif p_s + cfg.kappa * p_s > cfg.mu:
+                elif raised > cfg.mu:
                     reason = TerminationReason.POWER_CAP
+                elif cycle == cfg.max_cycles:
+                    reason = TerminationReason.CYCLE_CAP
                 else:
-                    p_s = p_s + cfg.kappa * p_s
-                    if cycle == cfg.max_cycles:
-                        reason = TerminationReason.CYCLE_CAP
-                    else:
-                        restart.append(j)
-                        meta[j] = [i, cycle + 1.0, n_pass, p_s]
-                        continue
-            self._finish(j, i, reason, p_s, n_pass)
+                    restart.append(j)
+                    meta[j] = [i, cycle + 1.0, n_pass, raised]
+                    continue
+            self._finish(j, i, reason, n_pass)
             finished.append(j)
         if restart:
             self.meta = np.array(meta)  # a new array: the log holds the old one
             self.delta.put(restart, cfg.delta0)
-            self.powers.set_p_s(self.meta[:, 3])
-            self.kernel.refresh(self.cur, self.powers)
+            self.kernel.set_p_s(self.meta[:, 3])
+            self.kernel.refresh(self.cur)
             self._check_finite(restart, "the initial state")
         return finished, bool(restart)
 
-    def _finish(self, j: int, i: int, reason: TerminationReason, p_s: float,
-                n_pass: int) -> None:
+    def _finish(self, j: int, i: int, reason: TerminationReason, n_pass: int) -> None:
         trace = OptimizerTrace(cycles=self.cycles[i], reason=reason, n_iters=n_pass)
         state = self.kernel.unpack(self.cur.x[j].copy())
-        self.results[i] = OptimizeResult(state, _snapshot(self.cur, j), p_s, trace)
+        self.results[i] = OptimizeResult(state, _snapshot(self.cur, j), trace)
 
     def _failures(self, change: np.ndarray, degenerate: dict, cand: np.ndarray,
                   n_pass: int) -> np.ndarray:
@@ -392,7 +392,7 @@ class _Lockstep:
             else:
                 error = ValueError(f"non-finite objective at iteration "
                                    f"{n_pass - int(self.meta[j, 2])}")
-            self._fail(int(self.ids[j]), error)
+            self._fail(int(self.meta[j, 0]), error)
         change[failed] = 0.0
         return failed
 
@@ -433,7 +433,7 @@ class _Lockstep:
             if n_rows != self.n_active:
                 # rows left: fresh buffers, and the gradient of the rest
                 n_rows, kernel, delta = self.n_active, self.kernel, self.delta
-                powers, delta_col = self.powers, delta[:, None]
+                delta_col = delta[:, None]
                 hold = self.hold[:, None] if self.hold.any() else None
                 cand = Links.empty(n_rows, kernel.n_rx, kernel.n_tx)
                 grad = np.empty(cand.x.shape, dtype=complex)
@@ -444,13 +444,13 @@ class _Lockstep:
             cur = self.cur
             if stale:
                 # held rows need no zero g_we block: their w_e is restored below
-                kernel.gradient(cur, powers, out=grad)
+                kernel.gradient(cur, out=grad)
             np.multiply(grad_re, delta_col, out=cand.x_re)
             cand.x += cur.x
             degenerate = _project_packed(kernel, cand.x, cand._work.mag)
             if hold is not None:
                 np.copyto(cand.we, cur.we, where=hold)
-            kernel.evaluate(cand, powers)
+            kernel.evaluate(cand)
 
             # the decision, for every row at once: accept a step that does not
             # lower c_l - c_e; end the cycle when |change| <= epsilon, or when

@@ -12,7 +12,7 @@ import pytest
 
 import secrecy_ascent as sa
 from helpers import random_instance
-from secrecy_ascent.gradients import LN2, LinkKernel, RowPowers
+from secrecy_ascent.gradients import LN2, LinkKernel
 from secrecy_ascent.optimizer import _project_packed
 
 REL_TOL = 1e-12
@@ -76,14 +76,14 @@ def ref_gradients(ch, bf, pw):
 
 
 def one_row(ch, bf, pw):
-    """A batch of one row: the kernel, its powers and the links at bf."""
-    kernel, powers = LinkKernel(ch), RowPowers.of([pw])
-    return kernel, powers, kernel.links(kernel.pack([bf]), powers)
+    """A batch of one row: the kernel and the links at bf."""
+    kernel = LinkKernel((ch,), (pw,))
+    return kernel, kernel.links(kernel.pack([bf]))
 
 
 def fused_gradients(ch, bf, pw):
-    kernel, powers, lk = one_row(ch, bf, pw)
-    g = kernel.unpack(kernel.gradient(lk, powers)[0])
+    kernel, lk = one_row(ch, bf, pw)
+    g = kernel.unpack(kernel.gradient(lk)[0])
     return lk, {"w_l": g.w_l, "w_e": g.w_e, "f_s": g.f_s, "f_j": g.f_j}
 
 
@@ -145,8 +145,8 @@ def packed_step(kernel, rng):
 
 
 def test_packed_projection_matches_project_ca_per_block():
-    ch, _, _ = random_instance(3, 7, seed=44)
-    kernel = LinkKernel(ch)
+    ch, _, pw = random_instance(3, 7, seed=44)
+    kernel = LinkKernel((ch,), (pw,))
     rng = np.random.default_rng(45)
     for guard_entries in ((), (0, 5, 9), (3, 4, 5)):
         step = packed_step(kernel, rng)
@@ -161,8 +161,8 @@ def test_packed_projection_matches_project_ca_per_block():
 
 @pytest.mark.parametrize("block", range(4))
 def test_packed_projection_rejects_a_zero_block(block):
-    ch, _, _ = random_instance(2, 5, seed=46)
-    kernel = LinkKernel(ch)
+    ch, _, pw = random_instance(2, 5, seed=46)
+    kernel = LinkKernel((ch,), (pw,))
     step = packed_step(kernel, np.random.default_rng(47))
     kernel.unpack(step).vectors()[block][:] = 0.0
     failed = _project_packed(kernel, step[None])
@@ -170,8 +170,8 @@ def test_packed_projection_rejects_a_zero_block(block):
 
 
 def test_packed_projection_treats_each_row_alone():
-    ch, _, _ = random_instance(3, 7, seed=48)
-    kernel = LinkKernel(ch)
+    ch, _, pw = random_instance(3, 7, seed=48)
+    kernel = LinkKernel((ch,), (pw,))
     rng = np.random.default_rng(49)
     steps = np.array([packed_step(kernel, rng) for _ in range(4)])
     steps[1, [2, 8]] = 1e-13  # guard entries in row 1 only
@@ -194,15 +194,14 @@ def test_batched_kernel_rows_match_single_rows():
     # bit-identical in a batch of five and alone
     instances = [random_instance(3, 9, seed=60 + k, p_s=10.0 ** (k - 2), p_j=2.0 * k)
                  for k in range(5)]
-    kernel = LinkKernel([ch for ch, _, _ in instances])
-    powers = RowPowers.of([pw for _, _, pw in instances])
-    lk = kernel.links(kernel.pack([bf for _, bf, _ in instances]), powers)
-    g = kernel.gradient(lk, powers)
+    kernel = LinkKernel([ch for ch, _, _ in instances], [pw for _, _, pw in instances])
+    lk = kernel.links(kernel.pack([bf for _, bf, _ in instances]))
+    g = kernel.gradient(lk)
     for k, (ch, bf, pw) in enumerate(instances):
-        one_kernel, one_powers, one = one_row(ch, bf, pw)
+        one_kernel, one = one_row(ch, bf, pw)
         assert one.buf.tobytes() == lk.buf[k:k + 1].tobytes()
         assert one.s.tobytes() == lk.s[k:k + 1].tobytes()
         assert one.den.tobytes() == lk.den[k:k + 1].tobytes()
         assert one.cd.tobytes() == lk.cd[k:k + 1].tobytes()
-        one_g = one_kernel.gradient(one, one_powers)
+        one_g = one_kernel.gradient(one)
         assert one_g.tobytes() == g[k:k + 1].tobytes()

@@ -197,6 +197,7 @@ def test_lockstep_bookkeeping_invariants(n_rx, n_tx, power_db, seeds, holds, var
             assert np.float64(rec.c_s).tobytes() == np.float64(clamped).tobytes()
         for a, b in zip(cycles, cycles[1:]):
             assert b.p_s == a.p_s + cfg.kappa * a.p_s
+        assert res.p_s == cycles[-1].p_s
         assert sum(c.n_iters for c in cycles) == trace.n_iters
         back = pickle.loads(pickle.dumps(trace))
         assert back.log.dtype == trace.log.dtype
@@ -236,8 +237,8 @@ def test_legitimate_capacity_stays_under_its_single_link_bound(
         for rec in res.trace.records:
             assert rec.c_l <= bound(rec.p_s)
         # the snapshot is of the last cycle's final iterate, at that cycle's
-        # power (after a cycle_cap, res.p_s is already the next cycle's)
-        assert res.snapshot.c_l <= bound(res.trace.cycles[-1].p_s)
+        # power
+        assert res.snapshot.c_l <= bound(res.p_s)
         assert res.snapshot.c_s <= res.snapshot.c_l
 
 

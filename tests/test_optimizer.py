@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import pickle
 
@@ -169,6 +170,30 @@ def test_variable_power_cycle_cap():
     assert res.trace.reason is sa.TerminationReason.CYCLE_CAP
     assert len(res.trace.cycles) == 3
     assert [c.cycle for c in res.trace.cycles] == [1, 2, 3]
+    # the reported power is the last cycle's, not the raise that a fourth
+    # cycle would have run at
+    assert res.p_s == res.trace.cycles[-1].p_s
+
+
+@pytest.mark.parametrize("seed", range(10, 14))
+def test_a_power_restart_is_a_fixed_power_ascent_from_the_last_state(seed):
+    # cycle 2 of a variable-power ascent must run exactly as a fixed-power
+    # ascent that starts from cycle 1's final state at the raised power: the
+    # restart re-weights both the links and the gradient, and resets delta
+    ch, init = small_problem(seed)
+    cfg = sa.OptimizerConfig(zeta=1e6, kappa=0.2, max_cycles=2, max_iters=150)
+    res = sa.ascend_variable_power(ch, PW, cfg, init)
+    assert res.trace.reason is sa.TerminationReason.CYCLE_CAP
+    first = sa.ascend_variable_power(ch, PW, dataclasses.replace(cfg, max_cycles=1), init)
+    raised = dataclasses.replace(PW, p_s=PW.p_s + cfg.kappa * PW.p_s)
+    fixed = sa.ascend_fixed_power(ch, raised, cfg, first.state)
+    second, want = res.trace.log[res.trace.log["cycle"] == 2], fixed.trace.log[1:]
+    assert len(second) == len(want) > 0
+    for name in ("iteration", "c_s", "c_l", "c_e", "delta"):
+        assert second[name].tobytes() == want[name].tobytes(), name
+    assert res.trace.cycles[1].n_iters == fixed.trace.n_iters
+    for u, v in zip(res.state.vectors(), fixed.state.vectors()):
+        assert u.tobytes() == v.tobytes()
 
 
 def test_variable_power_trace_iterations_increase_within_cycles():
