@@ -50,8 +50,9 @@ class ChannelParams:
         for name in ("n_clusters", "n_rays", "n_rx", "n_tx"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.angular_spread_deg < 0:
-            raise ValueError("angular_spread_deg must be >= 0")
+        if not (math.isfinite(self.angular_spread_deg) and self.angular_spread_deg >= 0):
+            raise ValueError(f"angular_spread_deg must be finite and >= 0, "
+                             f"got {self.angular_spread_deg}")
 
     @property
     def n_paths(self) -> int:

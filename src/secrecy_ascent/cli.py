@@ -82,6 +82,9 @@ def cmd_run(config_path: str, overrides: dict[str, str], output_dir: str, thread
     trace_path = out / "trace.csv"
     aggregate_path = out / "aggregate.csv"
     report_path = out / "report.json"
+    # a run that fails must not leave a previous run's summary beside its trace
+    aggregate_path.unlink(missing_ok=True)
+    report_path.unlink(missing_ok=True)
 
     with open(trace_path, "w", newline="") as fh:
         fh.write(",".join(TRACE_HEADER) + "\n")
@@ -181,6 +184,17 @@ def _default_threads() -> int:
         return 1
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="secrecy-ascent",
@@ -202,10 +216,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_grad = sub.add_parser("gradcheck",
                             help="compare analytic gradients against finite differences")
-    p_grad.add_argument("--n-rx", type=int, default=4)
-    p_grad.add_argument("--n-tx", type=int, default=16)
+    p_grad.add_argument("--n-rx", type=_positive_int, default=4)
+    p_grad.add_argument("--n-tx", type=_positive_int, default=16)
     p_grad.add_argument("--seed", type=int, default=0)
-    p_grad.add_argument("--instances", type=int, default=5)
+    p_grad.add_argument("--instances", type=_positive_int, default=5)
     p_grad.add_argument("--corrupt", action="store_true",
                         help="corrupt one gradient to confirm the check trips")
     return parser

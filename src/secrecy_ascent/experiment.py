@@ -5,15 +5,14 @@ and its trial index. Trials run in contiguous shards of at most
 ``SHARD_TRIALS``: a shard draws each trial's channel and start from its own
 stream, in trial order, and runs all its ascents as the rows of one
 lockstep ascent (``optimizer.ascend_rows``), two rows per fixed-power trial
-(w_e held and w_e optimized) and one per variable-power trial. With more
-than one worker and more than one shard, worker processes run the shards
-and send each outcome back over a pipe of their own; when every shard can
-have a process of its own, the calling process runs the first shard itself
-and there is one worker per other shard. When a study has an observer for
-its trials, each trial's main ascent gets its trace.csv rows in the
+(w_e held and w_e optimized) and one per variable-power trial. A study
+runs on n = min(threads, shards) processes, the calling process being
+process 0: process k runs shards k, k+n, k+2n, ..., and a worker sends
+each outcome back over a pipe of its own. When a study has an observer
+for its trials, each trial's main ascent gets its trace.csv rows in the
 process that ran it: a worker renders its shard before sending it, and the
-calling process renders each trial of its own shard just before handing it
-on. Since a row's result does not depend on its batch, results are
+calling process renders each trial of its own shards just before handing
+it on. Since a row's result does not depend on its batch, results are
 identical for any shard size or worker count.
 Aggregation always reduces in trial-index order.
 """
@@ -221,7 +220,7 @@ def _variable_shard(cfg: SystemConfig, start: int, stop: int):
 
 def _shard_bounds(n_trials: int, threads: int) -> list[tuple[int, int]]:
     """Contiguous shards of SHARD_TRIALS trials, fewer when that would leave
-    a worker idle."""
+    a process idle."""
     size = max(1, min(SHARD_TRIALS, -(-n_trials // max(threads, 1))))
     return [(a, min(a + size, n_trials)) for a in range(0, n_trials, size)]
 
@@ -280,17 +279,13 @@ def _map_trials(shard, cfg: SystemConfig, threads: int, render: bool):
     """Run trials 0..n_trials-1 in shards, yielding (index, result) in trial
     order, and raise TrialError for the first trial that failed.
 
-    With threads > 1 and more than one shard, worker processes run the
-    shards, and no more than threads processes run trials at once.
-    When there are no more shards than threads, this process runs shard 0
-    and there is one worker per other shard: a two-shard study starts one
-    worker. With more shards, threads workers run them all and this process
-    only collects. Of n workers, worker k runs the k-th, (k+n)-th, ...
-    remaining shard in order and sends each outcome over a pipe of its own,
-    so shard i is read from worker i mod n and every outcome waits in its
-    worker until this process reads it. A worker that exits without sending
-    a shard fails that shard's first trial, with its exit code. On a
-    failure, or when the caller stops early, the live workers are stopped
+    n = min(threads, shards) processes run trials, and this process is
+    process 0: process k runs shards k, k+n, k+2n, ... in order. So this
+    process runs shard i itself when i mod n is 0 and otherwise reads it
+    from worker i mod n, over that worker's own pipe; an outcome waits in
+    its worker until this process reads it. A worker that exits without
+    sending a shard fails that shard's first trial, with its exit code. On
+    a failure, or when the caller stops early, the live workers are stopped
     at once rather than waited for. Workers start with the platform's
     default start method: on Linux, fork, which starts one in milliseconds
     where spawning it and importing the package takes a third of a second.
@@ -302,40 +297,36 @@ def _map_trials(shard, cfg: SystemConfig, threads: int, render: bool):
     for the current trial only.
     """
     bounds = _shard_bounds(cfg.n_trials, threads)
-    own, workers = len(bounds), []  # this process runs the first ``own`` shards
+    n = max(1, min(threads, len(bounds)))
+    workers = {}  # process k > 0: (worker, the pipe it sends on)
     try:
-        if threads > 1 and len(bounds) > 1:
-            # this process takes a shard only while that keeps the processes
-            # running trials at threads or fewer: past that, running one more
-            # here gained no speed and held the workers' finished shards in memory
-            own = 1 if len(bounds) <= threads else 0
-            n = min(threads, len(bounds) - own)
-            for k in range(n):
-                conn, child = multiprocessing.Pipe(duplex=False)
-                worker = multiprocessing.Process(
-                    target=_shard_worker, daemon=True,
-                    args=(child, shard, cfg, bounds[own + k::n], render))
-                worker.start()
-                workers.append((worker, conn))
-                child.close()  # a sibling forked later must not hold it open
+        for k in range(1, n):
+            conn, child = multiprocessing.Pipe(duplex=False)
+            worker = multiprocessing.Process(
+                target=_shard_worker, daemon=True,
+                args=(child, shard, cfg, bounds[k::n], render))
+            worker.start()
+            workers[k] = worker, conn
+            child.close()  # a sibling forked later must not hold it open
         for i, (start, stop) in enumerate(bounds):
-            if i < own:
+            here = i % n == 0
+            if here:
                 trials, failure = _run_shard(shard, cfg, start, stop)
             else:
-                trials, failure = _receive(*workers[(i - own) % len(workers)], start, stop)
+                trials, failure = _receive(*workers[i % n], start, stop)
             for offset in range(len(trials)):
                 result, trials[offset] = trials[offset], None
-                if render and i < own:
+                if render and here:
                     _render(start + offset, result)
                 yield start + offset, result
             if failure is not None:
                 index, cause = failure
                 raise TrialError(index, cfg.seed, cause) from cause
     finally:
-        for worker, conn in workers:
+        for worker, conn in workers.values():
             if worker.is_alive():
                 worker.terminate()
-        for worker, conn in workers:
+        for worker, conn in workers.values():
             worker.join()
             conn.close()
 

@@ -178,5 +178,6 @@ def test_channel_set_rejects_mixed_shapes():
 def test_channel_params_validation():
     with pytest.raises(ValueError):
         sa.ChannelParams(n_clusters=0, n_rays=1, n_rx=1, n_tx=1, angular_spread_deg=10)
-    with pytest.raises(ValueError):
-        sa.ChannelParams(n_clusters=1, n_rays=1, n_rx=1, n_tx=1, angular_spread_deg=-1)
+    for spread in (-1, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="angular_spread_deg"):
+            sa.ChannelParams(n_clusters=1, n_rays=1, n_rx=1, n_tx=1, angular_spread_deg=spread)

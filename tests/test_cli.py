@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import secrecy_ascent.cli as cli
+import secrecy_ascent.experiment as exp
 from secrecy_ascent.cli import TRACE_HEADER
 from secrecy_ascent.config import SCHEMA
 
@@ -283,6 +284,34 @@ def test_run_bad_config_exit_2(tiny_cfg, tmp_path):
     assert run_cli("run", "--config", tiny_cfg, "--out", str(tmp_path / "x"),
                    "--p-s-db", "oops") == 2
     assert run_cli("run", "--config", "no-such-file.cfg", "--out", str(tmp_path / "y")) == 2
+
+
+def test_failed_run_leaves_no_summary_of_an_earlier_run(tiny_cfg, tmp_path, monkeypatch):
+    # a run that fails after trial 0 writes trial 0's rows; the aggregate
+    # and report of the good run before it must not stay beside them
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", tiny_cfg, "--out", str(out), "--threads", "1") == 0
+    rows = read_csv(out / "trace.csv")
+    real_shard = exp._fixed_shard
+
+    def fail_at_trial_1(cfg, start, stop):
+        trials, failure = real_shard(cfg, start, min(stop, 1))
+        return trials, failure or (1, RuntimeError("synthetic failure"))
+
+    monkeypatch.setattr(exp, "_fixed_shard", fail_at_trial_1)
+    assert run_cli("run", "--config", tiny_cfg, "--out", str(out), "--threads", "1") == 1
+    assert not (out / "report.json").exists()
+    assert not (out / "aggregate.csv").exists()
+    assert read_csv(out / "trace.csv") == [row for row in rows if row[0] in ("trial", "0")]
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+@pytest.mark.parametrize("flag", ["--instances", "--n-rx", "--n-tx"])
+def test_gradcheck_rejects_a_count_below_one(flag, value, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        run_cli("gradcheck", flag, value)
+    assert exit_.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
 
 
 def test_gradcheck_default_and_scalar_dims():

@@ -280,8 +280,8 @@ def _fail_naming_the_process(cfg, start, stop):
 
 
 @pytest.mark.parametrize("n_trials, threads, lead_here", [
-    (40, 2, True),   # two shards, two processes: this one runs shard 0
-    (60, 2, False),  # three shards: two workers run them all
+    (40, 2, True),  # two shards, two processes: this one runs shard 0
+    (60, 2, True),  # three shards on two processes: this one runs shards 0 and 2
     (60, 3, True),
 ])
 def test_lead_shard_runs_here_only_while_threads_bound_the_processes(
@@ -360,7 +360,7 @@ def test_no_worker_outlives_its_study(monkeypatch, shard, n_trials):
 @pytest.mark.parametrize("n_trials, threads, shard_trials, pool_sizes", [
     (2, 2, 20, [1]),  # two shards: this process runs one, one worker the other
     (1, 2, 20, []),   # one shard: no workers
-    (3, 2, 1, [2]),   # more shards than threads: threads workers run them all
+    (3, 2, 1, [1]),   # more shards than threads: this process and one worker run them
     (3, 4, 1, [2]),
     (3, 1, 1, []),
 ])
@@ -380,6 +380,28 @@ def test_pool_has_a_worker_per_shard_past_the_first(
     report = sa.run_fixed_power_experiment(cfg, threads=threads)
     assert ([len(started)] if started else []) == pool_sizes
     assert asdict(report) == asdict(sa.run_fixed_power_experiment(cfg))
+
+
+def _pid_per_trial(cfg, start, stop):
+    return [os.getpid()] * (stop - start), None
+
+
+@pytest.mark.parametrize("threads, groups", [
+    (2, [[0, 2, 4], [1, 3]]),
+    (3, [[0, 3], [1, 4], [2]]),
+])
+def test_shards_run_round_robin_over_this_process_and_its_workers(
+        monkeypatch, threads, groups):
+    # five one-trial shards on min(threads, 5) processes: process k runs
+    # shards k, k+n, ..., and process 0 is this one
+    monkeypatch.setattr(exp, "SHARD_TRIALS", 1)
+    cfg = small_config(n_trials=5)
+    pids = [pid for _, pid in exp._map_trials(_pid_per_trial, cfg, threads, False)]
+    assert len(pids) == 5
+    ran = [{pids[i] for i in group} for group in groups]
+    assert all(len(one) == 1 for one in ran)
+    assert ran[0] == {os.getpid()}
+    assert len(set.union(*ran)) == len(groups)
 
 
 def test_system_config_validation():
