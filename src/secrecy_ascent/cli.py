@@ -177,11 +177,15 @@ def _collect_overrides(args: argparse.Namespace) -> dict[str, str]:
 
 
 def _default_threads() -> int:
+    """SECRECY_ASCENT_THREADS, or 1 when it is unset or not an integer."""
     env = os.environ.get("SECRECY_ASCENT_THREADS", "")
     try:
-        return max(1, int(env))
+        threads = int(env)
     except ValueError:
         return 1
+    if threads < 1:
+        raise ConfigError(f"SECRECY_ASCENT_THREADS must be >= 1, got {threads}")
+    return threads
 
 
 def _positive_int(text: str) -> int:
@@ -206,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True,
                        help="config file path or bundled preset (mmwave, sub6)")
     p_run.add_argument("--out", required=True, help="output directory")
-    p_run.add_argument("--threads", type=int, default=None,
+    p_run.add_argument("--threads", type=_positive_int, default=None,
                        help="processes that run trials at once (default: SECRECY_ASCENT_THREADS or 1)")
     _add_override_flags(p_run)
 

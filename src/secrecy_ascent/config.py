@@ -15,7 +15,7 @@ from typing import Optional
 
 from .channel import Band, ChannelParams
 from .experiment import ExperimentKind, SystemConfig
-from .metrics import PowerConfig, db_to_linear
+from .metrics import PowerConfig, db_to_linear, linear_to_db
 from .optimizer import OptimizerConfig
 
 
@@ -48,7 +48,7 @@ SCHEMA = {
     "epsilon": (float, _OPTIMIZER["epsilon"]),
     "kappa": (float, _OPTIMIZER["kappa"]),
     "zeta": (float, _OPTIMIZER["zeta"]),
-    "mu_db": (float, 30.0),
+    "mu_db": (float, linear_to_db(_OPTIMIZER["mu"])),
     "max_iters": (int, _OPTIMIZER["max_iters"]),
     "max_cycles": (int, _OPTIMIZER["max_cycles"]),
     "delta_min": (float, _OPTIMIZER["delta_min"]),
@@ -129,16 +129,8 @@ def build_system_config(resolved: dict) -> SystemConfig:
             p_s=_linear_power(resolved, "p_s_db"),
             p_j=_linear_power(resolved, "p_j_db", may_be_zero=True),
         )
-        optimizer = OptimizerConfig(
-            delta0=resolved["delta0"],
-            epsilon=resolved["epsilon"],
-            kappa=resolved["kappa"],
-            zeta=resolved["zeta"],
-            mu=_linear_power(resolved, "mu_db"),
-            max_iters=resolved["max_iters"],
-            max_cycles=resolved["max_cycles"],
-            delta_min=resolved["delta_min"],
-        )
+        optimizer = OptimizerConfig(**{key: resolved[key] for key in _OPTIMIZER if key != "mu"},
+                                    mu=_linear_power(resolved, "mu_db"))
         return SystemConfig(
             channel=channel,
             powers=powers,

@@ -14,13 +14,13 @@ process that ran it: a worker renders its shard before sending it, and the
 calling process renders each trial of its own shards just before handing
 it on. Since a row's result does not depend on its batch, results are
 identical for any shard size or worker count.
-Aggregation always reduces in trial-index order.
+Aggregation always reduces in trial-index order. The trace.csv rows and the
+report state each power in dB by the one ``metrics.linear_to_db``.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 import multiprocessing
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -142,10 +142,6 @@ def _pad_mean(curves: list[np.ndarray]) -> list[float]:
 TRACE_HEADER = ["trial", "cycle", "iteration", "c_s", "c_l", "c_e", "delta", "p_s_db"]
 
 
-def _p_s_db_text(p_s: float) -> str:
-    return repr(10.0 * math.log10(p_s))
-
-
 def _texts(values: np.ndarray, fmt) -> map:
     """fmt(v) for each of ``values``, computed once per distinct value."""
     distinct, index = np.unique(values, return_inverse=True)
@@ -166,7 +162,7 @@ def _trace_text(trial: int, trace: OptimizerTrace) -> str:
     return "".join(map(row.__mod__, zip(
         log["cycle"].tolist(), log["iteration"].tolist(), log["c_s"].tolist(),
         log["c_l"].tolist(), log["c_e"].tolist(),
-        _texts(log["delta"], repr), _texts(log["p_s"], _p_s_db_text))))
+        _texts(log["delta"], repr), _texts(log["p_s"], lambda p_s: repr(linear_to_db(p_s))))))
 
 
 def _draw_trials(cfg: SystemConfig, start: int, stop: int):
@@ -221,7 +217,7 @@ def _variable_shard(cfg: SystemConfig, start: int, stop: int):
 def _shard_bounds(n_trials: int, threads: int) -> list[tuple[int, int]]:
     """Contiguous shards of SHARD_TRIALS trials, fewer when that would leave
     a process idle."""
-    size = max(1, min(SHARD_TRIALS, -(-n_trials // max(threads, 1))))
+    size = max(1, min(SHARD_TRIALS, -(-n_trials // threads)))
     return [(a, min(a + size, n_trials)) for a in range(0, n_trials, size)]
 
 
@@ -277,7 +273,8 @@ def _receive(worker, conn, start: int, stop: int):
 
 def _map_trials(shard, cfg: SystemConfig, threads: int, render: bool):
     """Run trials 0..n_trials-1 in shards, yielding (index, result) in trial
-    order, and raise TrialError for the first trial that failed.
+    order, and raise TrialError for the first trial that failed; ``threads``
+    below 1 is a ValueError.
 
     n = min(threads, shards) processes run trials, and this process is
     process 0: process k runs shards k, k+n, k+2n, ... in order. So this
@@ -296,8 +293,10 @@ def _map_trials(shard, cfg: SystemConfig, threads: int, render: bool):
     each trial once yielded, so this process holds the rows it rendered
     for the current trial only.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     bounds = _shard_bounds(cfg.n_trials, threads)
-    n = max(1, min(threads, len(bounds)))
+    n = min(threads, len(bounds))
     workers = {}  # process k > 0: (worker, the pipe it sends on)
     try:
         for k in range(1, n):

@@ -1,5 +1,6 @@
 """The types the link quantities are stated in (powers, beamformer states,
-snapshots of both links), dB conversions, and the SVD diagnostic bound.
+snapshots of both links), the dB conversions every output states its powers
+by, and the SVD diagnostic bound.
 
 The links themselves are evaluated in one place, ``gradients.LinkKernel``;
 the per-vector SINR and capacity formulas it is tested against are in
@@ -23,7 +24,9 @@ def db_to_linear(x_db: float) -> float:
 
 
 def linear_to_db(x: float) -> float:
-    return 10.0 * np.log10(x)
+    """10 log10(x) by ``math.log10``; a power of 0 is -inf dB, and a
+    negative power raises ValueError."""
+    return 10.0 * math.log10(x) if x else -math.inf
 
 
 @dataclass(frozen=True)
@@ -110,10 +113,8 @@ def svd_upper_bound(ch: ChannelSet, pw: PowerConfig, literal: bool = False) -> f
     sigma_l^2 + P_j lambda_min(h_jl)^2. The default keeps P_j in both
     denominators for dimensional consistency.
     """
-    s_sl = np.linalg.svd(ch.h_sl, compute_uv=False)
-    s_se = np.linalg.svd(ch.h_se, compute_uv=False)
-    s_jl = np.linalg.svd(ch.h_jl, compute_uv=False)
-    s_je = np.linalg.svd(ch.h_je, compute_uv=False)
+    s_sl, s_se, s_jl, s_je = np.linalg.svd(np.stack((ch.h_sl, ch.h_se, ch.h_jl, ch.h_je)),
+                                           compute_uv=False)
     p_j_leg = 1.0 if literal else pw.p_j
     term_l = np.log2(1.0 + pw.p_s * s_sl[0] ** 2 / (pw.sigma2_l + p_j_leg * s_jl[-1] ** 2))
     term_e = np.log2(1.0 + pw.p_s * s_se[-1] ** 2 / (pw.sigma2_e + pw.p_j * s_je[0] ** 2))

@@ -36,7 +36,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, get_type_hints
 
 import numpy as np
 
@@ -92,8 +92,8 @@ class IterationRecord(NamedTuple):
 
 # An ascent's iteration log: one element per accepted iteration, with the
 # fields of IterationRecord.
-ITERATION_DTYPE = np.dtype([("cycle", np.int64), ("iteration", np.int64), ("c_s", float),
-                            ("c_l", float), ("c_e", float), ("delta", float), ("p_s", float)])
+ITERATION_DTYPE = np.dtype([(name, np.int64 if kind is int else float)
+                            for name, kind in get_type_hints(IterationRecord).items()])
 
 
 @dataclass(frozen=True)
@@ -202,9 +202,9 @@ def warm_start(params: ChannelParams, rng: np.random.Generator) -> BeamformerSta
 
 def _snapshot(lk: Links, row: int) -> SecrecySnapshot:
     (_, den_l0, den_l1), (_, den_e0, den_e1) = lk.den[row].T.tolist()
-    c_l, c_e, _ = lk.cd[row].tolist()
+    c_l, c_e, diff = lk.cd[row].tolist()
     return SecrecySnapshot(gamma_l=den_l1 / den_l0 - 1.0, gamma_e=den_e1 / den_e0 - 1.0,
-                           c_l=c_l, c_e=c_e, c_s=max(c_l - c_e, 0.0))
+                           c_l=c_l, c_e=c_e, c_s=max(diff, 0.0))
 
 
 def _project_packed(kernel: LinkKernel, y: np.ndarray,

@@ -190,6 +190,22 @@ def test_run_variable_power_outputs(tiny_cfg, tmp_path):
     assert report["report"]["mean_cycles"] >= 1.0
 
 
+def test_outputs_state_each_power_in_the_same_db_text(tmp_path):
+    # one trial, so each cycle's mean power is that trial's: trace.csv,
+    # aggregate.csv and report.json must write it in the same digits
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", "sub6", "--experiment", "variable_power",
+                   "--p-s-db", "-10", "--mu-db", "-5", "--max-iters", "12",
+                   "--seed", "202", "--trials", "1", "--out", str(out)) == 0
+    trace = read_csv(out / "trace.csv")
+    cycle_db = {row[1]: row[7] for row in trace[1:]}
+    agg = read_csv(out / "aggregate.csv")[1:]
+    assert len(agg) == len(cycle_db) > 100
+    assert [row[2] for row in agg] == [cycle_db[row[0]] for row in agg]
+    report = json.loads((out / "report.json").read_text())["report"]
+    assert repr(report["mean_final_p_s_db"]) == trace[-1][7]
+
+
 def test_run_summary_names_termination_reasons(tiny_cfg, tmp_path, capsys):
     out = tmp_path / "out"
     assert run_cli("run", "--config", tiny_cfg, "--out", str(out)) == 0
@@ -323,6 +339,25 @@ def test_gradcheck_default_and_scalar_dims():
 def test_gradcheck_corrupt_negative_control(capsys):
     assert run_cli("gradcheck", "--instances", "1", "--corrupt") == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("value", ["0", "-4"])
+def test_run_rejects_threads_below_one(tiny_cfg, tmp_path, capsys, value):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_:
+        run_cli("run", "--config", tiny_cfg, "--out", str(out), "--threads", value)
+    assert exit_.value.code == 2
+    assert "argument --threads" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-4"])
+def test_run_rejects_threads_env_below_one(tiny_cfg, tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("SECRECY_ASCENT_THREADS", value)
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", tiny_cfg, "--out", str(out)) == 2
+    assert "SECRECY_ASCENT_THREADS" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_threads_env_fallback(monkeypatch):

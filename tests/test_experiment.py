@@ -404,6 +404,12 @@ def test_shards_run_round_robin_over_this_process_and_its_workers(
     assert len(set.union(*ran)) == len(groups)
 
 
+@pytest.mark.parametrize("threads", [0, -4])
+def test_map_trials_rejects_threads_below_one(threads):
+    with pytest.raises(ValueError, match="threads"):
+        next(exp._map_trials(exp._fixed_shard, small_config(), threads, False))
+
+
 def test_system_config_validation():
     with pytest.raises(ValueError):
         small_config(n_trials=0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import secrecy_ascent as sa
-from helpers import random_instance, scalar_channel, scalar_state
+from helpers import MMWAVE_PARAMS, SUB6_PARAMS, random_instance, scalar_channel, scalar_state
 
 
 def test_sinr_legitimate_reduces_to_snr():
@@ -107,6 +107,21 @@ def test_svd_upper_bound_literal_variant_drops_pj():
     assert sa.svd_upper_bound(ch, pw, literal=True) == pytest.approx(literal, abs=1e-12)
 
 
+@pytest.mark.parametrize("params", [MMWAVE_PARAMS, SUB6_PARAMS], ids=["mmwave", "sub6"])
+@pytest.mark.parametrize("literal", [False, True])
+def test_svd_upper_bound_equals_four_separate_svds(params, literal):
+    rng = np.random.default_rng(17)
+    pw = sa.PowerConfig(p_s=10.0, p_j=10.0)
+    for _ in range(5):
+        ch = sa.draw_channel_set(params, rng)
+        s_sl, s_se, s_jl, s_je = (np.linalg.svd(h, compute_uv=False)
+                                  for h in (ch.h_sl, ch.h_se, ch.h_jl, ch.h_je))
+        p_j_leg = 1.0 if literal else pw.p_j
+        term_l = np.log2(1.0 + pw.p_s * s_sl[0] ** 2 / (pw.sigma2_l + p_j_leg * s_jl[-1] ** 2))
+        term_e = np.log2(1.0 + pw.p_s * s_se[-1] ** 2 / (pw.sigma2_e + pw.p_j * s_je[0] ** 2))
+        assert sa.svd_upper_bound(ch, pw, literal=literal) == float(term_l - term_e)
+
+
 def test_svd_upper_bound_can_be_negative():
     ch = scalar_channel(h_sl=0.1, h_se=3.0, h_jl=2.0, h_je=0.1)
     assert sa.svd_upper_bound(ch, sa.PowerConfig(p_s=1.0, p_j=1.0)) < 0.0
@@ -166,3 +181,10 @@ def test_db_conversions_round_trip():
     for db in (-7.0, 0.0, 10.0, 23.5):
         assert sa.linear_to_db(sa.db_to_linear(db)) == pytest.approx(db, abs=1e-12)
     assert sa.db_to_linear(10.0) == pytest.approx(10.0)
+
+
+def test_linear_to_db_of_zero_and_negative_powers():
+    assert sa.linear_to_db(0.0) == -math.inf
+    assert sa.linear_to_db(np.float64(0.0)) == -math.inf
+    with pytest.raises(ValueError):
+        sa.linear_to_db(-1.0)
