@@ -78,7 +78,11 @@ def cmd_run(config_path: str, overrides: dict[str, str], output_dir: str, thread
     fixed = cfg.experiment is ExperimentKind.FIXED_POWER
 
     out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {output_dir}: cannot create the directory: "
+                          f"{exc.strerror}") from None
     trace_path = out / "trace.csv"
     aggregate_path = out / "aggregate.csv"
     report_path = out / "report.json"
@@ -176,27 +180,30 @@ def _collect_overrides(args: argparse.Namespace) -> dict[str, str]:
     }
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer >= ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1)
+
+
 def _default_threads() -> int:
-    """SECRECY_ASCENT_THREADS, or 1 when it is unset or not an integer."""
+    """SECRECY_ASCENT_THREADS, read as ``--threads`` reads its value, or 1
+    when it is unset or empty."""
     env = os.environ.get("SECRECY_ASCENT_THREADS", "")
     try:
-        threads = int(env)
-    except ValueError:
-        return 1
-    if threads < 1:
-        raise ConfigError(f"SECRECY_ASCENT_THREADS must be >= 1, got {threads}")
-    return threads
-
-
-def _positive_int(text: str) -> int:
-    """An argparse type: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+        return _positive_int(env) if env else 1
+    except argparse.ArgumentTypeError as exc:
+        raise ConfigError(f"SECRECY_ASCENT_THREADS: {exc}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -222,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="compare analytic gradients against finite differences")
     p_grad.add_argument("--n-rx", type=_positive_int, default=4)
     p_grad.add_argument("--n-tx", type=_positive_int, default=16)
-    p_grad.add_argument("--seed", type=int, default=0)
+    p_grad.add_argument("--seed", type=_int_at_least(0), default=0)
     p_grad.add_argument("--instances", type=_positive_int, default=5)
     p_grad.add_argument("--corrupt", action="store_true",
                         help="corrupt one gradient to confirm the check trips")

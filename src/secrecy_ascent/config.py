@@ -23,14 +23,6 @@ class ConfigError(ValueError):
     """Invalid configuration; the message names the offending key."""
 
 
-def _parse_bool(text: str) -> bool:
-    if text.lower() in ("true", "1", "yes", "on"):
-        return True
-    if text.lower() in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 # key -> (converter, default); REQUIRED means the key must appear. The
 # optimizer keys take their defaults from OptimizerConfig; mu_db is mu in dB.
 REQUIRED = object()
@@ -55,7 +47,6 @@ SCHEMA = {
     "n_trials": (int, 1000),
     "seed": (int, 0),
     "experiment": (ExperimentKind, REQUIRED),
-    "svd_bound_literal": (_parse_bool, False),
 }
 
 
@@ -138,7 +129,6 @@ def build_system_config(resolved: dict) -> SystemConfig:
             n_trials=resolved["n_trials"],
             seed=resolved["seed"],
             experiment=resolved["experiment"],
-            svd_bound_literal=resolved["svd_bound_literal"],
         )
     except ConfigError:
         raise
@@ -183,9 +173,7 @@ def flat_items(resolved: dict) -> list[tuple[str, str]]:
         value = resolved[key]
         if value is None:
             continue
-        if isinstance(value, bool):
-            rendered = "true" if value else "false"
-        elif isinstance(value, (ExperimentKind, Band)):
+        if isinstance(value, (ExperimentKind, Band)):
             rendered = value.value
         elif isinstance(value, float):
             rendered = repr(value)

@@ -63,7 +63,6 @@ class SystemConfig:
     n_trials: int
     seed: int
     experiment: ExperimentKind
-    svd_bound_literal: bool = False
 
     def __post_init__(self):
         if self.n_trials < 1:
@@ -197,7 +196,7 @@ def _fixed_shard(cfg: SystemConfig, start: int, stop: int):
     trials = []
     for k, (ch, _init) in enumerate(draws[:len(results) // 2]):
         try:
-            bound = svd_upper_bound(ch, cfg.powers, literal=cfg.svd_bound_literal)
+            bound = svd_upper_bound(ch, cfg.powers)
         except Exception as exc:
             return trials, (start + k, exc)
         trials.append((results[2 * k], results[2 * k + 1], bound))

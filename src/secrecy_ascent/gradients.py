@@ -39,7 +39,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .channel import ChannelSet
-from .metrics import LN2, BeamformerState, PowerConfig, _check_dims
+from .metrics import LN2, BeamformerState, PowerConfig, _check_dims, _unpack_state
 
 
 _GRAD_SIGN = np.array([1.0, -1.0]) / LN2
@@ -195,9 +195,7 @@ class LinkKernel:
 
     def unpack(self, x: np.ndarray) -> BeamformerState:
         """Views of the four blocks of one row x, in BeamformerState order."""
-        r, t = self.n_rx, self.n_tx
-        return BeamformerState(w_l=x[:r], w_e=x[r:2 * r], f_s=x[2 * r:2 * r + t],
-                               f_j=x[2 * r + t:])
+        return _unpack_state(x, self.n_rx, self.n_rx, self.n_tx)
 
     def links(self, x: np.ndarray) -> Links:
         """Links of fresh buffers at the rows of x."""

@@ -100,22 +100,21 @@ def _check_dims(ch: ChannelSet, bf: BeamformerState) -> None:
         raise ValueError(f"precoders must have shape ({n_tx},)")
 
 
-def svd_upper_bound(ch: ChannelSet, pw: PowerConfig, literal: bool = False) -> float:
-    """Secrecy diagnostic from extreme singular values of the four channels.
+def svd_upper_bound(ch: ChannelSet, pw: PowerConfig) -> float:
+    """Secrecy diagnostic from extreme singular values of the four channels:
+
+        log2(1 + P_s s_max(h_sl)^2 / (sigma_l^2 + P_j s_min(h_jl)^2))
+      - log2(1 + P_s s_min(h_se)^2 / (sigma_e^2 + P_j s_max(h_je)^2))
 
     Best case for the legitimate link (largest singular value of h_sl,
     smallest of h_jl) against the worst case for the eavesdropper (smallest
-    of h_se, largest of h_je). Not an achievable rate and not clamped: a
-    negative value is reported as-is.
-
-    With ``literal=True`` the jammer power is dropped from the legitimate
-    denominator, i.e. sigma_l^2 + lambda_min(h_jl)^2 instead of
-    sigma_l^2 + P_j lambda_min(h_jl)^2. The default keeps P_j in both
-    denominators for dimensional consistency.
+    of h_se, largest of h_je). The jammer transmits P_j towards both
+    receivers, so P_j scales its interference in both denominators, as it
+    does in the SINRs the ascent maximizes. Not an achievable rate and not
+    clamped: a negative value is reported as-is.
     """
     s_sl, s_se, s_jl, s_je = np.linalg.svd(np.stack((ch.h_sl, ch.h_se, ch.h_jl, ch.h_je)),
                                            compute_uv=False)
-    p_j_leg = 1.0 if literal else pw.p_j
-    term_l = np.log2(1.0 + pw.p_s * s_sl[0] ** 2 / (pw.sigma2_l + p_j_leg * s_jl[-1] ** 2))
+    term_l = np.log2(1.0 + pw.p_s * s_sl[0] ** 2 / (pw.sigma2_l + pw.p_j * s_jl[-1] ** 2))
     term_e = np.log2(1.0 + pw.p_s * s_se[-1] ** 2 / (pw.sigma2_e + pw.p_j * s_je[0] ** 2))
     return float(term_l - term_e)

@@ -129,10 +129,12 @@ def test_db_keys_at_any_finite_value(tmp_path, capsys, values):
 
 
 def test_validate_rejects_unknown_key(tmp_path, capsys):
-    bad = tmp_path / "bad.cfg"
-    bad.write_text(TINY + "mystery_knob = 3\n")
-    assert run_cli("validate", "--config", str(bad)) == 2
-    assert "mystery_knob" in capsys.readouterr().err
+    # a removed key (svd_bound_literal) is refused like one that never existed
+    for line in ("mystery_knob = 3", "svd_bound_literal = false"):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(TINY + line + "\n")
+        assert run_cli("validate", "--config", str(bad)) == 2
+        assert repr(line.split(" ")[0]) in capsys.readouterr().err
 
 
 def test_run_writes_all_outputs(tiny_cfg, tmp_path):
@@ -330,6 +332,13 @@ def test_gradcheck_rejects_a_count_below_one(flag, value, capsys):
     assert f"argument {flag}" in capsys.readouterr().err
 
 
+def test_gradcheck_rejects_a_negative_seed(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        run_cli("gradcheck", "--seed", "-1")
+    assert exit_.value.code == 2
+    assert "argument --seed" in capsys.readouterr().err
+
+
 def test_gradcheck_default_and_scalar_dims():
     assert run_cli("gradcheck", "--instances", "2") == 0
     assert run_cli("gradcheck", "--n-rx", "1", "--n-tx", "1", "--instances", "2") == 0
@@ -351,7 +360,7 @@ def test_run_rejects_threads_below_one(tiny_cfg, tmp_path, capsys, value):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("value", ["0", "-4"])
+@pytest.mark.parametrize("value", ["0", "-4", "bogus", "2.5"])
 def test_run_rejects_threads_env_below_one(tiny_cfg, tmp_path, capsys, monkeypatch, value):
     monkeypatch.setenv("SECRECY_ASCENT_THREADS", value)
     out = tmp_path / "out"
@@ -361,9 +370,24 @@ def test_run_rejects_threads_env_below_one(tiny_cfg, tmp_path, capsys, monkeypat
 
 
 def test_threads_env_fallback(monkeypatch):
+    monkeypatch.delenv("SECRECY_ASCENT_THREADS", raising=False)
+    assert cli._default_threads() == 1
+    monkeypatch.setenv("SECRECY_ASCENT_THREADS", "")
+    assert cli._default_threads() == 1
     monkeypatch.setenv("SECRECY_ASCENT_THREADS", "3")
     assert cli._default_threads() == 3
-    monkeypatch.setenv("SECRECY_ASCENT_THREADS", "bogus")
-    assert cli._default_threads() == 1
-    monkeypatch.delenv("SECRECY_ASCENT_THREADS")
-    assert cli._default_threads() == 1
+
+
+@pytest.mark.parametrize("below", ["", "/below"], ids=["a-file", "below-a-file"])
+def test_run_rejects_an_out_path_that_cannot_be_a_directory(tiny_cfg, tmp_path, capsys,
+                                                           monkeypatch, below):
+    # an existing file, or a path below one, fails before any trial runs
+    monkeypatch.setattr(exp, "_fixed_shard", None)
+    blocker = tmp_path / "file"
+    blocker.write_text("kept\n")
+    out = str(blocker) + below
+    assert run_cli("run", "--config", tiny_cfg, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert f"--out {out}" in err
+    assert len(err.splitlines()) == 1
+    assert blocker.read_text() == "kept\n"

@@ -1,4 +1,5 @@
-import enum
+import re
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,10 +15,8 @@ def value_of(convert, default):
         values = st.integers()
     elif convert is float:
         values = st.floats(allow_nan=False, allow_infinity=False)
-    elif isinstance(convert, type) and issubclass(convert, enum.Enum):
+    else:  # an enum
         values = st.sampled_from(list(convert))
-    else:  # the boolean parser
-        values = st.booleans()
     return st.one_of(st.none(), values) if default is None else values
 
 
@@ -40,3 +39,13 @@ def test_required_keys_alone_build_the_default_optimizer_config():
     text = "n_tx = 8\nn_rx = 2\nn_clusters = 2\nn_rays = 3\nexperiment = fixed_power\n"
     cfg = build_system_config(resolve_values(parse_config_text(text)))
     assert cfg.optimizer == OptimizerConfig()
+
+
+def test_readme_config_keys_are_the_schema():
+    # each key line of README's "Config keys" block starts with its key
+    # names, comma-separated; continuation lines are indented
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"### Config keys\n+```\n(.*?)```", readme, re.S).group(1)
+    documented = [key for line in block.splitlines() if line and not line[0].isspace()
+                  for key in re.split(r"\s{2,}", line, maxsplit=1)[0].split(", ")]
+    assert sorted(documented) == sorted(SCHEMA)

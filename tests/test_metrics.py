@@ -98,28 +98,24 @@ def test_svd_upper_bound_zero_source_power():
     assert sa.svd_upper_bound(ch, sa.PowerConfig(p_s=0.0, p_j=1.0)) == 0.0
 
 
-def test_svd_upper_bound_literal_variant_drops_pj():
+def test_svd_upper_bound_keeps_pj_in_both_denominators():
     ch = scalar_channel(h_sl=2.0, h_se=1.0, h_jl=1.0, h_je=3.0)
     pw = sa.PowerConfig(p_s=1.0, p_j=10.0)
-    included = math.log2(1 + 4 / 11) - math.log2(1 + 1 / 91)
-    literal = math.log2(1 + 4 / 2) - math.log2(1 + 1 / 91)
-    assert sa.svd_upper_bound(ch, pw) == pytest.approx(included, abs=1e-12)
-    assert sa.svd_upper_bound(ch, pw, literal=True) == pytest.approx(literal, abs=1e-12)
+    expected = math.log2(1 + 4 / 11) - math.log2(1 + 1 / 91)
+    assert sa.svd_upper_bound(ch, pw) == pytest.approx(expected, abs=1e-12)
 
 
 @pytest.mark.parametrize("params", [MMWAVE_PARAMS, SUB6_PARAMS], ids=["mmwave", "sub6"])
-@pytest.mark.parametrize("literal", [False, True])
-def test_svd_upper_bound_equals_four_separate_svds(params, literal):
+def test_svd_upper_bound_equals_four_separate_svds(params):
     rng = np.random.default_rng(17)
     pw = sa.PowerConfig(p_s=10.0, p_j=10.0)
     for _ in range(5):
         ch = sa.draw_channel_set(params, rng)
         s_sl, s_se, s_jl, s_je = (np.linalg.svd(h, compute_uv=False)
                                   for h in (ch.h_sl, ch.h_se, ch.h_jl, ch.h_je))
-        p_j_leg = 1.0 if literal else pw.p_j
-        term_l = np.log2(1.0 + pw.p_s * s_sl[0] ** 2 / (pw.sigma2_l + p_j_leg * s_jl[-1] ** 2))
+        term_l = np.log2(1.0 + pw.p_s * s_sl[0] ** 2 / (pw.sigma2_l + pw.p_j * s_jl[-1] ** 2))
         term_e = np.log2(1.0 + pw.p_s * s_se[-1] ** 2 / (pw.sigma2_e + pw.p_j * s_je[0] ** 2))
-        assert sa.svd_upper_bound(ch, pw, literal=literal) == float(term_l - term_e)
+        assert sa.svd_upper_bound(ch, pw) == float(term_l - term_e)
 
 
 def test_svd_upper_bound_can_be_negative():
