@@ -5,8 +5,8 @@ path gains times outer products of uniform-linear-array response vectors:
 
     H = sqrt(N_rx*N_tx / (N_cl*N_ray)) * sum_paths  gain * a_rx(aoa) a_tx(aod)^H
 
-Arrays are half-wavelength ULAs with an azimuth-only response; elevation
-angles are drawn but do not enter the response.
+Arrays are half-wavelength ULAs with an azimuth-only response, so a path
+has two angles: its azimuth of arrival and of departure.
 
 A response is built by power doubling: with u = exp(j*pi*sin(az)), entry k
 is u**k/sqrt(n), and entries m..2m-1 are entries 0..m-1 times u**m. That is
@@ -117,28 +117,25 @@ def _assemble(params: ChannelParams, gains: np.ndarray, aoa: np.ndarray,
 def draw_channel_set(params: ChannelParams, rng: np.random.Generator) -> ChannelSet:
     """Draw four independent channels sharing one geometry configuration.
 
-    The draws and their order are those of four ``draw_paths`` calls: per
-    cluster, four uniform centers, then per ray four angle offsets and the
-    two parts of the gain, so one (n_rays, 6) standard-normal block holds a
-    cluster's rays. ``2*pi*u`` is what ``rng.uniform(0, 2*pi)`` computes,
-    ``spread * z`` what ``rng.normal(0, spread)`` computes, and the gain
-    parts are divided separately, as Python's complex-by-float division
-    does; so each channel equals ``reference.build_channel(params,
-    reference.draw_paths(params, rng))`` bit for bit. The elevation angles
-    are drawn only to keep the stream unchanged.
+    Each channel takes the draws of one ``draw_paths`` call in two block
+    calls: the clusters' uniform aoa and aod centers, then each ray's aoa
+    and aod offsets and gain parts as standard normals. ``2*pi*u`` is
+    what ``rng.uniform(0, 2*pi)`` computes, ``spread * z`` what
+    ``rng.normal(0, spread)`` computes, and the gain parts are divided
+    separately, as Python's complex-by-float division does; so each channel
+    equals ``reference.build_channel(params, reference.draw_paths(params,
+    rng))`` bit for bit.
     """
     n_cl, n_ray = params.n_clusters, params.n_rays
-    centers = np.empty((4, n_cl, 4))  # aoa_az, aoa_el, aod_az, aod_el
-    z = np.empty((4, n_cl, n_ray, 6))
+    centers = np.empty((4, n_cl, 2))  # aoa, aod
+    z = np.empty((4, n_cl, n_ray, 4))  # aoa offset, aod offset, gain re, gain im
     for h in range(4):
-        for c in range(n_cl):
-            rng.random(out=centers[h, c])
-            rng.standard_normal(out=z[h, c])
+        rng.random(out=centers[h])
+        rng.standard_normal(out=z[h])
     centers *= 2.0 * np.pi
     spread = math.radians(params.angular_spread_deg)
-    # azimuths (aoa, aod) as the last axis; the elevations are never used
-    az = (centers[:, :, None, ::2] + spread * z[..., 0:4:2]).reshape(4, -1, 2)
+    az = (centers[:, :, None, :] + spread * z[..., :2]).reshape(4, -1, 2)
     gains = np.empty((4, n_cl * n_ray), dtype=complex)
-    np.divide(z[..., 4:], math.sqrt(2.0), out=gains.view(float).reshape(4, n_cl, n_ray, 2))
+    np.divide(z[..., 2:], math.sqrt(2.0), out=gains.view(float).reshape(4, n_cl, n_ray, 2))
     h = _assemble(params, gains, az[..., 0], az[..., 1])
     return ChannelSet(h_sl=h[0], h_se=h[1], h_jl=h[2], h_je=h[3])

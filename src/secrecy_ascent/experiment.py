@@ -69,8 +69,12 @@ class SystemConfig:
             raise ValueError("n_trials must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if self.experiment is ExperimentKind.VARIABLE_POWER and self.optimizer.zeta is None:
+        variable = self.experiment is ExperimentKind.VARIABLE_POWER
+        if variable and self.optimizer.zeta is None:
             raise ValueError("variable-power experiment needs optimizer.zeta")
+        if variable and self.powers.p_s > self.optimizer.mu:
+            raise ValueError("variable power must start at or below its ceiling: "
+                             "'p_s_db' is above 'mu_db'")
 
 
 @dataclass

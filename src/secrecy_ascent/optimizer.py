@@ -66,6 +66,8 @@ class OptimizerConfig:
             raise ValueError("delta0, epsilon and kappa must be > 0")
         if not (self.mu > 0 and self.delta_min > 0):
             raise ValueError("mu and delta_min must be > 0")
+        if self.delta_min > self.delta0:  # the first rejection would end the cycle
+            raise ValueError(f"delta_min ({self.delta_min!r}) must be <= delta0 ({self.delta0!r})")
         if self.max_iters < 1 or self.max_cycles < 1:
             raise ValueError("max_iters and max_cycles must be >= 1")
 
@@ -186,11 +188,11 @@ def state_ca_violation(bf: BeamformerState) -> float:
 
 
 def warm_start(params: ChannelParams, rng: np.random.Generator) -> BeamformerState:
-    """Random start: i.i.d. CN(0,1) draws pushed onto the CA manifold."""
+    """Random start: i.i.d. uniform phases for w_l, w_e, f_s, f_j in that
+    order, the law of CN(0,1) draws pushed onto the CA manifold."""
 
     def draw(n):
-        z = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2.0)
-        return project_ca(z)
+        return np.exp(2j * np.pi * rng.random(n)) / math.sqrt(n)
 
     return BeamformerState(
         w_l=draw(params.n_rx),

@@ -22,13 +22,11 @@ from .metrics import BeamformerState, PowerConfig, SecrecySnapshot, _check_dims
 
 @dataclass(frozen=True)
 class PathComponent:
-    """One ray: complex gain plus arrival/departure angles in radians."""
+    """One ray: complex gain plus arrival/departure azimuths in radians."""
 
     gain: complex
     aoa_azimuth: float
-    aoa_elevation: float
     aod_azimuth: float
-    aod_elevation: float
 
 
 def steering_vector(n_antennas: int, azimuth: float) -> np.ndarray:
@@ -45,24 +43,22 @@ def draw_paths(params: ChannelParams, rng: np.random.Generator) -> list[PathComp
     """Draw N_cl*N_ray path components.
 
     Gains are i.i.d. CN(0,1). Cluster-center azimuths are uniform on
-    [0, 2*pi); per-ray offsets are zero-mean Gaussian with the configured
-    angular spread. Arrival and departure angles are independent, and
-    elevation angles follow the same cluster/offset construction as azimuths.
+    [0, 2*pi), drawn for all clusters first; per-ray offsets are zero-mean
+    Gaussian with the configured angular spread. Arrival and departure
+    angles are independent.
     """
     spread = math.radians(params.angular_spread_deg)
+    centers = rng.uniform(0.0, 2.0 * np.pi, size=(params.n_clusters, 2))  # aoa, aod
     paths = []
-    for _ in range(params.n_clusters):
-        centers = rng.uniform(0.0, 2.0 * np.pi, size=4)  # aoa_az, aoa_el, aod_az, aod_el
+    for aoa, aod in centers:
         for _ in range(params.n_rays):
-            offsets = rng.normal(0.0, spread, size=4)
+            offsets = rng.normal(0.0, spread, size=2)
             re, im = rng.standard_normal(2)
             paths.append(
                 PathComponent(
                     gain=complex(re, im) / math.sqrt(2.0),
-                    aoa_azimuth=centers[0] + offsets[0],
-                    aoa_elevation=centers[1] + offsets[1],
-                    aod_azimuth=centers[2] + offsets[2],
-                    aod_elevation=centers[3] + offsets[3],
+                    aoa_azimuth=aoa + offsets[0],
+                    aod_azimuth=aod + offsets[1],
                 )
             )
     return paths

@@ -86,8 +86,7 @@ def test_draw_paths_zero_spread_collapses_rays():
 
 def test_build_channel_single_path_all_ones():
     params = sa.ChannelParams(n_clusters=1, n_rays=1, n_rx=3, n_tx=5, angular_spread_deg=0)
-    path = sa.PathComponent(gain=1.0, aoa_azimuth=0.0, aoa_elevation=0.0,
-                            aod_azimuth=0.0, aod_elevation=0.0)
+    path = sa.PathComponent(gain=1.0, aoa_azimuth=0.0, aod_azimuth=0.0)
     h = sa.build_channel(params, [path])
     np.testing.assert_allclose(h, np.ones((3, 5)), atol=1e-12)
 
@@ -95,7 +94,7 @@ def test_build_channel_single_path_all_ones():
 def test_build_channel_zero_gains():
     params = sa.ChannelParams(n_clusters=2, n_rays=2, n_rx=2, n_tx=3, angular_spread_deg=10)
     paths = [
-        sa.PathComponent(gain=0.0, aoa_azimuth=a, aoa_elevation=0, aod_azimuth=-a, aod_elevation=0)
+        sa.PathComponent(gain=0.0, aoa_azimuth=a, aod_azimuth=-a)
         for a in (0.1, 0.4, 0.9, 1.7)
     ]
     np.testing.assert_array_equal(sa.build_channel(params, paths), np.zeros((2, 3)))
@@ -106,7 +105,7 @@ def test_build_channel_linear_in_gains():
     rng = np.random.default_rng(3)
     paths = sa.draw_paths(params, rng)
     doubled = [
-        sa.PathComponent(2 * p.gain, p.aoa_azimuth, p.aoa_elevation, p.aod_azimuth, p.aod_elevation)
+        sa.PathComponent(2 * p.gain, p.aoa_azimuth, p.aod_azimuth)
         for p in paths
     ]
     np.testing.assert_array_equal(
@@ -163,6 +162,18 @@ def test_draw_channel_set_equals_per_ray_reference(params):
             expected = sa.build_channel(params, sa.draw_paths(params, ref))
             assert getattr(ch, name).tobytes() == expected.tobytes()
         assert fast.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("params", [MMWAVE_PARAMS, SUB6_PARAMS])
+def test_draw_channel_set_stream(params):
+    # per channel, two blocks and nothing else: the clusters' aoa and aod
+    # centers, then each ray's two offsets and two gain parts
+    drawn, ref = np.random.default_rng(9), np.random.default_rng(9)
+    sa.draw_channel_set(params, drawn)
+    for _ in range(4):
+        ref.random(2 * params.n_clusters)
+        ref.standard_normal(4 * params.n_clusters * params.n_rays)
+    assert drawn.bit_generator.state == ref.bit_generator.state
 
 
 def test_channel_set_rejects_mixed_shapes():

@@ -58,6 +58,15 @@ def test_validate_reports_field_errors(tiny_cfg, capsys):
     assert "zeta" in capsys.readouterr().err
     assert run_cli("validate", "--config", tiny_cfg, "--p-s-db", "garble") == 2
     assert "p_s_db" in capsys.readouterr().err
+    # a step floor above the first step would end each cycle at its first
+    # rejection, and a variable-power start above the ceiling would run once
+    assert run_cli("validate", "--config", tiny_cfg, "--delta-min", "0.5") == 2
+    err = capsys.readouterr().err
+    assert "delta_min" in err and "delta0" in err, err
+    assert run_cli("validate", "--config", tiny_cfg, "--experiment", "variable_power",
+                   "--zeta", "1", "--p-s-db", "40", "--mu-db", "30") == 2
+    err = capsys.readouterr().err
+    assert "'p_s_db'" in err and "'mu_db'" in err, err
 
 
 FLOAT_KEYS = [key for key, (convert, _) in SCHEMA.items() if convert is float]
@@ -97,6 +106,17 @@ def out_of_range(key, value_db):
     return power == 0.0 and key != "p_j_db"
 
 
+def rejected_keys(experiment, values):
+    """The dB keys a plan is rejected for: those out of range, else, at
+    variable power, p_s_db and mu_db when the start is above the ceiling."""
+    bad = [key for key, value in zip(DB_KEYS, values) if out_of_range(key, value)]
+    p_s_db, _, mu_db = values
+    if (not bad and experiment == "variable_power"
+            and 10.0 ** (p_s_db / 10.0) > 10.0 ** (mu_db / 10.0)):
+        bad = ["p_s_db", "mu_db"]
+    return bad
+
+
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(values=st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 3))
@@ -104,12 +124,14 @@ def out_of_range(key, value_db):
 @example(values=(-4000.0, 10.0, 30.0))
 @example(values=(10.0, -4000.0, 30.0))
 @example(values=(10.0, 10.0, -4000.0))
+@example(values=(40.0, 10.0, 30.0))
+@example(values=(30.0, 10.0, 30.0))
 def test_db_keys_at_any_finite_value(tmp_path, capsys, values):
     # every finite dB value either runs, is rejected naming its key, or
     # fails a trial naming it and the master seed; nothing else escapes
-    bad = [key for key, value in zip(DB_KEYS, values) if out_of_range(key, value)]
     flags = [f"--{key.replace('_', '-')}={value!r}" for key, value in zip(DB_KEYS, values)]
     for experiment in ("fixed_power", "variable_power"):
+        bad = rejected_keys(experiment, values)
         path = tmp_path / f"{experiment}.cfg"
         path.write_text(BOUNDARY_PLAN + f"experiment = {experiment}\n")
         capsys.readouterr()

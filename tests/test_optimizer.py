@@ -79,6 +79,18 @@ def test_warm_start_is_ca_and_deterministic():
     np.testing.assert_allclose(np.abs(a.f_j), 1 / 8, atol=1e-15)
 
 
+def test_warm_start_is_uniform_phases_from_one_block():
+    # each entry is exp(2*pi*j*u)/sqrt(n), with the u of w_l, w_e, f_s and
+    # f_j taken in that order from the stream
+    params = sa.ChannelParams(n_clusters=2, n_rays=2, n_rx=4, n_tx=16, angular_spread_deg=10)
+    bf = sa.warm_start(params, np.random.default_rng(33))
+    u = np.random.default_rng(33).random(2 * params.n_rx + 2 * params.n_tx)
+    blocks = np.split(u, np.cumsum([params.n_rx, params.n_rx, params.n_tx]))
+    for name, block in zip(("w_l", "w_e", "f_s", "f_j"), blocks):
+        expected = np.exp(2j * np.pi * block) / math.sqrt(block.size)
+        assert getattr(bf, name).tobytes() == expected.tobytes(), name
+
+
 def test_ascent_trace_monotone_and_feasible():
     ch, init = small_problem(0)
     seen = []
@@ -264,3 +276,8 @@ def test_optimizer_config_validation():
             with pytest.raises(ValueError):
                 sa.OptimizerConfig(**{field: value})
     assert sa.OptimizerConfig(zeta=0.0).zeta == 0.0  # finite and unset zeta are fine
+    # a floor above the first step: the first rejection would end the cycle
+    with pytest.raises(ValueError, match=r"delta_min.*delta0"):
+        sa.OptimizerConfig(delta0=0.1, delta_min=0.5)
+    assert sa.OptimizerConfig(delta0=0.1, delta_min=0.1).delta_min == 0.1  # no backtracking
+
