@@ -123,7 +123,7 @@ def cmd_run(config_path: str, overrides: dict[str, str], output_dir: str, thread
     reasons = ", ".join(f"{name}={count}"
                         for name, count in sorted(report.termination_reasons.items()))
     print(f"termination: {reasons}")
-    if fixed and report.svd_violations:
+    if report.svd_violations:
         print(
             f"note: converged c_s exceeded the SVD diagnostic in "
             f"{report.svd_violations}/{report.n_trials} trials"
@@ -166,10 +166,12 @@ def cmd_gradcheck(n_rx: int, n_tx: int, seed: int, instances: int, corrupt: bool
 
 
 def _add_override_flags(parser: argparse.ArgumentParser) -> None:
+    n_trials = parser.add_mutually_exclusive_group()  # --n-trials and its alias
     for key in SCHEMA:
-        parser.add_argument(f"--{key.replace('_', '-')}", dest=f"cfg_{key}", metavar="V")
-    parser.add_argument("--trials", dest="cfg_n_trials", metavar="V",
-                        help="alias for --n-trials")
+        group = n_trials if key == "n_trials" else parser
+        group.add_argument(f"--{key.replace('_', '-')}", dest=f"cfg_{key}", metavar="V")
+    n_trials.add_argument("--trials", dest="cfg_n_trials", metavar="V",
+                          help="alias for --n-trials")
 
 
 def _collect_overrides(args: argparse.Namespace) -> dict[str, str]:

@@ -1,27 +1,28 @@
 """Monte Carlo harness tying channel draws, ascent runs, and benchmarks.
 
-Each trial owns an independent random stream derived from the master seed
-and its trial index. Trials run in contiguous shards of at most
-``SHARD_TRIALS``: a shard draws each trial's channel and start from its own
-stream, in trial order, and runs all its ascents as the rows of one
-lockstep ascent (``optimizer.ascend_rows``), two rows per fixed-power trial
-(w_e held and w_e optimized) and one per variable-power trial. A study
-runs on n = min(threads, shards) processes, the calling process being
-process 0: process k runs shards k, k+n, k+2n, ..., and a worker sends
-each outcome back over a pipe of its own. When a study has an observer
-for its trials, each trial's main ascent gets its trace.csv rows in the
-process that ran it: a worker renders its shard before sending it, and the
-calling process renders each trial of its own shards just before handing
-it on. Since a row's result does not depend on its batch, results are
-identical for any shard size or worker count.
-Aggregation always reduces in trial-index order. The trace.csv rows and the
-report state each power in dB by the one ``metrics.linear_to_db``.
+Both experiments run one study plan. Each trial owns an independent random
+stream derived from the master seed and its trial index. Trials run in
+contiguous shards of at most ``SHARD_TRIALS`` (``_shard``): a shard draws
+each trial's channel and start from its own stream, in trial order, and
+runs all its ascents as the rows of one lockstep ascent
+(``optimizer.ascend_rows``). A fixed-power trial is two rows (w_e held,
+w_e optimized) and comes back as (res_rand, res_opt, bound); a
+variable-power trial is one row and comes back as (res,). A study runs on
+n = min(threads, shards) processes, the calling process being process 0:
+process k runs shards k, k+n, k+2n, ..., and a worker sends each outcome
+back over a pipe of its own. Since a row's result does not depend on its
+batch, results are identical for any shard size or worker count. One loop
+(``_run_study``) hands each trial to an observer as ``on_trial(i, *trial)``,
+stopping the workers at once if it raises, and reduces the trials in
+trial-index order. The trace.csv rows and the report state each power in
+dB by the one ``metrics.linear_to_db``.
 """
 
 from __future__ import annotations
 
 import enum
 import multiprocessing
+from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -168,53 +169,42 @@ def _trace_text(trial: int, trace: OptimizerTrace) -> str:
         _texts(log["delta"], repr), _texts(log["p_s"], lambda p_s: repr(linear_to_db(p_s))))))
 
 
-def _draw_trials(cfg: SystemConfig, start: int, stop: int):
-    """Channel and warm start of trials start..stop-1, each from its own
-    stream, in trial order. Stops at the first trial whose draw fails and
-    returns (draws, (trial, error) or None)."""
-    draws = []
+def _shard(cfg: SystemConfig, start: int, stop: int):
+    """Trials start..stop-1 as the rows of one lockstep ascent, each on its
+    own channel and start: a fixed-power trial adds two rows, w_e held then
+    w_e optimized, and then gets its SVD diagnostic; a variable-power trial
+    adds one row.
+
+    Returns ([trial] for the leading trials that finished, (first failed
+    trial, its error) or None), a trial being (res_rand, res_opt, bound) at
+    fixed power and (res,) at variable power.
+    """
+    draws, failure = [], None
     for i in range(start, stop):
         try:
             rng = seed_fanout(cfg.seed, i)
-            ch = draw_channel_set(cfg.channel, rng)
-            draws.append((ch, warm_start(cfg.channel, rng)))
+            draws.append((draw_channel_set(cfg.channel, rng), warm_start(cfg.channel, rng)))
         except Exception as exc:
-            return draws, (i, exc)
-    return draws, None
-
-
-def _fixed_shard(cfg: SystemConfig, start: int, stop: int):
-    """Trials start..stop-1 of a fixed-power study as rows of one lockstep
-    ascent: per trial, w_e held then w_e optimized, on the same channel and
-    start. Then the SVD diagnostic of each trial, in order.
-
-    Returns ([(res_rand, res_opt, bound)] for the leading trials that
-    finished, (first failed trial, its error) or None).
-    """
-    draws, draw_failure = _draw_trials(cfg, start, stop)
+            failure = (i, exc)
+            break
+    fixed = cfg.experiment is ExperimentKind.FIXED_POWER
+    holds = (False, True) if fixed else (False,)
     rows = [AscentRow(ch, cfg.powers, init, optimize_we)
-            for ch, init in draws for optimize_we in (False, True)]
-    results, error = ascend_rows(rows, cfg.optimizer)
-    # rows exist only for the trials drawn, so an ascent failure comes first
-    failure = draw_failure if error is None else (start + len(results) // 2, error)
+            for ch, init in draws for optimize_we in holds]
+    results, error = ascend_rows(rows, cfg.optimizer, variable=not fixed)
+    n = len(holds)
+    if error is not None:  # rows exist only for the trials drawn, so it comes first
+        failure = (start + len(results) // n, error)
     trials = []
-    for k, (ch, _init) in enumerate(draws[:len(results) // 2]):
-        try:
-            bound = svd_upper_bound(ch, cfg.powers)
-        except Exception as exc:
-            return trials, (start + k, exc)
-        trials.append((results[2 * k], results[2 * k + 1], bound))
+    for k in range(len(results) // n):
+        trial = tuple(results[n * k:n * k + n])
+        if fixed:
+            try:
+                trial += (svd_upper_bound(draws[k][0], cfg.powers),)
+            except Exception as exc:
+                return trials, (start + k, exc)
+        trials.append(trial)
     return trials, failure
-
-
-def _variable_shard(cfg: SystemConfig, start: int, stop: int):
-    """Trials start..stop-1 of a variable-power study as rows of one
-    lockstep ascent, one row per trial. Returns ([result] for the leading
-    trials that finished, (first failed trial, its error) or None)."""
-    draws, draw_failure = _draw_trials(cfg, start, stop)
-    rows = [AscentRow(ch, cfg.powers, init) for ch, init in draws]
-    results, error = ascend_rows(rows, cfg.optimizer, variable=True)
-    return results, draw_failure if error is None else (start + len(results), error)
 
 
 def _shard_bounds(n_trials: int, threads: int) -> list[tuple[int, int]]:
@@ -234,10 +224,10 @@ def _run_shard(shard, cfg: SystemConfig, start: int, stop: int):
         return [], (start, exc)
 
 
-def _render(index: int, trial) -> None:
-    """Put trial ``index``'s trace.csv rows on its main ascent's trace (the
-    first result of a fixed-power trial), in ``trace.csv_rows``."""
-    trace = (trial[0] if isinstance(trial, tuple) else trial).trace
+def _render(index: int, trial: tuple) -> None:
+    """Put trial ``index``'s trace.csv rows on its main ascent's trace, the
+    trial's first result, in ``trace.csv_rows``."""
+    trace = trial[0].trace
     trace.csv_rows = _trace_text(index, trace)
 
 
@@ -275,9 +265,10 @@ def _receive(worker, conn, start: int, stop: int):
 
 
 def _map_trials(shard, cfg: SystemConfig, threads: int, render: bool):
-    """Run trials 0..n_trials-1 in shards, yielding (index, result) in trial
-    order, and raise TrialError for the first trial that failed; ``threads``
-    below 1 is a ValueError.
+    """Run trials 0..n_trials-1 in shards of ``shard`` (``_shard``, or a
+    stand-in with its signature), yielding (index, trial) in trial order,
+    and raise TrialError for the first trial that failed; ``threads`` below
+    1 is a ValueError.
 
     n = min(threads, shards) processes run trials, and this process is
     process 0: process k runs shards k, k+n, k+2n, ... in order. So this
@@ -285,8 +276,9 @@ def _map_trials(shard, cfg: SystemConfig, threads: int, render: bool):
     from worker i mod n, over that worker's own pipe; an outcome waits in
     its worker until this process reads it. A worker that exits without
     sending a shard fails that shard's first trial, with its exit code. On
-    a failure, or when the caller stops early, the live workers are stopped
-    at once rather than waited for. Workers start with the platform's
+    a failure, or when the caller closes this generator early (as
+    ``_run_study`` does when its observer raises), the live workers are
+    stopped at once rather than waited for. Workers start with the platform's
     default start method: on Linux, fork, which starts one in milliseconds
     where spawning it and importing the package takes a third of a second.
 
@@ -317,10 +309,10 @@ def _map_trials(shard, cfg: SystemConfig, threads: int, render: bool):
             else:
                 trials, failure = _receive(*workers[i % n], start, stop)
             for offset in range(len(trials)):
-                result, trials[offset] = trials[offset], None
+                trial, trials[offset] = trials[offset], None
                 if render and here:
-                    _render(start + offset, result)
-                yield start + offset, result
+                    _render(start + offset, trial)
+                yield start + offset, trial
             if failure is not None:
                 index, cause = failure
                 raise TrialError(index, cfg.seed, cause) from cause
@@ -331,6 +323,63 @@ def _map_trials(shard, cfg: SystemConfig, threads: int, render: bool):
         for worker, conn in workers.values():
             worker.join()
             conn.close()
+
+
+def _run_study(cfg: SystemConfig, kind: ExperimentKind, threads: int, on_trial):
+    """The study ``cfg`` describes, which must be of ``kind``: its trials,
+    each handed to ``on_trial`` in index order, reduced to one report. An
+    error the observer raises stops the workers before it propagates."""
+    if cfg.experiment is not kind:
+        raise ValueError(f"config does not describe a {kind.value.replace('_', '-')} experiment")
+    fixed = kind is ExperimentKind.FIXED_POWER
+    # per trial: the main c_s curve and final c_s; the second curve and final,
+    # c_s_we_opt at fixed power and p_s_db at variable power; the iterations
+    # or cycles; and at fixed power the SVD diagnostic
+    curves, second_curves, finals, second_finals, lengths, bounds = [], [], [], [], [], []
+    reasons: dict[str, int] = {}
+    with closing(_map_trials(_shard, cfg, threads, on_trial is not None)) as trials:
+        for i, trial in trials:
+            res = trial[0]
+            finals.append(res.snapshot.c_s)
+            reason = res.trace.reason.value
+            reasons[reason] = reasons.get(reason, 0) + 1
+            if fixed:
+                _, res_opt, bound = trial
+                curves.append(_dense_curve(res.trace))
+                second_curves.append(_dense_curve(res_opt.trace))
+                second_finals.append(res_opt.snapshot.c_s)
+                lengths.append(res.trace.n_iters)
+                bounds.append(bound)
+            else:
+                cycles = res.trace.cycles
+                curves.append(np.array([c.c_s for c in cycles]))
+                second_curves.append(np.array([linear_to_db(c.p_s) for c in cycles]))
+                second_finals.append(linear_to_db(res.p_s))
+                lengths.append(len(cycles))
+            # every name above now holds trial i, so trial i-1 is let go
+            if on_trial is not None:
+                on_trial(i, *trial)
+    report = AggregateReport(
+        experiment=kind.value,
+        n_trials=cfg.n_trials,
+        c_s_mean_curve=_pad_mean(curves),
+        converged_c_s_mean=float(np.mean(finals)),
+        converged_c_s_std=float(np.std(finals)),
+        termination_reasons=reasons,
+    )
+    if fixed:
+        report.c_s_we_opt_mean_curve = _pad_mean(second_curves)
+        report.converged_c_s_we_opt_mean = float(np.mean(second_finals))
+        report.svd_bound_mean = float(np.mean(bounds))
+        report.mean_iterations = float(np.mean(lengths))
+        report.svd_violation_trials = [i for i, (c_s, bound) in enumerate(zip(finals, bounds))
+                                       if c_s > bound]
+        report.svd_violations = len(report.svd_violation_trials)
+    else:
+        report.p_s_db_mean_curve = _pad_mean(second_curves)
+        report.mean_final_p_s_db = float(np.mean(second_finals))
+        report.mean_cycles = float(np.mean(lengths))
+    return report
 
 
 def run_fixed_power_experiment(
@@ -347,40 +396,7 @@ def run_fixed_power_experiment(
     ``trace.csv_rows``, rendered where the trial ran. Without an observer
     no rows are rendered, since nothing could read them.
     """
-    if cfg.experiment is not ExperimentKind.FIXED_POWER:
-        raise ValueError("config does not describe a fixed-power experiment")
-    curves_rand, curves_opt = [], []
-    finals_rand, finals_opt, bounds, iters = [], [], [], []
-    violations = []
-    reasons: dict[str, int] = {}
-    trials = _map_trials(_fixed_shard, cfg, threads, on_trial is not None)
-    for i, (res_rand, res_opt, bound) in trials:
-        if on_trial is not None:
-            on_trial(i, res_rand, res_opt, bound)
-        curves_rand.append(_dense_curve(res_rand.trace))
-        curves_opt.append(_dense_curve(res_opt.trace))
-        finals_rand.append(res_rand.snapshot.c_s)
-        finals_opt.append(res_opt.snapshot.c_s)
-        bounds.append(bound)
-        iters.append(res_rand.trace.n_iters)
-        reason = res_rand.trace.reason.value
-        reasons[reason] = reasons.get(reason, 0) + 1
-        if res_rand.snapshot.c_s > bound:
-            violations.append(i)
-    return AggregateReport(
-        experiment=cfg.experiment.value,
-        n_trials=cfg.n_trials,
-        c_s_mean_curve=_pad_mean(curves_rand),
-        c_s_we_opt_mean_curve=_pad_mean(curves_opt),
-        converged_c_s_mean=float(np.mean(finals_rand)),
-        converged_c_s_std=float(np.std(finals_rand)),
-        converged_c_s_we_opt_mean=float(np.mean(finals_opt)),
-        svd_bound_mean=float(np.mean(bounds)),
-        mean_iterations=float(np.mean(iters)),
-        svd_violations=len(violations),
-        svd_violation_trials=violations,
-        termination_reasons=reasons,
-    )
+    return _run_study(cfg, ExperimentKind.FIXED_POWER, threads, on_trial)
 
 
 def run_variable_power_experiment(
@@ -390,30 +406,4 @@ def run_variable_power_experiment(
 ) -> AggregateReport:
     """Per trial: one variable-power ascent toward the secrecy target.
     ``on_trial`` is as in ``run_fixed_power_experiment``."""
-    if cfg.experiment is not ExperimentKind.VARIABLE_POWER:
-        raise ValueError("config does not describe a variable-power experiment")
-    c_s_curves, p_db_curves = [], []
-    n_cycles, finals, final_p_db = [], [], []
-    reasons: dict[str, int] = {}
-    for i, res in _map_trials(_variable_shard, cfg, threads, on_trial is not None):
-        if on_trial is not None:
-            on_trial(i, res)
-        cyc = res.trace.cycles
-        c_s_curves.append(np.array([c.c_s for c in cyc]))
-        p_db_curves.append(np.array([linear_to_db(c.p_s) for c in cyc]))
-        n_cycles.append(len(cyc))
-        finals.append(res.snapshot.c_s)
-        final_p_db.append(linear_to_db(res.p_s))
-        reason = res.trace.reason.value
-        reasons[reason] = reasons.get(reason, 0) + 1
-    return AggregateReport(
-        experiment=cfg.experiment.value,
-        n_trials=cfg.n_trials,
-        c_s_mean_curve=_pad_mean(c_s_curves),
-        p_s_db_mean_curve=_pad_mean(p_db_curves),
-        converged_c_s_mean=float(np.mean(finals)),
-        converged_c_s_std=float(np.std(finals)),
-        mean_cycles=float(np.mean(n_cycles)),
-        mean_final_p_s_db=float(np.mean(final_p_db)),
-        termination_reasons=reasons,
-    )
+    return _run_study(cfg, ExperimentKind.VARIABLE_POWER, threads, on_trial)

@@ -320,6 +320,22 @@ def test_run_override_changes_trials(tiny_cfg, tmp_path):
     assert trials == {"0"}
 
 
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize("flags", [["--trials", "2", "--n-trials", "3"],
+                                   ["--n-trials", "3", "--trials", "2"]])
+def test_trials_and_its_alias_together_exit_2(tiny_cfg, tmp_path, capsys, command, flags):
+    # --trials is an alias of --n-trials: given both, neither may win silently
+    out = tmp_path / "out"
+    argv = [command, "--config", tiny_cfg, *(["--out", str(out)] if command == "run" else [])]
+    with pytest.raises(SystemExit) as exit_:
+        run_cli(*argv, *flags)
+    assert exit_.value.code == 2
+    message = capsys.readouterr().err.splitlines()[-1]
+    assert "not allowed with argument" in message
+    assert "--trials" in message and "--n-trials" in message
+    assert not out.exists()
+
+
 def test_run_bad_config_exit_2(tiny_cfg, tmp_path):
     assert run_cli("run", "--config", tiny_cfg, "--out", str(tmp_path / "x"),
                    "--p-s-db", "oops") == 2
@@ -332,13 +348,13 @@ def test_failed_run_leaves_no_summary_of_an_earlier_run(tiny_cfg, tmp_path, monk
     out = tmp_path / "out"
     assert run_cli("run", "--config", tiny_cfg, "--out", str(out), "--threads", "1") == 0
     rows = read_csv(out / "trace.csv")
-    real_shard = exp._fixed_shard
+    real_shard = exp._shard
 
     def fail_at_trial_1(cfg, start, stop):
         trials, failure = real_shard(cfg, start, min(stop, 1))
         return trials, failure or (1, RuntimeError("synthetic failure"))
 
-    monkeypatch.setattr(exp, "_fixed_shard", fail_at_trial_1)
+    monkeypatch.setattr(exp, "_shard", fail_at_trial_1)
     assert run_cli("run", "--config", tiny_cfg, "--out", str(out), "--threads", "1") == 1
     assert not (out / "report.json").exists()
     assert not (out / "aggregate.csv").exists()
@@ -404,7 +420,7 @@ def test_threads_env_fallback(monkeypatch):
 def test_run_rejects_an_out_path_that_cannot_be_a_directory(tiny_cfg, tmp_path, capsys,
                                                            monkeypatch, below):
     # an existing file, or a path below one, fails before any trial runs
-    monkeypatch.setattr(exp, "_fixed_shard", None)
+    monkeypatch.setattr(exp, "_shard", None)
     blocker = tmp_path / "file"
     blocker.write_text("kept\n")
     out = str(blocker) + below

@@ -59,16 +59,15 @@ def test_dense_curve_carries_values_forward():
 def test_shard_results_pickle_round_trip(kind):
     # shard results cross a worker's pipe: states as one packed array each,
     # traces as their column logs; they must come back bit for bit
+    # a trial is (res_rand, res_opt, bound) at fixed power and (res,) at
+    # variable power: its results, then the bound if it has one
     cfg = small_config(n_trials=3, experiment=kind, max_iters=60)
-    fixed = kind is sa.ExperimentKind.FIXED_POWER
-    trials, failure = (exp._fixed_shard if fixed else exp._variable_shard)(cfg, 0, 3)
+    trials, failure = exp._shard(cfg, 0, 3)
     assert failure is None and len(trials) == 3
+    assert {len(t) for t in trials} == {3 if kind is sa.ExperimentKind.FIXED_POWER else 1}
     back, _ = pickle.loads(pickle.dumps((trials, failure)))
-    if fixed:
-        assert [t[2] for t in back] == [t[2] for t in trials]
-        pairs = [(g, w) for got, want in zip(back, trials) for g, w in zip(got[:2], want[:2])]
-    else:
-        pairs = list(zip(back, trials))
+    assert [t[2:] for t in back] == [t[2:] for t in trials]
+    pairs = [(g, w) for got, want in zip(back, trials) for g, w in zip(got[:2], want[:2])]
     for got, want in pairs:
         for g, w in zip(got.state.vectors(), want.state.vectors()):
             assert (g.shape, g.dtype) == (w.shape, w.dtype)
@@ -112,21 +111,36 @@ def test_fixed_power_single_trial_equals_its_trace():
     np.testing.assert_allclose(report.c_s_mean_curve, dense)
 
 
+def run_study(cfg, **kwargs):
+    """The public runner of ``cfg``'s experiment."""
+    fixed = cfg.experiment is sa.ExperimentKind.FIXED_POWER
+    return (sa.run_fixed_power_experiment if fixed else sa.run_variable_power_experiment)(
+        cfg, **kwargs)
+
+
 @pytest.mark.parametrize("threads", [1, 2])
-def test_each_trial_comes_with_its_rows_and_is_let_go_once_observed(threads):
+@pytest.mark.parametrize("kind", list(sa.ExperimentKind))
+def test_each_trial_comes_with_its_rows_and_is_let_go_once_observed(kind, threads):
     # the main ascent carries its trace.csv rows, rendered where it ran; a
-    # trial observed before the current one is no longer held, rows and all
-    cfg = small_config(n_trials=4, max_iters=30)
+    # trial observed before the current one is no longer held, rows and all.
+    # A fixed-power trial is observed as (i, res, res_opt, bound) and a
+    # variable-power one as (i, res)
+    cfg = small_config(n_trials=4, max_iters=30, experiment=kind)
     seen = []
 
-    def observe(i, res, res_opt, bound):
-        assert [ref() for ref in seen] == [None] * i
+    def observe(i, res, *rest):
+        assert [ref() for ref in seen] == [None] * len(seen)
         assert res.trace.csv_rows == exp._trace_text(i, res.trace)
-        assert res_opt.trace.csv_rows is None
+        if kind is sa.ExperimentKind.FIXED_POWER:
+            res_opt, bound = rest
+            assert res_opt.trace.csv_rows is None and bound > 0
+            seen.append(weakref.ref(res_opt.trace))
+        else:
+            assert rest == ()
         seen.append(weakref.ref(res.trace))
 
-    sa.run_fixed_power_experiment(cfg, threads=threads, on_trial=observe)
-    assert len(seen) == 4
+    run_study(cfg, threads=threads, on_trial=observe)
+    assert len(seen) == (8 if kind is sa.ExperimentKind.FIXED_POWER else 4)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -200,7 +214,7 @@ def test_trial_error_identifies_seed(monkeypatch):
     def boom(cfg, start, stop):
         raise RuntimeError("synthetic failure")
 
-    monkeypatch.setattr(exp, "_fixed_shard", boom)
+    monkeypatch.setattr(exp, "_shard", boom)
     cfg = small_config(n_trials=2, seed=77)
     with pytest.raises(sa.TrialError) as err:
         sa.run_fixed_power_experiment(cfg)
@@ -225,7 +239,7 @@ def test_pool_failure_cancels_pending_trials(monkeypatch):
     # bound
     import secrecy_ascent.experiment as exp
 
-    monkeypatch.setattr(exp, "_fixed_shard", _fail_first_then_sleep)
+    monkeypatch.setattr(exp, "_shard", _fail_first_then_sleep)
     cfg = small_config(n_trials=40, seed=78)
     started = time.perf_counter()
     with pytest.raises(sa.TrialError) as err:
@@ -248,7 +262,7 @@ def test_failing_shard_stops_the_other_workers(monkeypatch):
     # sleeps 5 s: the error must not wait for it
     import secrecy_ascent.experiment as exp
 
-    monkeypatch.setattr(exp, "_fixed_shard", _fail_now_or_sleep_long)
+    monkeypatch.setattr(exp, "_shard", _fail_now_or_sleep_long)
     cfg = small_config(n_trials=2, seed=79)
     started = time.perf_counter()
     with pytest.raises(sa.TrialError) as err:
@@ -267,7 +281,7 @@ def _fail_past_the_first_shard(cfg, start, stop):
 def test_failure_in_a_pool_shard_names_its_trial(monkeypatch):
     # shard 0 runs in this process; a failure in a shard the pool runs must
     # come back with its own trial index
-    monkeypatch.setattr(exp, "_fixed_shard", _fail_past_the_first_shard)
+    monkeypatch.setattr(exp, "_shard", _fail_past_the_first_shard)
     cfg = small_config(n_trials=40, seed=80)
     with pytest.raises(sa.TrialError) as err:
         sa.run_fixed_power_experiment(cfg, threads=2)
@@ -286,7 +300,7 @@ def _fail_naming_the_process(cfg, start, stop):
 ])
 def test_lead_shard_runs_here_only_while_threads_bound_the_processes(
         monkeypatch, n_trials, threads, lead_here):
-    monkeypatch.setattr(exp, "_fixed_shard", _fail_naming_the_process)
+    monkeypatch.setattr(exp, "_shard", _fail_naming_the_process)
     cfg = small_config(n_trials=n_trials)
     with pytest.raises(sa.TrialError) as err:
         sa.run_fixed_power_experiment(cfg, threads=threads)
@@ -305,7 +319,7 @@ def die_past_the_first_shard(cfg, start, stop):
     os._exit(3)
 
 if __name__ == "__main__":
-    exp._fixed_shard = die_past_the_first_shard
+    exp._shard = die_past_the_first_shard
     cfg = sa.SystemConfig(
         channel=sa.ChannelParams(n_clusters=2, n_rays=3, n_rx=2, n_tx=8, angular_spread_deg=10),
         powers=sa.PowerConfig(p_s=10.0, p_j=10.0), optimizer=sa.OptimizerConfig(),
@@ -347,7 +361,7 @@ def _fail_past_the_first_shard_fast(cfg, start, stop):
 ])
 def test_no_worker_outlives_its_study(monkeypatch, shard, n_trials):
     if shard is not None:
-        monkeypatch.setattr(exp, "_fixed_shard", shard)
+        monkeypatch.setattr(exp, "_shard", shard)
     cfg = small_config(n_trials=n_trials, max_iters=30)
     if shard is None:
         sa.run_fixed_power_experiment(cfg, threads=2)
@@ -355,6 +369,34 @@ def test_no_worker_outlives_its_study(monkeypatch, shard, n_trials):
         with pytest.raises(sa.TrialError):
             sa.run_fixed_power_experiment(cfg, threads=2)
     assert multiprocessing.active_children() == []
+
+
+_real_shard = exp._shard
+
+
+def _run_here_or_sleep_long(cfg, start, stop):
+    if start == 0:
+        return _real_shard(cfg, start, stop)
+    time.sleep(5.0)
+    return [], None
+
+
+@pytest.mark.parametrize("kind", list(sa.ExperimentKind))
+def test_a_failing_observer_stops_the_workers(monkeypatch, kind):
+    # the observer fails at trial 0, as run's trace.csv write does on a full
+    # disk, while the worker's shard sleeps 5 s: the worker must be gone
+    # while the error is still held, not only once it is let go
+    def observe(i, *trial):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(exp, "_shard", _run_here_or_sleep_long)
+    cfg = small_config(n_trials=2, max_iters=30, experiment=kind)
+    started = time.perf_counter()
+    with pytest.raises(OSError) as err:
+        run_study(cfg, threads=2, on_trial=observe)
+    assert multiprocessing.active_children() == []
+    assert time.perf_counter() - started < 2.0
+    assert err.value.errno == 28
 
 
 @pytest.mark.parametrize("n_trials, threads, shard_trials, pool_sizes", [
@@ -407,7 +449,7 @@ def test_shards_run_round_robin_over_this_process_and_its_workers(
 @pytest.mark.parametrize("threads", [0, -4])
 def test_map_trials_rejects_threads_below_one(threads):
     with pytest.raises(ValueError, match="threads"):
-        next(exp._map_trials(exp._fixed_shard, small_config(), threads, False))
+        next(exp._map_trials(exp._shard, small_config(), threads, False))
 
 
 def test_system_config_validation():

@@ -76,7 +76,7 @@ def test_outputs_independent_of_shard_size_and_threads(plan, tmp_path, monkeypat
 
 
 POISONED_SEED, POISONED_TRIAL = 11, 4
-_draw, _fixed_shard = exp.draw_channel_set, exp._fixed_shard
+_draw, _shard = exp.draw_channel_set, exp._shard
 
 
 def _poisoned_draw(params, rng):
@@ -87,18 +87,18 @@ def _poisoned_draw(params, rng):
     return ch
 
 
-def _poisoned_fixed_shard(cfg, start, stop):
+def _poisoned_shard(cfg, start, stop):
     # module level, so that a worker imports it by name under any start
     # method; it poisons the draws of whichever process runs the shard
     exp.draw_channel_set = _poisoned_draw
     try:
-        return _fixed_shard(cfg, start, stop)
+        return _shard(cfg, start, stop)
     finally:
         exp.draw_channel_set = _draw
 
 
 def test_poisoned_trial_fails_alike_for_any_sharding(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(exp, "_fixed_shard", _poisoned_fixed_shard)
+    monkeypatch.setattr(exp, "_shard", _poisoned_shard)
     text = PLANS["fixed"][0]
     traces, errors = [], []
     for shard, threads in SHARDINGS:
