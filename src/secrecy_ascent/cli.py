@@ -3,7 +3,7 @@
 Outputs of ``run``:
   trace.csv      per accepted iteration of every trial's main ascent
                  (columns: trial, cycle, iteration, c_s, c_l, c_e, delta, p_s_db)
-  aggregate.csv  mean curves over trials, benchmark columns included
+  aggregate.csv  the report's mean curves as columns, benchmark columns included
   report.json    aggregate report plus a manifest (config snapshot, seed,
                  version, duration, output paths)
 """
@@ -48,24 +48,6 @@ class RunManifest:
     outputs: dict[str, str] = field(default_factory=dict)
 
 
-def _aggregate_text(report, fixed: bool) -> str:
-    """aggregate.csv: the mean curves, one ``%`` format per row, as
-    ``experiment._trace_text`` writes trace.csv."""
-    if fixed:
-        main_curve, opt_curve = report.c_s_mean_curve, report.c_s_we_opt_mean_curve
-        n = max(len(main_curve), len(opt_curve))
-        main_curve = main_curve + main_curve[-1:] * (n - len(main_curve))
-        opt_curve = opt_curve + opt_curve[-1:] * (n - len(opt_curve))
-        row = f"%d,%s,%s,{report.svd_bound_mean!r}\n"
-        header = "iteration,c_s_mean,c_s_we_opt_mean,svd_bound_mean\n"
-        rows = zip(range(n), main_curve, opt_curve)
-    else:
-        row, header = "%d,%s,%s\n", "cycle,c_s_mean,p_s_db_mean\n"
-        rows = zip(range(1, len(report.c_s_mean_curve) + 1), report.c_s_mean_curve,
-                   report.p_s_db_mean_curve)
-    return header + "".join(map(row.__mod__, rows))
-
-
 def _fields(obj) -> dict:
     """A dataclass's fields as a dict, without copying their values."""
     return {f.name: getattr(obj, f.name) for f in fields(obj)}
@@ -98,7 +80,7 @@ def cmd_run(config_path: str, overrides: dict[str, str], output_dir: str, thread
                      on_trial=lambda i, res, *_: fh.write(res.trace.csv_rows))
 
     with open(aggregate_path, "w", newline="") as fh:
-        fh.write(_aggregate_text(report, fixed))
+        fh.write(report.aggregate_text())
 
     manifest = RunManifest(
         config=dict(flat_items(resolved)),
@@ -123,7 +105,7 @@ def cmd_run(config_path: str, overrides: dict[str, str], output_dir: str, thread
     reasons = ", ".join(f"{name}={count}"
                         for name, count in sorted(report.termination_reasons.items()))
     print(f"termination: {reasons}")
-    if report.svd_violations:
+    if fixed and report.svd_violations:
         print(
             f"note: converged c_s exceeded the SVD diagnostic in "
             f"{report.svd_violations}/{report.n_trials} trials"

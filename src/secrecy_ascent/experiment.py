@@ -14,8 +14,11 @@ back over a pipe of its own. Since a row's result does not depend on its
 batch, results are identical for any shard size or worker count. One loop
 (``_run_study``) hands each trial to an observer as ``on_trial(i, *trial)``,
 stopping the workers at once if it raises, and reduces the trials in
-trial-index order. The trace.csv rows and the report state each power in
-dB by the one ``metrics.linear_to_db``.
+trial-index order, into the report of its experiment: a
+``FixedPowerReport`` or a ``VariablePowerReport``, each holding only what
+its experiment computes and writing its own aggregate.csv rows. The
+trace.csv rows and the report state each power in dB by the one
+``metrics.linear_to_db``.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 import enum
 import multiprocessing
 from contextlib import closing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -80,29 +83,58 @@ class SystemConfig:
 
 @dataclass
 class AggregateReport:
-    """Monte Carlo means, spreads, and benchmark curves for one experiment.
-
-    Curves share the longest trial's axis; shorter trials are padded by
-    carrying their terminal value forward. For fixed power the axis is the
-    iteration index (entry 0 is the starting point); for variable power it
-    is the cycle index (entry k is cycle k+1).
-    """
+    """What both experiments report: Monte Carlo means and spreads, and the
+    mean c_s curve on the longest trial's axis, shorter trials padded by
+    carrying their terminal value forward. aggregate.csv is the report's
+    curves as columns (``aggregate_text``)."""
 
     experiment: str
     n_trials: int
-    c_s_mean_curve: list[float] = field(default_factory=list)
-    c_s_we_opt_mean_curve: list[float] = field(default_factory=list)
-    p_s_db_mean_curve: list[float] = field(default_factory=list)
-    converged_c_s_mean: float = 0.0
-    converged_c_s_std: float = 0.0
-    converged_c_s_we_opt_mean: float = 0.0
-    svd_bound_mean: float = 0.0
-    mean_iterations: float = 0.0
-    mean_cycles: float = 0.0
-    mean_final_p_s_db: float = 0.0
-    svd_violations: int = 0
-    svd_violation_trials: list[int] = field(default_factory=list)
-    termination_reasons: dict[str, int] = field(default_factory=dict)
+    c_s_mean_curve: list[float]
+    converged_c_s_mean: float
+    converged_c_s_std: float
+    termination_reasons: dict[str, int]
+
+
+@dataclass
+class FixedPowerReport(AggregateReport):
+    """The fixed-power report: its curves share the iteration axis (entry 0
+    is the starting point), the w_e-held and the w_e-optimized curves
+    padded to one length, the longer ascent's."""
+
+    c_s_we_opt_mean_curve: list[float]
+    converged_c_s_we_opt_mean: float
+    svd_bound_mean: float
+    mean_iterations: float
+    svd_violation_trials: list[int]
+
+    @property
+    def svd_violations(self) -> int:
+        return len(self.svd_violation_trials)
+
+    def aggregate_text(self) -> str:
+        """aggregate.csv, one ``%`` format per row, as ``_trace_text`` writes trace.csv."""
+        row = f"%d,%s,%s,{self.svd_bound_mean!r}\n"
+        rows = zip(range(len(self.c_s_mean_curve)), self.c_s_mean_curve,
+                   self.c_s_we_opt_mean_curve)
+        return ("iteration,c_s_mean,c_s_we_opt_mean,svd_bound_mean\n"
+                + "".join(map(row.__mod__, rows)))
+
+
+@dataclass
+class VariablePowerReport(AggregateReport):
+    """The variable-power report: its curves share the cycle axis (entry k
+    is cycle k+1)."""
+
+    p_s_db_mean_curve: list[float]
+    mean_cycles: float
+    mean_final_p_s_db: float
+
+    def aggregate_text(self) -> str:
+        """aggregate.csv, as ``FixedPowerReport.aggregate_text`` writes it."""
+        rows = zip(range(1, len(self.c_s_mean_curve) + 1), self.c_s_mean_curve,
+                   self.p_s_db_mean_curve)
+        return "cycle,c_s_mean,p_s_db_mean\n" + "".join(map("%d,%s,%s\n".__mod__, rows))
 
 
 class TrialError(RuntimeError):
@@ -132,9 +164,8 @@ def _dense_curve(trace: OptimizerTrace) -> np.ndarray:
     return log["c_s"][idx]
 
 
-def _pad_mean(curves: list[np.ndarray]) -> list[float]:
-    """Mean across trials after carry-forward padding to the longest curve."""
-    length = max(c.size for c in curves)
+def _pad_mean(curves: list[np.ndarray], length: int) -> list[float]:
+    """Mean across trials after carry-forward padding to ``length`` entries."""
     padded = np.empty((len(curves), length))
     for i, c in enumerate(curves):
         padded[i, : c.size] = c
@@ -327,8 +358,9 @@ def _map_trials(shard, cfg: SystemConfig, threads: int, render: bool):
 
 def _run_study(cfg: SystemConfig, kind: ExperimentKind, threads: int, on_trial):
     """The study ``cfg`` describes, which must be of ``kind``: its trials,
-    each handed to ``on_trial`` in index order, reduced to one report. An
-    error the observer raises stops the workers before it propagates."""
+    each handed to ``on_trial`` in index order, reduced to the report of
+    ``kind``. An error the observer raises stops the workers before it
+    propagates."""
     if cfg.experiment is not kind:
         raise ValueError(f"config does not describe a {kind.value.replace('_', '-')} experiment")
     fixed = kind is ExperimentKind.FIXED_POWER
@@ -359,34 +391,28 @@ def _run_study(cfg: SystemConfig, kind: ExperimentKind, threads: int, on_trial):
             # every name above now holds trial i, so trial i-1 is let go
             if on_trial is not None:
                 on_trial(i, *trial)
-    report = AggregateReport(
-        experiment=kind.value,
-        n_trials=cfg.n_trials,
-        c_s_mean_curve=_pad_mean(curves),
-        converged_c_s_mean=float(np.mean(finals)),
-        converged_c_s_std=float(np.std(finals)),
-        termination_reasons=reasons,
-    )
+    # both curve sets on one axis: at fixed power the longer ascent's
+    length = max(c.size for c in curves + second_curves)
+    common = dict(experiment=kind.value, n_trials=cfg.n_trials,
+                  c_s_mean_curve=_pad_mean(curves, length),
+                  converged_c_s_mean=float(np.mean(finals)),
+                  converged_c_s_std=float(np.std(finals)), termination_reasons=reasons)
+    second_curve, second_final = _pad_mean(second_curves, length), float(np.mean(second_finals))
     if fixed:
-        report.c_s_we_opt_mean_curve = _pad_mean(second_curves)
-        report.converged_c_s_we_opt_mean = float(np.mean(second_finals))
-        report.svd_bound_mean = float(np.mean(bounds))
-        report.mean_iterations = float(np.mean(lengths))
-        report.svd_violation_trials = [i for i, (c_s, bound) in enumerate(zip(finals, bounds))
-                                       if c_s > bound]
-        report.svd_violations = len(report.svd_violation_trials)
-    else:
-        report.p_s_db_mean_curve = _pad_mean(second_curves)
-        report.mean_final_p_s_db = float(np.mean(second_finals))
-        report.mean_cycles = float(np.mean(lengths))
-    return report
+        return FixedPowerReport(
+            **common, c_s_we_opt_mean_curve=second_curve, converged_c_s_we_opt_mean=second_final,
+            svd_bound_mean=float(np.mean(bounds)), mean_iterations=float(np.mean(lengths)),
+            svd_violation_trials=[i for i, (c_s, bound) in enumerate(zip(finals, bounds))
+                                  if c_s > bound])
+    return VariablePowerReport(**common, p_s_db_mean_curve=second_curve,
+                               mean_cycles=float(np.mean(lengths)), mean_final_p_s_db=second_final)
 
 
 def run_fixed_power_experiment(
     cfg: SystemConfig,
     threads: int = 1,
     on_trial: Optional[Callable[[int, OptimizeResult, OptimizeResult, float], None]] = None,
-) -> AggregateReport:
+) -> FixedPowerReport:
     """Per trial: one ascent with the eavesdropper combiner held at its
     random start, one benchmark ascent that optimizes it too (same channel
     and same start), and the SVD diagnostic for that realization.
@@ -403,7 +429,7 @@ def run_variable_power_experiment(
     cfg: SystemConfig,
     threads: int = 1,
     on_trial: Optional[Callable[[int, OptimizeResult], None]] = None,
-) -> AggregateReport:
+) -> VariablePowerReport:
     """Per trial: one variable-power ascent toward the secrecy target.
     ``on_trial`` is as in ``run_fixed_power_experiment``."""
     return _run_study(cfg, ExperimentKind.VARIABLE_POWER, threads, on_trial)

@@ -466,9 +466,9 @@ class _Lockstep:
             np.less_equal(np.abs(change, out=ended_by), eps, out=ended)
             n_accepted = np.count_nonzero(accepted)
             if n_accepted < n_rows:
-                rejected = ~(accepted | ended)
+                # failed rows hold change 0; a floor row's halved delta returns to delta_min
+                rejected = change < -eps
                 ended |= (delta <= delta_min) & rejected
-                rejected &= ~ended
                 np.multiply(delta, 0.5, out=delta, where=rejected)
                 np.maximum(delta, delta_min, out=delta)
             if failed is not None:

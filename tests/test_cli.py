@@ -3,7 +3,9 @@ import io
 import json
 import math
 import os
-from dataclasses import asdict
+import re
+from dataclasses import asdict, fields
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -269,10 +271,11 @@ def test_trace_rows_match_per_record_formatting(tiny_cfg, tmp_path, overrides):
 
 
 @pytest.mark.parametrize("overrides", [
-    {"epsilon": "1e-3", "max_iters": "400"},  # the w_e-held curve is the longer one
-    {"epsilon": "1e-3", "max_iters": "400", "seed": "6"},  # the w_e-optimized one is
+    {"epsilon": "1e-3", "max_iters": "400"},  # the longest ascent optimizes w_e
+    {"epsilon": "1e-3", "max_iters": "400", "seed": "6"},  # too, by three passes
     {"experiment": "variable_power", "zeta": "1000", "mu_db": "12", "kappa": "0.1",
      "max_iters": "40"},
+    {"epsilon": "1e-3", "max_iters": "400", "seed": "8"},  # the longest one holds w_e
 ])
 def test_finalize_matches_asdict_and_csv_writer(tiny_cfg, tmp_path, overrides):
     # report.json and aggregate.csv are written from shallow field dicts and
@@ -285,10 +288,14 @@ def test_finalize_matches_asdict_and_csv_writer(tiny_cfg, tmp_path, overrides):
     assert run_cli(*argv) == 0
     cfg = cli.build_system_config(cli.resolve_config_file(tiny_cfg, overrides))
     variable = overrides.get("experiment") == "variable_power"
+    passes = []  # per fixed-power trial: the passes of its w_e-held and w_e-optimized ascents
     if variable:
         report = cli.run_variable_power_experiment(cfg)
     else:
-        report = cli.run_fixed_power_experiment(cfg)
+        def observe(i, res, res_opt, bound):
+            passes.append((res.trace.n_iters, res_opt.trace.n_iters))
+
+        report = cli.run_fixed_power_experiment(cfg, on_trial=observe)
     written = json.loads((tmp_path / "report.json").read_text())
     manifest = cli.RunManifest(**written["manifest"])
     buf = io.StringIO()
@@ -303,13 +310,41 @@ def test_finalize_matches_asdict_and_csv_writer(tiny_cfg, tmp_path, overrides):
         writer.writerows([k, c_s, p_db] for k, (c_s, p_db) in enumerate(
             zip(report.c_s_mean_curve, report.p_s_db_mean_curve), start=1))
     else:
+        # the longest ascents of the two sets differ, and both curves are
+        # padded to one length: aggregate.csv is the report's columns
+        held, optimized = (max(n) for n in zip(*passes))
+        assert held != optimized
         main, opt = report.c_s_mean_curve, report.c_s_we_opt_mean_curve
-        assert len(main) != len(opt)
+        assert len(main) == len(opt) == max(held, optimized) + 1
         writer.writerow(["iteration", "c_s_mean", "c_s_we_opt_mean", "svd_bound_mean"])
-        writer.writerows([t, main[min(t, len(main) - 1)], opt[min(t, len(opt) - 1)],
-                          report.svd_bound_mean] for t in range(max(len(main), len(opt))))
+        writer.writerows([t, c_s, c_s_opt, report.svd_bound_mean]
+                         for t, (c_s, c_s_opt) in enumerate(zip(main, opt)))
     assert len(buf.getvalue().splitlines()) > 3
     assert (tmp_path / "aggregate.csv").read_bytes() == buf.getvalue().encode()
+
+
+def _readme_report_fields(class_name):
+    """The report.json fields README's "Outputs of `run`" lists under ``class_name``."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    item = re.search(rf"\(`{class_name}`\):(.*?)(?:\n  - |\n\n)", text, re.S)
+    return re.findall(r"`(\w+)`", item.group(1))
+
+
+@pytest.mark.parametrize("overrides, report_class", [
+    ({}, "FixedPowerReport"),
+    ({"experiment": "variable_power", "zeta": "0.5", "max_cycles": "10"}, "VariablePowerReport"),
+])
+def test_report_json_holds_its_experiments_fields_as_the_readme_lists_them(
+        tiny_cfg, tmp_path, overrides, report_class):
+    # a report carries no field of the other experiment, nor a copy of one of its own
+    argv = ["run", "--config", tiny_cfg, "--out", str(tmp_path)]
+    for key, value in overrides.items():
+        argv += [f"--{key.replace('_', '-')}", value]
+    assert run_cli(*argv) == 0
+    names = [f.name for f in fields(getattr(exp, report_class))]
+    assert list(json.loads((tmp_path / "report.json").read_text())["report"]) == names
+    listed = _readme_report_fields("AggregateReport") + _readme_report_fields(report_class)
+    assert listed == names
 
 
 def test_run_override_changes_trials(tiny_cfg, tmp_path):

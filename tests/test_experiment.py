@@ -1,3 +1,4 @@
+import ast
 import multiprocessing
 import os
 import pickle
@@ -91,7 +92,53 @@ def test_state_pickle_keeps_mixed_blocks():
 
 def test_pad_mean_carries_terminal_values():
     curves = [np.array([1.0, 2.0]), np.array([3.0])]
-    np.testing.assert_allclose(_pad_mean(curves), [2.0, 2.5])
+    np.testing.assert_allclose(_pad_mean(curves, 2), [2.0, 2.5])
+    np.testing.assert_allclose(_pad_mean(curves, 4), [2.0, 2.5, 2.5, 2.5])
+
+
+def _report_reads(fn: ast.FunctionDef, fixture: str) -> set[str]:
+    """The attributes criterion ``fn`` reads from the reports of ``fixture``:
+    those of the names it binds to ``fixture[...]``, to the reports of
+    ``fixture.items()``, or to the reports of a tuple of (label, report)
+    pairs."""
+    names = set()
+    for node in ast.walk(fn):  # breadth first: a statement before those it holds
+        if isinstance(node, ast.Assign):
+            values = node.value.elts if isinstance(node.value, ast.Tuple) else [node.value]
+            if all(isinstance(v, ast.Subscript) and isinstance(v.value, ast.Name)
+                   and v.value.id == fixture for v in values):
+                names |= {n.id for t in node.targets for n in ast.walk(t)
+                          if isinstance(n, ast.Name)}
+        elif isinstance(node, ast.For) and isinstance(node.target, ast.Tuple):
+            it = ast.unparse(node.iter)
+            pairs = node.iter.elts if isinstance(node.iter, ast.Tuple) else []
+            if it == f"{fixture}.items()" or pairs and all(
+                    isinstance(p, ast.Tuple) and ast.unparse(p.elts[-1]) in names
+                    for p in pairs):
+                names.add(node.target.elts[-1].id)
+    return {node.attr for node in ast.walk(fn) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id in names}
+
+
+def test_acceptance_criteria_read_only_what_their_reports_hold():
+    # criteria 2-4 take minutes and run only in the full suite: a report
+    # field they read that a report no longer has must fail here instead
+    tree = ast.parse((Path(__file__).parent / "test_acceptance.py").read_text())
+    criteria = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    reports = {
+        "fixed_reports": sa.run_fixed_power_experiment(small_config(n_trials=2, max_iters=60)),
+        "variable_reports": sa.run_variable_power_experiment(
+            small_config(n_trials=2, experiment=sa.ExperimentKind.VARIABLE_POWER, max_iters=60)),
+    }
+    seen = {}
+    for name, fn in criteria.items():
+        if name.startswith(("test_acceptance_2", "test_acceptance_3", "test_acceptance_4")):
+            (fixture,) = [a.arg for a in fn.args.args]
+            seen[name] = reads = _report_reads(fn, fixture)
+            assert reads, name
+            assert [attr for attr in sorted(reads) if not hasattr(reports[fixture], attr)] == []
+    assert len(seen) == 3
+    assert {"mean_cycles", "svd_violations", "svd_violation_trials"} <= set().union(*seen.values())
 
 
 def test_fixed_power_single_trial_equals_its_trace():
