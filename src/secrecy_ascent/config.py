@@ -147,7 +147,10 @@ def resolve_config_file(path_or_name: str, overrides: Optional[dict[str, str]] =
     """Resolved (post-default) values for a config file or bundled preset."""
     path = Path(path_or_name)
     if path.is_file():
-        text, source = path.read_text(), str(path)
+        try:
+            text, source = path.read_text(encoding="utf-8"), str(path)
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     else:
         bundled = bundled_config_text(path_or_name)
         if bundled is None:

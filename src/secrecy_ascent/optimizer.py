@@ -36,7 +36,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Callable, NamedTuple, Optional, get_type_hints
+from typing import Callable, NamedTuple, Optional, Sequence, get_type_hints
 
 import numpy as np
 
@@ -221,7 +221,7 @@ def _project_packed(kernel: LinkKernel, y: np.ndarray,
     a non-finite entry is a degenerate iterate: it is left as it is and
     returned, by row index, with its error. An infinite entry passes the
     guard and comes out NaN; the pass then finds the row's objective
-    non-finite, and ``_Lockstep._failures`` names the step as the cause.
+    non-finite, and ``_Lockstep._fail_first`` names the step as the cause.
     ``mag`` is scratch of y's shape, if given.
     """
     mag = np.abs(y, out=mag)
@@ -268,7 +268,10 @@ class _Lockstep:
     gradient, ``delta``, ``hold``, ``meta``) hold the active rows only, in
     row order, and shrink when rows leave; results and cycle records are
     kept per row id. ``meta`` row j is [row id, cycle, pass the cycle
-    started at, p_s].
+    started at, p_s]. At the top of every pass every active row's id is
+    below ``failed_at``, the first failed row's id, so the decision only
+    sees finite changes of live rows: a pass that fails a row drops it and
+    the rows after it, and is redone for the rows before it.
 
     The iteration log is kept per pass, as (pass, meta rows, [c_l, c_e,
     c_l - c_e] rows, ``delta`` rows) of the rows accepted in it; when the
@@ -286,7 +289,7 @@ class _Lockstep:
             try:
                 _check_start(row)
             except ValueError as exc:
-                self._fail(i, exc)
+                self.failed_at, self.error = i, exc
                 break
         rows = rows[:self.failed_at]
         self.n_active = len(rows)
@@ -300,24 +303,20 @@ class _Lockstep:
                              dtype=float)
         self.cycles = [[] for _ in rows]
         self.log = [(0, self.meta, self.cur.cd.copy(), self.delta.copy())]
-        self._check_finite(range(len(rows)), "the initial state")
+        self._check_finite(range(len(rows)))
         self._compact()
 
-    def _fail(self, row_id: int, exc: Exception) -> None:
-        if row_id < self.failed_at:
-            self.failed_at, self.error = row_id, exc
+    def _check_finite(self, rows) -> None:
+        """Fail the first of the active rows ``rows`` whose objective is not finite."""
+        bad = [j for j in rows if not math.isfinite(self.cur.diff[j])]
+        if bad:
+            self.failed_at = int(self.meta[min(bad), 0])
+            self.error = ValueError("non-finite objective at the initial state")
 
-    def _check_finite(self, rows, where: str) -> None:
-        diff = self.cur.diff
-        for j in rows:
-            if not math.isfinite(diff[j]):
-                self._fail(int(self.meta[j, 0]), ValueError(f"non-finite objective at {where}"))
-
-    def _compact(self, finished: Optional[np.ndarray] = None) -> None:
-        """Drop finished rows and every row at or after the first failed one."""
+    def _compact(self, finished: Sequence[int] = ()) -> None:
+        """Drop the rows at the indices ``finished`` and every row from the first failed one."""
         keep = self.meta[:, 0] < self.failed_at
-        if finished is not None:
-            keep &= ~finished
+        keep.put(finished, False)
         if keep.all():
             return
         self.n_active = int(keep.sum())
@@ -369,7 +368,7 @@ class _Lockstep:
             self.delta.put(restart, cfg.delta0)
             self.kernel.set_p_s(self.meta[:, 3])
             self.kernel.refresh(self.cur)
-            self._check_finite(restart, "the initial state")
+            self._check_finite(restart)
         return finished, bool(restart)
 
     def _finish(self, j: int, i: int, reason: TerminationReason, n_pass: int) -> None:
@@ -377,26 +376,22 @@ class _Lockstep:
         state = self.kernel.unpack(self.cur.x[j].copy())
         self.results[i] = OptimizeResult(state, _snapshot(self.cur, j), trace)
 
-    def _failures(self, change: np.ndarray, degenerate: dict, cand: np.ndarray,
-                  n_pass: int) -> np.ndarray:
-        """Fail the rows whose step had a zero block or whose candidate
-        objective is not finite; returns their mask. A candidate with a
+    def _fail_first(self, change: np.ndarray, degenerate: dict, cand: np.ndarray,
+                    n_pass: int) -> None:
+        """Fail the first row whose step had a zero or non-finite block or
+        whose candidate objective is not finite. A candidate with a
         non-finite entry came from a non-finite step, not from the
         objective."""
-        failed = ~np.isfinite(change)
-        for j in degenerate:
-            failed[j] = True
-        for j in np.flatnonzero(failed).tolist():
-            if j in degenerate:
-                error = degenerate[j]
-            elif not np.isfinite(cand[j]).all():
-                error = ValueError("cannot project a non-finite vector")
-            else:
-                error = ValueError(f"non-finite objective at iteration "
-                                   f"{n_pass - int(self.meta[j, 2])}")
-            self._fail(int(self.meta[j, 0]), error)
-        change[failed] = 0.0
-        return failed
+        j = min([*degenerate, *np.flatnonzero(~np.isfinite(change)).tolist()])
+        if j in degenerate:
+            cause = degenerate[j]
+        elif not np.isfinite(cand[j]).all():
+            cause = "cannot project a non-finite vector"
+        else:
+            cause = "non-finite objective"
+        i, cycle, start, _ = self.meta[j].tolist()
+        self.failed_at = int(i)
+        self.error = ValueError(f"{cause} at cycle {int(cycle)}, iteration {n_pass - int(start)}")
 
     def _next_cap(self) -> int:
         """The pass at which the first active row's cycle reaches max_iters."""
@@ -459,22 +454,22 @@ class _Lockstep:
             # a rejected step was already at the floor; otherwise revert and
             # halve the step (floored at delta_min)
             np.subtract(cand.diff, cur.diff, out=change)
-            failed = None
             if degenerate or not math.isfinite(np.add.reduce(change)):
-                failed = self._failures(change, degenerate, cand.x, n_pass)
+                # the first failed row and the rows after it leave; the rows
+                # before it redo the pass, to the same bits
+                self._fail_first(change, degenerate, cand.x, n_pass)
+                self._compact()
+                n_pass -= 1
+                continue
             np.greater_equal(change, 0.0, out=accepted)
             np.less_equal(np.abs(change, out=ended_by), eps, out=ended)
             n_accepted = np.count_nonzero(accepted)
             if n_accepted < n_rows:
-                # failed rows hold change 0; a floor row's halved delta returns to delta_min
+                # a floor row's halved delta returns to delta_min
                 rejected = change < -eps
                 ended |= (delta <= delta_min) & rejected
                 np.multiply(delta, 0.5, out=delta, where=rejected)
                 np.maximum(delta, delta_min, out=delta)
-            if failed is not None:
-                accepted &= ~failed
-                ended &= ~failed
-                n_accepted = np.count_nonzero(accepted)
             stale = n_accepted > 0
             if n_accepted == n_rows:
                 self.cur, cand = cand, cur
@@ -488,16 +483,11 @@ class _Lockstep:
                 ends = [(j, TerminationReason.CONVERGED) for j in ended.nonzero()[0].tolist()]
             if n_pass == next_cap:
                 capped = (self.meta[:, 2] == n_pass - cfg.max_iters) & ~ended
-                if failed is not None:
-                    capped &= ~failed
                 ends += [(j, TerminationReason.ITER_CAP) for j in capped.nonzero()[0].tolist()]
-            if not ends and failed is None:
+            if not ends:
                 continue
-            finished = np.zeros(n_rows, dtype=bool) if failed is None else failed
-            if ends:
-                done, restarted = self._end_cycles(ends, n_pass)
-                finished[done] = True
-                stale |= restarted
+            finished, restarted = self._end_cycles(ends, n_pass)
+            stale |= restarted
             self._compact(finished)
             next_cap = self._next_cap() if self.n_active else 0
         self._split_log()
@@ -527,10 +517,11 @@ def ascend_rows(
 
     Returns the results of the leading rows that finished, up to the first
     row that failed (a start that fails its checks, a non-finite objective,
-    a zero step block), and that row's error, or None if no row failed. The
-    rows after a failed one are abandoned. A row's records, final state and
-    reason do not depend on the other rows of its batch. ``on_accept(row,
-    state)`` observes every accepted iterate.
+    a zero or non-finite step block), and that row's error, or None if no
+    row failed. That row and the rows after it leave the batch on the pass
+    that fails, which the rows before it redo; ``on_accept(row, state)``
+    observes every accepted iterate, and none of an abandoned row from then
+    on. A row's result does not depend on the other rows of its batch.
     """
     if variable and cfg.zeta is None:
         raise ValueError("variable-power ascent needs cfg.zeta")

@@ -377,6 +377,13 @@ def test_run_bad_config_exit_2(tiny_cfg, tmp_path):
     assert run_cli("run", "--config", "no-such-file.cfg", "--out", str(tmp_path / "y")) == 2
 
 
+def test_validate_a_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"n_tx = 4\xff\n")
+    assert run_cli("validate", "--config", str(path)) == 2
+    assert f"{path}: not UTF-8 text: invalid start byte at byte 8" in capsys.readouterr().err
+
+
 def test_failed_run_leaves_no_summary_of_an_earlier_run(tiny_cfg, tmp_path, monkeypatch):
     # a run that fails after trial 0 writes trial 0's rows; the aggregate
     # and report of the good run before it must not stay beside them

@@ -290,41 +290,85 @@ def test_rows_before_a_failed_row_finish_and_the_rest_are_dropped():
         sa.ascend_fixed_power(rows[2].channel, rows[2].powers, cfg, rows[2].init)
 
 
-def assert_a_poisoned_step_fails_its_row(monkeypatch, value):
-    """Put ``value`` into the last of three rows' third step: that row fails
-    as a non-finite step, and the rows before it finish as when run alone."""
-    cfg = sa.OptimizerConfig(max_iters=30)
-    rows = rows_of(2, 5, sa.PowerConfig(p_s=10.0, p_j=10.0), range(3), [True, False, True])
+def assert_a_poisoned_step_fails_its_row(monkeypatch, value, at=0, bad=3, variable=False,
+                                         max_iters=30):
+    """Write ``value`` at ``at`` into row ``bad``'s third step, of four rows:
+    that row fails on the third pass, the rows before it finish as when run
+    alone, and no row from it on is observed from that pass on. Returns the
+    error."""
+    cfg = sa.OptimizerConfig(max_iters=max_iters, zeta=1e6 if variable else None,
+                             mu=sa.db_to_linear(12.0), kappa=0.2, max_cycles=4)
+    rows = rows_of(2, 5, sa.PowerConfig(p_s=10.0, p_j=10.0), range(4), [True, False] * 2)
     project = opt._project_packed
-    calls = []
+    calls, seen = [], []
 
     def poison_third_pass(kernel, y, mag=None):
         calls.append(len(y))
         if len(calls) == 3:
-            y[-1, 0] = value
+            y[bad, at] = value
         return project(kernel, y, mag)
 
     monkeypatch.setattr(opt, "_project_packed", poison_third_pass)
-    with np.errstate(invalid="ignore"):  # inf * 0 in the projection
-        results, error = ascend_rows(rows, cfg)
+    with np.errstate(invalid="ignore" if value == np.inf else "warn"):  # inf * 0
+        results, error = ascend_rows(rows, cfg, variable,
+                                     on_accept=lambda i, state: seen.append((len(calls), i)))
     assert calls[2] == len(rows)  # no row had left the batch
-    assert isinstance(error, ValueError) and str(error) == "cannot project a non-finite vector"
-    assert len(results) == 2
+    assert isinstance(error, ValueError) and len(results) == bad
+    assert [i for n_pass, i in seen if n_pass >= 3 and i >= bad] == []
     monkeypatch.setattr(opt, "_project_packed", project)
     for row, res in zip(rows, results):
-        assert same_result(ascend_rows([row], cfg)[0][0], res)
+        assert same_result(ascend_rows([row], cfg, variable)[0][0], res)
+    return error
 
 
 def test_a_non_finite_step_fails_its_row(monkeypatch):
     # the projection used to give a NaN entry phase zero, so a NaN step came
     # back as a feasible iterate; the row must fail instead
-    assert_a_poisoned_step_fails_its_row(monkeypatch, np.nan)
+    error = assert_a_poisoned_step_fails_its_row(monkeypatch, np.nan)
+    assert str(error) == "cannot project a non-finite vector at cycle 1, iteration 3"
 
 
 def test_an_infinite_step_fails_its_row_as_a_non_finite_step(monkeypatch):
     # an infinite entry passes the projection's guard and comes out NaN
     # (inf * 0); the row must fail naming its step, not its objective
-    assert_a_poisoned_step_fails_its_row(monkeypatch, np.inf)
+    error = assert_a_poisoned_step_fails_its_row(monkeypatch, np.inf)
+    assert str(error) == "cannot project a non-finite vector at cycle 1, iteration 3"
+
+
+@pytest.mark.parametrize("max_iters", [3, 30])
+@pytest.mark.parametrize("variable", [False, True])
+@pytest.mark.parametrize("bad", [1, 3])
+def test_a_failed_row_and_the_rows_after_it_leave_the_batch_at_once(
+        monkeypatch, bad, variable, max_iters):
+    # the rows after the failed one used to be decided on the failing pass,
+    # so their iterates reached on_accept although they were never returned;
+    # at max_iters 3 the failing pass is also the survivors' cap pass
+    error = assert_a_poisoned_step_fails_its_row(monkeypatch, np.nan, bad=bad,
+                                                 variable=variable, max_iters=max_iters)
+    assert str(error) == "cannot project a non-finite vector at cycle 1, iteration 3"
+
+
+def test_a_zero_step_block_fails_its_row(monkeypatch):
+    # a zero f_j has no direction to keep: the projection's degenerate path
+    error = assert_a_poisoned_step_fails_its_row(monkeypatch, 0.0, at=slice(-5, None), bad=1)
+    assert str(error) == "cannot project a zero step block at cycle 1, iteration 3"
+
+
+def test_a_non_finite_objective_of_a_finite_step_fails_its_row(monkeypatch):
+    rows = rows_of(2, 5, sa.PowerConfig(p_s=10.0, p_j=10.0), range(4), [True, False] * 2)
+    evaluate = opt.LinkKernel.evaluate
+    calls = []
+
+    def poison_third_pass(kernel, lk):  # the first evaluation is the start's
+        evaluate(kernel, lk)
+        calls.append(len(lk.diff))
+        if len(calls) == 4:
+            lk.diff[1] = np.inf
+
+    monkeypatch.setattr(opt.LinkKernel, "evaluate", poison_third_pass)
+    results, error = ascend_rows(rows, sa.OptimizerConfig(max_iters=30))
+    assert calls[3] == len(rows)
+    assert len(results) == 1 and str(error) == "non-finite objective at cycle 1, iteration 3"
 
 
 def test_a_start_off_the_ca_manifold_fails_its_row():
