@@ -6,19 +6,21 @@ contiguous shards of at most ``SHARD_TRIALS`` (``_shard``): a shard draws
 each trial's channel and start from its own stream, in trial order, and
 runs all its ascents as the rows of one lockstep ascent
 (``optimizer.ascend_rows``). A fixed-power trial is two rows (w_e held,
-w_e optimized) and comes back as (res_rand, res_opt, bound); a
-variable-power trial is one row and comes back as (res,). A study runs on
-n = min(threads, shards) processes, the calling process being process 0:
-process k runs shards k, k+n, k+2n, ..., and a worker sends each outcome
-back over a pipe of its own. Since a row's result does not depend on its
-batch, results are identical for any shard size or worker count. One loop
-(``_run_study``) hands each trial to an observer as ``on_trial(i, *trial)``,
-stopping the workers at once if it raises, and reduces the trials in
-trial-index order, into the report of its experiment: a
-``FixedPowerReport`` or a ``VariablePowerReport``, each holding only what
-its experiment computes and writing its own aggregate.csv rows. The
-trace.csv rows and the report state each power in dB by the one
-``metrics.linear_to_db``.
+w_e optimized) and comes back as (res_rand, res_opt, bound), its SVD
+diagnostic taken with its draws; a variable-power trial is one row and
+comes back as (res,). A study runs on n = min(threads, shards) processes,
+the calling process being process 0: process k runs shards k, k+n, k+2n,
+... through one generator (``_outcomes``), which renders a shard's
+trace.csv rows before handing the shard on, and a worker sends each
+outcome back over a pipe of its own. Since a row's result does not depend
+on its batch, results are identical for any shard size or worker count.
+One loop (``_run_study``) hands each trial to an observer as
+``on_trial(i, *trial)``, stopping the workers at once if it raises, and
+reduces the trials in trial-index order, into the report of its
+experiment: a ``FixedPowerReport`` or a ``VariablePowerReport``, each
+holding only what its experiment computes and writing its own
+aggregate.csv rows. The trace.csv rows and the report state each power in
+dB by the one ``metrics.linear_to_db``.
 """
 
 from __future__ import annotations
@@ -203,39 +205,34 @@ def _trace_text(trial: int, trace: OptimizerTrace) -> str:
 def _shard(cfg: SystemConfig, start: int, stop: int):
     """Trials start..stop-1 as the rows of one lockstep ascent, each on its
     own channel and start: a fixed-power trial adds two rows, w_e held then
-    w_e optimized, and then gets its SVD diagnostic; a variable-power trial
-    adds one row.
+    w_e optimized, and a variable-power trial adds one. A fixed-power
+    trial's SVD diagnostic is taken with its draws, so a trial whose draws
+    or diagnostic fail gets no rows, nor do the trials after it.
 
     Returns ([trial] for the leading trials that finished, (first failed
     trial, its error) or None), a trial being (res_rand, res_opt, bound) at
     fixed power and (res,) at variable power.
     """
+    fixed = cfg.experiment is ExperimentKind.FIXED_POWER
     draws, failure = [], None
     for i in range(start, stop):
         try:
             rng = seed_fanout(cfg.seed, i)
-            draws.append((draw_channel_set(cfg.channel, rng), warm_start(cfg.channel, rng)))
+            ch = draw_channel_set(cfg.channel, rng)
+            init = warm_start(cfg.channel, rng)
+            draws.append((ch, init, (svd_upper_bound(ch, cfg.powers),) if fixed else ()))
         except Exception as exc:
             failure = (i, exc)
             break
-    fixed = cfg.experiment is ExperimentKind.FIXED_POWER
     holds = (False, True) if fixed else (False,)
     rows = [AscentRow(ch, cfg.powers, init, optimize_we)
-            for ch, init in draws for optimize_we in holds]
+            for ch, init, _ in draws for optimize_we in holds]
     results, error = ascend_rows(rows, cfg.optimizer, variable=not fixed)
     n = len(holds)
     if error is not None:  # rows exist only for the trials drawn, so it comes first
         failure = (start + len(results) // n, error)
-    trials = []
-    for k in range(len(results) // n):
-        trial = tuple(results[n * k:n * k + n])
-        if fixed:
-            try:
-                trial += (svd_upper_bound(draws[k][0], cfg.powers),)
-            except Exception as exc:
-                return trials, (start + k, exc)
-        trials.append(trial)
-    return trials, failure
+    return [tuple(results[n * k:n * k + n]) + draws[k][2]
+            for k in range(len(results) // n)], failure
 
 
 def _shard_bounds(n_trials: int, threads: int) -> list[tuple[int, int]]:
@@ -245,54 +242,54 @@ def _shard_bounds(n_trials: int, threads: int) -> list[tuple[int, int]]:
     return [(a, min(a + size, n_trials)) for a in range(0, n_trials, size)]
 
 
-def _run_shard(shard, cfg: SystemConfig, start: int, stop: int):
-    """One shard, in a worker or in the calling process. An error the shard
-    raises is reported as data, as the failure of its first trial: a
-    TrialError would not survive the trip back from a worker."""
-    try:
-        return shard(cfg, start, stop)
-    except Exception as exc:
-        return [], (start, exc)
-
-
-def _render(index: int, trial: tuple) -> None:
-    """Put trial ``index``'s trace.csv rows on its main ascent's trace, the
-    trial's first result, in ``trace.csv_rows``."""
-    trace = trial[0].trace
-    trace.csv_rows = _trace_text(index, trace)
+def _outcomes(shard, cfg: SystemConfig, bounds, render: bool):
+    """Run the shards ``bounds`` in order, in whichever process calls this,
+    yielding each one's outcome (trials, failure) as ``shard`` returns it;
+    stop after a failed one. An error the shard raises is reported as data,
+    as the failure of its first trial: a TrialError would not survive the
+    trip back from a worker. With ``render``, each trial's trace.csv rows are
+    put on its main ascent's trace, the trial's first result, in
+    ``trace.csv_rows`` before the outcome is yielded."""
+    for start, stop in bounds:
+        try:
+            trials, failure = shard(cfg, start, stop)
+        except Exception as exc:
+            trials, failure = [], (start, exc)
+        if render:
+            for offset in range(len(trials)):  # no loop variable keeps a trial
+                trials[offset][0].trace.csv_rows = _trace_text(start + offset,
+                                                               trials[offset][0].trace)
+        yield trials, failure
+        if failure is not None:
+            return
+        del trials  # handed on: free it before the next shard runs
 
 
 def _shard_worker(conn, shard, cfg: SystemConfig, bounds, render: bool) -> None:
-    """Run the shards ``bounds`` in order in a worker process, render their
-    trials if asked and send each outcome on ``conn``; stop after a failed
-    one. An outcome that cannot be sent ends the worker, which fails that
-    shard in the calling process."""
-    for start, stop in bounds:
-        outcome = _run_shard(shard, cfg, start, stop)
-        if render:
-            trials = outcome[0]
-            for offset in range(len(trials)):  # no loop variable keeps a trial
-                _render(start + offset, trials[offset])
-            del trials
+    """Send the ``_outcomes`` of the shards ``bounds`` on ``conn``, in a
+    worker process. An outcome that cannot be sent ends the worker, which
+    fails that shard in the calling process."""
+    for outcome in _outcomes(shard, cfg, bounds, render):
         conn.send(outcome)
-        if outcome[1] is not None:
-            break
         del outcome  # sent: free it before the next shard runs
     conn.close()
 
 
-def _receive(worker, conn, start: int, stop: int):
-    """The outcome of the shard of trials start..stop-1 from ``worker``; a
-    worker that exits without sending it fails the shard's first trial."""
-    try:
-        return conn.recv()
-    except EOFError:
-        worker.join()
-        cause = ChildProcessError(f"worker process exited with code {worker.exitcode} "
-                                  f"before sending trials {start}..{stop - 1}")
-    except Exception as exc:  # the outcome could not be read back
-        cause = exc
-    return [], (start, cause)
+def _received(worker, conn, bounds):
+    """The outcomes of the shards ``bounds`` as ``worker`` sends them on
+    ``conn``, read as ``_outcomes`` yields them; a worker that exits without
+    sending one fails that shard's first trial, with its exit code."""
+    for start, stop in bounds:
+        try:
+            outcome = conn.recv()
+        except EOFError:
+            worker.join()
+            outcome = [], (start, ChildProcessError(
+                f"worker process exited with code {worker.exitcode} "
+                f"before sending trials {start}..{stop - 1}"))
+        except Exception as exc:  # the outcome could not be read back
+            outcome = [], (start, exc)
+        yield outcome
 
 
 def _map_trials(shard, cfg: SystemConfig, threads: int, render: bool):
@@ -302,28 +299,29 @@ def _map_trials(shard, cfg: SystemConfig, threads: int, render: bool):
     1 is a ValueError.
 
     n = min(threads, shards) processes run trials, and this process is
-    process 0: process k runs shards k, k+n, k+2n, ... in order. So this
-    process runs shard i itself when i mod n is 0 and otherwise reads it
-    from worker i mod n, over that worker's own pipe; an outcome waits in
-    its worker until this process reads it. A worker that exits without
-    sending a shard fails that shard's first trial, with its exit code. On
-    a failure, or when the caller closes this generator early (as
-    ``_run_study`` does when its observer raises), the live workers are
-    stopped at once rather than waited for. Workers start with the platform's
-    default start method: on Linux, fork, which starts one in milliseconds
-    where spawning it and importing the package takes a third of a second.
+    process 0: process k runs shards k, k+n, k+2n, ... in order, through
+    ``_outcomes``. Shard i is the next outcome of source i mod n: source 0
+    is this process's own ``_outcomes``, and source k > 0 reads worker k's
+    pipe (``_received``); an outcome waits in its worker until this process
+    reads it. A worker that exits without sending a shard fails that
+    shard's first trial, with its exit code. On a failure, or when the
+    caller closes this generator early (as ``_run_study`` does when its
+    observer raises), the live workers are stopped at once rather than
+    waited for. Workers start with the platform's default start method: on
+    Linux, fork, which starts one in milliseconds where spawning it and
+    importing the package takes a third of a second.
 
-    With ``render``, every trial comes with its trace.csv rows
-    (``_render``): a worker's shard arrives rendered, and a trial this
-    process ran is rendered as it is yielded. A shard's list lets go of
-    each trial once yielded, so this process holds the rows it rendered
-    for the current trial only.
+    With ``render``, every trial comes with its trace.csv rows, rendered
+    in the process that ran its shard before the shard is handed on. A
+    shard's list lets go of each trial once yielded, so this process holds
+    the rendered rows of one shard at a time, as a worker does.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     bounds = _shard_bounds(cfg.n_trials, threads)
     n = min(threads, len(bounds))
-    workers = {}  # process k > 0: (worker, the pipe it sends on)
+    sources = [_outcomes(shard, cfg, bounds[0::n], render)]
+    workers = []  # (worker, the pipe it sends on) of processes 1..n-1
     try:
         for k in range(1, n):
             conn, child = multiprocessing.Pipe(duplex=False)
@@ -331,27 +329,22 @@ def _map_trials(shard, cfg: SystemConfig, threads: int, render: bool):
                 target=_shard_worker, daemon=True,
                 args=(child, shard, cfg, bounds[k::n], render))
             worker.start()
-            workers[k] = worker, conn
+            workers.append((worker, conn))
             child.close()  # a sibling forked later must not hold it open
-        for i, (start, stop) in enumerate(bounds):
-            here = i % n == 0
-            if here:
-                trials, failure = _run_shard(shard, cfg, start, stop)
-            else:
-                trials, failure = _receive(*workers[i % n], start, stop)
+            sources.append(_received(worker, conn, bounds[k::n]))
+        for i, (start, _) in enumerate(bounds):
+            trials, failure = next(sources[i % n])
             for offset in range(len(trials)):
                 trial, trials[offset] = trials[offset], None
-                if render and here:
-                    _render(start + offset, trial)
                 yield start + offset, trial
             if failure is not None:
                 index, cause = failure
                 raise TrialError(index, cfg.seed, cause) from cause
     finally:
-        for worker, conn in workers.values():
+        for worker, conn in workers:
             if worker.is_alive():
                 worker.terminate()
-        for worker, conn in workers.values():
+        for worker, conn in workers:
             worker.join()
             conn.close()
 

@@ -32,7 +32,6 @@ is ahead, since the clamp is flat there while the difference still climbs.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -115,7 +114,7 @@ class OptimizerTrace:
 
     ``log`` holds the accepted iterations as columns, an ITERATION_DTYPE
     array in order of acceptance; it crosses a worker's pipe as one array.
-    ``records`` is the same as a list of IterationRecords, built on first
+    ``records`` is the same as a list of IterationRecords, built on each
     use: the loop and the run outputs read the columns. ``csv_rows`` is text
     a study renders from the log in the process that ran the ascent
     (``experiment._trace_text``), so that it crosses a pipe ready to write;
@@ -128,14 +127,9 @@ class OptimizerTrace:
     n_iters: int = 0
     csv_rows: Optional[str] = None
 
-    @functools.cached_property
+    @property
     def records(self) -> list[IterationRecord]:
         return list(map(tuple.__new__, repeat(IterationRecord), self.log.tolist()))
-
-    def __reduce__(self):
-        # the records, if built, are not sent: they are rebuilt on demand
-        return OptimizerTrace, (self.log, self.cycles, self.reason, self.n_iters,
-                                self.csv_rows)
 
 
 @dataclass
@@ -307,11 +301,14 @@ class _Lockstep:
         self._compact()
 
     def _check_finite(self, rows) -> None:
-        """Fail the first of the active rows ``rows`` whose objective is not finite."""
+        """Fail the first of the active rows ``rows``, each at the start of
+        a cycle, whose objective is not finite."""
         bad = [j for j in rows if not math.isfinite(self.cur.diff[j])]
         if bad:
-            self.failed_at = int(self.meta[min(bad), 0])
-            self.error = ValueError("non-finite objective at the initial state")
+            i, cycle = self.meta[min(bad), :2].tolist()
+            self.failed_at = int(i)
+            at = "the initial state" if cycle == 1 else f"cycle {int(cycle)}, iteration 0"
+            self.error = ValueError(f"non-finite objective at {at}")
 
     def _compact(self, finished: Sequence[int] = ()) -> None:
         """Drop the rows at the indices ``finished`` and every row from the first failed one."""

@@ -360,39 +360,58 @@ import os
 import secrecy_ascent as sa
 import secrecy_ascent.experiment as exp
 
-def die_past_the_first_shard(cfg, start, stop):
-    if start == 0:
-        return [], None
-    os._exit(3)
+N_TRIALS, SHARD_TRIALS, DIES_AT = %d, %d, %d
+_shard = exp._shard
+
+def die_at_a_shard(cfg, start, stop):
+    if start == DIES_AT:
+        os._exit(3)
+    return _shard(cfg, start, stop)
 
 if __name__ == "__main__":
-    exp._shard = die_past_the_first_shard
+    exp._shard, exp.SHARD_TRIALS = die_at_a_shard, SHARD_TRIALS
     cfg = sa.SystemConfig(
         channel=sa.ChannelParams(n_clusters=2, n_rays=3, n_rx=2, n_tx=8, angular_spread_deg=10),
-        powers=sa.PowerConfig(p_s=10.0, p_j=10.0), optimizer=sa.OptimizerConfig(),
-        n_trials=4, seed=81, experiment=sa.ExperimentKind.FIXED_POWER)
+        powers=sa.PowerConfig(p_s=10.0, p_j=10.0), optimizer=sa.OptimizerConfig(max_iters=30),
+        n_trials=N_TRIALS, seed=81, experiment=sa.ExperimentKind.FIXED_POWER)
+    seen = []
     try:
-        sa.run_fixed_power_experiment(cfg, threads=2)
+        sa.run_fixed_power_experiment(cfg, threads=2, on_trial=lambda i, *trial: seen.append(i))
     except sa.TrialError as err:
-        print(err.trial_index, err.master_seed, repr(err.__cause__), sep="|")
+        print(err.trial_index, err.master_seed, repr(err.__cause__), seen, sep="|")
 """
+
+
+def run_dead_worker_study(tmp_path, n_trials, shard_trials, dies_at):
+    """(failed trial, seed, cause, observed trials) of a study at threads=2
+    whose worker exits with code 3 when it reaches the shard at ``dies_at``.
+    The study runs in a child interpreter, so a hang fails the test at the
+    timeout instead of stalling the suite; it is a file, so a worker that is
+    not forked can import its shard."""
+    script = tmp_path / "study.py"
+    script.write_text(DEAD_WORKER_STUDY % (n_trials, shard_trials, dies_at))
+    env = dict(os.environ, PYTHONPATH=str(Path(exp.__file__).parents[1]))
+    done = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip().split("|")
 
 
 def test_a_worker_that_dies_fails_the_study(tmp_path):
     # a 4-trial study at threads=2: its second shard's worker exits without
     # sending a result; the study must fail naming trial 2 and the exit
-    # code, not wait for the result. The study runs in a child interpreter,
-    # so a hang fails this test at the timeout instead of stalling the suite;
-    # it is a file, so a worker that is not forked can import its shard
-    script = tmp_path / "study.py"
-    script.write_text(DEAD_WORKER_STUDY)
-    env = dict(os.environ, PYTHONPATH=str(Path(exp.__file__).parents[1]))
-    done = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
-    trial, seed, cause = done.stdout.strip().split("|")
-    assert (trial, seed) == ("2", "81")
+    # code, not wait for the result
+    trial, seed, cause, seen = run_dead_worker_study(tmp_path, 4, 20, 2)
+    assert (trial, seed, seen) == ("2", "81", "[0, 1]")
     assert "exited with code 3" in cause
+
+
+def test_a_worker_that_dies_on_a_later_shard_fails_the_study(tmp_path):
+    # ten one-trial shards at threads=2: the worker sends shards 1 and 3 and
+    # exits at shard 5, its third; every trial before it is observed
+    trial, seed, cause, seen = run_dead_worker_study(tmp_path, 10, 1, 5)
+    assert (trial, seed, seen) == ("5", "81", "[0, 1, 2, 3, 4]")
+    assert "exited with code 3 before sending trials 5..5" in cause
 
 
 def _fail_past_the_first_shard_fast(cfg, start, stop):

@@ -76,7 +76,8 @@ def test_outputs_independent_of_shard_size_and_threads(plan, tmp_path, monkeypat
 
 
 POISONED_SEED, POISONED_TRIAL = 11, 4
-_draw, _shard = exp.draw_channel_set, exp._shard
+_draw, _svd, _ascend, _shard = (exp.draw_channel_set, exp.svd_upper_bound, exp.ascend_rows,
+                                exp._shard)
 
 
 def _poisoned_draw(params, rng):
@@ -97,12 +98,37 @@ def _poisoned_shard(cfg, start, stop):
         exp.draw_channel_set = _draw
 
 
-def test_poisoned_trial_fails_alike_for_any_sharding(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(exp, "_shard", _poisoned_shard)
+def _svd_poisoned_shard(cfg, start, stop):
+    # the SVD diagnostic fails at the poisoned trial, and an ascent of that
+    # trial or a later one in the shard fails the shard with another error
+    trials = iter(range(start, stop))
+
+    def svd(ch, powers):
+        if next(trials) == POISONED_TRIAL:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return _svd(ch, powers)
+
+    def ascend(rows, *args, **kwargs):
+        if start <= POISONED_TRIAL < start + len(rows) // 2:
+            raise AssertionError("ascended a trial it cannot report")
+        return _ascend(rows, *args, **kwargs)
+
+    exp.svd_upper_bound, exp.ascend_rows = svd, ascend
+    try:
+        return _shard(cfg, start, stop)
+    finally:
+        exp.svd_upper_bound, exp.ascend_rows = _svd, _ascend
+
+
+def assert_a_poisoned_trial_fails_alike(tmp_path, monkeypatch, capsys, shard):
+    """Run the fixed plan through ``shard`` under every sharding: each run
+    fails naming the poisoned trial and the seed, with the same error and
+    the trace.csv rows of exactly the trials before it."""
+    monkeypatch.setattr(exp, "_shard", shard)
     text = PLANS["fixed"][0]
     traces, errors = [], []
-    for shard, threads in SHARDINGS:
-        code, trace, _ = run_outputs(tmp_path, monkeypatch, text, shard, threads)
+    for shard_trials, threads in SHARDINGS:
+        code, trace, _ = run_outputs(tmp_path, monkeypatch, text, shard_trials, threads)
         assert code == 1
         traces.append(trace)
         errors.append(capsys.readouterr().err)
@@ -111,6 +137,20 @@ def test_poisoned_trial_fails_alike_for_any_sharding(tmp_path, monkeypatch, caps
     assert f"trial {POISONED_TRIAL} (master seed {POISONED_SEED}) failed" in errors[0]
     written = {int(line.split(b",")[0]) for line in traces[0].splitlines()[1:]}
     assert written == set(range(POISONED_TRIAL))
+    return errors[0]
+
+
+def test_poisoned_trial_fails_alike_for_any_sharding(tmp_path, monkeypatch, capsys):
+    assert_a_poisoned_trial_fails_alike(tmp_path, monkeypatch, capsys, _poisoned_shard)
+
+
+def test_a_failing_svd_diagnostic_fails_its_trial_alike_for_any_sharding(
+        tmp_path, monkeypatch, capsys):
+    # the diagnostic is taken with the draws, so no trial from the failing
+    # one on is ascended
+    error = assert_a_poisoned_trial_fails_alike(tmp_path, monkeypatch, capsys,
+                                                _svd_poisoned_shard)
+    assert error.endswith("failed: SVD did not converge\n")
 
 
 def rows_of(n_rx, n_tx, powers, seeds, holds):
@@ -369,6 +409,26 @@ def test_a_non_finite_objective_of_a_finite_step_fails_its_row(monkeypatch):
     results, error = ascend_rows(rows, sa.OptimizerConfig(max_iters=30))
     assert calls[3] == len(rows)
     assert len(results) == 1 and str(error) == "non-finite objective at cycle 1, iteration 3"
+
+
+def test_a_non_finite_objective_at_a_restart_names_its_cycle(monkeypatch):
+    # the check at a cycle's start named the initial state at every cycle;
+    # an infinite power, as a long power ramp can reach, fails the row as it
+    # restarts its third cycle
+    cfg = sa.OptimizerConfig(max_iters=30, zeta=1e6, mu=sa.db_to_linear(12.0), kappa=0.2,
+                             max_cycles=4)
+    rows = rows_of(2, 5, sa.PowerConfig(p_s=10.0, p_j=10.0), [0], [True])
+    set_p_s, restarts = opt.LinkKernel.set_p_s, []
+
+    def poison_second_restart(kernel, p_s):
+        restarts.append(p_s)
+        set_p_s(kernel, np.full_like(p_s, np.inf) if len(restarts) == 2 else p_s)
+
+    monkeypatch.setattr(opt.LinkKernel, "set_p_s", poison_second_restart)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        results, error = ascend_rows(rows, cfg, variable=True)
+    assert len(restarts) == 2
+    assert results == [] and str(error) == "non-finite objective at cycle 3, iteration 0"
 
 
 def test_a_start_off_the_ca_manifold_fails_its_row():
