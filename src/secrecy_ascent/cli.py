@@ -60,19 +60,20 @@ def cmd_run(config_path: str, overrides: dict[str, str], output_dir: str, thread
     fixed = cfg.experiment is ExperimentKind.FIXED_POWER
 
     out = Path(output_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"--out {output_dir}: cannot create the directory: "
-                          f"{exc.strerror}") from None
     trace_path = out / "trace.csv"
     aggregate_path = out / "aggregate.csv"
     report_path = out / "report.json"
-    # a run that fails must not leave a previous run's summary beside its trace
-    aggregate_path.unlink(missing_ok=True)
-    report_path.unlink(missing_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        # a run that fails must not leave a previous run's summary beside its trace
+        aggregate_path.unlink(missing_ok=True)
+        report_path.unlink(missing_ok=True)
+        fh = open(trace_path, "w", newline="")
+    except OSError as exc:
+        raise ConfigError(f"--out {output_dir}: cannot create {exc.filename}: "
+                          f"{exc.strerror}") from None
 
-    with open(trace_path, "w", newline="") as fh:
+    with fh:
         fh.write(",".join(TRACE_HEADER) + "\n")
         # the shards render each trial's rows where it ran; this only writes them
         run = run_fixed_power_experiment if fixed else run_variable_power_experiment

@@ -151,6 +151,7 @@ def resolve_config_file(path_or_name: str, overrides: Optional[dict[str, str]] =
             text, source = path.read_text(encoding="utf-8"), str(path)
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+        text = text.removeprefix("\ufeff")  # not "utf-8-sig": its error offsets skip the BOM
     else:
         bundled = bundled_config_text(path_or_name)
         if bundled is None:

@@ -16,9 +16,12 @@ one gradient call the packed conjugate gradients. Each row's powers enter
 only the denominators and are held in the kernel next to its channels, so
 a power change re-weights the stored scalars without a matmul. Every
 operation is row-wise: a row's values are bit-identical however many rows
-share its batch. The optimizer's lockstep loop runs on it. At a single
-state, ``capacity_difference`` is a batch of one row, ``gradient_bundle``
-returns that row's four gradient blocks as a ``BeamformerState``, and each
+share its batch. ``LinkKernel.links(states)`` packs B BeamformerStates
+into a new ``Links``, which holds their link quantities and the scratch of
+their evaluation; each of the two has one constructor and one ``take`` of
+rows. The optimizer's lockstep loop runs on them. At a single state,
+``capacity_difference`` is a batch of one row, ``gradient_bundle`` returns
+that row's four gradient blocks as a ``BeamformerState``, and each
 ``grad_*`` is one field of it. The per-vector forms the kernel is tested
 against (SINRs, quadratic forms) are in ``reference``.
 
@@ -32,9 +35,10 @@ term and P_s, h_se, f_s in the eavesdropper term).
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -51,34 +55,9 @@ _GRAD_SIGN = np.array([1.0, -1.0]) / LN2
 _DEN_FACTORS = np.array([[0.0, 0.0, 1.0], [0.0, -1.0, 1.0], [0.0, -1.0, 1.0]])
 
 
-class _Work:
-    """Scratch of the link and gradient evaluations of one Links, and the
-    views of it and of the Links that they use, made once per batch."""
-
-    def __init__(self, lk: "Links", n_rx: int, n_tx: int):
-        b, r2 = len(lk.buf), 2 * n_rx
-        self.t = np.empty((b, 3, 2))
-        self.t_s, self.t_rev = self.t[:, :2], self.t[:, ::-1]
-        self.logs = np.empty((b, 3, 2))
-        self.log0, self.log1 = self.logs[:, 1], self.logs[:, 2]
-        self.c, self.c_l, self.c_e = lk.cd[:, :2], lk.cd[:, 0], lk.cd[:, 1]
-        self.inv = np.empty((b, 3, 2))
-        self.factors = np.empty((b, 3, 2))
-        self.coef = np.empty((b, 3, 2), dtype=complex)
-        self.factors_w, self.coef_w = self.factors[:, 2], self.coef[:, 2]
-        self.coef_z = self.coef[..., None]
-        # receiver-major legs: [sl | jl] weighted by w_l, [se | je] by w_e
-        self.coef_legs = self.coef[:, :2].swapaxes(1, 2)[..., None, None]
-        self.w_legs = lk.x[:, :r2].reshape(b, 2, 1, 1, n_rx)
-        self.weighted = np.empty((b, 2, 2, 1, n_rx), dtype=complex)
-        self.weighted_legs = self.weighted.reshape(b, 4, 1, n_rx)
-        self.legs = np.empty((b, 4, 1, n_tx), dtype=complex)
-        self.legs_l, self.legs_e = self.legs.reshape(b, 2, 2 * n_tx).transpose(1, 0, 2)
-        self.mag = np.empty(lk.x.shape)
-
-
 class Links:
-    """Link quantities of B packed states, one row each.
+    """Link quantities of B packed states, one row each, and the scratch of
+    their evaluation, allocated with every view of them by the constructor.
 
     ``x`` row: the packed state [w_l | w_e | f_s | f_j], an array of its own
     so that the step and the projection run on contiguous rows. ``buf`` row:
@@ -88,12 +67,18 @@ class Links:
     (B, 3, 2, n_rx). ``s`` = w^H [z_s, z_j, w] per receiver (B, 3, 2): the
     bilinear scalars, then the combiner norms. ``den`` = [sigma2 |w|^2, den0,
     den1] per receiver, with den0 = noise + jamming and den1 = den0 + source
-    term, and ``cd`` = [c_l, c_e, c_l - c_e].
+    term, and ``cd`` = [c_l, c_e, c_l - c_e]. The rest is scratch of
+    ``LinkKernel.refresh`` and ``gradient``, and ``mag`` of the projection.
     """
 
-    def __init__(self, buf, x, s, den, cd, n_rx: int, n_tx: int):
-        b, r2 = len(buf), 2 * n_rx
-        self.buf, self.x, self.s, self.den, self.cd = buf, x, s, den, cd
+    def __init__(self, n_rows: int, n_rx: int, n_tx: int):
+        b, r2 = n_rows, 2 * n_rx
+        self.n_rx, self.n_tx = n_rx, n_tx
+        self.buf = buf = np.empty((b, 6 * n_rx), dtype=complex)
+        self.x = x = np.empty((b, r2 + 2 * n_tx), dtype=complex)
+        self.s = np.empty((b, 3, 2), dtype=complex)
+        self.den = np.empty((b, 3, 2))
+        self.cd = cd = np.empty((b, 3))
         self.x_re = x.view(float)  # real and imaginary parts, interleaved
         self.zb = buf.reshape(b, 3, 2, n_rx)
         self.w = self.zb[:, 2:]
@@ -102,18 +87,31 @@ class Links:
         self._images = buf[:, :2 * r2].reshape(b, 2, r2, 1)
         self._combiners, self._combiner_copy = x[:, :r2], buf[:, 2 * r2:]
         self._precoders = x[:, r2:].reshape(b, 2, n_tx, 1)
-        self._work = _Work(self, n_rx, n_tx)
+        self.t = np.empty((b, 3, 2))
+        self.t_s, self.t_rev = self.t[:, :2], self.t[:, ::-1]
+        self.logs = np.empty((b, 3, 2))
+        self.log0, self.log1 = self.logs[:, 1], self.logs[:, 2]
+        self.c, self.c_l, self.c_e = cd[:, :2], cd[:, 0], cd[:, 1]
+        self.inv = np.empty((b, 3, 2))
+        self.factors = np.empty((b, 3, 2))
+        self.coef = np.empty((b, 3, 2), dtype=complex)
+        self.factors_w, self.coef_w = self.factors[:, 2], self.coef[:, 2]
+        self.coef_z = self.coef[..., None]
+        # receiver-major legs: [sl | jl] weighted by w_l, [se | je] by w_e
+        self.coef_legs = self.coef[:, :2].swapaxes(1, 2)[..., None, None]
+        self.w_legs = x[:, :r2].reshape(b, 2, 1, 1, n_rx)
+        self.weighted = np.empty((b, 2, 2, 1, n_rx), dtype=complex)
+        self.weighted_legs = self.weighted.reshape(b, 4, 1, n_rx)
+        self.legs = np.empty((b, 4, 1, n_tx), dtype=complex)
+        self.legs_l, self.legs_e = self.legs.reshape(b, 2, 2 * n_tx).transpose(1, 0, 2)
+        self.mag = np.empty(x.shape)
 
-    @classmethod
-    def empty(cls, n_rows: int, n_rx: int, n_tx: int) -> "Links":
-        return cls(np.empty((n_rows, 6 * n_rx), dtype=complex),
-                   np.empty((n_rows, 2 * n_rx + 2 * n_tx), dtype=complex),
-                   np.empty((n_rows, 3, 2), dtype=complex), np.empty((n_rows, 3, 2)),
-                   np.empty((n_rows, 3)), n_rx, n_tx)
-
-    def take(self, keep: np.ndarray, n_rx: int, n_tx: int) -> "Links":
-        return Links(self.buf[keep], self.x[keep], self.s[keep], self.den[keep], self.cd[keep],
-                     n_rx, n_tx)
+    def take(self, keep: np.ndarray) -> "Links":
+        """The links of the rows where ``keep`` is set, in fresh arrays."""
+        out = Links(int(np.count_nonzero(keep)), self.n_rx, self.n_tx)
+        for name in ("buf", "x", "s", "den", "cd"):
+            np.compress(keep, getattr(self, name), axis=0, out=getattr(out, name))
+        return out
 
     def assign(self, other: "Links", rows: np.ndarray) -> None:
         """Copy ``other``'s rows where ``rows`` is set."""
@@ -143,7 +141,9 @@ class LinkKernel:
     legitimate, eavesdropper). ``grad_weights`` is the same with the
     eavesdropper column negated and 1/ln 2 folded in, the weights of the
     conjugate gradient of c_l - c_e. Every operation is row-wise, so a row's
-    values do not depend on the other rows of its batch.
+    values do not depend on the other rows of its batch. ``h_conj`` and
+    ``ca_scale`` are built on first use, by the first gradient and the first
+    projection: ``capacity_difference`` builds neither.
     """
 
     def __init__(self, channels, powers):
@@ -179,28 +179,23 @@ class LinkKernel:
         np.multiply(self.link_weights[:, 0], _GRAD_SIGN, out=self.grad_weights[:, 0])
 
     def take(self, keep: np.ndarray) -> "LinkKernel":
-        """The kernel of the rows where ``keep`` is set."""
-        out = object.__new__(LinkKernel)
-        out.n_rx, out.n_tx, out.h = self.n_rx, self.n_tx, self.h[keep]
+        """The kernel of the rows where ``keep`` is set. ``h_conj`` is
+        taken too: a batch shrinks after its first gradient has built it."""
+        out = copy.copy(self)
+        out.h, out.h_conj = self.h[keep], self.h_conj[keep]
         out.link_weights, out.grad_weights = self.link_weights[keep], self.grad_weights[keep]
-        if "h_conj" in self.__dict__:
-            out.h_conj = self.h_conj[keep]
-        if "ca_scale" in self.__dict__:
-            out.ca_scale = self.ca_scale
         return out
-
-    def pack(self, states) -> np.ndarray:
-        """Rows x = [w_l | w_e | f_s | f_j], a fresh (B, 2*n_rx + 2*n_tx) array."""
-        return np.array([np.concatenate(bf.vectors()) for bf in states], dtype=complex)
 
     def unpack(self, x: np.ndarray) -> BeamformerState:
         """Views of the four blocks of one row x, in BeamformerState order."""
         return _unpack_state(x, self.n_rx, self.n_rx, self.n_tx)
 
-    def links(self, x: np.ndarray) -> Links:
-        """Links of fresh buffers at the rows of x."""
-        lk = Links.empty(len(x), self.n_rx, self.n_tx)
-        lk.x[...] = x
+    def links(self, states: Sequence[BeamformerState]) -> Links:
+        """Fresh links at ``states``, one BeamformerState per row, each
+        packed into its row x = [w_l | w_e | f_s | f_j]."""
+        lk = Links(len(states), self.n_rx, self.n_tx)
+        for bf, row in zip(states, lk.x):
+            np.concatenate(bf.vectors(), out=row)
         self.evaluate(lk)
         return lk
 
@@ -215,14 +210,13 @@ class LinkKernel:
     def refresh(self, lk: Links) -> None:
         """Denominators and capacities from lk's scalars under the rows'
         powers; no matmul, so a power change costs only this."""
-        work = lk._work
-        np.abs(lk.s, out=work.t)
-        np.square(work.t_s, out=work.t_s)
-        np.multiply(work.t, self.link_weights, out=work.t)
-        np.add.accumulate(work.t_rev, axis=1, out=lk.den)
-        np.log2(lk.den, out=work.logs)
-        np.subtract(work.log1, work.log0, out=work.c)
-        np.subtract(work.c_l, work.c_e, out=lk.diff)
+        np.abs(lk.s, out=lk.t)
+        np.square(lk.t_s, out=lk.t_s)
+        np.multiply(lk.t, self.link_weights, out=lk.t)
+        np.add.accumulate(lk.t_rev, axis=1, out=lk.den)
+        np.log2(lk.den, out=lk.logs)
+        np.subtract(lk.log1, lk.log0, out=lk.c)
+        np.subtract(lk.c_l, lk.c_e, out=lk.diff)
 
     def gradient(self, lk: Links, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Packed conjugate gradients [g_wl | g_we | g_fs | g_fj] of c_l - c_e
@@ -234,22 +228,21 @@ class LinkKernel:
         """
         b, r, r2 = len(lk.x), self.n_rx, 2 * self.n_rx
         g = np.empty(lk.x.shape, dtype=complex) if out is None else out
-        work = lk._work
-        np.matmul(_DEN_FACTORS, np.divide(1.0, lk.den, out=work.inv), out=work.factors)
-        np.multiply(work.factors, self.grad_weights, out=work.factors)
-        np.multiply(work.factors, lk.s, out=work.coef)
-        np.copyto(work.coef_w, work.factors_w)
-        np.multiply(work.coef_legs, work.w_legs, out=work.weighted)
-        np.matmul(work.weighted_legs, self.h_conj, out=work.legs)
-        np.add(work.legs_l, work.legs_e, out=g[:, r2:])
-        np.vecdot(work.coef_z, lk.zb, axis=1, out=g[:, :r2].reshape(b, 2, r))
+        np.matmul(_DEN_FACTORS, np.divide(1.0, lk.den, out=lk.inv), out=lk.factors)
+        np.multiply(lk.factors, self.grad_weights, out=lk.factors)
+        np.multiply(lk.factors, lk.s, out=lk.coef)
+        np.copyto(lk.coef_w, lk.factors_w)
+        np.multiply(lk.coef_legs, lk.w_legs, out=lk.weighted)
+        np.matmul(lk.weighted_legs, self.h_conj, out=lk.legs)
+        np.add(lk.legs_l, lk.legs_e, out=g[:, r2:])
+        np.vecdot(lk.coef_z, lk.zb, axis=1, out=g[:, :r2].reshape(b, 2, r))
         return g
 
 
 def _evaluate(ch: ChannelSet, bf: BeamformerState, pw: PowerConfig):
     _check_dims(ch, bf)
     kernel = LinkKernel((ch,), (pw,))
-    return kernel, kernel.links(kernel.pack([bf]))
+    return kernel, kernel.links([bf])
 
 
 def gradient_bundle(ch: ChannelSet, bf: BeamformerState, pw: PowerConfig) -> BeamformerState:

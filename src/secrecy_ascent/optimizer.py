@@ -80,7 +80,8 @@ class TerminationReason(str, enum.Enum):
 
 
 class IterationRecord(NamedTuple):
-    """One accepted iteration (iteration 0 is the starting point)."""
+    """One accepted iteration. Cycle 1's iteration 0 is the starting point; a
+    later cycle's start, the last state at the raised power, is not logged."""
 
     cycle: int
     iteration: int
@@ -290,7 +291,7 @@ class _Lockstep:
         if not rows:
             return
         self.kernel = LinkKernel([row.channel for row in rows], [row.powers for row in rows])
-        self.cur = self.kernel.links(self.kernel.pack([row.init for row in rows]))
+        self.cur = self.kernel.links([row.init for row in rows])
         self.hold = np.array([not row.optimize_we for row in rows])
         self.delta = np.full(len(rows), cfg.delta0)
         self.meta = np.array([(i, 1, 0, row.powers.p_s) for i, row in enumerate(rows)],
@@ -317,9 +318,7 @@ class _Lockstep:
         if keep.all():
             return
         self.n_active = int(keep.sum())
-        k = self.kernel
-        self.kernel = k.take(keep)
-        self.cur = self.cur.take(keep, k.n_rx, k.n_tx)
+        self.kernel, self.cur = self.kernel.take(keep), self.cur.take(keep)
         self.hold, self.delta, self.meta = self.hold[keep], self.delta[keep], self.meta[keep]
 
     def _log(self, n_pass: int, rows: Optional[np.ndarray] = None) -> None:
@@ -429,7 +428,7 @@ class _Lockstep:
                 n_rows, kernel, delta = self.n_active, self.kernel, self.delta
                 delta_col = delta[:, None]
                 hold = self.hold[:, None] if self.hold.any() else None
-                cand = Links.empty(n_rows, kernel.n_rx, kernel.n_tx)
+                cand = Links(n_rows, kernel.n_rx, kernel.n_tx)
                 grad = np.empty(cand.x.shape, dtype=complex)
                 grad_re = grad.view(float)
                 change, ended_by = np.empty(n_rows), np.empty(n_rows)
@@ -441,7 +440,7 @@ class _Lockstep:
                 kernel.gradient(cur, out=grad)
             np.multiply(grad_re, delta_col, out=cand.x_re)
             cand.x += cur.x
-            degenerate = _project_packed(kernel, cand.x, cand._work.mag)
+            degenerate = _project_packed(kernel, cand.x, cand.mag)
             if hold is not None:
                 np.copyto(cand.we, cur.we, where=hold)
             kernel.evaluate(cand)

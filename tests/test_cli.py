@@ -384,6 +384,22 @@ def test_validate_a_config_that_is_not_utf8_exits_2(tmp_path, capsys):
     assert f"{path}: not UTF-8 text: invalid start byte at byte 8" in capsys.readouterr().err
 
 
+def test_validate_reads_a_config_that_starts_with_a_byte_order_mark(tiny_cfg, tmp_path, capsys):
+    assert run_cli("validate", "--config", tiny_cfg) == 0
+    plain = capsys.readouterr().out
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(b"\xef\xbb\xbf" + TINY.lstrip().encode())
+    assert run_cli("validate", "--config", str(path)) == 0
+    assert capsys.readouterr().out == plain
+
+
+def test_a_bad_byte_after_a_byte_order_mark_is_named_at_its_offset(tmp_path, capsys):
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(b"\xef\xbb\xbfn_tx = 4\xff\n")
+    assert run_cli("validate", "--config", str(path)) == 2
+    assert f"{path}: not UTF-8 text: invalid start byte at byte 11" in capsys.readouterr().err
+
+
 def test_failed_run_leaves_no_summary_of_an_earlier_run(tiny_cfg, tmp_path, monkeypatch):
     # a run that fails after trial 0 writes trial 0's rows; the aggregate
     # and report of the good run before it must not stay beside them
@@ -458,16 +474,25 @@ def test_threads_env_fallback(monkeypatch):
     assert cli._default_threads() == 3
 
 
-@pytest.mark.parametrize("below", ["", "/below"], ids=["a-file", "below-a-file"])
+@pytest.mark.parametrize("out_name,directory", [
+    ("file", None), ("file/below", None),
+    ("out", "trace.csv"), ("out", "aggregate.csv"), ("out", "report.json"),
+], ids=["a-file", "below-a-file", "trace.csv", "aggregate.csv", "report.json"])
 def test_run_rejects_an_out_path_that_cannot_be_a_directory(tiny_cfg, tmp_path, capsys,
-                                                           monkeypatch, below):
-    # an existing file, or a path below one, fails before any trial runs
+                                                           monkeypatch, out_name, directory):
+    # an existing file, a path below one, or an output file that is a
+    # directory fails before any trial runs
     monkeypatch.setattr(exp, "_shard", None)
     blocker = tmp_path / "file"
     blocker.write_text("kept\n")
-    out = str(blocker) + below
-    assert run_cli("run", "--config", tiny_cfg, "--out", out) == 2
+    out = tmp_path / out_name
+    if directory is not None:
+        (out / directory).mkdir(parents=True)
+    assert run_cli("run", "--config", tiny_cfg, "--out", str(out)) == 2
     err = capsys.readouterr().err
     assert f"--out {out}" in err
     assert len(err.splitlines()) == 1
     assert blocker.read_text() == "kept\n"
+    if directory is not None:
+        assert f"cannot create {out / directory}: " in err
+        assert (out / directory).is_dir()

@@ -6,6 +6,7 @@ they are kept here as the reference the kernel must reproduce to rounding.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -78,7 +79,7 @@ def ref_gradients(ch, bf, pw):
 def one_row(ch, bf, pw):
     """A batch of one row: the kernel and the links at bf."""
     kernel = LinkKernel((ch,), (pw,))
-    return kernel, kernel.links(kernel.pack([bf]))
+    return kernel, kernel.links([bf])
 
 
 def fused_gradients(ch, bf, pw):
@@ -195,7 +196,7 @@ def test_batched_kernel_rows_match_single_rows():
     instances = [random_instance(3, 9, seed=60 + k, p_s=10.0 ** (k - 2), p_j=2.0 * k)
                  for k in range(5)]
     kernel = LinkKernel([ch for ch, _, _ in instances], [pw for _, _, pw in instances])
-    lk = kernel.links(kernel.pack([bf for _, bf, _ in instances]))
+    lk = kernel.links([bf for _, bf, _ in instances])
     g = kernel.gradient(lk)
     for k, (ch, bf, pw) in enumerate(instances):
         one_kernel, one = one_row(ch, bf, pw)
@@ -205,3 +206,36 @@ def test_batched_kernel_rows_match_single_rows():
         assert one.cd.tobytes() == lk.cd[k:k + 1].tobytes()
         one_g = one_kernel.gradient(one)
         assert one_g.tobytes() == g[k:k + 1].tobytes()
+
+
+@pytest.mark.parametrize("drop", [0, 2, 3], ids=["first", "middle", "last"])
+def test_take_matches_a_kernel_of_the_kept_rows(drop):
+    # take keeps rows after a power change: the kept rows' links and gradient
+    # are bit-identical to those of a kernel built from them at the new powers
+    instances = [random_instance(3, 9, seed=70 + k, p_j=1.0 + k) for k in range(4)]
+    kernel = LinkKernel([ch for ch, _, _ in instances], [pw for _, _, pw in instances])
+    lk = kernel.links([bf for _, bf, _ in instances])
+    p_s = np.array([0.5, 2.0, 8.0, 32.0])
+    kernel.set_p_s(p_s)
+    kernel.refresh(lk)
+    keep = np.arange(4) != drop
+    kept = [(ch, bf, replace(pw, p_s=float(p))) for (ch, bf, pw), p, k in zip(instances, p_s, keep)
+            if k]
+    want_kernel = LinkKernel([ch for ch, _, _ in kept], [pw for _, _, pw in kept])
+    want = want_kernel.links([bf for _, bf, _ in kept])
+    got_kernel, got = kernel.take(keep), lk.take(keep)
+    for name in ("x", "s", "den", "cd"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert got_kernel.gradient(got).tobytes() == want_kernel.gradient(want).tobytes()
+
+
+def test_single_state_objective_builds_no_conjugate_channels(monkeypatch):
+    # only a gradient reads h_conj; the objective alone must not build it
+    def fail(kernel):
+        raise AssertionError("h_conj built")
+
+    monkeypatch.setattr(LinkKernel, "h_conj", property(fail))
+    ch, bf, pw = random_instance(4, 64, seed=43)
+    assert math.isfinite(sa.capacity_difference(ch, bf, pw))
+    with pytest.raises(AssertionError, match="h_conj built"):
+        sa.grad_wl(ch, bf, pw)

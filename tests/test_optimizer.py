@@ -217,6 +217,9 @@ def test_variable_power_trace_iterations_increase_within_cycles():
         by_cycle.setdefault(r.cycle, []).append(r.iteration)
     for iters in by_cycle.values():
         assert all(b > a for a, b in zip(iters, iters[1:]))
+    # a later cycle's start is the last state at the raised power, not logged
+    assert len(by_cycle) > 1
+    assert [cycle for cycle, iters in by_cycle.items() if 0 in iters] == [1]
 
 
 def test_target_reached_power_follows_the_cycle_count():
