@@ -78,7 +78,9 @@ def resolve_values(raw: dict[str, str]) -> dict:
             try:
                 resolved[key] = convert(raw[key])
             except ValueError as exc:
-                raise ConfigError(f"invalid value for {key!r}: {exc}") from exc
+                why = (f"{raw[key]!r} is not one of {', '.join(m.value for m in convert)}"
+                       if convert in (Band, ExperimentKind) else exc)
+                raise ConfigError(f"invalid value for {key!r}: {why}") from exc
             # float() accepts nan and inf, which no key has a meaning for
             if convert is float and not math.isfinite(resolved[key]):
                 raise ConfigError(f"invalid value for {key!r}: not finite: {raw[key]!r}")

@@ -18,8 +18,8 @@ a power change re-weights the stored scalars without a matmul. Every
 operation is row-wise: a row's values are bit-identical however many rows
 share its batch. ``LinkKernel.links(states)`` packs B BeamformerStates
 into a new ``Links``, which holds their link quantities and the scratch of
-their evaluation; each of the two has one constructor and one ``take`` of
-rows. The optimizer's lockstep loop runs on them. At a single state,
+their evaluation; a batch builds each once and compacts its live rows in
+place. The optimizer's lockstep loop runs on them. At a single state,
 ``capacity_difference`` is a batch of one row, ``gradient_bundle`` returns
 that row's four gradient blocks as a ``BeamformerState``, and each
 ``grad_*`` is one field of it. The per-vector forms the kernel is tested
@@ -35,7 +35,6 @@ term and P_s, h_se, f_s in the eavesdropper term).
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 from typing import Callable, Optional, Sequence
@@ -57,7 +56,8 @@ _DEN_FACTORS = np.array([[0.0, 0.0, 1.0], [0.0, -1.0, 1.0], [0.0, -1.0, 1.0]])
 
 class Links:
     """Link quantities of B packed states, one row each, and the scratch of
-    their evaluation, allocated with every view of them by the constructor.
+    their evaluation, in arrays of B rows allocated once. The live rows are
+    their first rows, which ``resize`` views and ``compact`` fills.
 
     ``x`` row: the packed state [w_l | w_e | f_s | f_j], an array of its own
     so that the step and the projection run on contiguous rows. ``buf`` row:
@@ -72,46 +72,52 @@ class Links:
     """
 
     def __init__(self, n_rows: int, n_rx: int, n_tx: int):
-        b, r2 = n_rows, 2 * n_rx
         self.n_rx, self.n_tx = n_rx, n_tx
-        self.buf = buf = np.empty((b, 6 * n_rx), dtype=complex)
-        self.x = x = np.empty((b, r2 + 2 * n_tx), dtype=complex)
-        self.s = np.empty((b, 3, 2), dtype=complex)
-        self.den = np.empty((b, 3, 2))
-        self.cd = cd = np.empty((b, 3))
-        self.x_re = x.view(float)  # real and imaginary parts, interleaved
-        self.zb = buf.reshape(b, 3, 2, n_rx)
+        self._full = dict(  # every array, at its full row count
+            buf=np.empty((n_rows, 6 * n_rx), dtype=complex),
+            x=np.empty((n_rows, 2 * (n_rx + n_tx)), dtype=complex),
+            s=np.empty((n_rows, 3, 2), dtype=complex),
+            den=np.empty((n_rows, 3, 2)),
+            cd=np.empty((n_rows, 3)),
+            t=np.empty((n_rows, 3, 2)),
+            logs=np.empty((n_rows, 3, 2)),
+            inv=np.empty((n_rows, 3, 2)),
+            factors=np.empty((n_rows, 3, 2)),
+            coef=np.empty((n_rows, 3, 2), dtype=complex),
+            weighted=np.empty((n_rows, 2, 2, 1, n_rx), dtype=complex),
+            legs=np.empty((n_rows, 4, 1, n_tx), dtype=complex),
+            mag=np.empty((n_rows, 2 * (n_rx + n_tx))))
+        self.resize(n_rows)
+
+    def resize(self, n_rows: int) -> None:
+        """View the first ``n_rows`` rows of every array, and derive the views."""
+        full, b, n_rx, n_tx, r2 = self._full, n_rows, self.n_rx, self.n_tx, 2 * self.n_rx
+        vars(self).update(full if b == len(full["x"]) else {k: a[:b] for k, a in full.items()})
+        self.x_re = self.x.view(float)  # real and imaginary parts, interleaved
+        self.zb = self.buf.reshape(b, 3, 2, n_rx)
         self.w = self.zb[:, 2:]
-        self.we = x[:, n_rx:r2]
-        self.diff = cd[:, 2]
-        self._images = buf[:, :2 * r2].reshape(b, 2, r2, 1)
-        self._combiners, self._combiner_copy = x[:, :r2], buf[:, 2 * r2:]
-        self._precoders = x[:, r2:].reshape(b, 2, n_tx, 1)
-        self.t = np.empty((b, 3, 2))
+        self.we = self.x[:, n_rx:r2]
+        self.diff = self.cd[:, 2]
+        self._images = self.buf[:, :2 * r2].reshape(b, 2, r2, 1)
+        self._combiners, self._combiner_copy = self.x[:, :r2], self.buf[:, 2 * r2:]
+        self._precoders = self.x[:, r2:].reshape(b, 2, n_tx, 1)
         self.t_s, self.t_rev = self.t[:, :2], self.t[:, ::-1]
-        self.logs = np.empty((b, 3, 2))
         self.log0, self.log1 = self.logs[:, 1], self.logs[:, 2]
-        self.c, self.c_l, self.c_e = cd[:, :2], cd[:, 0], cd[:, 1]
-        self.inv = np.empty((b, 3, 2))
-        self.factors = np.empty((b, 3, 2))
-        self.coef = np.empty((b, 3, 2), dtype=complex)
+        self.c, self.c_l, self.c_e = self.cd[:, :2], self.cd[:, 0], self.cd[:, 1]
         self.factors_w, self.coef_w = self.factors[:, 2], self.coef[:, 2]
         self.coef_z = self.coef[..., None]
         # receiver-major legs: [sl | jl] weighted by w_l, [se | je] by w_e
         self.coef_legs = self.coef[:, :2].swapaxes(1, 2)[..., None, None]
-        self.w_legs = x[:, :r2].reshape(b, 2, 1, 1, n_rx)
-        self.weighted = np.empty((b, 2, 2, 1, n_rx), dtype=complex)
+        self.w_legs = self.x[:, :r2].reshape(b, 2, 1, 1, n_rx)
         self.weighted_legs = self.weighted.reshape(b, 4, 1, n_rx)
-        self.legs = np.empty((b, 4, 1, n_tx), dtype=complex)
         self.legs_l, self.legs_e = self.legs.reshape(b, 2, 2 * n_tx).transpose(1, 0, 2)
-        self.mag = np.empty(x.shape)
 
-    def take(self, keep: np.ndarray) -> "Links":
-        """The links of the rows where ``keep`` is set, in fresh arrays."""
-        out = Links(int(np.count_nonzero(keep)), self.n_rx, self.n_tx)
-        for name in ("buf", "x", "s", "den", "cd"):
-            np.compress(keep, getattr(self, name), axis=0, out=getattr(out, name))
-        return out
+    def compact(self, keep: np.ndarray) -> None:
+        """Move the link quantities of the kept rows to the front, in order, and resize."""
+        n_rows = int(np.count_nonzero(keep))
+        for a in (self.buf, self.x, self.s, self.den, self.cd):
+            a[:n_rows] = a[keep]  # a[keep] is a copy, made before the write
+        self.resize(n_rows)
 
     def assign(self, other: "Links", rows: np.ndarray) -> None:
         """Copy ``other``'s rows where ``rows`` is set."""
@@ -178,13 +184,13 @@ class LinkKernel:
         np.copyto(self.link_weights[:, 0], p_s[:, None])
         np.multiply(self.link_weights[:, 0], _GRAD_SIGN, out=self.grad_weights[:, 0])
 
-    def take(self, keep: np.ndarray) -> "LinkKernel":
-        """The kernel of the rows where ``keep`` is set. ``h_conj`` is
-        taken too: a batch shrinks after its first gradient has built it."""
-        out = copy.copy(self)
-        out.h, out.h_conj = self.h[keep], self.h_conj[keep]
-        out.link_weights, out.grad_weights = self.link_weights[keep], self.grad_weights[keep]
-        return out
+    def compact(self, keep: np.ndarray) -> None:
+        """Keep the rows where ``keep`` is set, moved to the front in order; ``h_conj`` too."""
+        n_rows = int(np.count_nonzero(keep))
+        for name in ("h_conj", "h", "link_weights", "grad_weights"):  # h_conj reads all of h
+            a = getattr(self, name)
+            a[:n_rows] = a[keep]
+            setattr(self, name, a[:n_rows])
 
     def unpack(self, x: np.ndarray) -> BeamformerState:
         """Views of the four blocks of one row x, in BeamformerState order."""

@@ -12,14 +12,14 @@ decision. A 2-norm step before the projection would change nothing, since
 ``project_ca`` keeps only the phases. A step that decreases a row's
 objective is a perturbation: the row keeps its iterate (and gradient) and
 halves its step size (floored at ``delta_min``), which keeps the accepted
-trajectory monotone. Rows that finish leave the batch, which then shrinks.
+trajectory monotone. Finished rows leave; the batch compacts the rest.
 A row's records, final state and termination reason are bit-identical
 however many rows share its batch; ``ascend_fixed_power`` and
 ``ascend_variable_power`` are batches of one row.
 
 The bookkeeping is per batch, not per row: each pass logs its accepted rows
 with a few array copies, and each row's id, cycle, cycle start and p_s sit
-in one array that shrinks with the batch. When the batch ends the log becomes
+in one array of the live rows. When the batch ends the log becomes
 one column array per ascent (``OptimizerTrace.log``); records are built
 from it only on request.
 
@@ -58,17 +58,13 @@ class OptimizerConfig:
     delta_min: float = 1e-6
 
     def __post_init__(self):
-        floats = (self.delta0, self.epsilon, self.kappa, self.mu, self.delta_min)
-        if not all(map(math.isfinite, floats + ((self.zeta,) if self.zeta is not None else ()))):
-            raise ValueError("delta0, epsilon, kappa, zeta, mu and delta_min must be finite")
-        if not (self.delta0 > 0 and self.epsilon > 0 and self.kappa > 0):
-            raise ValueError("delta0, epsilon and kappa must be > 0")
-        if not (self.mu > 0 and self.delta_min > 0):
-            raise ValueError("mu and delta_min must be > 0")
+        for name in ("delta0", "epsilon", "kappa", "mu", "delta_min", "max_iters", "max_cycles"):
+            if not 0 < getattr(self, name) < math.inf:  # false for a NaN; no int overflows
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)!r}")
+        if self.zeta is not None and not math.isfinite(self.zeta):
+            raise ValueError(f"zeta must be finite, got {self.zeta!r}")
         if self.delta_min > self.delta0:  # the first rejection would end the cycle
             raise ValueError(f"delta_min ({self.delta_min!r}) must be <= delta0 ({self.delta0!r})")
-        if self.max_iters < 1 or self.max_cycles < 1:
-            raise ValueError("max_iters and max_cycles must be >= 1")
 
 
 class TerminationReason(str, enum.Enum):
@@ -250,21 +246,15 @@ class AscentRow:
     optimize_we: bool = False
 
 
-def _check_start(row: AscentRow) -> None:
-    _check_dims(row.channel, row.init)
-    if state_ca_violation(row.init) > 1e-6:
-        raise ValueError("initial state violates the constant-amplitude constraint")
-
-
 class _Lockstep:
     """The rows of one ``ascend_rows`` call and their shared pass loop.
 
     Row-indexed arrays (kernel, with the rows' channels and powers, links,
     gradient, ``delta``, ``hold``, ``meta``) hold the active rows only, in
-    row order, and shrink when rows leave; results and cycle records are
-    kept per row id. ``meta`` row j is [row id, cycle, pass the cycle
-    started at, p_s]. At the top of every pass every active row's id is
-    below ``failed_at``, the first failed row's id, so the decision only
+    row order, compacted into the prefix when rows leave; results and cycle
+    records are kept per row id. ``meta`` row j is [row id, cycle, pass the
+    cycle started at, p_s]. At the top of every pass every active row's id
+    is below ``failed_at``, the first failed row's id, so the decision only
     sees finite changes of live rows: a pass that fails a row drops it and
     the rows after it, and is redone for the rows before it.
 
@@ -282,20 +272,22 @@ class _Lockstep:
         self.failed_at, self.error = len(rows), None
         for i, row in enumerate(rows):
             try:
-                _check_start(row)
+                _check_dims(row.channel, row.init)
+                if state_ca_violation(row.init) > 1e-6:
+                    raise ValueError("initial state violates the constant-amplitude constraint")
             except ValueError as exc:
                 self.failed_at, self.error = i, exc
                 break
         rows = rows[:self.failed_at]
-        self.n_active = len(rows)
+        self.meta = np.array([(i, 1, 0, row.powers.p_s) for i, row in enumerate(rows)],
+                             dtype=float)
         if not rows:
             return
         self.kernel = LinkKernel([row.channel for row in rows], [row.powers for row in rows])
         self.cur = self.kernel.links([row.init for row in rows])
+        self.cand = Links(len(rows), self.kernel.n_rx, self.kernel.n_tx)
         self.hold = np.array([not row.optimize_we for row in rows])
         self.delta = np.full(len(rows), cfg.delta0)
-        self.meta = np.array([(i, 1, 0, row.powers.p_s) for i, row in enumerate(rows)],
-                             dtype=float)
         self.cycles = [[] for _ in rows]
         self.log = [(0, self.meta, self.cur.cd.copy(), self.delta.copy())]
         self._check_finite(range(len(rows)))
@@ -317,8 +309,8 @@ class _Lockstep:
         keep.put(finished, False)
         if keep.all():
             return
-        self.n_active = int(keep.sum())
-        self.kernel, self.cur = self.kernel.take(keep), self.cur.take(keep)
+        self.kernel.compact(keep)
+        self.cur.compact(keep)
         self.hold, self.delta, self.meta = self.hold[keep], self.delta[keep], self.meta[keep]
 
     def _log(self, n_pass: int, rows: Optional[np.ndarray] = None) -> None:
@@ -330,7 +322,7 @@ class _Lockstep:
         else:
             self.log.append((n_pass, self.meta[rows], cur.cd[rows], self.delta[rows]))
         if self.on_accept is not None:
-            for j in range(self.n_active) if rows is None else rows.tolist():
+            for j in range(len(self.meta)) if rows is None else rows.tolist():
                 self.on_accept(int(self.meta[j, 0]), self.kernel.unpack(cur.x[j].copy()))
 
     def _end_cycles(self, ends, n_pass: int) -> tuple[list[int], bool]:
@@ -421,20 +413,20 @@ class _Lockstep:
         cfg = self.cfg
         eps, delta_min = cfg.epsilon, cfg.delta_min
         n_pass, n_rows = 0, 0
-        while self.n_active:
+        while len(self.meta):
             n_pass += 1
-            if n_rows != self.n_active:
-                # rows left: fresh buffers, and the gradient of the rest
-                n_rows, kernel, delta = self.n_active, self.kernel, self.delta
+            if n_rows != len(self.meta):
+                # rows left: the views of the rest, and their gradient
+                n_rows, kernel, delta = len(self.meta), self.kernel, self.delta
                 delta_col = delta[:, None]
                 hold = self.hold[:, None] if self.hold.any() else None
-                cand = Links(n_rows, kernel.n_rx, kernel.n_tx)
-                grad = np.empty(cand.x.shape, dtype=complex)
+                self.cand.resize(n_rows)
+                grad = np.empty(self.cur.x.shape, dtype=complex)
                 grad_re = grad.view(float)
                 change, ended_by = np.empty(n_rows), np.empty(n_rows)
                 accepted, ended = np.empty(n_rows, dtype=bool), np.empty(n_rows, dtype=bool)
                 stale, next_cap = True, self._next_cap()
-            cur = self.cur
+            cur, cand = self.cur, self.cand
             if stale:
                 # held rows need no zero g_we block: their w_e is restored below
                 kernel.gradient(cur, out=grad)
@@ -468,7 +460,7 @@ class _Lockstep:
                 np.maximum(delta, delta_min, out=delta)
             stale = n_accepted > 0
             if n_accepted == n_rows:
-                self.cur, cand = cand, cur
+                self.cur, self.cand = cand, cur
                 self._log(n_pass)
             elif stale:
                 cur.assign(cand, accepted)
@@ -485,7 +477,7 @@ class _Lockstep:
             finished, restarted = self._end_cycles(ends, n_pass)
             stale |= restarted
             self._compact(finished)
-            next_cap = self._next_cap() if self.n_active else 0
+            next_cap = self._next_cap() if len(self.meta) else 0
         self._split_log()
 
 

@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 
 import secrecy_ascent.cli as cli
 import secrecy_ascent.experiment as exp
+from secrecy_ascent.channel import Band
 from secrecy_ascent.cli import TRACE_HEADER
 from secrecy_ascent.config import SCHEMA
+from secrecy_ascent.experiment import ExperimentKind
 
 TINY = """
 n_tx = 8
@@ -69,6 +71,29 @@ def test_validate_reports_field_errors(tiny_cfg, capsys):
                    "--zeta", "1", "--p-s-db", "40", "--mu-db", "30") == 2
     err = capsys.readouterr().err
     assert "'p_s_db'" in err and "'mu_db'" in err, err
+
+
+# a rejected value of each optimizer key and of each enum key
+OPTIMIZER_KEYS = ["delta0", "epsilon", "kappa", "zeta", "mu_db", "max_iters", "max_cycles",
+                  "delta_min"]
+REJECTED = {"delta0": "0", "epsilon": "0", "kappa": "0", "zeta": "inf", "mu_db": "4000",
+            "max_iters": "0", "max_cycles": "0", "delta_min": "0",
+            "experiment": "fixed-power", "band": "5g"}
+
+
+@pytest.mark.parametrize("key", REJECTED)
+def test_a_rejected_key_is_named_alone_with_the_values_it_accepts(tiny_cfg, capsys, key):
+    # an optimizer field's error used to name the fields checked with it (and
+    # "mu", which no key is), and an enum key's did not say what it accepts
+    flag = f"--{key.replace('_', '-')}={REJECTED[key]}"
+    assert run_cli("validate", "--config", tiny_cfg, flag) == 2
+    err = capsys.readouterr().err
+    # "mu" is the field that mu_db sets
+    named = {name for name in OPTIMIZER_KEYS + ["mu"] if re.search(rf"\b{name}\b", err)}
+    assert key in err and named <= {key}, err
+    convert = SCHEMA[key][0]
+    if convert in (Band, ExperimentKind):
+        assert all(member.value in err for member in convert), err
 
 
 FLOAT_KEYS = [key for key, (convert, _) in SCHEMA.items() if convert is float]

@@ -208,25 +208,32 @@ def test_batched_kernel_rows_match_single_rows():
         assert one_g.tobytes() == g[k:k + 1].tobytes()
 
 
-@pytest.mark.parametrize("drop", [0, 2, 3], ids=["first", "middle", "last"])
-def test_take_matches_a_kernel_of_the_kept_rows(drop):
-    # take keeps rows after a power change: the kept rows' links and gradient
-    # are bit-identical to those of a kernel built from them at the new powers
-    instances = [random_instance(3, 9, seed=70 + k, p_j=1.0 + k) for k in range(4)]
+@pytest.mark.parametrize("gradient_first", [True, False], ids=["after-a-gradient", "at-start"])
+def test_compaction_matches_a_kernel_of_the_kept_rows(gradient_first):
+    # a batch compacts its kernel and links in place after a power change,
+    # after its first gradient has built h_conj or, when a start fails,
+    # before: the kept rows' links and gradient are bit-identical to those
+    # of a kernel built from them alone, at the new powers, after the first,
+    # a middle and the last row leave, and again after a second shrink
+    instances = [random_instance(3, 9, seed=70 + k, p_j=1.0 + k) for k in range(6)]
     kernel = LinkKernel([ch for ch, _, _ in instances], [pw for _, _, pw in instances])
     lk = kernel.links([bf for _, bf, _ in instances])
-    p_s = np.array([0.5, 2.0, 8.0, 32.0])
+    p_s = np.array([0.5, 2.0, 8.0, 32.0, 0.125, 4.0])
     kernel.set_p_s(p_s)
     kernel.refresh(lk)
-    keep = np.arange(4) != drop
-    kept = [(ch, bf, replace(pw, p_s=float(p))) for (ch, bf, pw), p, k in zip(instances, p_s, keep)
-            if k]
-    want_kernel = LinkKernel([ch for ch, _, _ in kept], [pw for _, _, pw in kept])
-    want = want_kernel.links([bf for _, bf, _ in kept])
-    got_kernel, got = kernel.take(keep), lk.take(keep)
-    for name in ("x", "s", "den", "cd"):
-        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
-    assert got_kernel.gradient(got).tobytes() == want_kernel.gradient(want).tobytes()
+    if gradient_first:
+        kernel.gradient(lk)
+    rows = np.arange(6)
+    for keep in (np.isin(rows, [1, 3, 4]), np.array([True, False, True])):
+        kernel.compact(keep)
+        lk.compact(keep)
+        rows = rows[keep]
+        kept = [replace(instances[k][2], p_s=float(p_s[k])) for k in rows]
+        want_kernel = LinkKernel([instances[k][0] for k in rows], kept)
+        want = want_kernel.links([instances[k][1] for k in rows])
+        for name in ("buf", "x", "s", "den", "cd"):
+            assert getattr(lk, name).tobytes() == getattr(want, name).tobytes(), name
+        assert kernel.gradient(lk).tobytes() == want_kernel.gradient(want).tobytes()
 
 
 def test_single_state_objective_builds_no_conjugate_channels(monkeypatch):

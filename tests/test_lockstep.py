@@ -438,3 +438,20 @@ def test_a_start_off_the_ca_manifold_fails_its_row():
     rows[1] = AscentRow(rows[1].channel, rows[1].powers, off)
     results, error = ascend_rows(rows, sa.OptimizerConfig(max_iters=10))
     assert len(results) == 1 and "constant-amplitude" in str(error)
+
+
+def test_a_batch_builds_its_kernel_and_links_once(monkeypatch):
+    # rows that finish leave by compaction in place: however often the
+    # batch shrinks, it builds one kernel and two links, cur and cand
+    built = []
+    for cls in (opt.LinkKernel, opt.Links):
+        def counting(self, *args, _init=cls.__init__):
+            built.append(type(self).__name__)
+            _init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    rows = rows_of(2, 5, sa.PowerConfig(p_s=10.0, p_j=10.0), range(6), [True, False] * 3)
+    results, error = ascend_rows(rows, sa.OptimizerConfig(max_iters=60, epsilon=1e-3))
+    assert error is None
+    assert len({res.trace.n_iters for res in results}) >= 4, "the batch shrank too seldom"
+    assert sorted(built) == ["LinkKernel", "Links", "Links"]
