@@ -208,6 +208,29 @@ def test_batched_kernel_rows_match_single_rows():
         assert one_g.tobytes() == g[k:k + 1].tobytes()
 
 
+@pytest.mark.parametrize("drop", [0, 2, 3], ids=["first", "middle", "last"])
+def test_take_matches_a_kernel_of_the_kept_rows(drop):
+    # compaction takes the kept rows after a power change: their links and
+    # gradient are bit-identical to those of a kernel built from them at the
+    # new powers
+    instances = [random_instance(3, 9, seed=70 + k, p_j=1.0 + k) for k in range(4)]
+    kernel = LinkKernel([ch for ch, _, _ in instances], [pw for _, _, pw in instances])
+    lk = kernel.links([bf for _, bf, _ in instances])
+    p_s = np.array([0.5, 2.0, 8.0, 32.0])
+    kernel.set_p_s(p_s)
+    kernel.refresh(lk)
+    keep = np.arange(4) != drop
+    kept = [(ch, bf, replace(pw, p_s=float(p))) for (ch, bf, pw), p, k in zip(instances, p_s, keep)
+            if k]
+    want_kernel = LinkKernel([ch for ch, _, _ in kept], [pw for _, _, pw in kept])
+    want = want_kernel.links([bf for _, bf, _ in kept])
+    kernel.compact(keep)
+    lk.compact(keep)
+    for name in ("x", "s", "den", "cd"):
+        assert getattr(lk, name).tobytes() == getattr(want, name).tobytes(), name
+    assert kernel.gradient(lk).tobytes() == want_kernel.gradient(want).tobytes()
+
+
 @pytest.mark.parametrize("gradient_first", [True, False], ids=["after-a-gradient", "at-start"])
 def test_compaction_matches_a_kernel_of_the_kept_rows(gradient_first):
     # a batch compacts its kernel and links in place after a power change,
