@@ -16,11 +16,12 @@ outcome back over a pipe of its own. Since a row's result does not depend
 on its batch, results are identical for any shard size or worker count.
 One loop (``_run_study``) hands each trial to an observer as
 ``on_trial(i, *trial)``, stopping the workers at once if it raises, and
-reduces the trials in trial-index order, into the report of its
-experiment: a ``FixedPowerReport`` or a ``VariablePowerReport``, each
-holding only what its experiment computes and writing its own
-aggregate.csv rows. The trace.csv rows and the report state each power in
-dB by the one ``metrics.linear_to_db``.
+reduces them in trial-index order as they arrive, their curves into one
+running sum (``_carry_add``) so that a study's memory does not grow with
+its trials, into the report of its experiment: a ``FixedPowerReport`` or a
+``VariablePowerReport``, each holding only what its experiment computes and
+writing its own aggregate.csv rows. The trace.csv rows and the report state
+each power in dB by the one ``metrics.linear_to_db``.
 """
 
 from __future__ import annotations
@@ -155,24 +156,26 @@ def seed_fanout(master_seed: int, trial_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([master_seed, trial_index]))
 
 
-def _dense_curve(trace: OptimizerTrace) -> np.ndarray:
-    """Expand an ascent's accepted-iteration c_s to one value per loop pass.
+def _dense_curve(trace: OptimizerTrace, length: int) -> np.ndarray:
+    """An ascent's accepted-iteration c_s as one value per loop pass, for
+    ``length`` passes from the starting point.
 
-    Passes with no accepted iteration hold the last accepted value, which is
-    exactly the objective of the iterate kept through those passes.
+    Passes with no accepted iteration, or past the ascent's end, hold the last
+    accepted value: exactly the objective of the iterate kept through them.
     """
     log = trace.log
-    idx = np.searchsorted(log["iteration"], np.arange(trace.n_iters + 1), side="right") - 1
+    idx = np.searchsorted(log["iteration"], np.arange(length), side="right") - 1
     return log["c_s"][idx]
 
 
-def _pad_mean(curves: list[np.ndarray], length: int) -> list[float]:
-    """Mean across trials after carry-forward padding to ``length`` entries."""
-    padded = np.empty((len(curves), length))
-    for i, c in enumerate(curves):
-        padded[i, : c.size] = c
-        padded[i, c.size :] = c[-1]
-    return padded.mean(axis=0).tolist()
+def _carry_add(total: np.ndarray, curves: np.ndarray) -> np.ndarray:
+    """total + curves (curves as rows), the shorter carried forward at its last column."""
+    if total.shape[1] < curves.shape[1]:
+        total, curves = curves, total
+    total = total.copy()
+    total[:, :curves.shape[1]] += curves
+    total[:, curves.shape[1]:] += curves[:, -1:]
+    return total
 
 
 # trace.csv: one row per accepted iteration of every trial's main ascent
@@ -357,40 +360,40 @@ def _run_study(cfg: SystemConfig, kind: ExperimentKind, threads: int, on_trial):
     if cfg.experiment is not kind:
         raise ValueError(f"config does not describe a {kind.value.replace('_', '-')} experiment")
     fixed = kind is ExperimentKind.FIXED_POWER
-    # per trial: the main c_s curve and final c_s; the second curve and final,
-    # c_s_we_opt at fixed power and p_s_db at variable power; the iterations
-    # or cycles; and at fixed power the SVD diagnostic
-    curves, second_curves, finals, second_finals, lengths, bounds = [], [], [], [], [], []
+    # the trials' curves summed as they arrive: row 0 c_s, row 1 c_s_we_opt
+    # at fixed power and p_s_db at variable power; and per trial both finals,
+    # the iterations or cycles, and at fixed power the SVD diagnostic
+    total, finals, lengths, bounds = np.zeros((2, 1)), [], [], []
     reasons: dict[str, int] = {}
     with closing(_map_trials(_shard, cfg, threads, on_trial is not None)) as trials:
         for i, trial in trials:
             res = trial[0]
-            finals.append(res.snapshot.c_s)
             reason = res.trace.reason.value
             reasons[reason] = reasons.get(reason, 0) + 1
             if fixed:
                 _, res_opt, bound = trial
-                curves.append(_dense_curve(res.trace))
-                second_curves.append(_dense_curve(res_opt.trace))
-                second_finals.append(res_opt.snapshot.c_s)
+                length = max(res.trace.n_iters, res_opt.trace.n_iters) + 1  # the longer ascent's
+                curves = np.stack([_dense_curve(r.trace, length) for r in (res, res_opt)])
                 lengths.append(res.trace.n_iters)
                 bounds.append(bound)
             else:
                 cycles = res.trace.cycles
-                curves.append(np.array([c.c_s for c in cycles]))
-                second_curves.append(np.array([linear_to_db(c.p_s) for c in cycles]))
-                second_finals.append(linear_to_db(res.p_s))
+                curves = np.array([(c.c_s, linear_to_db(c.p_s)) for c in cycles]).T
                 lengths.append(len(cycles))
+            total = _carry_add(total, curves)
+            finals.append(curves[:, -1].tolist())  # floats: a view would hold the curves
             # every name above now holds trial i, so trial i-1 is let go
             if on_trial is not None:
                 on_trial(i, *trial)
-    # both curve sets on one axis: at fixed power the longer ascent's
-    length = max(c.size for c in curves + second_curves)
-    common = dict(experiment=kind.value, n_trials=cfg.n_trials,
-                  c_s_mean_curve=_pad_mean(curves, length),
-                  converged_c_s_mean=float(np.mean(finals)),
-                  converged_c_s_std=float(np.std(finals)), termination_reasons=reasons)
-    second_curve, second_final = _pad_mean(second_curves, length), float(np.mean(second_finals))
+    finals, second_finals = np.array(finals).T
+    final, second_final = float(np.mean(finals)), float(np.mean(second_finals))
+    # numpy's mean of the padded curves: row by row from +0.0, as ``total``
+    # was summed, but pairwise for one column, as ``np.mean`` sums the finals
+    curve, second_curve = ((total / cfg.n_trials).tolist() if total.shape[1] > 1
+                           else ([final], [second_final]))
+    common = dict(experiment=kind.value, n_trials=cfg.n_trials, c_s_mean_curve=curve,
+                  converged_c_s_mean=final, converged_c_s_std=float(np.std(finals)),
+                  termination_reasons=reasons)
     if fixed:
         return FixedPowerReport(
             **common, c_s_we_opt_mean_curve=second_curve, converged_c_s_we_opt_mean=second_final,

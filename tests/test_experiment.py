@@ -5,17 +5,23 @@ import pickle
 import subprocess
 import sys
 import time
+import tracemalloc
 import weakref
 from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import secrecy_ascent as sa
 import secrecy_ascent.experiment as exp
-from secrecy_ascent.experiment import _dense_curve, _pad_mean
-from secrecy_ascent.optimizer import ITERATION_DTYPE, IterationRecord, OptimizerTrace
+from secrecy_ascent.config import load_config
+from secrecy_ascent.experiment import _carry_add, _dense_curve
+from secrecy_ascent.metrics import SecrecySnapshot
+from secrecy_ascent.optimizer import (ITERATION_DTYPE, CycleRecord, IterationRecord,
+                                      OptimizeResult, OptimizerTrace, TerminationReason)
 
 SMALL = sa.ChannelParams(n_clusters=2, n_rays=3, n_rx=2, n_tx=8, angular_spread_deg=10)
 
@@ -52,7 +58,7 @@ def test_dense_curve_carries_values_forward():
     ]
     trace = OptimizerTrace(np.array(recs, dtype=ITERATION_DTYPE), n_iters=7)
     np.testing.assert_allclose(
-        _dense_curve(trace), [0.5, 0.5, 0.9, 0.9, 0.9, 1.2, 1.2, 1.2]
+        _dense_curve(trace, 8), [0.5, 0.5, 0.9, 0.9, 0.9, 1.2, 1.2, 1.2]
     )
 
 
@@ -90,10 +96,49 @@ def test_state_pickle_keeps_mixed_blocks():
         assert (g.shape, g.dtype, g.tobytes()) == (w.shape, w.dtype, w.tobytes())
 
 
-def test_pad_mean_carries_terminal_values():
+def padded_mean(curves: list[np.ndarray], length: int) -> np.ndarray:
+    """np.mean(axis=0) of ``curves`` as the rows of one matrix, each padded
+    to ``length`` entries by carrying its last value forward."""
+    return np.array([np.append(c, np.full(length - c.size, c[-1])) for c in curves]).mean(axis=0)
+
+
+@st.composite
+def curve_sets(draw):
+    """1-300 trials of two curves each, both a trial's length, the widest at
+    least 2 entries; entries of every magnitude, some of them -0.0."""
+    n_trials, widest = draw(st.integers(1, 300)), draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lengths = rng.integers(1, widest + 1, n_trials)
+    lengths[rng.integers(n_trials)] = widest
+    trials = [rng.standard_normal((2, k)) * 10.0 ** rng.integers(-3, 4) for k in lengths]
+    for curves in trials:
+        curves[rng.random(curves.shape) < rng.random()] = -0.0
+    return trials
+
+
+@settings(max_examples=150, deadline=None)
+@given(trials=curve_sets())
+def test_carry_add_sums_as_numpy_means_the_padded_matrix(trials):
+    # a study folds its trials' curves from zeros as they arrive; the sum
+    # over n must be the padded matrix's numpy mean bit for bit, -0.0 included
+    total = np.zeros((2, 1))
+    for curves in trials:
+        total = _carry_add(total, curves)
+    for row in range(2):
+        reference = padded_mean([curves[row] for curves in trials], total.shape[1])
+        assert (total[row] / len(trials)).tobytes() == reference.tobytes()
+
+
+def test_carry_add_carries_terminal_values():
     curves = [np.array([1.0, 2.0]), np.array([3.0])]
-    np.testing.assert_allclose(_pad_mean(curves, 2), [2.0, 2.5])
-    np.testing.assert_allclose(_pad_mean(curves, 4), [2.0, 2.5, 2.5, 2.5])
+    total = np.zeros((1, 1))
+    for c in curves:
+        total = _carry_add(total, c[None])
+    np.testing.assert_allclose(total[0] / 2, [2.0, 2.5])
+    np.testing.assert_allclose(padded_mean(curves, 2), [2.0, 2.5])
+    # the running sum carried forward to a longer operand's length
+    np.testing.assert_allclose(_carry_add(total, np.zeros((1, 4)))[0] / 2, [2.0, 2.5, 2.5, 2.5])
+    np.testing.assert_allclose(padded_mean(curves, 4), [2.0, 2.5, 2.5, 2.5])
 
 
 def _report_reads(fn: ast.FunctionDef, fixture: str) -> set[str]:
@@ -154,7 +199,7 @@ def test_fixed_power_single_trial_equals_its_trace():
     assert report.converged_c_s_mean == pytest.approx(res.snapshot.c_s)
     assert report.svd_bound_mean == pytest.approx(seen["bound"])
     assert report.mean_iterations == res.trace.n_iters
-    dense = _dense_curve(res.trace)
+    dense = _dense_curve(res.trace, res.trace.n_iters + 1)
     np.testing.assert_allclose(report.c_s_mean_curve, dense)
 
 
@@ -163,6 +208,72 @@ def run_study(cfg, **kwargs):
     fixed = cfg.experiment is sa.ExperimentKind.FIXED_POWER
     return (sa.run_fixed_power_experiment if fixed else sa.run_variable_power_experiment)(
         cfg, **kwargs)
+
+
+@pytest.mark.parametrize("cfg, one_column", [
+    pytest.param(small_config(n_trials=5, epsilon=1e-3), False, id="fixed"),
+    pytest.param(replace(small_config(n_trials=5, experiment=sa.ExperimentKind.VARIABLE_POWER,
+                                      zeta=2.0, max_iters=30, mu=100.0),
+                         powers=sa.PowerConfig(p_s=1.0, p_j=10.0)), False, id="variable"),
+    # every trial reaches the target in cycle 1
+    pytest.param(load_config("sub6", {"experiment": "variable_power", "zeta": "4", "seed": "202",
+                                      "n_trials": "20", "max_iters": "200"}),
+                 True, id="variable-one-cycle"),
+])
+def test_report_curves_are_the_padded_matrix_mean(cfg, one_column):
+    # the running sum must give what numpy's mean of every trial's curve,
+    # padded to one matrix, gives: with one column that mean is pairwise, and
+    # a sum taken row by row is an ulp off on the one-cycle plan
+    sets = ([], [])
+
+    def observe(i, res, *rest):
+        if rest:
+            for curves, r in zip(sets, (res, rest[0])):
+                curves.append(_dense_curve(r.trace, r.trace.n_iters + 1))
+        else:
+            sets[0].append(np.array([c.c_s for c in res.trace.cycles]))
+            sets[1].append(np.array([sa.linear_to_db(c.p_s) for c in res.trace.cycles]))
+
+    report = run_study(cfg, on_trial=observe)
+    second = (report.c_s_we_opt_mean_curve if cfg.experiment is sa.ExperimentKind.FIXED_POWER
+              else report.p_s_db_mean_curve)
+    length = max(c.size for curves in sets for c in curves)
+    assert (length == 1) is one_column
+    for got, curves in zip((report.c_s_mean_curve, second), sets):
+        assert np.array(got).tobytes() == padded_mean(curves, length).tobytes()
+
+
+def _long_flat_trials(cfg, start, stop):
+    """Fixed-power trials start..stop-1 of 10,000 loop passes whose log holds
+    two accepted iterations, as ``_shard`` returns them."""
+    log = np.array([(1, 0, 1.0, 2.0, 1.0, 0.1, 10.0), (1, 7, 1.5, 2.5, 1.0, 0.1, 10.0)],
+                   dtype=ITERATION_DTYPE)
+
+    def result():
+        trace = OptimizerTrace(log.copy(), [CycleRecord(1, 1.5, 10.0, 10_000)],
+                               TerminationReason.ITER_CAP, 10_000)
+        return OptimizeResult(None, SecrecySnapshot(3.0, 1.0, 2.5, 1.0, 1.5), trace)
+
+    return [(result(), result(), 2.0) for _ in range(start, stop)], None
+
+
+def test_a_study_holds_no_curve_per_trial(monkeypatch):
+    # each trial's dense curves are 2 x 10,001 floats (160 kB): a study that
+    # kept them, or views of them, would grow by 27 MiB from trial 20 to 200
+    monkeypatch.setattr(exp, "_shard", _long_flat_trials)
+    live = {}
+
+    def observe(i, *trial):
+        if i in (19, 199):
+            live[i] = tracemalloc.get_traced_memory()[0]
+
+    tracemalloc.start()
+    try:
+        report = sa.run_fixed_power_experiment(small_config(n_trials=200), on_trial=observe)
+    finally:
+        tracemalloc.stop()
+    assert len(report.c_s_mean_curve) == 10_001 and report.converged_c_s_mean == 1.5
+    assert live[199] - live[19] < 2**20
 
 
 @pytest.mark.parametrize("threads", [1, 2])
