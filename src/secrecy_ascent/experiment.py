@@ -303,16 +303,17 @@ def _map_trials(shard, cfg: SystemConfig, threads: int, render: bool):
 
     n = min(threads, shards) processes run trials, and this process is
     process 0: process k runs shards k, k+n, k+2n, ... in order, through
-    ``_outcomes``. Shard i is the next outcome of source i mod n: source 0
-    is this process's own ``_outcomes``, and source k > 0 reads worker k's
-    pipe (``_received``); an outcome waits in its worker until this process
-    reads it. A worker that exits without sending a shard fails that
-    shard's first trial, with its exit code. On a failure, or when the
-    caller closes this generator early (as ``_run_study`` does when its
-    observer raises), the live workers are stopped at once rather than
-    waited for. Workers start with the platform's default start method: on
-    Linux, fork, which starts one in milliseconds where spawning it and
-    importing the package takes a third of a second.
+    ``_outcomes``. Shard i is the next outcome of source i mod n: source 0 is
+    this process's own ``_outcomes``, and source k > 0 reads worker k's pipe
+    (``_received``); an outcome waits in its worker until this process reads
+    it. A worker that exits without sending a shard fails that shard's first
+    trial, with its exit code; one that cannot start (a refused fork, no
+    descriptor left) fails its first shard's first trial, naming the OSError.
+    On a failure, or when the caller closes this generator early (as
+    ``_run_study`` does when its observer raises), the live workers are
+    stopped at once rather than waited for. Workers start with the platform's
+    default start method: on Linux, fork, which starts one in milliseconds
+    where spawning it and importing the package takes a third of a second.
 
     With ``render``, every trial comes with its trace.csv rows, rendered
     in the process that ran its shard before the shard is handed on. A
@@ -324,16 +325,21 @@ def _map_trials(shard, cfg: SystemConfig, threads: int, render: bool):
     bounds = _shard_bounds(cfg.n_trials, threads)
     n = min(threads, len(bounds))
     sources = [_outcomes(shard, cfg, bounds[0::n], render)]
-    workers = []  # (worker, the pipe it sends on) of processes 1..n-1
+    workers = []  # (worker, the pipe it sends on) of processes 1..n-1, the last maybe unstarted
     try:
         for k in range(1, n):
-            conn, child = multiprocessing.Pipe(duplex=False)
-            worker = multiprocessing.Process(
-                target=_shard_worker, daemon=True,
-                args=(child, shard, cfg, bounds[k::n], render))
-            worker.start()
-            workers.append((worker, conn))
-            child.close()  # a sibling forked later must not hold it open
+            try:
+                conn, child = multiprocessing.Pipe(duplex=False)
+                with child:  # a sibling forked later must not hold it open
+                    worker = multiprocessing.Process(
+                        target=_shard_worker, daemon=True,
+                        args=(child, shard, cfg, bounds[k::n], render))
+                    workers.append((worker, conn))
+                    worker.start()
+            except OSError as exc:  # a refused fork, or no descriptor left
+                cause = ChildProcessError(f"could not start a worker process: {exc!r}")
+                sources.append(iter([([], (bounds[k][0], cause))]))
+                break
             sources.append(_received(worker, conn, bounds[k::n]))
         for i, (start, _) in enumerate(bounds):
             trials, failure = next(sources[i % n])
@@ -348,7 +354,8 @@ def _map_trials(shard, cfg: SystemConfig, threads: int, render: bool):
             if worker.is_alive():
                 worker.terminate()
         for worker, conn in workers:
-            worker.join()
+            if worker.pid is not None:  # a worker that could not start has none
+                worker.join()
             conn.close()
 
 

@@ -16,10 +16,11 @@ one gradient call the packed conjugate gradients. Each row's powers enter
 only the denominators and are held in the kernel next to its channels, so
 a power change re-weights the stored scalars without a matmul. Every
 operation is row-wise: a row's values are bit-identical however many rows
-share its batch. ``LinkKernel.links(states)`` packs B BeamformerStates
-into a new ``Links``, which holds their link quantities and the scratch of
-their evaluation; a batch builds each once and compacts its live rows in
-place. The optimizer's lockstep loop runs on them. At a single state,
+share its batch. A kernel builds its channels' conjugates and the CA scale
+with them, and ``LinkKernel.links(states)`` packs B BeamformerStates into a
+new ``Links``, which holds their link quantities, gradient and evaluation
+scratch; a batch builds each once and compacts its live rows in place. The
+optimizer's lockstep loop runs on them. At a single state,
 ``capacity_difference`` is a batch of one row, ``gradient_bundle`` returns
 that row's four gradient blocks as a ``BeamformerState``, and each
 ``grad_*`` is one field of it. The per-vector forms the kernel is tested
@@ -35,9 +36,8 @@ term and P_s, h_se, f_s in the eavesdropper term).
 
 from __future__ import annotations
 
-import functools
 import math
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -55,9 +55,9 @@ _DEN_FACTORS = np.array([[0.0, 0.0, 1.0], [0.0, -1.0, 1.0], [0.0, -1.0, 1.0]])
 
 
 class Links:
-    """Link quantities of B packed states, one row each, and the scratch of
-    their evaluation, in arrays of B rows allocated once. The live rows are
-    their first rows, which ``resize`` views and ``compact`` fills.
+    """Link quantities of B packed states, one row each, their gradient and
+    evaluation scratch, in arrays of B rows allocated once. The live rows
+    are their first rows, which ``resize`` views and ``compact`` fills.
 
     ``x`` row: the packed state [w_l | w_e | f_s | f_j], an array of its own
     so that the step and the projection run on contiguous rows. ``buf`` row:
@@ -67,7 +67,8 @@ class Links:
     (B, 3, 2, n_rx). ``s`` = w^H [z_s, z_j, w] per receiver (B, 3, 2): the
     bilinear scalars, then the combiner norms. ``den`` = [sigma2 |w|^2, den0,
     den1] per receiver, with den0 = noise + jamming and den1 = den0 + source
-    term, and ``cd`` = [c_l, c_e, c_l - c_e]. The rest is scratch of
+    term, and ``cd`` = [c_l, c_e, c_l - c_e]. ``g`` is the gradient at ``x``,
+    which ``compact`` and ``assign`` leave stale. The rest is scratch of
     ``LinkKernel.refresh`` and ``gradient``, and ``mag`` of the projection.
     """
 
@@ -76,6 +77,7 @@ class Links:
         self._full = dict(  # every array, at its full row count
             buf=np.empty((n_rows, 6 * n_rx), dtype=complex),
             x=np.empty((n_rows, 2 * (n_rx + n_tx)), dtype=complex),
+            g=np.empty((n_rows, 2 * (n_rx + n_tx)), dtype=complex),
             s=np.empty((n_rows, 3, 2), dtype=complex),
             den=np.empty((n_rows, 3, 2)),
             cd=np.empty((n_rows, 3)),
@@ -93,13 +95,14 @@ class Links:
         """View the first ``n_rows`` rows of every array, and derive the views."""
         full, b, n_rx, n_tx, r2 = self._full, n_rows, self.n_rx, self.n_tx, 2 * self.n_rx
         vars(self).update(full if b == len(full["x"]) else {k: a[:b] for k, a in full.items()})
-        self.x_re = self.x.view(float)  # real and imaginary parts, interleaved
+        self.x_re, self.g_re = self.x.view(float), self.g.view(float)  # re and im, interleaved
         self.zb = self.buf.reshape(b, 3, 2, n_rx)
         self.w = self.zb[:, 2:]
         self.we = self.x[:, n_rx:r2]
         self.diff = self.cd[:, 2]
         self._images = self.buf[:, :2 * r2].reshape(b, 2, r2, 1)
         self._combiners, self._combiner_copy = self.x[:, :r2], self.buf[:, 2 * r2:]
+        self._g_w, self._g_f = self.g[:, :r2].reshape(b, 2, n_rx), self.g[:, r2:]
         self._precoders = self.x[:, r2:].reshape(b, 2, n_tx, 1)
         self.t_s, self.t_rev = self.t[:, :2], self.t[:, ::-1]
         self.log0, self.log1 = self.logs[:, 1], self.logs[:, 2]
@@ -146,10 +149,10 @@ class LinkKernel:
     and the combiner norm in each receiver's denominators (columns:
     legitimate, eavesdropper). ``grad_weights`` is the same with the
     eavesdropper column negated and 1/ln 2 folded in, the weights of the
-    conjugate gradient of c_l - c_e. Every operation is row-wise, so a row's
-    values do not depend on the other rows of its batch. ``h_conj`` and
-    ``ca_scale`` are built on first use, by the first gradient and the first
-    projection: ``capacity_difference`` builds neither.
+    conjugate gradient of c_l - c_e. ``ca_scale`` is the CA modulus 1/sqrt(N)
+    of each entry of a packed state. All are built here, with the batch.
+    Every operation is row-wise, so a row's values do not depend on the
+    other rows of its batch.
     """
 
     def __init__(self, channels, powers):
@@ -165,19 +168,10 @@ class LinkKernel:
             [[[pw.p_s, pw.p_s], [pw.p_j, pw.p_j], [pw.sigma2_l, pw.sigma2_e]] for pw in powers],
             dtype=float)
         self.grad_weights = self.link_weights * _GRAD_SIGN
-
-    @functools.cached_property
-    def h_conj(self) -> np.ndarray:
-        """conj(h) with the legs in receiver-major order sl, jl, se, je."""
-        return np.ascontiguousarray(self.h.conj().reshape(
-            len(self.h), 2, 2, self.n_rx, self.n_tx).swapaxes(1, 2)).reshape(
-            len(self.h), 4, self.n_rx, self.n_tx)
-
-    @functools.cached_property
-    def ca_scale(self) -> np.ndarray:
-        """The constant-amplitude modulus 1/sqrt(N) of each entry's block."""
-        return np.repeat([1.0 / math.sqrt(self.n_rx), 1.0 / math.sqrt(self.n_tx)],
-                         [2 * self.n_rx, 2 * self.n_tx])
+        self.h_conj = np.array([(c.h_sl, c.h_jl, c.h_se, c.h_je) for c in channels],
+                               dtype=complex).conj()
+        self.ca_scale = np.repeat([1.0 / math.sqrt(n_rx), 1.0 / math.sqrt(n_tx)],
+                                  [2 * n_rx, 2 * n_tx])
 
     def set_p_s(self, p_s: np.ndarray) -> None:
         """Set the source power of every row, one value per row."""
@@ -185,9 +179,9 @@ class LinkKernel:
         np.multiply(self.link_weights[:, 0], _GRAD_SIGN, out=self.grad_weights[:, 0])
 
     def compact(self, keep: np.ndarray) -> None:
-        """Keep the rows where ``keep`` is set, moved to the front in order; ``h_conj`` too."""
+        """Keep the rows where ``keep`` is set, moved to the front in order."""
         n_rows = int(np.count_nonzero(keep))
-        for name in ("h_conj", "h", "link_weights", "grad_weights"):  # h_conj reads all of h
+        for name in ("h", "h_conj", "link_weights", "grad_weights"):
             a = getattr(self, name)
             a[:n_rows] = a[keep]
             setattr(self, name, a[:n_rows])
@@ -224,25 +218,23 @@ class LinkKernel:
         np.subtract(lk.log1, lk.log0, out=lk.c)
         np.subtract(lk.c_l, lk.c_e, out=lk.diff)
 
-    def gradient(self, lk: Links, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Packed conjugate gradients [g_wl | g_we | g_fs | g_fj] of c_l - c_e
-        at lk's states, one row each.
+    def gradient(self, lk: Links) -> np.ndarray:
+        """Fill and return ``lk.g``, the packed conjugate gradients
+        [g_wl | g_we | g_fs | g_fj] of c_l - c_e at lk's states, one row each.
 
         coef[t, r] weights receiver r's combiner in transmitter t's precoder
         gradient; its conjugate weights the receive image z[t, r] in combiner
         r's gradient, and coef[2, r] weights the combiner itself.
         """
-        b, r, r2 = len(lk.x), self.n_rx, 2 * self.n_rx
-        g = np.empty(lk.x.shape, dtype=complex) if out is None else out
         np.matmul(_DEN_FACTORS, np.divide(1.0, lk.den, out=lk.inv), out=lk.factors)
         np.multiply(lk.factors, self.grad_weights, out=lk.factors)
         np.multiply(lk.factors, lk.s, out=lk.coef)
         np.copyto(lk.coef_w, lk.factors_w)
         np.multiply(lk.coef_legs, lk.w_legs, out=lk.weighted)
         np.matmul(lk.weighted_legs, self.h_conj, out=lk.legs)
-        np.add(lk.legs_l, lk.legs_e, out=g[:, r2:])
-        np.vecdot(lk.coef_z, lk.zb, axis=1, out=g[:, :r2].reshape(b, 2, r))
-        return g
+        np.add(lk.legs_l, lk.legs_e, out=lk._g_f)
+        np.vecdot(lk.coef_z, lk.zb, axis=1, out=lk._g_w)
+        return lk.g
 
 
 def _evaluate(ch: ChannelSet, bf: BeamformerState, pw: PowerConfig):
@@ -260,23 +252,25 @@ def gradient_bundle(ch: ChannelSet, bf: BeamformerState, pw: PowerConfig) -> Bea
 
 
 def grad_wl(ch: ChannelSet, bf: BeamformerState, pw: PowerConfig) -> np.ndarray:
-    """Gradient w.r.t. the conjugate of the legitimate combiner."""
+    """Gradient w.r.t. the conjugate of the legitimate combiner. Each
+    ``grad_*`` call builds a one-row kernel and the whole packed gradient:
+    for several blocks of one state, take one ``gradient_bundle``."""
     return gradient_bundle(ch, bf, pw).w_l
 
 
 def grad_fj(ch: ChannelSet, bf: BeamformerState, pw: PowerConfig) -> np.ndarray:
-    """Gradient w.r.t. the conjugate of the jammer precoder."""
+    """Gradient w.r.t. the conjugate of the jammer precoder (built as in ``grad_wl``)."""
     return gradient_bundle(ch, bf, pw).f_j
 
 
 def grad_fs(ch: ChannelSet, bf: BeamformerState, pw: PowerConfig) -> np.ndarray:
-    """Gradient w.r.t. the conjugate of the source precoder."""
+    """Gradient w.r.t. the conjugate of the source precoder (built as in ``grad_wl``)."""
     return gradient_bundle(ch, bf, pw).f_s
 
 
 def grad_we(ch: ChannelSet, bf: BeamformerState, pw: PowerConfig) -> np.ndarray:
     """Gradient w.r.t. the conjugate of the eavesdropper combiner
-    (benchmark mode: ascending it degrades the eavesdropper link)."""
+    (benchmark mode: ascending it degrades the eavesdropper link), built as in ``grad_wl``."""
     return gradient_bundle(ch, bf, pw).w_e
 
 

@@ -250,13 +250,13 @@ class _Lockstep:
     """The rows of one ``ascend_rows`` call and their shared pass loop.
 
     Row-indexed arrays (kernel, with the rows' channels and powers, links,
-    gradient, ``delta``, ``hold``, ``meta``) hold the active rows only, in
-    row order, compacted into the prefix when rows leave; results and cycle
-    records are kept per row id. ``meta`` row j is [row id, cycle, pass the
-    cycle started at, p_s]. At the top of every pass every active row's id
-    is below ``failed_at``, the first failed row's id, so the decision only
-    sees finite changes of live rows: a pass that fails a row drops it and
-    the rows after it, and is redone for the rows before it.
+    with their gradient, ``delta``, ``hold``, ``meta``) hold the active rows
+    only, in row order, compacted into the prefix when rows leave; results
+    and cycle records are kept per row id. ``meta`` row j is [row id, cycle,
+    pass the cycle started at, p_s]. At the top of every pass every active
+    row's id is below ``failed_at``, the first failed row's id, so the
+    decision only sees finite changes of live rows: a pass that fails a row
+    drops it and the rows after it, and is redone for the rows before it.
 
     The iteration log is kept per pass, as (pass, meta rows, [c_l, c_e,
     c_l - c_e] rows, ``delta`` rows) of the rows accepted in it; when the
@@ -416,21 +416,19 @@ class _Lockstep:
         while len(self.meta):
             n_pass += 1
             if n_rows != len(self.meta):
-                # rows left: the views of the rest, and their gradient
+                # rows left: the views of the rest; their gradient is stale
                 n_rows, kernel, delta = len(self.meta), self.kernel, self.delta
                 delta_col = delta[:, None]
                 hold = self.hold[:, None] if self.hold.any() else None
                 self.cand.resize(n_rows)
-                grad = np.empty(self.cur.x.shape, dtype=complex)
-                grad_re = grad.view(float)
                 change, ended_by = np.empty(n_rows), np.empty(n_rows)
                 accepted, ended = np.empty(n_rows, dtype=bool), np.empty(n_rows, dtype=bool)
                 stale, next_cap = True, self._next_cap()
             cur, cand = self.cur, self.cand
             if stale:
                 # held rows need no zero g_we block: their w_e is restored below
-                kernel.gradient(cur, out=grad)
-            np.multiply(grad_re, delta_col, out=cand.x_re)
+                kernel.gradient(cur)
+            np.multiply(cur.g_re, delta_col, out=cand.x_re)
             cand.x += cur.x
             degenerate = _project_packed(kernel, cand.x, cand.mag)
             if hold is not None:

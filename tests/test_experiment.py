@@ -1,4 +1,5 @@
 import ast
+import errno
 import multiprocessing
 import os
 import pickle
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import secrecy_ascent as sa
+import secrecy_ascent.cli as cli
 import secrecy_ascent.experiment as exp
 from secrecy_ascent.config import load_config
 from secrecy_ascent.experiment import _carry_add, _dense_curve
@@ -523,6 +525,76 @@ def test_a_worker_that_dies_on_a_later_shard_fails_the_study(tmp_path):
     trial, seed, cause, seen = run_dead_worker_study(tmp_path, 10, 1, 5)
     assert (trial, seed, seen) == ("5", "81", "[0, 1, 2, 3, 4]")
     assert "exited with code 3 before sending trials 5..5" in cause
+
+
+def _refuse(error):
+    def refused(*args, **kwargs):
+        raise error
+
+    return refused
+
+
+@pytest.mark.parametrize("patched, error", [
+    ("Process.start", BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")),
+    ("Pipe", OSError(errno.EMFILE, "Too many open files")),
+], ids=["fork-refused", "no-descriptor"])
+def test_a_worker_that_cannot_start_fails_its_first_trial(
+        monkeypatch, tmp_path, capsys, patched, error):
+    # run --threads 2 on two one-trial shards, where the worker's fork is
+    # refused (EAGAIN under a process limit) or its pipe finds no descriptor
+    # (EMFILE): run exits 1 naming trial 1 and the OS error, and trial 0,
+    # which this process ran, is reduced and written; no process starts
+    if patched == "Pipe":
+        monkeypatch.setattr(multiprocessing, "Pipe", _refuse(error))
+    else:
+        monkeypatch.setattr(multiprocessing.Process, "start", _refuse(error))
+    out = tmp_path / "out"
+    code = cli.main(["run", "--config", "sub6", "--max-iters", "30", "--trials", "2",
+                     "--seed", "82", "--threads", "2", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: trial 1 (master seed 82) failed: "
+                          "could not start a worker process: ")
+    assert f"{type(error).__name__}({error.errno}, " in err
+    header, *rows = (out / "trace.csv").read_text().splitlines()
+    assert header == ",".join(exp.TRACE_HEADER)
+    assert rows and all(row.startswith("0,") for row in rows)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_refused_second_worker_fails_its_first_shard(monkeypatch):
+    # three one-trial shards at threads=3: worker 1 starts, and worker 2's
+    # fork is refused; trials 0 and 1 are reduced, and trial 2 fails. The
+    # workers are stand-ins that run their shards inside start(), in this
+    # process, so no process starts
+    starts, joined = [], []
+
+    class InlineWorker:
+        def __init__(self, target, args, daemon):
+            self.run, self.pid = lambda: target(*args), None
+
+        def start(self):
+            starts.append(self)
+            if len(starts) == 2:
+                raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+            self.run()
+            self.pid = os.getpid()
+
+        def is_alive(self):
+            return False
+
+        def join(self):
+            joined.append(self)
+
+    monkeypatch.setattr(exp, "SHARD_TRIALS", 1)
+    monkeypatch.setattr(multiprocessing, "Process", InlineWorker)
+    seen = []
+    with pytest.raises(sa.TrialError) as err:
+        for i, pid in exp._map_trials(_pid_per_trial, small_config(n_trials=3), 3, False):
+            seen.append(i)
+    assert seen == [0, 1] and err.value.trial_index == 2
+    assert f"could not start a worker process: BlockingIOError({errno.EAGAIN}, " in str(err.value)
+    assert joined == starts[:1]  # the started worker is joined, the refused one is not
 
 
 def _fail_past_the_first_shard_fast(cfg, start, stop):

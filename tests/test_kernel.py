@@ -198,6 +198,7 @@ def test_batched_kernel_rows_match_single_rows():
     kernel = LinkKernel([ch for ch, _, _ in instances], [pw for _, _, pw in instances])
     lk = kernel.links([bf for _, bf, _ in instances])
     g = kernel.gradient(lk)
+    assert g is lk.g  # filled in place, at the links' full row count
     for k, (ch, bf, pw) in enumerate(instances):
         one_kernel, one = one_row(ch, bf, pw)
         assert one.buf.tobytes() == lk.buf[k:k + 1].tobytes()
@@ -234,7 +235,7 @@ def test_take_matches_a_kernel_of_the_kept_rows(drop):
 @pytest.mark.parametrize("gradient_first", [True, False], ids=["after-a-gradient", "at-start"])
 def test_compaction_matches_a_kernel_of_the_kept_rows(gradient_first):
     # a batch compacts its kernel and links in place after a power change,
-    # after its first gradient has built h_conj or, when a start fails,
+    # after its first gradient has filled ``lk.g`` or, when a start fails,
     # before: the kept rows' links and gradient are bit-identical to those
     # of a kernel built from them alone, at the new powers, after the first,
     # a middle and the last row leave, and again after a second shrink
@@ -257,15 +258,3 @@ def test_compaction_matches_a_kernel_of_the_kept_rows(gradient_first):
         for name in ("buf", "x", "s", "den", "cd"):
             assert getattr(lk, name).tobytes() == getattr(want, name).tobytes(), name
         assert kernel.gradient(lk).tobytes() == want_kernel.gradient(want).tobytes()
-
-
-def test_single_state_objective_builds_no_conjugate_channels(monkeypatch):
-    # only a gradient reads h_conj; the objective alone must not build it
-    def fail(kernel):
-        raise AssertionError("h_conj built")
-
-    monkeypatch.setattr(LinkKernel, "h_conj", property(fail))
-    ch, bf, pw = random_instance(4, 64, seed=43)
-    assert math.isfinite(sa.capacity_difference(ch, bf, pw))
-    with pytest.raises(AssertionError, match="h_conj built"):
-        sa.grad_wl(ch, bf, pw)

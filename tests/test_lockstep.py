@@ -11,6 +11,7 @@ under any start method.
 import json
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -455,3 +456,26 @@ def test_a_batch_builds_its_kernel_and_links_once(monkeypatch):
     assert error is None
     assert len({res.trace.n_iters for res in results}) >= 4, "the batch shrank too seldom"
     assert sorted(built) == ["LinkKernel", "Links", "Links"]
+
+
+def test_memory_does_not_grow_with_the_iteration_cap():
+    # a batch that converges well before 100 passes runs alike at a cap of
+    # 100 and of 10**9, to the same logs and about the same traced peak: no
+    # buffer is sized by the cap
+    rows = rows_of(2, 4, sa.PowerConfig(p_s=1.0, p_j=1.0), range(6), [True, False] * 3)
+    ascend_rows(rows, sa.OptimizerConfig(max_iters=100, epsilon=1e-2))  # warm up, untraced
+    logs, peaks = [], []
+    for max_iters in (100, 10**9):
+        tracemalloc.start()
+        try:
+            results, error = ascend_rows(rows, sa.OptimizerConfig(max_iters=max_iters,
+                                                                  epsilon=1e-2))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert error is None
+        assert {res.trace.reason for res in results} == {sa.TerminationReason.CONVERGED}
+        assert max(res.trace.n_iters for res in results) < 60
+        logs.append([res.trace.log.tobytes() for res in results])
+    assert logs[0] == logs[1]
+    assert abs(peaks[1] - peaks[0]) < 32 * 1024, peaks
