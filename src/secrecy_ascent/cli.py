@@ -30,7 +30,7 @@ from .experiment import (
     run_fixed_power_experiment,
     run_variable_power_experiment,
 )
-from .gradients import capacity_difference, fd_gradient, gradient_bundle, gradient_check_error
+from .gradients import LinkKernel, fd_gradient, gradient_bundle, gradient_check_error
 from .metrics import PowerConfig
 from .optimizer import warm_start
 
@@ -131,13 +131,14 @@ def cmd_gradcheck(n_rx: int, n_tx: int, seed: int, instances: int, corrupt: bool
         ch = draw_channel_set(params, rng)
         bf = warm_start(params, rng)
         bundle = gradient_bundle(ch, bf, pw)
+        kernel = LinkKernel((ch,), (pw,))  # built once; each probe is one capacity_difference row
         for name in worst:
             grad = getattr(bundle, name)
             if corrupt and name == "w_l":
                 grad = grad + 1e-3
 
             def objective(v, _name=name):
-                return capacity_difference(ch, replace(bf, **{_name: v}), pw)
+                return float(kernel.links([replace(bf, **{_name: v})]).diff[0])
 
             ref = fd_gradient(objective, getattr(bf, name))
             worst[name] = max(worst[name], gradient_check_error(grad, ref))

@@ -102,18 +102,19 @@ class Links:
         self.diff = self.cd[:, 2]
         self._images = self.buf[:, :2 * r2].reshape(b, 2, r2, 1)
         self._combiners, self._combiner_copy = self.x[:, :r2], self.buf[:, 2 * r2:]
-        self._g_w, self._g_f = self.g[:, :r2].reshape(b, 2, n_rx), self.g[:, r2:]
+        self._g_w = self.g[:, :r2].reshape(b, 2, n_rx)
+        self._g_f = self.g[:, r2:].reshape(b, 2, n_tx)
         self._precoders = self.x[:, r2:].reshape(b, 2, n_tx, 1)
         self.t_s, self.t_rev = self.t[:, :2], self.t[:, ::-1]
         self.log0, self.log1 = self.logs[:, 1], self.logs[:, 2]
         self.c, self.c_l, self.c_e = self.cd[:, :2], self.cd[:, 0], self.cd[:, 1]
         self.factors_w, self.coef_w = self.factors[:, 2], self.coef[:, 2]
         self.coef_z = self.coef[..., None]
-        # receiver-major legs: [sl | jl] weighted by w_l, [se | je] by w_e
-        self.coef_legs = self.coef[:, :2].swapaxes(1, 2)[..., None, None]
-        self.w_legs = self.x[:, :r2].reshape(b, 2, 1, 1, n_rx)
+        # legs sl, se, jl, je: transmitter t's [l | e] legs weighted by [w_l | w_e]
+        self.coef_legs = self.coef[:, :2, :, None, None]
+        self.w_legs = self.x[:, :r2].reshape(b, 1, 2, 1, n_rx)
         self.weighted_legs = self.weighted.reshape(b, 4, 1, n_rx)
-        self.legs_l, self.legs_e = self.legs.reshape(b, 2, 2 * n_tx).transpose(1, 0, 2)
+        self.legs_l, self.legs_e = self.legs.reshape(b, 2, 2, n_tx).transpose(2, 0, 1, 3)
 
     def compact(self, keep: np.ndarray) -> None:
         """Move the link quantities of the kept rows to the front, in order, and resize."""
@@ -138,8 +139,8 @@ class LinkKernel:
     ``h`` is (B, 2, 2*n_rx, n_tx): for each transmitter (source, jammer) its
     channels to the legitimate receiver and the eavesdropper stacked, so one
     stacked mat-vec per transmitter gives both receive images. ``h_conj``
-    (B, 4, n_rx, n_tx) holds the conjugate of each channel in the order
-    sl, jl, se, je: the four legs H^H a of the precoder gradients are
+    is conj(h) as (B, 4, n_rx, n_tx), one channel per leg in the order
+    sl, se, jl, je: the four legs H^H a of the precoder gradients are
     computed as row vectors a^T conj(H), each in its own slice, and the
     legitimate and eavesdropper legs are summed in pairs, so legs with equal
     inputs get equal values and symmetric legs cancel exactly.
@@ -156,22 +157,21 @@ class LinkKernel:
     """
 
     def __init__(self, channels, powers):
-        n_rx, n_tx = channels[0].n_rx, channels[0].n_tx
-        if any((c.n_rx, c.n_tx) != (n_rx, n_tx) for c in channels):
+        n_rx, n_tx = shape = channels[0].h_sl.shape
+        if any(c.h_sl.shape != shape for c in channels):
             raise ValueError("all rows of a kernel must share n_rx and n_tx")
         if len(powers) != len(channels):
             raise ValueError("a kernel needs one PowerConfig per channel set")
         self.n_rx, self.n_tx = n_rx, n_tx
         self.h = np.array([(c.h_sl, c.h_se, c.h_jl, c.h_je) for c in channels],
                           dtype=complex).reshape(len(channels), 2, 2 * n_rx, n_tx)
+        self.h_conj = self.h.conj().reshape(len(channels), 4, n_rx, n_tx)
         self.link_weights = np.array(
             [[[pw.p_s, pw.p_s], [pw.p_j, pw.p_j], [pw.sigma2_l, pw.sigma2_e]] for pw in powers],
             dtype=float)
         self.grad_weights = self.link_weights * _GRAD_SIGN
-        self.h_conj = np.array([(c.h_sl, c.h_jl, c.h_se, c.h_je) for c in channels],
-                               dtype=complex).conj()
-        self.ca_scale = np.repeat([1.0 / math.sqrt(n_rx), 1.0 / math.sqrt(n_tx)],
-                                  [2 * n_rx, 2 * n_tx])
+        ca = self.ca_scale = np.empty(2 * (n_rx + n_tx))
+        ca[:2 * n_rx], ca[2 * n_rx:] = 1.0 / math.sqrt(n_rx), 1.0 / math.sqrt(n_tx)
 
     def set_p_s(self, p_s: np.ndarray) -> None:
         """Set the source power of every row, one value per row."""
@@ -307,7 +307,7 @@ def fd_gradient(
     for k in range(point.size):
         probes = []
         for step in (h, -h, 1j * h, -1j * h):
-            v = point.astype(complex).copy()
+            v = point.astype(complex)  # a new array
             v[k] += step
             val = objective(v)
             if not np.isfinite(val):
