@@ -44,7 +44,6 @@ class ChannelParams:
     n_rx: int
     n_tx: int
     angular_spread_deg: float
-    carrier_band: Band = Band.MMWAVE
 
     def __post_init__(self):
         for name in ("n_clusters", "n_rays", "n_rx", "n_tx"):
@@ -77,14 +76,6 @@ class ChannelSet:
         for name in ("h_se", "h_jl", "h_je"):
             if getattr(self, name).shape != shape:
                 raise ValueError(f"{name} has shape {getattr(self, name).shape}, expected {shape}")
-
-    @property
-    def n_rx(self) -> int:
-        return self.h_sl.shape[0]
-
-    @property
-    def n_tx(self) -> int:
-        return self.h_sl.shape[1]
 
 
 def _steering_matrix(n_antennas: int, azimuths: np.ndarray) -> np.ndarray:

@@ -116,7 +116,6 @@ def build_system_config(resolved: dict) -> SystemConfig:
             n_rx=resolved["n_rx"],
             n_tx=resolved["n_tx"],
             angular_spread_deg=resolved["angular_spread_deg"],
-            carrier_band=resolved["band"],
         )
         powers = PowerConfig(
             p_s=_linear_power(resolved, "p_s_db"),

@@ -41,7 +41,8 @@ import numpy as np
 
 from .channel import ChannelParams, ChannelSet
 from .gradients import LinkKernel, Links
-from .metrics import BeamformerState, PowerConfig, SecrecySnapshot, _check_dims, db_to_linear
+from .metrics import (BeamformerState, PowerConfig, SecrecySnapshot, _check_dims, _unpack_state,
+                      db_to_linear)
 
 
 @dataclass(frozen=True)
@@ -180,17 +181,12 @@ def state_ca_violation(bf: BeamformerState) -> float:
 
 def warm_start(params: ChannelParams, rng: np.random.Generator) -> BeamformerState:
     """Random start: i.i.d. uniform phases for w_l, w_e, f_s, f_j in that
-    order, the law of CN(0,1) draws pushed onto the CA manifold."""
-
-    def draw(n):
-        return np.exp(2j * np.pi * rng.random(n)) / math.sqrt(n)
-
-    return BeamformerState(
-        w_l=draw(params.n_rx),
-        w_e=draw(params.n_rx),
-        f_s=draw(params.n_tx),
-        f_j=draw(params.n_tx),
-    )
+    order, the law of CN(0,1) draws pushed onto the CA manifold, drawn as
+    one packed row and returned as its four views."""
+    n_rx, n_tx = params.n_rx, params.n_tx
+    root_n = np.repeat([math.sqrt(n_rx), math.sqrt(n_tx)], [2 * n_rx, 2 * n_tx])
+    x = np.exp(2j * np.pi * rng.random(2 * (n_rx + n_tx))) / root_n
+    return _unpack_state(x, n_rx, n_rx, n_tx)
 
 
 def _snapshot(lk: Links, row: int) -> SecrecySnapshot:
@@ -273,32 +269,37 @@ class _Lockstep:
         for i, row in enumerate(rows):
             try:
                 _check_dims(row.channel, row.init)
-                if state_ca_violation(row.init) > 1e-6:
-                    raise ValueError("initial state violates the constant-amplitude constraint")
             except ValueError as exc:
                 self.failed_at, self.error = i, exc
                 break
         rows = rows[:self.failed_at]
-        self.meta = np.array([(i, 1, 0, row.powers.p_s) for i, row in enumerate(rows)],
-                             dtype=float)
+        self.meta = np.array([(i, 1, 0, row.powers.p_s) for i, row in enumerate(rows)], float)
         if not rows:
             return
-        self.kernel = LinkKernel([row.channel for row in rows], [row.powers for row in rows])
-        self.cur = self.kernel.links([row.init for row in rows])
-        self.cand = Links(len(rows), self.kernel.n_rx, self.kernel.n_tx)
+        kernel = self.kernel = LinkKernel([r.channel for r in rows], [r.powers for r in rows])
+        self.cur, self.cand = (Links(len(rows), kernel.n_rx, kernel.n_tx) for _ in range(2))
+        for row, x in zip(rows, self.cur.x):
+            np.concatenate(row.init.vectors(), out=x)
+        # an entry off its CA modulus fails a start; a NaN is left to the objective's check
+        off = np.flatnonzero((np.abs(np.abs(self.cur.x) - kernel.ca_scale) > 1e-6).any(axis=1))
+        if off.size:
+            self.failed_at = int(off[0])
+            self.error = ValueError("initial state violates the constant-amplitude constraint")
         self.hold = np.array([not row.optimize_we for row in rows])
         self.delta = np.full(len(rows), cfg.delta0)
         self.cycles = [[] for _ in rows]
+        self._compact()
+        kernel.evaluate(self.cur)
         self.log = [(0, self.meta, self.cur.cd.copy(), self.delta.copy())]
-        self._check_finite(range(len(rows)))
+        self._check_finite()
         self._compact()
 
-    def _check_finite(self, rows) -> None:
-        """Fail the first of the active rows ``rows``, each at the start of
-        a cycle, whose objective is not finite."""
-        bad = [j for j in rows if not math.isfinite(self.cur.diff[j])]
-        if bad:
-            i, cycle = self.meta[min(bad), :2].tolist()
+    def _check_finite(self) -> None:
+        """Fail the first active row whose objective is not finite, at the start of a
+        cycle: only the rows starting one can have such an objective."""
+        bad = np.flatnonzero(~np.isfinite(self.cur.diff))
+        if bad.size:
+            i, cycle = self.meta[bad[0], :2].tolist()
             self.failed_at = int(i)
             at = "the initial state" if cycle == 1 else f"cycle {int(cycle)}, iteration 0"
             self.error = ValueError(f"non-finite objective at {at}")
@@ -356,7 +357,7 @@ class _Lockstep:
             self.delta.put(restart, cfg.delta0)
             self.kernel.set_p_s(self.meta[:, 3])
             self.kernel.refresh(self.cur)
-            self._check_finite(restart)
+            self._check_finite()
         return finished, bool(restart)
 
     def _finish(self, j: int, i: int, reason: TerminationReason, n_pass: int) -> None:
@@ -387,25 +388,34 @@ class _Lockstep:
 
     def _split_log(self) -> None:
         """Give each finished row's trace its log: the rows' entries of the
-        pass log, in pass order, as one ITERATION_DTYPE array per row."""
+        pass log, in pass order, as one ITERATION_DTYPE array per row. Each
+        field is gathered into row order on its own, and each table of the
+        pass log is dropped once its columns are taken, the meta columns
+        before the log is allocated: no table is reordered whole."""
         n_done = self.failed_at
         if not n_done:
             return
         passes, metas, cds, deltas = zip(*self.log)
+        del self.log  # each table's per-pass arrays go once it is concatenated
         meta = np.concatenate(metas)
+        iteration = np.repeat(passes, [*map(len, metas)]) - meta[:, 2]
+        del metas
         order = np.argsort(meta[:, 0], kind="stable")
-        meta = meta[order]
-        cd = np.concatenate(cds)[order]
-        counts = np.fromiter(map(len, metas), dtype=np.intp, count=len(metas))
-        log = np.empty(len(meta), ITERATION_DTYPE)
-        log["cycle"] = meta[:, 1]
-        log["iteration"] = np.repeat(passes, counts)[order] - meta[:, 2]
+        bounds = np.searchsorted(meta[order, 0], np.arange(n_done + 1)).tolist()
+        cycle, p_s, iteration = meta[order, 1], meta[order, 3], iteration[order]
+        del meta
+        log = np.empty(len(order), ITERATION_DTYPE)
+        log["cycle"], log["iteration"], log["p_s"] = cycle, iteration, p_s
+        del cycle, iteration, p_s
+        cd = np.concatenate(cds)
+        del cds
+        log["c_l"] = cd[order, 0]
+        log["c_e"] = cd[order, 1]
+        diff = cd[order, 2]
+        del cd
         # max(c_l - c_e, 0) exactly as the builtin takes it, -0.0 included
-        log["c_s"] = np.where(cd[:, 2] < 0.0, 0.0, cd[:, 2])
-        log["c_l"], log["c_e"] = cd[:, 0], cd[:, 1]
+        log["c_s"] = np.where(diff < 0.0, 0.0, diff)
         log["delta"] = np.concatenate(deltas)[order]
-        log["p_s"] = meta[:, 3]
-        bounds = np.searchsorted(meta[:, 0], np.arange(n_done + 1)).tolist()
         for i in range(n_done):
             self.results[i].trace.log = log[bounds[i]:bounds[i + 1]]
 

@@ -47,9 +47,7 @@ def objective_in(ch, bf, pw, name):
 
 MMWAVE_PARAMS = sa.ChannelParams(
     n_clusters=4, n_rays=15, n_rx=4, n_tx=64, angular_spread_deg=10.0,
-    carrier_band=sa.Band.MMWAVE,
 )
 SUB6_PARAMS = sa.ChannelParams(
     n_clusters=10, n_rays=20, n_rx=4, n_tx=16, angular_spread_deg=10.0,
-    carrier_band=sa.Band.SUB6,
 )

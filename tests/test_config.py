@@ -1,11 +1,13 @@
 import re
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from secrecy_ascent.config import (SCHEMA, build_system_config, flat_items, parse_config_text,
-                                   resolve_values)
+import secrecy_ascent as sa
+from secrecy_ascent.config import (SCHEMA, ConfigError, build_system_config, flat_items,
+                                   parse_config_text, resolve_values)
 from secrecy_ascent.optimizer import OptimizerConfig
 
 
@@ -39,6 +41,19 @@ def test_required_keys_alone_build_the_default_optimizer_config():
     text = "n_tx = 8\nn_rx = 2\nn_clusters = 2\nn_rays = 3\nexperiment = fixed_power\n"
     cfg = build_system_config(resolve_values(parse_config_text(text)))
     assert cfg.optimizer == OptimizerConfig()
+
+
+def test_band_is_a_validated_tag_that_the_built_config_does_not_hold():
+    # the band enters no formula: it is resolved and reported, and the
+    # SystemConfig built from it is the same for every band
+    text = "n_tx = 8\nn_rx = 2\nn_clusters = 2\nn_rays = 3\nexperiment = fixed_power\n"
+    built = build_system_config(resolve_values(parse_config_text(text)))
+    for band in sa.Band:
+        resolved = resolve_values(parse_config_text(text + f"band = {band.value}\n"))
+        assert resolved["band"] is band and ("band", band.value) in flat_items(resolved)
+        assert build_system_config(resolved) == built
+    with pytest.raises(ConfigError, match="'band'"):
+        resolve_values(parse_config_text(text + "band = 5g\n"))
 
 
 def test_readme_config_keys_are_the_schema():

@@ -12,6 +12,7 @@ import json
 import math
 import pickle
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -441,6 +442,65 @@ def test_a_start_off_the_ca_manifold_fails_its_row():
     assert len(results) == 1 and "constant-amplitude" in str(error)
 
 
+def with_start(row, **blocks):
+    """``row`` with the blocks ``blocks`` of its start replaced, each by a
+    function of the block."""
+    init = row.init.copy()
+    for name, change in blocks.items():
+        setattr(init, name, change(getattr(init, name)))
+    return AscentRow(row.channel, row.powers, init, row.optimize_we)
+
+
+def put(value):
+    """A change of a block that writes ``value`` at its first entry."""
+    def change(v):
+        v = v.copy()
+        v[0] = value
+        return v
+    return change
+
+
+def double(v):
+    return v * 2.0
+
+
+@pytest.mark.parametrize("blocks", [dict(w_l=put(np.nan), f_s=double),
+                                    dict(w_l=double, f_j=put(np.nan))],
+                         ids=["nan-first", "nan-last"])
+def test_a_start_off_the_ca_manifold_fails_whichever_block_holds_a_nan(blocks):
+    # the check took the max of the four blocks' violations, and a NaN one
+    # wins or loses by block order: a NaN before the off-manifold block hid
+    # it and the start failed as a non-finite objective instead
+    rows = rows_of(2, 4, sa.PowerConfig(p_s=1.0, p_j=1.0), range(3), [True] * 3)
+    rows[1] = with_start(rows[1], **blocks)
+    results, error = ascend_rows(rows, sa.OptimizerConfig(max_iters=10))
+    assert len(results) == 1
+    assert str(error) == "initial state violates the constant-amplitude constraint"
+    assert same_result(ascend_rows(rows[:1], sa.OptimizerConfig(max_iters=10))[0][0], results[0])
+
+
+def test_a_non_finite_objective_before_an_off_manifold_start_names_the_objective():
+    rows = rows_of(2, 4, sa.PowerConfig(p_s=1.0, p_j=1.0), range(4), [True] * 4)
+    ch = rows[1].channel
+    poisoned = sa.ChannelSet(h_sl=ch.h_sl, h_se=ch.h_se, h_jl=np.full_like(ch.h_jl, np.nan),
+                             h_je=ch.h_je)
+    rows[1] = AscentRow(poisoned, rows[1].powers, rows[1].init)
+    rows[2] = with_start(rows[2], f_s=double)
+    results, error = ascend_rows(rows, sa.OptimizerConfig(max_iters=10))
+    assert len(results) == 1 and str(error) == "non-finite objective at the initial state"
+
+
+@pytest.mark.parametrize("bad", [0, 1])
+def test_an_infinite_start_entry_fails_its_row_unevaluated(bad):
+    rows = rows_of(2, 4, sa.PowerConfig(p_s=1.0, p_j=1.0), range(3), [True] * 3)
+    rows[bad] = with_start(rows[bad], f_j=put(np.inf))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an evaluation would warn on inf * 0
+        results, error = ascend_rows(rows, sa.OptimizerConfig(max_iters=10))
+    assert len(results) == bad
+    assert str(error) == "initial state violates the constant-amplitude constraint"
+
+
 def test_a_batch_builds_its_kernel_and_links_once(monkeypatch):
     # rows that finish leave by compaction in place: however often the
     # batch shrinks, it builds one kernel and two links, cur and cand
@@ -479,3 +539,29 @@ def test_memory_does_not_grow_with_the_iteration_cap():
         logs.append([res.trace.log.tobytes() for res in results])
     assert logs[0] == logs[1]
     assert abs(peaks[1] - peaks[0]) < 32 * 1024, peaks
+
+
+def test_the_split_adds_little_beside_the_logs_it_returns(monkeypatch):
+    # the split gathers each field of the pass log into row order on its
+    # own and drops each table once its columns are taken; reordering whole
+    # tables next to the new logs added 2.6 times their size
+    split, added = opt._Lockstep._split_log, []
+
+    def traced(batch):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        split(batch)
+        added.append(tracemalloc.get_traced_memory()[1] - before)
+
+    monkeypatch.setattr(opt._Lockstep, "_split_log", traced)
+    rows = rows_of(2, 4, sa.PowerConfig(p_s=1.0, p_j=1.0), range(6), [True, False] * 3)
+    tracemalloc.start()
+    try:
+        results, error = ascend_rows(rows, sa.OptimizerConfig(max_iters=3000, epsilon=1e-300))
+    finally:
+        tracemalloc.stop()
+    assert error is None
+    assert {res.trace.reason for res in results} == {sa.TerminationReason.ITER_CAP}
+    logs = sum(res.trace.log.nbytes for res in results)
+    assert logs > 15_000 * opt.ITERATION_DTYPE.itemsize  # 17,994 entries here
+    assert added[0] < 2.25 * logs, added[0] / logs
