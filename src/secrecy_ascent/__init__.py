@@ -43,7 +43,6 @@ from .reference import (
     build_channel,
     capacity,
     draw_paths,
-    quad_forms,
     secrecy_capacity,
     sinr_eavesdropper,
     sinr_legitimate,
@@ -81,7 +80,6 @@ __all__ = [
     "linear_to_db",
     "project_ca",
     "project_unit_norm",
-    "quad_forms",
     "run_fixed_power_experiment",
     "run_variable_power_experiment",
     "secrecy_capacity",

@@ -24,7 +24,7 @@ optimizer's lockstep loop runs on them. At a single state,
 ``capacity_difference`` is a batch of one row, ``gradient_bundle`` returns
 that row's four gradient blocks as a ``BeamformerState``, and each
 ``grad_*`` is one field of it. The per-vector forms the kernel is tested
-against (SINRs, quadratic forms) are in ``reference``.
+against (SINRs and capacities) are in ``reference``.
 
 ``fd_gradient`` is an independent central-difference oracle over the real
 and imaginary parts of each coordinate, assembled into the same convention

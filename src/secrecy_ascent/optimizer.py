@@ -171,8 +171,11 @@ def project_ca(v: np.ndarray) -> np.ndarray:
 
 
 def ca_violation(v: np.ndarray) -> float:
-    """Max deviation of entry moduli from 1/sqrt(N); 0 for a CA vector."""
-    return float(np.max(np.abs(np.abs(v) - 1.0 / math.sqrt(v.size))))
+    """Max deviation of entry moduli from 1/sqrt(N); 0 for a CA vector. A
+    vector with a NaN or infinite entry is inf, which fails a bound compared
+    either way: a NaN would pass ``>=``, and would hide in ``max``."""
+    dev = float(np.max(np.abs(np.abs(v) - 1.0 / math.sqrt(v.size))))
+    return dev if math.isfinite(dev) else math.inf
 
 
 def state_ca_violation(bf: BeamformerState) -> float:
@@ -196,38 +199,22 @@ def _snapshot(lk: Links, row: int) -> SecrecySnapshot:
                            c_l=c_l, c_e=c_e, c_s=max(diff, 0.0))
 
 
-def _project_packed(kernel: LinkKernel, y: np.ndarray,
-                    mag: Optional[np.ndarray] = None) -> dict[int, ValueError]:
-    """``project_ca`` of every block of every row of y, in place.
-
-    When no modulus is below the 1e-12 guard this is exactly ``project_ca``
-    block by block, with each block's 1/sqrt(N) from ``kernel.ca_scale``;
-    otherwise the rows holding such an entry, or a NaN (which fails the
-    guard's comparison), go through ``project_ca`` block by block. Such a
-    row with an exactly-zero block, which has no direction to keep, or with
-    a non-finite entry is a degenerate iterate: it is left as it is and
-    returned, by row index, with its error. An infinite entry passes the
-    guard and comes out NaN; the pass then finds the row's objective
-    non-finite, and ``_Lockstep._fail_first`` names the step as the cause.
-    ``mag`` is scratch of y's shape, if given.
+def _project_packed(kernel: LinkKernel, y: np.ndarray, mag: Optional[np.ndarray] = None) -> None:
+    """``project_ca`` of every block of every row of y, in place, with each
+    block's 1/sqrt(N) from ``kernel.ca_scale``: an entry with modulus below
+    1e-12, a zero block's included, takes phase zero. A NaN entry, which
+    fails that comparison, stays NaN, and an infinite one comes out NaN
+    (inf * 0); the pass then finds the row's objective non-finite, and
+    ``_Lockstep._fail_first`` names the step as the cause. ``mag`` is
+    scratch of y's shape, if given.
     """
     mag = np.abs(y, out=mag)
     if mag.min() >= 1e-12:
         y *= np.divide(kernel.ca_scale, mag, out=mag)
-        return {}
-    guarded = ~(mag.min(axis=1) >= 1e-12)
-    failed = {}
-    for row in np.flatnonzero(guarded).tolist():
-        blocks = kernel.unpack(y[row]).vectors()
-        try:
-            if not all(v.any() for v in blocks):
-                raise ValueError("cannot project a zero step block")
-            y[row] = np.concatenate([project_ca(v) for v in blocks])
-        except ValueError as exc:
-            failed[row] = exc
-    fast = ~guarded
-    y[fast] *= kernel.ca_scale / mag[fast]
-    return failed
+        return
+    tiny = mag < 1e-12
+    y *= np.divide(kernel.ca_scale, mag, out=mag, where=~tiny)
+    np.copyto(y, kernel.ca_scale, where=tiny)
 
 
 @dataclass(frozen=True)
@@ -365,16 +352,13 @@ class _Lockstep:
         state = self.kernel.unpack(self.cur.x[j].copy())
         self.results[i] = OptimizeResult(state, _snapshot(self.cur, j), trace)
 
-    def _fail_first(self, change: np.ndarray, degenerate: dict, cand: np.ndarray,
-                    n_pass: int) -> None:
-        """Fail the first row whose step had a zero or non-finite block or
-        whose candidate objective is not finite. A candidate with a
-        non-finite entry came from a non-finite step, not from the
+    def _fail_first(self, change: np.ndarray, cand: np.ndarray, n_pass: int) -> None:
+        """Fail the first row whose candidate objective is not finite. The
+        projection gives every finite step a finite candidate, so a candidate
+        with a non-finite entry came from a non-finite step, not from the
         objective."""
-        j = min([*degenerate, *np.flatnonzero(~np.isfinite(change)).tolist()])
-        if j in degenerate:
-            cause = degenerate[j]
-        elif not np.isfinite(cand[j]).all():
+        j = int(np.flatnonzero(~np.isfinite(change))[0])
+        if not np.isfinite(cand[j]).all():
             cause = "cannot project a non-finite vector"
         else:
             cause = "non-finite objective"
@@ -440,7 +424,7 @@ class _Lockstep:
                 kernel.gradient(cur)
             np.multiply(cur.g_re, delta_col, out=cand.x_re)
             cand.x += cur.x
-            degenerate = _project_packed(kernel, cand.x, cand.mag)
+            _project_packed(kernel, cand.x, cand.mag)
             if hold is not None:
                 np.copyto(cand.we, cur.we, where=hold)
             kernel.evaluate(cand)
@@ -450,10 +434,10 @@ class _Lockstep:
             # a rejected step was already at the floor; otherwise revert and
             # halve the step (floored at delta_min)
             np.subtract(cand.diff, cur.diff, out=change)
-            if degenerate or not math.isfinite(np.add.reduce(change)):
+            if not math.isfinite(np.add.reduce(change)):
                 # the first failed row and the rows after it leave; the rows
                 # before it redo the pass, to the same bits
-                self._fail_first(change, degenerate, cand.x, n_pass)
+                self._fail_first(change, cand.x, n_pass)
                 self._compact()
                 n_pass -= 1
                 continue
@@ -512,8 +496,8 @@ def ascend_rows(
     whether its w_e is ascended.
 
     Returns the results of the leading rows that finished, up to the first
-    row that failed (a start that fails its checks, a non-finite objective,
-    a zero or non-finite step block), and that row's error, or None if no
+    row that failed (a start that fails its checks, a non-finite objective
+    or a non-finite step), and that row's error, or None if no
     row failed. That row and the rows after it leave the batch on the pass
     that fails, which the rows before it redo; ``on_accept(row, state)``
     observes every accepted iterate, and none of an abandoned row from then

@@ -5,8 +5,7 @@ the engine computes in batched form; they are the test suite's independent
 oracles. ``draw_paths`` + ``build_channel`` are the per-ray channel model
 whose random stream and channels ``channel.draw_channel_set`` reproduces bit
 for bit; ``sinr_*``, ``capacity`` and ``secrecy_capacity`` evaluate the links
-that ``gradients.LinkKernel`` fuses; ``quad_forms`` gives the four squared
-bilinear forms directly. No engine module imports this one.
+that ``gradients.LinkKernel`` fuses. No engine module imports this one.
 """
 
 from __future__ import annotations
@@ -114,24 +113,4 @@ def secrecy_capacity(ch: ChannelSet, bf: BeamformerState, pw: PowerConfig) -> Se
     c_e = capacity(gamma_e)
     return SecrecySnapshot(
         gamma_l=gamma_l, gamma_e=gamma_e, c_l=c_l, c_e=c_e, c_s=max(c_l - c_e, 0.0)
-    )
-
-
-@dataclass(frozen=True)
-class QuadForms:
-    """The four squared bilinear forms |w^H H f|^2, one per link."""
-
-    psi_sl: float
-    psi_jl: float
-    psi_se: float
-    psi_je: float
-
-
-def quad_forms(ch: ChannelSet, bf: BeamformerState) -> QuadForms:
-    _check_dims(ch, bf)
-    return QuadForms(
-        psi_sl=abs(bf.w_l.conj() @ ch.h_sl @ bf.f_s) ** 2,
-        psi_jl=abs(bf.w_l.conj() @ ch.h_jl @ bf.f_j) ** 2,
-        psi_se=abs(bf.w_e.conj() @ ch.h_se @ bf.f_s) ** 2,
-        psi_je=abs(bf.w_e.conj() @ ch.h_je @ bf.f_j) ** 2,
     )

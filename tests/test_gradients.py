@@ -11,37 +11,6 @@ GRAD_NAMES = ("w_l", "f_j", "f_s", "w_e")
 GRAD_FN = {"w_l": sa.grad_wl, "f_j": sa.grad_fj, "f_s": sa.grad_fs, "w_e": sa.grad_we}
 
 
-def test_quad_forms_scalar_all_ones():
-    qf = sa.quad_forms(scalar_channel(1.0, 1.0, 1.0, 1.0), scalar_state())
-    assert (qf.psi_sl, qf.psi_jl, qf.psi_se, qf.psi_je) == (1.0, 1.0, 1.0, 1.0)
-
-
-def test_quad_forms_nulled_jammer_leg():
-    ch, bf, _ = random_instance(2, 2, seed=20)
-    # f_j in the null direction of w_l^H h_jl
-    row = ch.h_jl.conj().T @ bf.w_l
-    null = np.array([-row[1].conj(), row[0].conj()])
-    bf.f_j = null / np.linalg.norm(null)
-    assert sa.quad_forms(ch, bf).psi_jl == pytest.approx(0.0, abs=1e-20)
-
-
-def test_quad_forms_against_triple_loop():
-    ch, bf, _ = random_instance(2, 2, seed=21)
-
-    def naive(w, h, f):
-        acc = 0.0 + 0.0j
-        for i in range(h.shape[0]):
-            for k in range(h.shape[1]):
-                acc += np.conj(w[i]) * h[i, k] * f[k]
-        return abs(acc) ** 2
-
-    qf = sa.quad_forms(ch, bf)
-    assert qf.psi_sl == pytest.approx(naive(bf.w_l, ch.h_sl, bf.f_s), rel=1e-12)
-    assert qf.psi_jl == pytest.approx(naive(bf.w_l, ch.h_jl, bf.f_j), rel=1e-12)
-    assert qf.psi_se == pytest.approx(naive(bf.w_e, ch.h_se, bf.f_s), rel=1e-12)
-    assert qf.psi_je == pytest.approx(naive(bf.w_e, ch.h_je, bf.f_j), rel=1e-12)
-
-
 def test_fd_gradient_of_quadratic():
     grad = sa.fd_gradient(lambda v: float(np.vdot(v, v).real), np.array([1.0 + 0.0j]))
     np.testing.assert_allclose(grad, [1.0], atol=1e-9)

@@ -332,12 +332,11 @@ def test_rows_before_a_failed_row_finish_and_the_rest_are_dropped():
         sa.ascend_fixed_power(rows[2].channel, rows[2].powers, cfg, rows[2].init)
 
 
-def assert_a_poisoned_step_fails_its_row(monkeypatch, value, at=0, bad=3, variable=False,
-                                         max_iters=30):
-    """Write ``value`` at ``at`` into row ``bad``'s third step, of four rows:
-    that row fails on the third pass, the rows before it finish as when run
-    alone, and no row from it on is observed from that pass on. Returns the
-    error."""
+def assert_a_poisoned_step_fails_its_row(monkeypatch, value, bad=3, variable=False, max_iters=30):
+    """Write ``value`` into the first entry of row ``bad``'s third step, of
+    four rows: that row fails on the third pass, the rows before it finish
+    as when run alone, and no row from it on is observed from that pass on.
+    Returns the error."""
     cfg = sa.OptimizerConfig(max_iters=max_iters, zeta=1e6 if variable else None,
                              mu=sa.db_to_linear(12.0), kappa=0.2, max_cycles=4)
     rows = rows_of(2, 5, sa.PowerConfig(p_s=10.0, p_j=10.0), range(4), [True, False] * 2)
@@ -347,7 +346,7 @@ def assert_a_poisoned_step_fails_its_row(monkeypatch, value, at=0, bad=3, variab
     def poison_third_pass(kernel, y, mag=None):
         calls.append(len(y))
         if len(calls) == 3:
-            y[bad, at] = value
+            y[bad, 0] = value
         return project(kernel, y, mag)
 
     monkeypatch.setattr(opt, "_project_packed", poison_third_pass)
@@ -390,10 +389,54 @@ def test_a_failed_row_and_the_rows_after_it_leave_the_batch_at_once(
     assert str(error) == "cannot project a non-finite vector at cycle 1, iteration 3"
 
 
-def test_a_zero_step_block_fails_its_row(monkeypatch):
-    # a zero f_j has no direction to keep: the projection's degenerate path
-    error = assert_a_poisoned_step_fails_its_row(monkeypatch, 0.0, at=slice(-5, None), bad=1)
-    assert str(error) == "cannot project a zero step block at cycle 1, iteration 3"
+def test_a_zero_step_block_is_projected_as_project_ca_projects_it(monkeypatch):
+    # a zero f_j takes phase zero, as every entry below the projection's
+    # guard does, and the accept test judges it like any candidate
+    cfg = sa.OptimizerConfig(max_iters=30)
+    rows = rows_of(2, 5, sa.PowerConfig(p_s=10.0, p_j=10.0), range(4), [True, False] * 2)
+    project = opt._project_packed
+    calls, projected = [], []
+
+    def zero_third_pass(kernel, y, mag=None):
+        calls.append(len(y))
+        if len(calls) == 3:
+            y[1, -5:] = 0.0
+        project(kernel, y, mag)
+        if len(calls) == 3:
+            projected.append(y[1, -5:].copy())
+
+    monkeypatch.setattr(opt, "_project_packed", zero_third_pass)
+    results, error = ascend_rows(rows, cfg)
+    assert calls[2] == len(rows)  # no row had left the batch
+    assert error is None and len(results) == len(rows)
+    assert projected[0].tobytes() == sa.project_ca(np.zeros(5)).tobytes()
+    monkeypatch.setattr(opt, "_project_packed", project)
+    for k in (0, 2, 3):
+        assert same_result(ascend_rows([rows[k]], cfg)[0][0], results[k])
+
+
+@pytest.mark.parametrize("n_rows", [4, 5])
+@pytest.mark.parametrize("variable", [False, True])
+def test_a_rows_rejected_steps_are_its_passes_less_its_accepted_ones(monkeypatch, variable,
+                                                                    n_rows):
+    # a row's pass either accepts, adding one log entry, or rejects; so its
+    # rejected steps are n_iters - (len(trace.log) - 1), with no counter
+    cfg = sa.OptimizerConfig(max_iters=30, zeta=1e6 if variable else None,
+                             mu=sa.db_to_linear(12.0), kappa=0.2, max_cycles=4)
+    rows = rows_of(2, 5, sa.PowerConfig(p_s=10.0, p_j=10.0), range(n_rows), [True, False] * 3)
+    project = opt._project_packed
+    projected, seen = [], []
+
+    def counting(kernel, y, mag=None):
+        projected.append(len(y))
+        project(kernel, y, mag)
+
+    monkeypatch.setattr(opt, "_project_packed", counting)
+    results, error = ascend_rows(rows, cfg, variable, on_accept=lambda i, state: seen.append(i))
+    assert error is None and len(results) == n_rows
+    assert sum(projected) == sum(res.trace.n_iters for res in results)
+    assert [seen.count(i) for i in range(n_rows)] == [len(res.trace.log) - 1 for res in results]
+    assert sum(res.trace.n_iters - (len(res.trace.log) - 1) for res in results) > 0
 
 
 def test_a_non_finite_objective_of_a_finite_step_fails_its_row(monkeypatch):

@@ -40,8 +40,10 @@ def test_project_ca_preserves_phases():
 
 
 def test_project_ca_near_zero_entry_gets_phase_zero():
-    out = sa.project_ca(np.array([1e-20, 1.0], dtype=complex))
-    np.testing.assert_allclose(out, [1 / math.sqrt(2), 1 / math.sqrt(2)], atol=1e-15)
+    # an all-zero vector is every entry near zero: the phase-zero CA vector
+    for v in ([1e-20, 1.0], [0.0, 0.0]):
+        out = sa.project_ca(np.array(v, dtype=complex))
+        np.testing.assert_allclose(out, [1 / math.sqrt(2), 1 / math.sqrt(2)], atol=1e-15)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
@@ -77,6 +79,16 @@ def test_warm_start_is_ca_and_deterministic():
     assert sa.state_ca_violation(a) < 1e-12
     np.testing.assert_allclose(np.abs(a.f_s), 1 / 8, atol=1e-15)
     np.testing.assert_allclose(np.abs(a.f_j), 1 / 8, atol=1e-15)
+
+
+@pytest.mark.parametrize("block", ["w_l", "w_e", "f_s", "f_j"])
+def test_state_ca_violation_is_inf_whichever_block_holds_a_nan(block):
+    # max() over the blocks keeps a NaN only when it comes first, so a NaN
+    # must read inf in each block for any bound to catch it
+    params = sa.ChannelParams(n_clusters=2, n_rays=2, n_rx=2, n_tx=4, angular_spread_deg=10)
+    bf = sa.warm_start(params, np.random.default_rng(32))
+    getattr(bf, block)[0] = np.nan
+    assert sa.state_ca_violation(bf) == math.inf
 
 
 def test_warm_start_is_uniform_phases_from_one_block():

@@ -12,8 +12,8 @@ from secrecy_ascent import reference
 PACKAGE = Path(sa.__file__).parent
 ENGINE = ("channel", "metrics", "gradients", "optimizer", "experiment", "config", "cli")
 MOVED = ("sinr_legitimate", "sinr_eavesdropper", "capacity", "secrecy_capacity",
-         "_bilinear_power", "quad_forms", "QuadForms", "draw_paths", "build_channel",
-         "PathComponent", "steering_vector")
+         "_bilinear_power", "draw_paths", "build_channel", "PathComponent",
+         "steering_vector")
 
 
 def top_level_names(tree: ast.Module) -> set[str]:
