@@ -67,9 +67,9 @@ class Links:
     (B, 3, 2, n_rx). ``s`` = w^H [z_s, z_j, w] per receiver (B, 3, 2): the
     bilinear scalars, then the combiner norms. ``den`` = [sigma2 |w|^2, den0,
     den1] per receiver, with den0 = noise + jamming and den1 = den0 + source
-    term, and ``cd`` = [c_l, c_e, c_l - c_e]. ``g`` is the gradient at ``x``,
-    which ``compact`` and ``assign`` leave stale. The rest is scratch of
-    ``LinkKernel.refresh`` and ``gradient``, and ``mag`` of the projection.
+    term, and ``cd`` = [c_l, c_e, c_l - c_e]. ``g`` is where
+    ``LinkKernel.gradient`` writes the gradient at ``x``. The rest is scratch
+    of ``LinkKernel.refresh`` and ``gradient``, and ``mag`` of the projection.
     """
 
     def __init__(self, n_rows: int, n_rx: int, n_tx: int):
@@ -93,8 +93,8 @@ class Links:
 
     def resize(self, n_rows: int) -> None:
         """View the first ``n_rows`` rows of every array, and derive the views."""
-        full, b, n_rx, n_tx, r2 = self._full, n_rows, self.n_rx, self.n_tx, 2 * self.n_rx
-        vars(self).update(full if b == len(full["x"]) else {k: a[:b] for k, a in full.items()})
+        b, n_rx, n_tx, r2 = n_rows, self.n_rx, self.n_tx, 2 * self.n_rx
+        vars(self).update({k: a[:b] for k, a in self._full.items()})
         self.x_re, self.g_re = self.x.view(float), self.g.view(float)  # re and im, interleaved
         self.zb = self.buf.reshape(b, 3, 2, n_rx)
         self.w = self.zb[:, 2:]

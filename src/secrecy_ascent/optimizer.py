@@ -10,18 +10,20 @@ constant-amplitude projection of the packed steps, one link evaluation of
 the candidates and one vectorized accept / revert-and-halve / converge
 decision. A 2-norm step before the projection would change nothing, since
 ``project_ca`` keeps only the phases. A step that decreases a row's
-objective is a perturbation: the row keeps its iterate (and gradient) and
-halves its step size (floored at ``delta_min``), which keeps the accepted
-trajectory monotone. Finished rows leave; the batch compacts the rest.
-A row's records, final state and termination reason are bit-identical
-however many rows share its batch; ``ascend_fixed_power`` and
-``ascend_variable_power`` are batches of one row.
+objective is a perturbation: the row keeps its iterate and halves its step
+size (floored at ``delta_min``), which keeps the accepted trajectory
+monotone. Every pass does this same work, whichever rows accept. Finished
+rows leave; the batch compacts the rest. A row's records, final state and
+termination reason are bit-identical however many rows share its batch;
+``ascend_fixed_power`` and ``ascend_variable_power`` are batches of one
+row.
 
 The bookkeeping is per batch, not per row: each pass logs its accepted rows
 with a few array copies, and each row's id, cycle, cycle start and p_s sit
 in one array of the live rows. When the batch ends the log becomes
 one column array per ascent (``OptimizerTrace.log``); records are built
-from it only on request.
+from it only on request. Each row counts its own passes: its ``n_iters``
+is the sum of its cycles'.
 
 The acceptance and convergence tests run on the unclamped capacity
 difference c_l - c_e. The reported secrecy capacity clamps at zero; running
@@ -108,7 +110,7 @@ class CycleRecord:
 @dataclass(eq=False)
 class OptimizerTrace:
     """How one ascent went: its accepted iterations, its fixed-power cycles,
-    why it ended and after how many loop passes.
+    why it ended and after how many loop passes, the sum of its cycles'.
 
     ``log`` holds the accepted iterations as columns, an ITERATION_DTYPE
     array in order of acceptance; it crosses a worker's pipe as one array.
@@ -199,14 +201,14 @@ def _snapshot(lk: Links, row: int) -> SecrecySnapshot:
                            c_l=c_l, c_e=c_e, c_s=max(diff, 0.0))
 
 
-def _project_packed(kernel: LinkKernel, y: np.ndarray, mag: Optional[np.ndarray] = None) -> None:
+def _project_packed(kernel: LinkKernel, y: np.ndarray, mag: np.ndarray) -> None:
     """``project_ca`` of every block of every row of y, in place, with each
     block's 1/sqrt(N) from ``kernel.ca_scale``: an entry with modulus below
     1e-12, a zero block's included, takes phase zero. A NaN entry, which
     fails that comparison, stays NaN, and an infinite one comes out NaN
     (inf * 0); the pass then finds the row's objective non-finite, and
     ``_Lockstep._fail_first`` names the step as the cause. ``mag`` is
-    scratch of y's shape, if given.
+    scratch of y's shape.
     """
     mag = np.abs(y, out=mag)
     if mag.min() >= 1e-12:
@@ -313,11 +315,11 @@ class _Lockstep:
             for j in range(len(self.meta)) if rows is None else rows.tolist():
                 self.on_accept(int(self.meta[j, 0]), self.kernel.unpack(cur.x[j].copy()))
 
-    def _end_cycles(self, ends, n_pass: int) -> tuple[list[int], bool]:
-        """Close the cycles of the rows ``ends`` [(j, reason)]. Returns the
-        rows that finished and whether any row starts its next cycle, at a
-        higher power; the decisions are made row by row, and the new meta,
-        step sizes and powers are written once for all such rows."""
+    def _end_cycles(self, ends, n_pass: int) -> list[int]:
+        """Close the cycles of the rows ``ends`` [(j, reason)] and return the
+        rows that finished. The decisions are made row by row; the new meta,
+        step sizes and powers of the rows that start their next cycle, at a
+        higher power, are written once for all such rows."""
         cfg = self.cfg
         cd, meta = self.cur.cd.tolist(), self.meta.tolist()
         finished, restart = [], []
@@ -337,7 +339,7 @@ class _Lockstep:
                     restart.append(j)
                     meta[j] = [i, cycle + 1.0, n_pass, raised]
                     continue
-            self._finish(j, i, reason, n_pass)
+            self._finish(j, i, reason)
             finished.append(j)
         if restart:
             self.meta = np.array(meta)  # a new array: the log holds the old one
@@ -345,10 +347,11 @@ class _Lockstep:
             self.kernel.set_p_s(self.meta[:, 3])
             self.kernel.refresh(self.cur)
             self._check_finite()
-        return finished, bool(restart)
+        return finished
 
-    def _finish(self, j: int, i: int, reason: TerminationReason, n_pass: int) -> None:
-        trace = OptimizerTrace(cycles=self.cycles[i], reason=reason, n_iters=n_pass)
+    def _finish(self, j: int, i: int, reason: TerminationReason) -> None:
+        n_iters = sum(c.n_iters for c in self.cycles[i])
+        trace = OptimizerTrace(cycles=self.cycles[i], reason=reason, n_iters=n_iters)
         state = self.kernel.unpack(self.cur.x[j].copy())
         self.results[i] = OptimizeResult(state, _snapshot(self.cur, j), trace)
 
@@ -410,30 +413,25 @@ class _Lockstep:
         while len(self.meta):
             n_pass += 1
             if n_rows != len(self.meta):
-                # rows left: the views of the rest; their gradient is stale
+                # rows left: the views of the rest
                 n_rows, kernel, delta = len(self.meta), self.kernel, self.delta
-                delta_col = delta[:, None]
-                hold = self.hold[:, None] if self.hold.any() else None
+                delta_col, hold = delta[:, None], self.hold[:, None]
                 self.cand.resize(n_rows)
-                change, ended_by = np.empty(n_rows), np.empty(n_rows)
-                accepted, ended = np.empty(n_rows, dtype=bool), np.empty(n_rows, dtype=bool)
-                stale, next_cap = True, self._next_cap()
+                next_cap = self._next_cap()
             cur, cand = self.cur, self.cand
-            if stale:
-                # held rows need no zero g_we block: their w_e is restored below
-                kernel.gradient(cur)
+            # held rows need no zero g_we block: their w_e is restored below
+            kernel.gradient(cur)
             np.multiply(cur.g_re, delta_col, out=cand.x_re)
             cand.x += cur.x
             _project_packed(kernel, cand.x, cand.mag)
-            if hold is not None:
-                np.copyto(cand.we, cur.we, where=hold)
+            np.copyto(cand.we, cur.we, where=hold)
             kernel.evaluate(cand)
 
             # the decision, for every row at once: accept a step that does not
             # lower c_l - c_e; end the cycle when |change| <= epsilon, or when
             # a rejected step was already at the floor; otherwise revert and
             # halve the step (floored at delta_min)
-            np.subtract(cand.diff, cur.diff, out=change)
+            change = cand.diff - cur.diff
             if not math.isfinite(np.add.reduce(change)):
                 # the first failed row and the rows after it leave; the rows
                 # before it redo the pass, to the same bits
@@ -441,8 +439,8 @@ class _Lockstep:
                 self._compact()
                 n_pass -= 1
                 continue
-            np.greater_equal(change, 0.0, out=accepted)
-            np.less_equal(np.abs(change, out=ended_by), eps, out=ended)
+            accepted = change >= 0.0
+            ended = np.abs(change) <= eps
             n_accepted = np.count_nonzero(accepted)
             if n_accepted < n_rows:
                 # a floor row's halved delta returns to delta_min
@@ -450,11 +448,10 @@ class _Lockstep:
                 ended |= (delta <= delta_min) & rejected
                 np.multiply(delta, 0.5, out=delta, where=rejected)
                 np.maximum(delta, delta_min, out=delta)
-            stale = n_accepted > 0
             if n_accepted == n_rows:
                 self.cur, self.cand = cand, cur
                 self._log(n_pass)
-            elif stale:
+            elif n_accepted:
                 cur.assign(cand, accepted)
                 self._log(n_pass, accepted.nonzero()[0])
 
@@ -466,9 +463,7 @@ class _Lockstep:
                 ends += [(j, TerminationReason.ITER_CAP) for j in capped.nonzero()[0].tolist()]
             if not ends:
                 continue
-            finished, restarted = self._end_cycles(ends, n_pass)
-            stale |= restarted
-            self._compact(finished)
+            self._compact(self._end_cycles(ends, n_pass))
             next_cap = self._next_cap() if len(self.meta) else 0
         self._split_log()
 
@@ -485,8 +480,8 @@ def ascend_rows(
     Each pass makes one gradient call, one step and one CA projection, one
     link evaluation and one vectorized accept / revert-and-halve / converge
     decision for all active rows. A step that decreases a row's objective is
-    a perturbation: that row keeps its iterate (and gradient) and halves its
-    step size, floored at ``cfg.delta_min``. At fixed power each row runs
+    a perturbation: that row keeps its iterate and halves its step size,
+    floored at ``cfg.delta_min``. At fixed power each row runs
     one cycle until |change| <= epsilon or ``cfg.max_iters`` passes. With
     ``variable`` set each row repeats cycles, raising its own P_s by
     kappa*P_s after a cycle that misses the secrecy target zeta, up to the

@@ -160,7 +160,7 @@ def test_packed_projection_matches_project_ca_per_block():
         step = packed_step(kernel, rng)
         step[list(guard_entries)] = value
         got = step[None].copy()
-        _project_packed(kernel, got)
+        _project_packed(kernel, got, np.empty(got.shape))
         assert_packed_projection_is_project_ca(kernel, got[0], step)
 
 
@@ -173,7 +173,7 @@ def test_packed_projection_treats_each_row_alone():
     steps[2, 6:13] = 0.0  # row 2's f_s block is zero
     steps[3, 4] = np.nan  # row 3 holds a NaN, which is no tiny entry
     got = steps.copy()
-    _project_packed(kernel, got)
+    _project_packed(kernel, got, np.empty(got.shape))
     for row in (0, 1, 2):
         assert_packed_projection_is_project_ca(kernel, got[row], steps[row])
     assert np.isnan(got[3, 4]) and np.isfinite(np.delete(got[3], 4)).all()

@@ -16,13 +16,14 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import secrecy_ascent as sa
 import secrecy_ascent.cli as cli
 import secrecy_ascent.experiment as exp
 import secrecy_ascent.optimizer as opt
+from secrecy_ascent.config import load_config
 from secrecy_ascent.optimizer import AscentRow, ascend_rows
 
 N_TRIALS = 9
@@ -183,6 +184,10 @@ def same_result(a, b):
     holds=st.lists(st.booleans(), min_size=5, max_size=5),
     variable=st.booleans(),
 )
+# both held rows converge (at passes 24 and 33) before the two optimized rows
+# reach the cap at 40, so the batch's last passes hold no row's w_e
+@example(n_rx=1, n_tx=2, power_db=10.0, seeds=[4, 5, 6, 7],
+         holds=[True, False, True, False, False], variable=False)
 def test_lockstep_rows_are_monotone_feasible_and_batch_independent(
         n_rx, n_tx, power_db, seeds, holds, variable):
     # None: p_s = p_j = 0, where every gradient vanishes
@@ -216,6 +221,9 @@ def test_lockstep_rows_are_monotone_feasible_and_batch_independent(
     holds=st.lists(st.booleans(), min_size=5, max_size=5),
     variable=st.booleans(),
 )
+# rows that end at passes 24, 33, 40 and 40, each counting its own passes
+@example(n_rx=1, n_tx=2, power_db=10.0, seeds=[4, 5, 6, 7],
+         holds=[True, False, True, False, False], variable=False)
 def test_lockstep_bookkeeping_invariants(n_rx, n_tx, power_db, seeds, holds, variable):
     # the iteration log is kept as per-pass columns and split per row at the
     # end; each row's records and cycles must still tell one consistent story
@@ -343,7 +351,7 @@ def assert_a_poisoned_step_fails_its_row(monkeypatch, value, bad=3, variable=Fal
     project = opt._project_packed
     calls, seen = [], []
 
-    def poison_third_pass(kernel, y, mag=None):
+    def poison_third_pass(kernel, y, mag):
         calls.append(len(y))
         if len(calls) == 3:
             y[bad, 0] = value
@@ -397,7 +405,7 @@ def test_a_zero_step_block_is_projected_as_project_ca_projects_it(monkeypatch):
     project = opt._project_packed
     calls, projected = [], []
 
-    def zero_third_pass(kernel, y, mag=None):
+    def zero_third_pass(kernel, y, mag):
         calls.append(len(y))
         if len(calls) == 3:
             y[1, -5:] = 0.0
@@ -427,7 +435,7 @@ def test_a_rows_rejected_steps_are_its_passes_less_its_accepted_ones(monkeypatch
     project = opt._project_packed
     projected, seen = [], []
 
-    def counting(kernel, y, mag=None):
+    def counting(kernel, y, mag):
         projected.append(len(y))
         project(kernel, y, mag)
 
@@ -437,6 +445,46 @@ def test_a_rows_rejected_steps_are_its_passes_less_its_accepted_ones(monkeypatch
     assert sum(projected) == sum(res.trace.n_iters for res in results)
     assert [seen.count(i) for i in range(n_rows)] == [len(res.trace.log) - 1 for res in results]
     assert sum(res.trace.n_iters - (len(res.trace.log) - 1) for res in results) > 0
+
+
+def count_rows(monkeypatch, owner, name, counts):
+    """Patch ``owner.name``, a function whose last argument is a Links or a
+    packed array, to append the rows of that argument to ``counts``."""
+    wrapped = getattr(owner, name)
+
+    def counting(*args):
+        counts.append(len(getattr(args[-1], "x", args[-1])))
+        return wrapped(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+
+
+def test_every_pass_differentiates_every_active_row(monkeypatch):
+    # a pass after one that accepted no row used to reuse the gradient of the
+    # unchanged iterates; now every pass takes it, so the rows differentiated
+    # over a batch are its rows' passes. The sub6-variable benchmark plan's
+    # shard has passes that accept no row, and rows that end at different
+    # passes, each counting its own passes as the sum of its cycles'
+    cfg = load_config("sub6", dict(experiment="variable_power", p_s_db="-10", mu_db="-5",
+                                   max_iters="12", n_trials="8", seed="202"))
+    differentiated, passes, accepting = [], [], []
+    count_rows(monkeypatch, opt.LinkKernel, "gradient", differentiated)
+    count_rows(monkeypatch, opt, "_project_packed", passes)
+    log = opt._Lockstep._log
+
+    def logging(batch, *args):  # called once per pass that accepts a row
+        accepting.append(1)
+        log(batch, *args)
+
+    monkeypatch.setattr(opt._Lockstep, "_log", logging)
+    trials, failure = exp._shard(cfg, 0, 8)
+    assert failure is None
+    traces = [res.trace for (res,) in trials]
+    assert len(accepting) < len(passes), "every pass accepted a row"
+    assert len({trace.n_iters for trace in traces}) > 1
+    for trace in traces:
+        assert trace.n_iters == sum(c.n_iters for c in trace.cycles)
+    assert sum(differentiated) == sum(passes) == sum(trace.n_iters for trace in traces)
 
 
 def test_a_non_finite_objective_of_a_finite_step_fails_its_row(monkeypatch):
