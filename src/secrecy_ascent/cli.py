@@ -15,7 +15,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -48,11 +48,6 @@ class RunManifest:
     outputs: dict[str, str] = field(default_factory=dict)
 
 
-def _fields(obj) -> dict:
-    """A dataclass's fields as a dict, without copying their values."""
-    return {f.name: getattr(obj, f.name) for f in fields(obj)}
-
-
 def cmd_run(config_path: str, overrides: dict[str, str], output_dir: str, threads: int) -> int:
     started = time.perf_counter()
     resolved = resolve_config_file(config_path, overrides)
@@ -73,30 +68,39 @@ def cmd_run(config_path: str, overrides: dict[str, str], output_dir: str, thread
         raise ConfigError(f"--out {output_dir}: cannot create {exc.filename}: "
                           f"{exc.strerror}") from None
 
-    with fh:
-        fh.write(",".join(TRACE_HEADER) + "\n")
-        # the shards render each trial's rows where it ran; this only writes them
-        run = run_fixed_power_experiment if fixed else run_variable_power_experiment
-        report = run(cfg, threads=threads,
-                     on_trial=lambda i, res, *_: fh.write(res.trace.csv_rows))
+    run = run_fixed_power_experiment if fixed else run_variable_power_experiment
+    try:
+        with fh:
+            fh.write(",".join(TRACE_HEADER) + "\n")
+            # the shards render each trial's rows where it ran; this only writes them
+            report = run(cfg, threads=threads,
+                         on_trial=lambda i, res, *_: fh.write(res.trace.csv_rows))
 
-    with open(aggregate_path, "w", newline="") as fh:
-        fh.write(report.aggregate_text())
+        with open(aggregate_path, "w", newline="") as fh:
+            fh.write(report.aggregate_text())
 
-    manifest = RunManifest(
-        config=dict(flat_items(resolved)),
-        seed=cfg.seed,
-        version=__version__,
-        duration_s=round(time.perf_counter() - started, 3),
-        outputs={
-            "trace_csv": str(trace_path),
-            "aggregate_csv": str(aggregate_path),
-            "report_json": str(report_path),
-        },
-    )
-    with open(report_path, "w") as fh:
-        fh.write(json.dumps({"manifest": _fields(manifest), "report": _fields(report)},
-                            indent=2) + "\n")
+        manifest = RunManifest(
+            config=dict(flat_items(resolved)),
+            seed=cfg.seed,
+            version=__version__,
+            duration_s=round(time.perf_counter() - started, 3),
+            outputs={
+                "trace_csv": str(trace_path),
+                "aggregate_csv": str(aggregate_path),
+                "report_json": str(report_path),
+            },
+        )
+        with open(report_path, "w") as fh:
+            fh.write(json.dumps({"manifest": vars(manifest), "report": vars(report)},
+                                indent=2) + "\n")
+    except OSError as exc:
+        # a write that fails fails the run, which leaves no summary; ``fh`` is
+        # the file being written, unless the error is that of opening one
+        aggregate_path.unlink(missing_ok=True)
+        report_path.unlink(missing_ok=True)
+        print(f"runtime error: --out {output_dir}: cannot write {exc.filename or fh.name}: "
+              f"{exc.strerror}", file=sys.stderr)
+        return 1
 
     print(f"wrote {trace_path}, {aggregate_path}, {report_path}")
     print(

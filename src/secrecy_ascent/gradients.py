@@ -13,8 +13,8 @@ works on a batch of B rows, each a channel realization with a packed state
 x = [w_l | w_e | f_s | f_j]: one stacked matmul gives every row's four
 receive images, one reduction the bilinear scalars and combiner norms, and
 one gradient call the packed conjugate gradients. Each row's powers enter
-only the denominators and are held in the kernel next to its channels, so
-a power change re-weights the stored scalars without a matmul. Every
+only the denominators and are held in the kernel next to its channels;
+after a power change (``set_p_s``) the links are evaluated again. Every
 operation is row-wise: a row's values are bit-identical however many rows
 share its batch. A kernel builds its channels' conjugates and the CA scale
 with them, and ``LinkKernel.links(states)`` packs B BeamformerStates into a
@@ -69,7 +69,7 @@ class Links:
     den1] per receiver, with den0 = noise + jamming and den1 = den0 + source
     term, and ``cd`` = [c_l, c_e, c_l - c_e]. ``g`` is where
     ``LinkKernel.gradient`` writes the gradient at ``x``. The rest is scratch
-    of ``LinkKernel.refresh`` and ``gradient``, and ``mag`` of the projection.
+    of ``LinkKernel.evaluate`` and ``gradient``, and ``mag`` of the projection.
     """
 
     def __init__(self, n_rows: int, n_rx: int, n_tx: int):
@@ -201,15 +201,10 @@ class LinkKernel:
 
     def evaluate(self, lk: Links) -> None:
         """Fill lk's receive images, scalars, denominators and capacities
-        from its states ``lk.x``."""
+        from its states ``lk.x``, under the powers the kernel holds."""
         np.matmul(self.h, lk._precoders, out=lk._images)
         np.copyto(lk._combiner_copy, lk._combiners)
         np.vecdot(lk.w, lk.zb, out=lk.s)
-        self.refresh(lk)
-
-    def refresh(self, lk: Links) -> None:
-        """Denominators and capacities from lk's scalars under the rows'
-        powers; no matmul, so a power change costs only this."""
         np.abs(lk.s, out=lk.t)
         np.square(lk.t_s, out=lk.t_s)
         np.multiply(lk.t, self.link_weights, out=lk.t)

@@ -63,17 +63,6 @@ class BeamformerState:
     def vectors(self):
         return (self.w_l, self.w_e, self.f_s, self.f_j)
 
-    def __reduce__(self):
-        # One packed array instead of four: a state the ascent returns is
-        # four views of one row, and each array pickles with a fixed cost
-        # that dominates at these sizes.
-        vectors = self.vectors()
-        if all(isinstance(v, np.ndarray) and v.ndim == 1 and v.dtype == vectors[0].dtype
-               for v in vectors):
-            return _unpack_state, (np.concatenate(vectors), len(self.w_l), len(self.w_e),
-                                   len(self.f_s))
-        return BeamformerState, vectors
-
 
 def _unpack_state(packed: np.ndarray, n_wl: int, n_we: int, n_fs: int) -> BeamformerState:
     """The state whose blocks are the consecutive views of ``packed``."""

@@ -36,7 +36,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Callable, NamedTuple, Optional, Sequence, get_type_hints
 
 import numpy as np
@@ -129,7 +128,7 @@ class OptimizerTrace:
 
     @property
     def records(self) -> list[IterationRecord]:
-        return list(map(tuple.__new__, repeat(IterationRecord), self.log.tolist()))
+        return list(map(IterationRecord._make, self.log.tolist()))
 
 
 @dataclass
@@ -345,7 +344,7 @@ class _Lockstep:
             self.meta = np.array(meta)  # a new array: the log holds the old one
             self.delta.put(restart, cfg.delta0)
             self.kernel.set_p_s(self.meta[:, 3])
-            self.kernel.refresh(self.cur)
+            self.kernel.evaluate(self.cur)
             self._check_finite()
         return finished
 
@@ -485,8 +484,8 @@ def ascend_rows(
     one cycle until |change| <= epsilon or ``cfg.max_iters`` passes. With
     ``variable`` set each row repeats cycles, raising its own P_s by
     kappa*P_s after a cycle that misses the secrecy target zeta, up to the
-    ceiling mu: its step size restarts at delta0 and its denominators are
-    recomputed from the stored scalars, while the other rows carry on. A row
+    ceiling mu: its step size restarts at delta0 and its links are
+    evaluated again at the new power, while the other rows carry on. A row
     that finishes leaves the batch. Each row's ``optimize_we`` decides
     whether its w_e is ascended.
 

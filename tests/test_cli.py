@@ -1,4 +1,5 @@
 import csv
+import errno
 import io
 import json
 import math
@@ -442,6 +443,49 @@ def test_failed_run_leaves_no_summary_of_an_earlier_run(tiny_cfg, tmp_path, monk
     assert not (out / "report.json").exists()
     assert not (out / "aggregate.csv").exists()
     assert read_csv(out / "trace.csv") == [row for row in rows if row[0] in ("trial", "0")]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_a_trace_write_that_fails_is_a_runtime_error(tiny_cfg, tmp_path, capsys, threads):
+    # every write to /dev/full fails with ENOSPC: the run exits 1 with one
+    # line naming --out, the file and the reason, and writes no summary
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", tiny_cfg, "--out", str(out), "--threads", "1") == 0
+    (out / "trace.csv").unlink()
+    (out / "trace.csv").symlink_to("/dev/full")
+    capsys.readouterr()
+    assert run_cli("run", "--config", tiny_cfg, "--out", str(out), "--threads", threads) == 1
+    err = capsys.readouterr().err
+    assert err == (f"runtime error: --out {out}: cannot write {out / 'trace.csv'}: "
+                   f"{os.strerror(errno.ENOSPC)}\n")
+    assert not (out / "aggregate.csv").exists()
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("name", ["aggregate.csv", "report.json"])
+def test_a_summary_write_that_fails_is_a_runtime_error(tiny_cfg, tmp_path, capsys, monkeypatch,
+                                                        name):
+    # a summary file whose write fails leaves neither summary behind, the
+    # aggregate written before a failing report included
+    out = tmp_path / "out"
+
+    def failing_open(path, *args, **kwargs):
+        fh = open(path, *args, **kwargs)
+        if Path(path).name == name:
+            def write(text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            fh.write = write
+        return fh
+
+    monkeypatch.setattr(cli, "open", failing_open, raising=False)
+    assert run_cli("run", "--config", tiny_cfg, "--out", str(out), "--threads", "1") == 1
+    err = capsys.readouterr().err
+    assert err == (f"runtime error: --out {out}: cannot write {out / name}: "
+                   f"{os.strerror(errno.ENOSPC)}\n")
+    assert len(read_csv(out / "trace.csv")) > 1
+    assert not (out / "aggregate.csv").exists()
+    assert not (out / "report.json").exists()
 
 
 @pytest.mark.parametrize("value", ["0", "-3"])

@@ -66,7 +66,7 @@ def test_dense_curve_carries_values_forward():
 
 @pytest.mark.parametrize("kind", list(sa.ExperimentKind))
 def test_shard_results_pickle_round_trip(kind):
-    # shard results cross a worker's pipe: states as one packed array each,
+    # shard results cross a worker's pipe: states as their four blocks,
     # traces as their column logs; they must come back bit for bit
     # a trial is (res_rand, res_opt, bound) at fixed power and (res,) at
     # variable power: its results, then the bound if it has one
@@ -90,7 +90,8 @@ def test_shard_results_pickle_round_trip(kind):
 
 
 def test_state_pickle_keeps_mixed_blocks():
-    # blocks of different dtypes or ranks are not packed; each comes back as it was
+    # a state's blocks pickle one by one: blocks of different dtypes or
+    # ranks each come back as they were
     bf = sa.BeamformerState(w_l=np.ones(2), w_e=np.ones(2, dtype=complex),
                             f_s=np.arange(3.0) + 1j, f_j=np.zeros((1, 3), dtype=complex))
     back = pickle.loads(pickle.dumps(bf))

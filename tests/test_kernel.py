@@ -200,18 +200,28 @@ def test_batched_kernel_rows_match_single_rows():
 
 @pytest.mark.parametrize("drop", [0, 2, 3], ids=["first", "middle", "last"])
 def test_take_matches_a_kernel_of_the_kept_rows(drop):
-    # compaction takes the kept rows after a power change: their links and
-    # gradient are bit-identical to those of a kernel built from them at the
-    # new powers
+    # a restart evaluates its links again: at unchanged states and powers
+    # that leaves them as they were, and after a power change it gives what
+    # a kernel built at the new powers gives; compaction then takes the kept
+    # rows, whose links and gradient are bit-identical to those of a kernel
+    # built from them at the new powers
     instances = [random_instance(3, 9, seed=70 + k, p_j=1.0 + k) for k in range(4)]
     kernel = LinkKernel([ch for ch, _, _ in instances], [pw for _, _, pw in instances])
     lk = kernel.links([bf for _, bf, _ in instances])
+    links = ("buf", "s", "den", "cd")
+    before = [getattr(lk, name).tobytes() for name in links]
+    kernel.evaluate(lk)
+    assert [getattr(lk, name).tobytes() for name in links] == before
     p_s = np.array([0.5, 2.0, 8.0, 32.0])
     kernel.set_p_s(p_s)
-    kernel.refresh(lk)
+    kernel.evaluate(lk)
+    raised = [(ch, bf, replace(pw, p_s=float(p))) for (ch, bf, pw), p in zip(instances, p_s)]
+    fresh = LinkKernel([ch for ch, _, _ in raised], [pw for _, _, pw in raised]).links(
+        [bf for _, bf, _ in raised])
+    for name in links:
+        assert getattr(lk, name).tobytes() == getattr(fresh, name).tobytes(), name
     keep = np.arange(4) != drop
-    kept = [(ch, bf, replace(pw, p_s=float(p))) for (ch, bf, pw), p, k in zip(instances, p_s, keep)
-            if k]
+    kept = [row for row, k in zip(raised, keep) if k]
     want_kernel = LinkKernel([ch for ch, _, _ in kept], [pw for _, _, pw in kept])
     want = want_kernel.links([bf for _, bf, _ in kept])
     kernel.compact(keep)
@@ -233,7 +243,7 @@ def test_compaction_matches_a_kernel_of_the_kept_rows(gradient_first):
     lk = kernel.links([bf for _, bf, _ in instances])
     p_s = np.array([0.5, 2.0, 8.0, 32.0, 0.125, 4.0])
     kernel.set_p_s(p_s)
-    kernel.refresh(lk)
+    kernel.evaluate(lk)
     if gradient_first:
         kernel.gradient(lk)
     rows = np.arange(6)
