@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -30,7 +29,7 @@ from .experiment import (
     run_fixed_power_experiment,
     run_variable_power_experiment,
 )
-from .gradients import LinkKernel, fd_gradient, gradient_bundle, gradient_check_error
+from .gradients import LinkKernel, fd_gradient, gradient_check_error
 from .metrics import PowerConfig
 from .optimizer import warm_start
 
@@ -126,16 +125,17 @@ def cmd_validate(config_path: str, overrides: dict[str, str]) -> int:
     return 0
 
 
-def cmd_gradcheck(n_rx: int, n_tx: int, seed: int, instances: int, corrupt: bool) -> int:
+def cmd_gradcheck(n_rx: int, n_tx: int, instances: int, corrupt: bool) -> int:
     params = ChannelParams(n_clusters=3, n_rays=4, n_rx=n_rx, n_tx=n_tx, angular_spread_deg=10.0)
     pw = PowerConfig(p_s=10.0, p_j=10.0)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     worst = {"w_l": 0.0, "f_j": 0.0, "f_s": 0.0, "w_e": 0.0}
     for _ in range(instances):
         ch = draw_channel_set(params, rng)
         bf = warm_start(params, rng)
-        bundle = gradient_bundle(ch, bf, pw)
-        kernel = LinkKernel((ch,), (pw,))  # built once; each probe is one capacity_difference row
+        # one kernel per instance: the analytic gradient, and each probe as one row
+        kernel = LinkKernel((ch,), (pw,))
+        bundle = kernel.unpack(kernel.gradient(kernel.links([bf]))[0])
         for name in worst:
             grad = getattr(bundle, name)
             if corrupt and name == "w_l":
@@ -154,12 +154,9 @@ def cmd_gradcheck(n_rx: int, n_tx: int, seed: int, instances: int, corrupt: bool
 
 
 def _add_override_flags(parser: argparse.ArgumentParser) -> None:
-    n_trials = parser.add_mutually_exclusive_group()  # --n-trials and its alias
     for key in SCHEMA:
-        group = n_trials if key == "n_trials" else parser
-        group.add_argument(f"--{key.replace('_', '-')}", dest=f"cfg_{key}", metavar="V")
-    n_trials.add_argument("--trials", dest="cfg_n_trials", metavar="V",
-                          help="alias for --n-trials")
+        flag = "trials" if key == "n_trials" else key.replace("_", "-")
+        parser.add_argument(f"--{flag}", dest=f"cfg_{key}", metavar="V")
 
 
 def _collect_overrides(args: argparse.Namespace) -> dict[str, str]:
@@ -170,30 +167,15 @@ def _collect_overrides(args: argparse.Namespace) -> dict[str, str]:
     }
 
 
-def _int_at_least(low: int):
-    """An argparse type: an integer >= ``low``."""
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
-        return value
-    return parse
-
-
-_positive_int = _int_at_least(1)
-
-
-def _default_threads() -> int:
-    """SECRECY_ASCENT_THREADS, read as ``--threads`` reads its value, or 1
-    when it is unset or empty."""
-    env = os.environ.get("SECRECY_ASCENT_THREADS", "")
+def _positive_int(text: str) -> int:
+    """An argparse type: an integer >= 1."""
     try:
-        return _positive_int(env) if env else 1
-    except argparse.ArgumentTypeError as exc:
-        raise ConfigError(f"SECRECY_ASCENT_THREADS: {exc}") from None
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -207,8 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True,
                        help="config file path or bundled preset (mmwave, sub6)")
     p_run.add_argument("--out", required=True, help="output directory")
-    p_run.add_argument("--threads", type=_positive_int, default=None,
-                       help="processes that run trials at once (default: SECRECY_ASCENT_THREADS or 1)")
+    p_run.add_argument("--threads", type=_positive_int, default=1,
+                       help="processes that run trials at once (default: 1)")
     _add_override_flags(p_run)
 
     p_val = sub.add_parser("validate", help="parse and validate a config, print it resolved")
@@ -219,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="compare analytic gradients against finite differences")
     p_grad.add_argument("--n-rx", type=_positive_int, default=4)
     p_grad.add_argument("--n-tx", type=_positive_int, default=16)
-    p_grad.add_argument("--seed", type=_int_at_least(0), default=0)
     p_grad.add_argument("--instances", type=_positive_int, default=5)
     p_grad.add_argument("--corrupt", action="store_true",
                         help="corrupt one gradient to confirm the check trips")
@@ -230,11 +211,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            threads = args.threads if args.threads is not None else _default_threads()
-            return cmd_run(args.config, _collect_overrides(args), args.out, threads)
+            return cmd_run(args.config, _collect_overrides(args), args.out, args.threads)
         if args.command == "validate":
             return cmd_validate(args.config, _collect_overrides(args))
-        return cmd_gradcheck(args.n_rx, args.n_tx, args.seed, args.instances, args.corrupt)
+        return cmd_gradcheck(args.n_rx, args.n_tx, args.instances, args.corrupt)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
