@@ -2,11 +2,14 @@
 
 import numpy as np
 
-import secrecy_ascent as sa
+from secrecy_ascent.channel import ChannelParams, ChannelSet, draw_channel_set
+from secrecy_ascent.gradients import capacity_difference
+from secrecy_ascent.metrics import BeamformerState, PowerConfig
+from secrecy_ascent.optimizer import warm_start
 
 
-def scalar_channel(h_sl=1.0, h_se=0.0, h_jl=0.0, h_je=0.0) -> sa.ChannelSet:
-    return sa.ChannelSet(
+def scalar_channel(h_sl=1.0, h_se=0.0, h_jl=0.0, h_je=0.0) -> ChannelSet:
+    return ChannelSet(
         h_sl=np.array([[h_sl]], dtype=complex),
         h_se=np.array([[h_se]], dtype=complex),
         h_jl=np.array([[h_jl]], dtype=complex),
@@ -14,8 +17,8 @@ def scalar_channel(h_sl=1.0, h_se=0.0, h_jl=0.0, h_je=0.0) -> sa.ChannelSet:
     )
 
 
-def scalar_state(w_l=1.0, w_e=1.0, f_s=1.0, f_j=1.0) -> sa.BeamformerState:
-    return sa.BeamformerState(
+def scalar_state(w_l=1.0, w_e=1.0, f_s=1.0, f_j=1.0) -> BeamformerState:
+    return BeamformerState(
         w_l=np.array([w_l], dtype=complex),
         w_e=np.array([w_e], dtype=complex),
         f_s=np.array([f_s], dtype=complex),
@@ -25,13 +28,13 @@ def scalar_state(w_l=1.0, w_e=1.0, f_s=1.0, f_j=1.0) -> sa.BeamformerState:
 
 def random_instance(n_rx, n_tx, seed, n_clusters=2, n_rays=3, p_s=10.0, p_j=10.0):
     """A seeded (channel set, CA state, powers) triple."""
-    params = sa.ChannelParams(
+    params = ChannelParams(
         n_clusters=n_clusters, n_rays=n_rays, n_rx=n_rx, n_tx=n_tx, angular_spread_deg=10.0
     )
     rng = np.random.default_rng(seed)
-    ch = sa.draw_channel_set(params, rng)
-    bf = sa.warm_start(params, rng)
-    return ch, bf, sa.PowerConfig(p_s=p_s, p_j=p_j)
+    ch = draw_channel_set(params, rng)
+    bf = warm_start(params, rng)
+    return ch, bf, PowerConfig(p_s=p_s, p_j=p_j)
 
 
 def objective_in(ch, bf, pw, name):
@@ -40,14 +43,14 @@ def objective_in(ch, bf, pw, name):
     def objective(v):
         probe = bf.copy()
         setattr(probe, name, v)
-        return sa.capacity_difference(ch, probe, pw)
+        return capacity_difference(ch, probe, pw)
 
     return objective
 
 
-MMWAVE_PARAMS = sa.ChannelParams(
+MMWAVE_PARAMS = ChannelParams(
     n_clusters=4, n_rays=15, n_rx=4, n_tx=64, angular_spread_deg=10.0,
 )
-SUB6_PARAMS = sa.ChannelParams(
+SUB6_PARAMS = ChannelParams(
     n_clusters=10, n_rays=20, n_rx=4, n_tx=16, angular_spread_deg=10.0,
 )

@@ -13,12 +13,20 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import secrecy_ascent as sa
 from helpers import MMWAVE_PARAMS, SUB6_PARAMS, objective_in, random_instance
+from secrecy_ascent.channel import ChannelParams, draw_channel_set
+from secrecy_ascent.experiment import (ExperimentKind, SystemConfig, run_fixed_power_experiment,
+                                       run_variable_power_experiment, seed_fanout)
+from secrecy_ascent.gradients import (fd_gradient, grad_fj, grad_fs, grad_we, grad_wl,
+                                      gradient_check_error)
+from secrecy_ascent.metrics import BeamformerState, PowerConfig
+from secrecy_ascent.optimizer import (OptimizerConfig, ascend_fixed_power, project_ca,
+                                      project_unit_norm, state_ca_violation, warm_start)
+from secrecy_ascent.reference import secrecy_capacity
 
 pytestmark = pytest.mark.acceptance
 
-POWERS = sa.PowerConfig(p_s=10.0, p_j=10.0)
+POWERS = PowerConfig(p_s=10.0, p_j=10.0)
 
 FIXED_TRIALS = 200
 VARIABLE_TRIALS = 100
@@ -36,10 +44,10 @@ def _criterion(index: int, label: str, failures: list[str], notes: str = "") -> 
 
 
 def _band_config(params, n_trials, seed, experiment, **opt):
-    return sa.SystemConfig(
+    return SystemConfig(
         channel=params,
         powers=POWERS,
-        optimizer=sa.OptimizerConfig(**opt),
+        optimizer=OptimizerConfig(**opt),
         n_trials=n_trials,
         seed=seed,
         experiment=experiment,
@@ -50,9 +58,9 @@ def _band_config(params, n_trials, seed, experiment, **opt):
 def fixed_reports():
     reports = {}
     for label, params, seed in [("mmwave", MMWAVE_PARAMS, 101), ("sub6", SUB6_PARAMS, 102)]:
-        cfg = _band_config(params, FIXED_TRIALS, seed, sa.ExperimentKind.FIXED_POWER)
+        cfg = _band_config(params, FIXED_TRIALS, seed, ExperimentKind.FIXED_POWER)
         t0 = time.perf_counter()
-        reports[label] = sa.run_fixed_power_experiment(cfg)
+        reports[label] = run_fixed_power_experiment(cfg)
         print(f"fixed-power {label}: {FIXED_TRIALS} trials in {time.perf_counter() - t0:.0f}s")
     return reports
 
@@ -62,17 +70,17 @@ def variable_reports():
     reports = {}
     for label, params, seed in [("mmwave", MMWAVE_PARAMS, 201), ("sub6", SUB6_PARAMS, 202)]:
         cfg = _band_config(
-            params, VARIABLE_TRIALS, seed, sa.ExperimentKind.VARIABLE_POWER, zeta=4.0
+            params, VARIABLE_TRIALS, seed, ExperimentKind.VARIABLE_POWER, zeta=4.0
         )
         t0 = time.perf_counter()
-        reports[label] = sa.run_variable_power_experiment(cfg)
+        reports[label] = run_variable_power_experiment(cfg)
         print(f"variable-power {label}: {VARIABLE_TRIALS} trials in {time.perf_counter() - t0:.0f}s")
     return reports
 
 
 def test_acceptance_1_gradient_oracle_agreement():
     """Analytic gradients match central finite differences at every dim."""
-    grad_fn = {"w_l": sa.grad_wl, "f_j": sa.grad_fj, "f_s": sa.grad_fs, "w_e": sa.grad_we}
+    grad_fn = {"w_l": grad_wl, "f_j": grad_fj, "f_s": grad_fs, "w_e": grad_we}
     started = time.perf_counter()
     worst = 0.0
     failures = []
@@ -80,9 +88,9 @@ def test_acceptance_1_gradient_oracle_agreement():
         for k in range(100):
             ch, bf, pw = random_instance(*dims, seed=1000 + k, n_clusters=3, n_rays=4)
             for name, fn in grad_fn.items():
-                err = sa.gradient_check_error(
+                err = gradient_check_error(
                     fn(ch, bf, pw),
-                    sa.fd_gradient(objective_in(ch, bf, pw, name), getattr(bf, name)),
+                    fd_gradient(objective_in(ch, bf, pw, name), getattr(bf, name)),
                 )
                 worst = max(worst, err)
                 if err >= 1e-5:
@@ -189,7 +197,7 @@ def test_acceptance_5_optimizer_invariants():
     def feasible(state):
         nonlocal checked_states
         checked_states += 1
-        if sa.state_ca_violation(state) >= 1e-9:
+        if state_ca_violation(state) >= 1e-9:
             failures.append("accepted iterate violates CA constraint")
         for v in state.vectors():
             if abs(np.linalg.norm(v) - 1.0) >= 1e-9:
@@ -198,8 +206,8 @@ def test_acceptance_5_optimizer_invariants():
     run_plan = [(2, 8, 0), (2, 8, 1), (3, 16, 2), (2, 4, 3), (4, 64, 4), (4, 16, 5)]
     for n_rx, n_tx, seed in run_plan:
         ch, bf, pw = random_instance(n_rx, n_tx, seed=500 + seed, n_clusters=3, n_rays=5)
-        res = sa.ascend_fixed_power(
-            ch, pw, sa.OptimizerConfig(max_iters=1500), bf, on_accept=feasible
+        res = ascend_fixed_power(
+            ch, pw, OptimizerConfig(max_iters=1500), bf, on_accept=feasible
         )
         c_s = [r.c_s for r in res.trace.records]
         if not all(b >= a for a, b in zip(c_s, c_s[1:])):
@@ -210,10 +218,10 @@ def test_acceptance_5_optimizer_invariants():
     for _ in range(1000):
         n = int(rng.integers(1, 16))
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        ca = sa.project_ca(v)
-        un = sa.project_unit_norm(v)
-        worst_ca = max(worst_ca, float(np.max(np.abs(sa.project_ca(ca) - ca))))
-        worst_un = max(worst_un, float(np.max(np.abs(sa.project_unit_norm(un) - un))))
+        ca = project_ca(v)
+        un = project_unit_norm(v)
+        worst_ca = max(worst_ca, float(np.max(np.abs(project_ca(ca) - ca))))
+        worst_un = max(worst_un, float(np.max(np.abs(project_unit_norm(un) - un))))
     if worst_ca > 1e-15:
         failures.append(f"project_ca not idempotent to 1e-15 (worst {worst_ca:.2e})")
     if worst_un > 1e-15:
@@ -226,7 +234,7 @@ def test_acceptance_5_optimizer_invariants():
 def test_acceptance_6_small_instance_exhaustive_oracle():
     """Ascent reaches >=95% of the 8-phase exhaustive optimum at 2x2 in
     >=90% of 100 seeded trials."""
-    params = sa.ChannelParams(n_clusters=2, n_rays=3, n_rx=2, n_tx=2, angular_spread_deg=10)
+    params = ChannelParams(n_clusters=2, n_rays=3, n_rx=2, n_tx=2, angular_spread_deg=10)
     phases = np.exp(2j * np.pi * np.arange(8) / 8)
     scale = 1 / math.sqrt(2)
 
@@ -234,22 +242,22 @@ def test_acceptance_6_small_instance_exhaustive_oracle():
         # c_s is invariant to each vector's global phase: pin entry 0 at phase 0
         best = -1.0
         for p_w, p_s, p_j in itertools.product(phases, repeat=3):
-            bf = sa.BeamformerState(
+            bf = BeamformerState(
                 w_l=np.array([scale, scale * p_w]),
                 w_e=w_e,
                 f_s=np.array([scale, scale * p_s]),
                 f_j=np.array([scale, scale * p_j]),
             )
-            best = max(best, sa.secrecy_capacity(ch, bf, POWERS).c_s)
+            best = max(best, secrecy_capacity(ch, bf, POWERS).c_s)
         return best
 
     wins = 0
     worst_ratio = float("inf")
     for trial in range(100):
-        rng = sa.seed_fanout(300, trial)
-        ch = sa.draw_channel_set(params, rng)
-        init = sa.warm_start(params, rng)
-        res = sa.ascend_fixed_power(ch, POWERS, sa.OptimizerConfig(), init)
+        rng = seed_fanout(300, trial)
+        ch = draw_channel_set(params, rng)
+        init = warm_start(params, rng)
+        res = ascend_fixed_power(ch, POWERS, OptimizerConfig(), init)
         best = grid_best(ch, init.w_e)
         ratio = res.snapshot.c_s / best if best > 0 else float("inf")
         worst_ratio = min(worst_ratio, ratio)

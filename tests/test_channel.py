@@ -3,24 +3,25 @@ import math
 import numpy as np
 import pytest
 
-import secrecy_ascent as sa
-from secrecy_ascent import channel
 from helpers import MMWAVE_PARAMS, SUB6_PARAMS
+from secrecy_ascent import channel
+from secrecy_ascent.channel import ChannelParams, ChannelSet, draw_channel_set
+from secrecy_ascent.reference import PathComponent, build_channel, draw_paths, steering_vector
 
 
 def test_steering_vector_zero_angle():
-    v = sa.steering_vector(2, 0.0)
+    v = steering_vector(2, 0.0)
     np.testing.assert_allclose(v, np.array([1, 1]) / math.sqrt(2), atol=1e-15)
 
 
 def test_steering_vector_single_antenna():
     for angle in (0.0, 1.3, -2.7):
-        np.testing.assert_allclose(sa.steering_vector(1, angle), [1.0], atol=1e-15)
+        np.testing.assert_allclose(steering_vector(1, angle), [1.0], atol=1e-15)
 
 
 def test_steering_vector_broadside():
     # sin(pi/2) = 1 forces alternating signs
-    v = sa.steering_vector(4, math.pi / 2)
+    v = steering_vector(4, math.pi / 2)
     np.testing.assert_allclose(v, [0.5, -0.5, 0.5, -0.5], atol=1e-12)
 
 
@@ -29,7 +30,7 @@ def test_steering_vector_unit_norm_property():
     for _ in range(1000):
         n = int(rng.integers(1, 257))
         angle = rng.uniform(-2 * np.pi, 2 * np.pi)
-        assert abs(np.linalg.norm(sa.steering_vector(n, angle)) - 1.0) < 1e-12
+        assert abs(np.linalg.norm(steering_vector(n, angle)) - 1.0) < 1e-12
 
 
 def _steering_angles():
@@ -48,7 +49,7 @@ def test_steering_by_power_doubling_matches_closed_form():
         assert a.shape == (n, angles.size)
         assert np.max(np.abs(a - expected)) < 1e-12
         for p, az in enumerate(angles):
-            v = sa.steering_vector(n, float(az))
+            v = steering_vector(n, float(az))
             assert np.max(np.abs(v - expected[:, p])) < 1e-12
             assert v.tobytes() == a[:, p].tobytes()
 
@@ -64,19 +65,19 @@ def test_steering_matrix_leading_axes():
 
 def test_steering_vector_rejects_bad_count():
     with pytest.raises(ValueError):
-        sa.steering_vector(0, 0.0)
+        steering_vector(0, 0.0)
 
 
 def test_draw_paths_cardinality():
     rng = np.random.default_rng(1)
-    assert len(sa.draw_paths(MMWAVE_PARAMS, rng)) == 60
-    tiny = sa.ChannelParams(n_clusters=1, n_rays=1, n_rx=2, n_tx=2, angular_spread_deg=10)
-    assert len(sa.draw_paths(tiny, rng)) == 1
+    assert len(draw_paths(MMWAVE_PARAMS, rng)) == 60
+    tiny = ChannelParams(n_clusters=1, n_rays=1, n_rx=2, n_tx=2, angular_spread_deg=10)
+    assert len(draw_paths(tiny, rng)) == 1
 
 
 def test_draw_paths_zero_spread_collapses_rays():
-    params = sa.ChannelParams(n_clusters=3, n_rays=5, n_rx=2, n_tx=2, angular_spread_deg=0.0)
-    paths = sa.draw_paths(params, np.random.default_rng(2))
+    params = ChannelParams(n_clusters=3, n_rays=5, n_rx=2, n_tx=2, angular_spread_deg=0.0)
+    paths = draw_paths(params, np.random.default_rng(2))
     for c in range(3):
         cluster = paths[c * 5 : (c + 1) * 5]
         azimuths = {p.aoa_azimuth for p in cluster}
@@ -85,39 +86,39 @@ def test_draw_paths_zero_spread_collapses_rays():
 
 
 def test_build_channel_single_path_all_ones():
-    params = sa.ChannelParams(n_clusters=1, n_rays=1, n_rx=3, n_tx=5, angular_spread_deg=0)
-    path = sa.PathComponent(gain=1.0, aoa_azimuth=0.0, aod_azimuth=0.0)
-    h = sa.build_channel(params, [path])
+    params = ChannelParams(n_clusters=1, n_rays=1, n_rx=3, n_tx=5, angular_spread_deg=0)
+    path = PathComponent(gain=1.0, aoa_azimuth=0.0, aod_azimuth=0.0)
+    h = build_channel(params, [path])
     np.testing.assert_allclose(h, np.ones((3, 5)), atol=1e-12)
 
 
 def test_build_channel_zero_gains():
-    params = sa.ChannelParams(n_clusters=2, n_rays=2, n_rx=2, n_tx=3, angular_spread_deg=10)
+    params = ChannelParams(n_clusters=2, n_rays=2, n_rx=2, n_tx=3, angular_spread_deg=10)
     paths = [
-        sa.PathComponent(gain=0.0, aoa_azimuth=a, aod_azimuth=-a)
+        PathComponent(gain=0.0, aoa_azimuth=a, aod_azimuth=-a)
         for a in (0.1, 0.4, 0.9, 1.7)
     ]
-    np.testing.assert_array_equal(sa.build_channel(params, paths), np.zeros((2, 3)))
+    np.testing.assert_array_equal(build_channel(params, paths), np.zeros((2, 3)))
 
 
 def test_build_channel_linear_in_gains():
-    params = sa.ChannelParams(n_clusters=2, n_rays=3, n_rx=2, n_tx=4, angular_spread_deg=10)
+    params = ChannelParams(n_clusters=2, n_rays=3, n_rx=2, n_tx=4, angular_spread_deg=10)
     rng = np.random.default_rng(3)
-    paths = sa.draw_paths(params, rng)
+    paths = draw_paths(params, rng)
     doubled = [
-        sa.PathComponent(2 * p.gain, p.aoa_azimuth, p.aod_azimuth)
+        PathComponent(2 * p.gain, p.aoa_azimuth, p.aod_azimuth)
         for p in paths
     ]
     np.testing.assert_array_equal(
-        sa.build_channel(params, doubled), 2 * sa.build_channel(params, paths)
+        build_channel(params, doubled), 2 * build_channel(params, paths)
     )
 
 
 def test_build_channel_path_count_mismatch():
-    params = sa.ChannelParams(n_clusters=2, n_rays=3, n_rx=2, n_tx=2, angular_spread_deg=10)
-    paths = sa.draw_paths(params, np.random.default_rng(4))
+    params = ChannelParams(n_clusters=2, n_rays=3, n_rx=2, n_tx=2, angular_spread_deg=10)
+    paths = draw_paths(params, np.random.default_rng(4))
     with pytest.raises(ValueError):
-        sa.build_channel(params, paths[:-1])
+        build_channel(params, paths[:-1])
 
 
 def test_channel_statistics_match_normalization():
@@ -126,7 +127,7 @@ def test_channel_statistics_match_normalization():
     norm2 = np.empty(1000)
     entry_mean = 0.0
     for i in range(1000):
-        h = sa.build_channel(MMWAVE_PARAMS, sa.draw_paths(MMWAVE_PARAMS, rng))
+        h = build_channel(MMWAVE_PARAMS, draw_paths(MMWAVE_PARAMS, rng))
         norm2[i] = np.linalg.norm(h) ** 2
         entry_mean += h.mean()
     scale = MMWAVE_PARAMS.n_rx * MMWAVE_PARAMS.n_tx
@@ -138,15 +139,15 @@ def test_channel_statistics_match_normalization():
     "params,shape", [(MMWAVE_PARAMS, (4, 64)), (SUB6_PARAMS, (4, 16))]
 )
 def test_draw_channel_set_shapes(params, shape):
-    ch = sa.draw_channel_set(params, np.random.default_rng(6))
+    ch = draw_channel_set(params, np.random.default_rng(6))
     for h in (ch.h_sl, ch.h_se, ch.h_jl, ch.h_je):
         assert h.shape == shape
         assert np.all(np.isfinite(h))
 
 
 def test_draw_channel_set_deterministic_under_seed():
-    a = sa.draw_channel_set(SUB6_PARAMS, np.random.default_rng(7))
-    b = sa.draw_channel_set(SUB6_PARAMS, np.random.default_rng(7))
+    a = draw_channel_set(SUB6_PARAMS, np.random.default_rng(7))
+    b = draw_channel_set(SUB6_PARAMS, np.random.default_rng(7))
     for name in ("h_sl", "h_se", "h_jl", "h_je"):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
@@ -157,9 +158,9 @@ def test_draw_channel_set_equals_per_ray_reference(params):
     # consume exactly the same stream
     fast, ref = np.random.default_rng(8), np.random.default_rng(8)
     for _ in range(3):
-        ch = sa.draw_channel_set(params, fast)
+        ch = draw_channel_set(params, fast)
         for name in ("h_sl", "h_se", "h_jl", "h_je"):
-            expected = sa.build_channel(params, sa.draw_paths(params, ref))
+            expected = build_channel(params, draw_paths(params, ref))
             assert getattr(ch, name).tobytes() == expected.tobytes()
         assert fast.bit_generator.state == ref.bit_generator.state
 
@@ -169,7 +170,7 @@ def test_draw_channel_set_stream(params):
     # per channel, two blocks and nothing else: the clusters' aoa and aod
     # centers, then each ray's two offsets and two gain parts
     drawn, ref = np.random.default_rng(9), np.random.default_rng(9)
-    sa.draw_channel_set(params, drawn)
+    draw_channel_set(params, drawn)
     for _ in range(4):
         ref.random(2 * params.n_clusters)
         ref.standard_normal(4 * params.n_clusters * params.n_rays)
@@ -178,7 +179,7 @@ def test_draw_channel_set_stream(params):
 
 def test_channel_set_rejects_mixed_shapes():
     with pytest.raises(ValueError):
-        sa.ChannelSet(
+        ChannelSet(
             h_sl=np.zeros((2, 3), dtype=complex),
             h_se=np.zeros((2, 3), dtype=complex),
             h_jl=np.zeros((2, 4), dtype=complex),
@@ -188,7 +189,7 @@ def test_channel_set_rejects_mixed_shapes():
 
 def test_channel_params_validation():
     with pytest.raises(ValueError):
-        sa.ChannelParams(n_clusters=0, n_rays=1, n_rx=1, n_tx=1, angular_spread_deg=10)
+        ChannelParams(n_clusters=0, n_rays=1, n_rx=1, n_tx=1, angular_spread_deg=10)
     for spread in (-1, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="angular_spread_deg"):
-            sa.ChannelParams(n_clusters=1, n_rays=1, n_rx=1, n_tx=1, angular_spread_deg=spread)
+            ChannelParams(n_clusters=1, n_rays=1, n_rx=1, n_tx=1, angular_spread_deg=spread)

@@ -16,9 +16,8 @@ from hypothesis import strategies as st
 import secrecy_ascent.cli as cli
 import secrecy_ascent.experiment as exp
 from secrecy_ascent.channel import Band
-from secrecy_ascent.cli import TRACE_HEADER
 from secrecy_ascent.config import SCHEMA
-from secrecy_ascent.experiment import ExperimentKind
+from secrecy_ascent.experiment import TRACE_HEADER, ExperimentKind
 
 TINY = """
 n_tx = 8
@@ -374,6 +373,19 @@ def test_report_json_holds_its_experiments_fields_as_the_readme_lists_them(
     assert listed == names
 
 
+def test_a_trial_with_no_secrecy_is_no_svd_violation(tmp_path, capsys):
+    # at 1x1 the diagnostic is the trial's exact c_l - c_e: this trial ends
+    # at c_s 0 against a negative diagnostic, which c_s, clamped at 0, does
+    # not exceed
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", "sub6", "--n-rx", "1", "--n-tx", "1", "--trials", "1",
+                   "--max-iters", "3", "--out", str(out)) == 0
+    report = json.loads((out / "report.json").read_text())["report"]
+    assert report["converged_c_s_mean"] == 0.0 and report["svd_bound_mean"] < 0.0
+    assert report["svd_violation_trials"] == []
+    assert "note:" not in capsys.readouterr().out
+
+
 def test_run_override_changes_trials(tiny_cfg, tmp_path):
     out = tmp_path / "out"
     assert run_cli("run", "--config", tiny_cfg, "--out", str(out), "--trials", "1") == 0
@@ -415,6 +427,23 @@ def test_run_bad_config_exit_2(tiny_cfg, tmp_path):
     assert run_cli("run", "--config", tiny_cfg, "--out", str(tmp_path / "x"),
                    "--p-s-db", "oops") == 2
     assert run_cli("run", "--config", "no-such-file.cfg", "--out", str(tmp_path / "y")) == 2
+
+
+@pytest.mark.parametrize("text, message", [
+    ("n_tx = 8\nn_rx 2\n", "{path}:2: expected key=value, got 'n_rx 2'"),
+    ("n_tx = 8\nn_rx = 2\nn_tx = 4\n", "{path}:3: duplicate key 'n_tx'"),
+    ("n_rx = 2\nn_clusters = 2\n", "missing required key 'n_tx'"),
+], ids=["no-equals-sign", "duplicate-key", "missing-key"])
+def test_a_malformed_config_file_exits_2_and_writes_nothing(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    out = tmp_path / "out"
+    for argv in (["validate"], ["run", "--out", str(out)]):
+        assert run_cli(*argv, "--config", str(path)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {message.format(path=path)}\n"
+    assert not out.exists()
 
 
 def test_validate_a_config_that_is_not_utf8_exits_2(tmp_path, capsys):
@@ -522,7 +551,7 @@ def test_gradcheck_corrupt_negative_control(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("value", ["0", "-4"])
+@pytest.mark.parametrize("value", ["0", "-4", "two", "1.5"])
 def test_run_rejects_threads_below_one(tiny_cfg, tmp_path, capsys, value):
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exit_:

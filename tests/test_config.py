@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import secrecy_ascent as sa
+from secrecy_ascent.channel import Band
 from secrecy_ascent.config import (SCHEMA, ConfigError, build_system_config, flat_items,
                                    parse_config_text, resolve_values)
 from secrecy_ascent.optimizer import OptimizerConfig
@@ -48,7 +48,7 @@ def test_band_is_a_validated_tag_that_the_built_config_does_not_hold():
     # SystemConfig built from it is the same for every band
     text = "n_tx = 8\nn_rx = 2\nn_clusters = 2\nn_rays = 3\nexperiment = fixed_power\n"
     built = build_system_config(resolve_values(parse_config_text(text)))
-    for band in sa.Band:
+    for band in Band:
         resolved = resolve_values(parse_config_text(text + f"band = {band.value}\n"))
         assert resolved["band"] is band and ("band", band.value) in flat_items(resolved)
         assert build_system_config(resolved) == built

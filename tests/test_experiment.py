@@ -16,26 +16,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import secrecy_ascent as sa
 import secrecy_ascent.cli as cli
 import secrecy_ascent.experiment as exp
+from secrecy_ascent.channel import ChannelParams
 from secrecy_ascent.config import load_config
-from secrecy_ascent.experiment import _carry_add, _dense_curve
-from secrecy_ascent.metrics import SecrecySnapshot
-from secrecy_ascent.optimizer import (ITERATION_DTYPE, CycleRecord, IterationRecord,
-                                      OptimizeResult, OptimizerTrace, TerminationReason)
+from secrecy_ascent.experiment import (ExperimentKind, SystemConfig, TrialError, _carry_add,
+                                       _dense_curve, run_fixed_power_experiment,
+                                       run_variable_power_experiment, seed_fanout)
+from secrecy_ascent.metrics import BeamformerState, PowerConfig, SecrecySnapshot, linear_to_db
+from secrecy_ascent.optimizer import (ITERATION_DTYPE, CycleRecord, IterationRecord, OptimizeResult,
+                                      OptimizerConfig, OptimizerTrace, TerminationReason)
 
-SMALL = sa.ChannelParams(n_clusters=2, n_rays=3, n_rx=2, n_tx=8, angular_spread_deg=10)
+SMALL = ChannelParams(n_clusters=2, n_rays=3, n_rx=2, n_tx=8, angular_spread_deg=10)
 
 
-def small_config(n_trials=3, seed=42, experiment=sa.ExperimentKind.FIXED_POWER, **opt):
+def small_config(n_trials=3, seed=42, experiment=ExperimentKind.FIXED_POWER, **opt):
     opt.setdefault("max_iters", 400)
-    if experiment is sa.ExperimentKind.VARIABLE_POWER:
+    if experiment is ExperimentKind.VARIABLE_POWER:
         opt.setdefault("zeta", 0.5)
-    return sa.SystemConfig(
+    return SystemConfig(
         channel=SMALL,
-        powers=sa.PowerConfig(p_s=10.0, p_j=10.0),
-        optimizer=sa.OptimizerConfig(**opt),
+        powers=PowerConfig(p_s=10.0, p_j=10.0),
+        optimizer=OptimizerConfig(**opt),
         n_trials=n_trials,
         seed=seed,
         experiment=experiment,
@@ -43,12 +45,12 @@ def small_config(n_trials=3, seed=42, experiment=sa.ExperimentKind.FIXED_POWER, 
 
 
 def test_seed_fanout_reproducible_and_distinct():
-    a = sa.seed_fanout(9, 4).standard_normal(8)
-    b = sa.seed_fanout(9, 4).standard_normal(8)
+    a = seed_fanout(9, 4).standard_normal(8)
+    b = seed_fanout(9, 4).standard_normal(8)
     np.testing.assert_array_equal(a, b)
-    c = sa.seed_fanout(9, 5).standard_normal(8)
+    c = seed_fanout(9, 5).standard_normal(8)
     assert not np.array_equal(a, c)
-    d = sa.seed_fanout(10, 4).standard_normal(8)
+    d = seed_fanout(10, 4).standard_normal(8)
     assert not np.array_equal(a, d)
 
 
@@ -64,7 +66,7 @@ def test_dense_curve_carries_values_forward():
     )
 
 
-@pytest.mark.parametrize("kind", list(sa.ExperimentKind))
+@pytest.mark.parametrize("kind", list(ExperimentKind))
 def test_shard_results_pickle_round_trip(kind):
     # shard results cross a worker's pipe: states as their four blocks,
     # traces as their column logs; they must come back bit for bit
@@ -73,7 +75,7 @@ def test_shard_results_pickle_round_trip(kind):
     cfg = small_config(n_trials=3, experiment=kind, max_iters=60)
     trials, failure = exp._shard(cfg, 0, 3)
     assert failure is None and len(trials) == 3
-    assert {len(t) for t in trials} == {3 if kind is sa.ExperimentKind.FIXED_POWER else 1}
+    assert {len(t) for t in trials} == {3 if kind is ExperimentKind.FIXED_POWER else 1}
     back, _ = pickle.loads(pickle.dumps((trials, failure)))
     assert [t[2:] for t in back] == [t[2:] for t in trials]
     pairs = [(g, w) for got, want in zip(back, trials) for g, w in zip(got[:2], want[:2])]
@@ -92,8 +94,8 @@ def test_shard_results_pickle_round_trip(kind):
 def test_state_pickle_keeps_mixed_blocks():
     # a state's blocks pickle one by one: blocks of different dtypes or
     # ranks each come back as they were
-    bf = sa.BeamformerState(w_l=np.ones(2), w_e=np.ones(2, dtype=complex),
-                            f_s=np.arange(3.0) + 1j, f_j=np.zeros((1, 3), dtype=complex))
+    bf = BeamformerState(w_l=np.ones(2), w_e=np.ones(2, dtype=complex),
+                         f_s=np.arange(3.0) + 1j, f_j=np.zeros((1, 3), dtype=complex))
     back = pickle.loads(pickle.dumps(bf))
     for g, w in zip(back.vectors(), bf.vectors()):
         assert (g.shape, g.dtype, g.tobytes()) == (w.shape, w.dtype, w.tobytes())
@@ -174,9 +176,9 @@ def test_acceptance_criteria_read_only_what_their_reports_hold():
     tree = ast.parse((Path(__file__).parent / "test_acceptance.py").read_text())
     criteria = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
     reports = {
-        "fixed_reports": sa.run_fixed_power_experiment(small_config(n_trials=2, max_iters=60)),
-        "variable_reports": sa.run_variable_power_experiment(
-            small_config(n_trials=2, experiment=sa.ExperimentKind.VARIABLE_POWER, max_iters=60)),
+        "fixed_reports": run_fixed_power_experiment(small_config(n_trials=2, max_iters=60)),
+        "variable_reports": run_variable_power_experiment(
+            small_config(n_trials=2, experiment=ExperimentKind.VARIABLE_POWER, max_iters=60)),
     }
     seen = {}
     for name, fn in criteria.items():
@@ -197,7 +199,7 @@ def test_fixed_power_single_trial_equals_its_trace():
         seen["res"] = res
         seen["bound"] = bound
 
-    report = sa.run_fixed_power_experiment(cfg, on_trial=observe)
+    report = run_fixed_power_experiment(cfg, on_trial=observe)
     res = seen["res"]
     assert report.converged_c_s_mean == pytest.approx(res.snapshot.c_s)
     assert report.svd_bound_mean == pytest.approx(seen["bound"])
@@ -208,16 +210,16 @@ def test_fixed_power_single_trial_equals_its_trace():
 
 def run_study(cfg, **kwargs):
     """The public runner of ``cfg``'s experiment."""
-    fixed = cfg.experiment is sa.ExperimentKind.FIXED_POWER
-    return (sa.run_fixed_power_experiment if fixed else sa.run_variable_power_experiment)(
+    fixed = cfg.experiment is ExperimentKind.FIXED_POWER
+    return (run_fixed_power_experiment if fixed else run_variable_power_experiment)(
         cfg, **kwargs)
 
 
 @pytest.mark.parametrize("cfg, one_column", [
     pytest.param(small_config(n_trials=5, epsilon=1e-3), False, id="fixed"),
-    pytest.param(replace(small_config(n_trials=5, experiment=sa.ExperimentKind.VARIABLE_POWER,
+    pytest.param(replace(small_config(n_trials=5, experiment=ExperimentKind.VARIABLE_POWER,
                                       zeta=2.0, max_iters=30, mu=100.0),
-                         powers=sa.PowerConfig(p_s=1.0, p_j=10.0)), False, id="variable"),
+                         powers=PowerConfig(p_s=1.0, p_j=10.0)), False, id="variable"),
     # every trial reaches the target in cycle 1
     pytest.param(load_config("sub6", {"experiment": "variable_power", "zeta": "4", "seed": "202",
                                       "n_trials": "20", "max_iters": "200"}),
@@ -235,15 +237,28 @@ def test_report_curves_are_the_padded_matrix_mean(cfg, one_column):
                 curves.append(_dense_curve(r.trace, r.trace.n_iters + 1))
         else:
             sets[0].append(np.array([c.c_s for c in res.trace.cycles]))
-            sets[1].append(np.array([sa.linear_to_db(c.p_s) for c in res.trace.cycles]))
+            sets[1].append(np.array([linear_to_db(c.p_s) for c in res.trace.cycles]))
 
     report = run_study(cfg, on_trial=observe)
-    second = (report.c_s_we_opt_mean_curve if cfg.experiment is sa.ExperimentKind.FIXED_POWER
+    second = (report.c_s_we_opt_mean_curve if cfg.experiment is ExperimentKind.FIXED_POWER
               else report.p_s_db_mean_curve)
     length = max(c.size for curves in sets for c in curves)
     assert (length == 1) is one_column
     for got, curves in zip((report.c_s_mean_curve, second), sets):
         assert np.array(got).tobytes() == padded_mean(curves, length).tobytes()
+
+
+def test_svd_violations_are_the_trials_with_secrecy_above_their_diagnostic():
+    # c_s is clamped at 0 and the diagnostic is not: at 1x1 the diagnostic
+    # is a trial's exact c_l - c_e, so this plan has trials that end at c_s
+    # 0 against a negative diagnostic, and none of them is a violation
+    cfg = load_config("sub6", dict(n_rx="1", n_tx="1", n_trials="20", max_iters="3", seed="0"))
+    trials = []
+    report = run_fixed_power_experiment(
+        cfg, on_trial=lambda i, res, res_opt, bound: trials.append((res.snapshot.c_s, bound)))
+    assert any(c_s == 0.0 > bound for c_s, bound in trials)
+    assert report.svd_violation_trials == [i for i, (c_s, bound) in enumerate(trials)
+                                           if 0.0 < c_s and bound < c_s]
 
 
 def _long_flat_trials(cfg, start, stop):
@@ -272,7 +287,7 @@ def test_a_study_holds_no_curve_per_trial(monkeypatch):
 
     tracemalloc.start()
     try:
-        report = sa.run_fixed_power_experiment(small_config(n_trials=200), on_trial=observe)
+        report = run_fixed_power_experiment(small_config(n_trials=200), on_trial=observe)
     finally:
         tracemalloc.stop()
     assert len(report.c_s_mean_curve) == 10_001 and report.converged_c_s_mean == 1.5
@@ -280,7 +295,7 @@ def test_a_study_holds_no_curve_per_trial(monkeypatch):
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-@pytest.mark.parametrize("kind", list(sa.ExperimentKind))
+@pytest.mark.parametrize("kind", list(ExperimentKind))
 def test_each_trial_comes_with_its_rows_and_is_let_go_once_observed(kind, threads):
     # the main ascent carries its trace.csv rows, rendered where it ran; a
     # trial observed before the current one is no longer held, rows and all.
@@ -292,7 +307,7 @@ def test_each_trial_comes_with_its_rows_and_is_let_go_once_observed(kind, thread
     def observe(i, res, *rest):
         assert [ref() for ref in seen] == [None] * len(seen)
         assert res.trace.csv_rows == exp._trace_text(i, res.trace)
-        if kind is sa.ExperimentKind.FIXED_POWER:
+        if kind is ExperimentKind.FIXED_POWER:
             res_opt, bound = rest
             assert res_opt.trace.csv_rows is None and bound > 0
             seen.append(weakref.ref(res_opt.trace))
@@ -301,7 +316,7 @@ def test_each_trial_comes_with_its_rows_and_is_let_go_once_observed(kind, thread
         seen.append(weakref.ref(res.trace))
 
     run_study(cfg, threads=threads, on_trial=observe)
-    assert len(seen) == (8 if kind is sa.ExperimentKind.FIXED_POWER else 4)
+    assert len(seen) == (8 if kind is ExperimentKind.FIXED_POWER else 4)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -313,21 +328,21 @@ def test_a_study_without_an_observer_renders_no_rows(monkeypatch, threads):
 
     monkeypatch.setattr(exp, "_trace_text", refuse)
     cfg = small_config(n_trials=4, max_iters=30)
-    assert asdict(sa.run_fixed_power_experiment(cfg, threads=threads)) == asdict(
-        sa.run_fixed_power_experiment(cfg))
+    assert asdict(run_fixed_power_experiment(cfg, threads=threads)) == asdict(
+        run_fixed_power_experiment(cfg))
 
 
 def test_fixed_power_experiment_deterministic():
     cfg = small_config()
-    a = sa.run_fixed_power_experiment(cfg)
-    b = sa.run_fixed_power_experiment(cfg)
+    a = run_fixed_power_experiment(cfg)
+    b = run_fixed_power_experiment(cfg)
     assert asdict(a) == asdict(b)
 
 
 def test_fixed_power_deterministic_across_thread_counts():
     cfg = small_config(n_trials=4)
-    serial = sa.run_fixed_power_experiment(cfg, threads=1)
-    parallel = sa.run_fixed_power_experiment(cfg, threads=2)
+    serial = run_fixed_power_experiment(cfg, threads=1)
+    parallel = run_fixed_power_experiment(cfg, threads=2)
     assert asdict(serial) == asdict(parallel)
 
 
@@ -336,23 +351,23 @@ def test_fixed_power_trials_are_order_independent_streams():
     cfg3 = small_config(n_trials=3)
     cfg1 = small_config(n_trials=1)
     finals = []
-    sa.run_fixed_power_experiment(cfg3, on_trial=lambda i, r, o, b: finals.append(r.snapshot.c_s))
+    run_fixed_power_experiment(cfg3, on_trial=lambda i, r, o, b: finals.append(r.snapshot.c_s))
     first = []
-    sa.run_fixed_power_experiment(cfg1, on_trial=lambda i, r, o, b: first.append(r.snapshot.c_s))
+    run_fixed_power_experiment(cfg1, on_trial=lambda i, r, o, b: first.append(r.snapshot.c_s))
     assert finals[0] == first[0]
 
 
 def test_fixed_power_rejects_wrong_kind():
-    cfg = small_config(experiment=sa.ExperimentKind.VARIABLE_POWER)
+    cfg = small_config(experiment=ExperimentKind.VARIABLE_POWER)
     with pytest.raises(ValueError):
-        sa.run_fixed_power_experiment(cfg)
+        run_fixed_power_experiment(cfg)
     with pytest.raises(ValueError):
-        sa.run_variable_power_experiment(small_config())
+        run_variable_power_experiment(small_config())
 
 
 def test_variable_power_experiment_curves():
-    cfg = small_config(n_trials=3, experiment=sa.ExperimentKind.VARIABLE_POWER, zeta=0.5)
-    report = sa.run_variable_power_experiment(cfg)
+    cfg = small_config(n_trials=3, experiment=ExperimentKind.VARIABLE_POWER, zeta=0.5)
+    report = run_variable_power_experiment(cfg)
     assert report.experiment == "variable_power"
     assert len(report.c_s_mean_curve) == len(report.p_s_db_mean_curve)
     assert report.mean_cycles >= 1.0
@@ -363,9 +378,9 @@ def test_variable_power_experiment_curves():
 
 
 def test_variable_power_experiment_deterministic():
-    cfg = small_config(n_trials=2, experiment=sa.ExperimentKind.VARIABLE_POWER, zeta=0.5)
-    a = sa.run_variable_power_experiment(cfg)
-    b = sa.run_variable_power_experiment(cfg)
+    cfg = small_config(n_trials=2, experiment=ExperimentKind.VARIABLE_POWER, zeta=0.5)
+    a = run_variable_power_experiment(cfg)
+    b = run_variable_power_experiment(cfg)
     assert asdict(a) == asdict(b)
 
 
@@ -377,8 +392,8 @@ def test_trial_error_identifies_seed(monkeypatch):
 
     monkeypatch.setattr(exp, "_shard", boom)
     cfg = small_config(n_trials=2, seed=77)
-    with pytest.raises(sa.TrialError) as err:
-        sa.run_fixed_power_experiment(cfg)
+    with pytest.raises(TrialError) as err:
+        run_fixed_power_experiment(cfg)
     assert err.value.trial_index == 0
     assert err.value.master_seed == 77
     assert "77" in str(err.value)
@@ -403,8 +418,8 @@ def test_pool_failure_cancels_pending_trials(monkeypatch):
     monkeypatch.setattr(exp, "_shard", _fail_first_then_sleep)
     cfg = small_config(n_trials=40, seed=78)
     started = time.perf_counter()
-    with pytest.raises(sa.TrialError) as err:
-        sa.run_fixed_power_experiment(cfg, threads=2)
+    with pytest.raises(TrialError) as err:
+        run_fixed_power_experiment(cfg, threads=2)
     elapsed = time.perf_counter() - started
     assert err.value.trial_index == 0
     assert err.value.master_seed == 78
@@ -426,8 +441,8 @@ def test_failing_shard_stops_the_other_workers(monkeypatch):
     monkeypatch.setattr(exp, "_shard", _fail_now_or_sleep_long)
     cfg = small_config(n_trials=2, seed=79)
     started = time.perf_counter()
-    with pytest.raises(sa.TrialError) as err:
-        sa.run_fixed_power_experiment(cfg, threads=2)
+    with pytest.raises(TrialError) as err:
+        run_fixed_power_experiment(cfg, threads=2)
     assert time.perf_counter() - started < 2.0
     assert err.value.trial_index == 0
     assert err.value.master_seed == 79
@@ -444,8 +459,8 @@ def test_failure_in_a_pool_shard_names_its_trial(monkeypatch):
     # come back with its own trial index
     monkeypatch.setattr(exp, "_shard", _fail_past_the_first_shard)
     cfg = small_config(n_trials=40, seed=80)
-    with pytest.raises(sa.TrialError) as err:
-        sa.run_fixed_power_experiment(cfg, threads=2)
+    with pytest.raises(TrialError) as err:
+        run_fixed_power_experiment(cfg, threads=2)
     assert err.value.trial_index == 20
     assert err.value.master_seed == 80
 
@@ -463,16 +478,20 @@ def test_lead_shard_runs_here_only_while_threads_bound_the_processes(
         monkeypatch, n_trials, threads, lead_here):
     monkeypatch.setattr(exp, "_shard", _fail_naming_the_process)
     cfg = small_config(n_trials=n_trials)
-    with pytest.raises(sa.TrialError) as err:
-        sa.run_fixed_power_experiment(cfg, threads=threads)
+    with pytest.raises(TrialError) as err:
+        run_fixed_power_experiment(cfg, threads=threads)
     assert err.value.trial_index == 0
     assert (err.value.__cause__.args[0] == os.getpid()) is lead_here
 
 
 DEAD_WORKER_STUDY = """
 import os
-import secrecy_ascent as sa
 import secrecy_ascent.experiment as exp
+from secrecy_ascent.channel import ChannelParams
+from secrecy_ascent.experiment import (ExperimentKind, SystemConfig, TrialError,
+                                       run_fixed_power_experiment)
+from secrecy_ascent.metrics import PowerConfig
+from secrecy_ascent.optimizer import OptimizerConfig
 
 N_TRIALS, SHARD_TRIALS, DIES_AT = %d, %d, %d
 _shard = exp._shard
@@ -484,14 +503,14 @@ def die_at_a_shard(cfg, start, stop):
 
 if __name__ == "__main__":
     exp._shard, exp.SHARD_TRIALS = die_at_a_shard, SHARD_TRIALS
-    cfg = sa.SystemConfig(
-        channel=sa.ChannelParams(n_clusters=2, n_rays=3, n_rx=2, n_tx=8, angular_spread_deg=10),
-        powers=sa.PowerConfig(p_s=10.0, p_j=10.0), optimizer=sa.OptimizerConfig(max_iters=30),
-        n_trials=N_TRIALS, seed=81, experiment=sa.ExperimentKind.FIXED_POWER)
+    cfg = SystemConfig(
+        channel=ChannelParams(n_clusters=2, n_rays=3, n_rx=2, n_tx=8, angular_spread_deg=10),
+        powers=PowerConfig(p_s=10.0, p_j=10.0), optimizer=OptimizerConfig(max_iters=30),
+        n_trials=N_TRIALS, seed=81, experiment=ExperimentKind.FIXED_POWER)
     seen = []
     try:
-        sa.run_fixed_power_experiment(cfg, threads=2, on_trial=lambda i, *trial: seen.append(i))
-    except sa.TrialError as err:
+        run_fixed_power_experiment(cfg, threads=2, on_trial=lambda i, *trial: seen.append(i))
+    except TrialError as err:
         print(err.trial_index, err.master_seed, repr(err.__cause__), seen, sep="|")
 """
 
@@ -590,7 +609,7 @@ def test_a_refused_second_worker_fails_its_first_shard(monkeypatch):
     monkeypatch.setattr(exp, "SHARD_TRIALS", 1)
     monkeypatch.setattr(multiprocessing, "Process", InlineWorker)
     seen = []
-    with pytest.raises(sa.TrialError) as err:
+    with pytest.raises(TrialError) as err:
         for i, pid in exp._map_trials(_pid_per_trial, small_config(n_trials=3), 3, False):
             seen.append(i)
     assert seen == [0, 1] and err.value.trial_index == 2
@@ -614,10 +633,10 @@ def test_no_worker_outlives_its_study(monkeypatch, shard, n_trials):
         monkeypatch.setattr(exp, "_shard", shard)
     cfg = small_config(n_trials=n_trials, max_iters=30)
     if shard is None:
-        sa.run_fixed_power_experiment(cfg, threads=2)
+        run_fixed_power_experiment(cfg, threads=2)
     else:
-        with pytest.raises(sa.TrialError):
-            sa.run_fixed_power_experiment(cfg, threads=2)
+        with pytest.raises(TrialError):
+            run_fixed_power_experiment(cfg, threads=2)
     assert multiprocessing.active_children() == []
 
 
@@ -631,7 +650,7 @@ def _run_here_or_sleep_long(cfg, start, stop):
     return [], None
 
 
-@pytest.mark.parametrize("kind", list(sa.ExperimentKind))
+@pytest.mark.parametrize("kind", list(ExperimentKind))
 def test_a_failing_observer_stops_the_workers(monkeypatch, kind):
     # the observer fails at trial 0, as run's trace.csv write does on a full
     # disk, while the worker's shard sleeps 5 s: the worker must be gone
@@ -669,9 +688,9 @@ def test_pool_has_a_worker_per_shard_past_the_first(
     monkeypatch.setattr(exp, "SHARD_TRIALS", shard_trials)
     monkeypatch.setattr(multiprocessing.Process, "start", recording_start)
     cfg = small_config(n_trials=n_trials, max_iters=30)
-    report = sa.run_fixed_power_experiment(cfg, threads=threads)
+    report = run_fixed_power_experiment(cfg, threads=threads)
     assert ([len(started)] if started else []) == pool_sizes
-    assert asdict(report) == asdict(sa.run_fixed_power_experiment(cfg))
+    assert asdict(report) == asdict(run_fixed_power_experiment(cfg))
 
 
 def _pid_per_trial(cfg, start, stop):
@@ -708,18 +727,18 @@ def test_system_config_validation():
     with pytest.raises(ValueError):
         replace(small_config(), seed=-1)
     with pytest.raises(ValueError):
-        sa.SystemConfig(
+        SystemConfig(
             channel=SMALL,
-            powers=sa.PowerConfig(p_s=1.0, p_j=1.0),
-            optimizer=sa.OptimizerConfig(),  # no zeta
+            powers=PowerConfig(p_s=1.0, p_j=1.0),
+            optimizer=OptimizerConfig(),  # no zeta
             n_trials=1,
             seed=0,
-            experiment=sa.ExperimentKind.VARIABLE_POWER,
+            experiment=ExperimentKind.VARIABLE_POWER,
         )
 
 
 def test_benchmark_ordering_small_sample():
     # optimizing w_e can only help on average; modest sample keeps this fast
     cfg = small_config(n_trials=20, max_iters=600)
-    report = sa.run_fixed_power_experiment(cfg)
+    report = run_fixed_power_experiment(cfg)
     assert report.converged_c_s_we_opt_mean >= report.converged_c_s_mean - 0.05

@@ -11,10 +11,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import secrecy_ascent as sa
 from helpers import random_instance
-from secrecy_ascent.gradients import LN2, LinkKernel
-from secrecy_ascent.optimizer import _project_packed
+from secrecy_ascent.channel import ChannelSet
+from secrecy_ascent.gradients import (LinkKernel, capacity_difference, grad_fj, grad_fs, grad_we,
+                                      grad_wl)
+from secrecy_ascent.metrics import LN2
+from secrecy_ascent.optimizer import _project_packed, project_ca
 
 REL_TOL = 1e-12
 
@@ -121,12 +123,12 @@ def test_kernel_matches_reference_with_zero_channels():
     ch, bf, pw = random_instance(3, 9, seed=41)
     zero = np.zeros_like(ch.h_sl)
     for quiet in (
-        sa.ChannelSet(h_sl=zero, h_se=zero, h_jl=zero, h_je=zero),
-        sa.ChannelSet(h_sl=ch.h_sl, h_se=zero, h_jl=ch.h_jl, h_je=zero),
-        sa.ChannelSet(h_sl=ch.h_sl, h_se=ch.h_se, h_jl=zero, h_je=zero),
+        ChannelSet(h_sl=zero, h_se=zero, h_jl=zero, h_je=zero),
+        ChannelSet(h_sl=ch.h_sl, h_se=zero, h_jl=ch.h_jl, h_je=zero),
+        ChannelSet(h_sl=ch.h_sl, h_se=ch.h_se, h_jl=zero, h_je=zero),
     ):
         assert_kernel_matches_reference(quiet, bf, pw)
-    _, got = fused_gradients(sa.ChannelSet(h_sl=zero, h_se=zero, h_jl=zero, h_je=zero), bf, pw)
+    _, got = fused_gradients(ChannelSet(h_sl=zero, h_se=zero, h_jl=zero, h_je=zero), bf, pw)
     for g in got.values():
         assert not g.any()
 
@@ -134,10 +136,10 @@ def test_kernel_matches_reference_with_zero_channels():
 def test_public_gradients_are_the_kernel():
     ch, bf, pw = random_instance(4, 64, seed=42)
     lk, got = fused_gradients(ch, bf, pw)
-    for name, fn in (("w_l", sa.grad_wl), ("w_e", sa.grad_we),
-                     ("f_s", sa.grad_fs), ("f_j", sa.grad_fj)):
+    for name, fn in (("w_l", grad_wl), ("w_e", grad_we),
+                     ("f_s", grad_fs), ("f_j", grad_fj)):
         np.testing.assert_array_equal(fn(ch, bf, pw), got[name])
-    assert sa.capacity_difference(ch, bf, pw) == lk.cd[0, 0] - lk.cd[0, 1]
+    assert capacity_difference(ch, bf, pw) == lk.cd[0, 0] - lk.cd[0, 1]
 
 
 def packed_step(kernel, rng):
@@ -147,7 +149,7 @@ def packed_step(kernel, rng):
 
 def assert_packed_projection_is_project_ca(kernel, got, step):
     for v_got, v_step in zip(kernel.unpack(got).vectors(), kernel.unpack(step).vectors()):
-        assert v_got.tobytes() == sa.project_ca(v_step).tobytes()
+        assert v_got.tobytes() == project_ca(v_step).tobytes()
 
 
 def test_packed_projection_matches_project_ca_per_block():
@@ -196,6 +198,14 @@ def test_batched_kernel_rows_match_single_rows():
         assert one.cd.tobytes() == lk.cd[k:k + 1].tobytes()
         one_g = one_kernel.gradient(one)
         assert one_g.tobytes() == g[k:k + 1].tobytes()
+
+
+def test_a_kernel_refuses_rows_it_cannot_stack():
+    (ch, _, pw), (other, _, _) = random_instance(2, 5, seed=1), random_instance(3, 5, seed=2)
+    with pytest.raises(ValueError, match="all rows of a kernel must share n_rx and n_tx"):
+        LinkKernel([ch, other], [pw, pw])
+    with pytest.raises(ValueError, match="a kernel needs one PowerConfig per channel set"):
+        LinkKernel([ch, ch], [pw])
 
 
 @pytest.mark.parametrize("drop", [0, 2, 3], ids=["first", "middle", "last"])

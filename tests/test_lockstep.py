@@ -19,12 +19,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import secrecy_ascent as sa
 import secrecy_ascent.cli as cli
 import secrecy_ascent.experiment as exp
 import secrecy_ascent.optimizer as opt
+from secrecy_ascent.channel import ChannelParams, ChannelSet, draw_channel_set
 from secrecy_ascent.config import load_config
-from secrecy_ascent.optimizer import AscentRow, ascend_rows
+from secrecy_ascent.metrics import PowerConfig, db_to_linear
+from secrecy_ascent.optimizer import (AscentRow, OptimizerConfig, TerminationReason,
+                                      ascend_fixed_power, ascend_rows, project_ca,
+                                      state_ca_violation, warm_start)
+from secrecy_ascent.reference import secrecy_capacity
 
 N_TRIALS = 9
 BASE = """n_tx = 6
@@ -86,8 +90,8 @@ _draw, _svd, _ascend, _shard = (exp.draw_channel_set, exp.svd_upper_bound, exp.a
 def _poisoned_draw(params, rng):
     ch = _draw(params, rng)
     if rng.bit_generator.seed_seq.entropy == [POISONED_SEED, POISONED_TRIAL]:
-        ch = sa.ChannelSet(h_sl=np.full_like(ch.h_sl, np.nan), h_se=ch.h_se,
-                           h_jl=ch.h_jl, h_je=ch.h_je)
+        ch = ChannelSet(h_sl=np.full_like(ch.h_sl, np.nan), h_se=ch.h_se,
+                        h_jl=ch.h_jl, h_je=ch.h_je)
     return ch
 
 
@@ -157,13 +161,13 @@ def test_a_failing_svd_diagnostic_fails_its_trial_alike_for_any_sharding(
 
 
 def rows_of(n_rx, n_tx, powers, seeds, holds):
-    params = sa.ChannelParams(n_clusters=2, n_rays=2, n_rx=n_rx, n_tx=n_tx,
-                              angular_spread_deg=10.0)
+    params = ChannelParams(n_clusters=2, n_rays=2, n_rx=n_rx, n_tx=n_tx,
+                           angular_spread_deg=10.0)
     rows = []
     for seed, hold in zip(seeds, holds):
         rng = np.random.default_rng(seed)
-        ch = sa.draw_channel_set(params, rng)
-        rows.append(AscentRow(ch, powers, sa.warm_start(params, rng), optimize_we=not hold))
+        ch = draw_channel_set(params, rng)
+        rows.append(AscentRow(ch, powers, warm_start(params, rng), optimize_we=not hold))
     return rows
 
 
@@ -191,10 +195,10 @@ def same_result(a, b):
 def test_lockstep_rows_are_monotone_feasible_and_batch_independent(
         n_rx, n_tx, power_db, seeds, holds, variable):
     # None: p_s = p_j = 0, where every gradient vanishes
-    p = 0.0 if power_db is None else sa.db_to_linear(power_db)
-    powers = sa.PowerConfig(p_s=p, p_j=p)
-    cfg = sa.OptimizerConfig(max_iters=40, epsilon=1e-6, zeta=3.0 if variable else None,
-                             mu=sa.db_to_linear(12.0), kappa=0.2, max_cycles=4)
+    p = 0.0 if power_db is None else db_to_linear(power_db)
+    powers = PowerConfig(p_s=p, p_j=p)
+    cfg = OptimizerConfig(max_iters=40, epsilon=1e-6, zeta=3.0 if variable else None,
+                          mu=db_to_linear(12.0), kappa=0.2, max_cycles=4)
     rows = rows_of(n_rx, n_tx, powers, seeds, holds)
     results, error = ascend_rows(rows, cfg, variable=variable)
     assert error is None and len(results) == len(rows)
@@ -204,7 +208,7 @@ def test_lockstep_rows_are_monotone_feasible_and_batch_independent(
             by_cycle.setdefault(rec.cycle, []).append(rec.c_l - rec.c_e)
         for diffs in by_cycle.values():
             assert all(b >= a for a, b in zip(diffs, diffs[1:]))
-        assert sa.state_ca_violation(res.state) <= 1e-9
+        assert state_ca_violation(res.state) <= 1e-9
         if row.optimize_we is False:
             assert res.state.w_e.tobytes() == row.init.w_e.tobytes()
         alone, alone_error = ascend_rows([row], cfg, variable=variable)
@@ -227,10 +231,10 @@ def test_lockstep_rows_are_monotone_feasible_and_batch_independent(
 def test_lockstep_bookkeeping_invariants(n_rx, n_tx, power_db, seeds, holds, variable):
     # the iteration log is kept as per-pass columns and split per row at the
     # end; each row's records and cycles must still tell one consistent story
-    p = 0.0 if power_db is None else sa.db_to_linear(power_db)
-    powers = sa.PowerConfig(p_s=p, p_j=p)
-    cfg = sa.OptimizerConfig(max_iters=40, epsilon=1e-6, zeta=3.0 if variable else None,
-                             mu=sa.db_to_linear(12.0), kappa=0.2, max_cycles=4)
+    p = 0.0 if power_db is None else db_to_linear(power_db)
+    powers = PowerConfig(p_s=p, p_j=p)
+    cfg = OptimizerConfig(max_iters=40, epsilon=1e-6, zeta=3.0 if variable else None,
+                          mu=db_to_linear(12.0), kappa=0.2, max_cycles=4)
     results, error = ascend_rows(rows_of(n_rx, n_tx, powers, seeds, holds), cfg,
                                  variable=variable)
     assert error is None
@@ -271,10 +275,10 @@ def test_legitimate_capacity_stays_under_its_single_link_bound(
     # |w_l^H H_sl f_s|^2 <= |w_l|^2 sigma_max(H_sl)^2 |f_s|^2, |f_s| = 1 on
     # the CA manifold and jamming only adds to the denominator, so
     # c_l <= log2(1 + p_s sigma_max(H_sl)^2 / sigma_l^2) at every iterate
-    powers = sa.PowerConfig(p_s=sa.db_to_linear(power_db), p_j=sa.db_to_linear(power_db),
-                            sigma2_l=sigma2_l)
-    cfg = sa.OptimizerConfig(max_iters=40, epsilon=1e-6, zeta=3.0 if variable else None,
-                             mu=sa.db_to_linear(25.0), kappa=0.2, max_cycles=4)
+    powers = PowerConfig(p_s=db_to_linear(power_db), p_j=db_to_linear(power_db),
+                         sigma2_l=sigma2_l)
+    cfg = OptimizerConfig(max_iters=40, epsilon=1e-6, zeta=3.0 if variable else None,
+                          mu=db_to_linear(25.0), kappa=0.2, max_cycles=4)
     rows = rows_of(n_rx, n_tx, powers, seeds, holds)
     results, error = ascend_rows(rows, cfg, variable=variable)
     assert error is None and len(results) == len(rows)
@@ -298,10 +302,10 @@ def test_log_agrees_with_an_independent_evaluator(variable):
     # the c_l and c_e that reference.secrecy_capacity, a separate evaluation
     # path, gives for it at the record's p_s, in a batch mixing held and
     # optimized w_e
-    powers = sa.PowerConfig(p_s=sa.db_to_linear(5.0), p_j=sa.db_to_linear(3.0),
-                            sigma2_l=0.7, sigma2_e=1.3)
-    cfg = sa.OptimizerConfig(max_iters=40, epsilon=1e-6, zeta=1e6 if variable else None,
-                             mu=sa.db_to_linear(12.0), kappa=0.2, max_cycles=4)
+    powers = PowerConfig(p_s=db_to_linear(5.0), p_j=db_to_linear(3.0),
+                         sigma2_l=0.7, sigma2_e=1.3)
+    cfg = OptimizerConfig(max_iters=40, epsilon=1e-6, zeta=1e6 if variable else None,
+                          mu=db_to_linear(12.0), kappa=0.2, max_cycles=4)
     rows = rows_of(3, 6, powers, range(30, 36), [True, False, False, True, True, False])
     seen = {i: [] for i in range(len(rows))}
     results, error = ascend_rows(rows, cfg, variable=variable,
@@ -313,9 +317,9 @@ def test_log_agrees_with_an_independent_evaluator(variable):
         if variable:
             assert len(res.trace.cycles) > 1
         for rec, state in zip(records, [row.init] + seen[i]):
-            pw = sa.PowerConfig(p_s=rec.p_s, p_j=powers.p_j, sigma2_l=powers.sigma2_l,
-                                sigma2_e=powers.sigma2_e)
-            snap = sa.secrecy_capacity(row.channel, state, pw)
+            pw = PowerConfig(p_s=rec.p_s, p_j=powers.p_j, sigma2_l=powers.sigma2_l,
+                             sigma2_e=powers.sigma2_e)
+            snap = secrecy_capacity(row.channel, state, pw)
             # the kernel takes each capacity as log2(den1) - log2(den0), so
             # its rounding is relative to the record's larger capacity: an
             # optimized w_e drives c_e far below it
@@ -325,11 +329,11 @@ def test_log_agrees_with_an_independent_evaluator(variable):
 
 
 def test_rows_before_a_failed_row_finish_and_the_rest_are_dropped():
-    cfg = sa.OptimizerConfig(max_iters=30)
-    rows = rows_of(2, 5, sa.PowerConfig(p_s=10.0, p_j=10.0), range(5), [True, False] * 3)
+    cfg = OptimizerConfig(max_iters=30)
+    rows = rows_of(2, 5, PowerConfig(p_s=10.0, p_j=10.0), range(5), [True, False] * 3)
     ch = rows[2].channel
-    poisoned = sa.ChannelSet(h_sl=ch.h_sl, h_se=ch.h_se, h_jl=np.full_like(ch.h_jl, np.nan),
-                             h_je=ch.h_je)
+    poisoned = ChannelSet(h_sl=ch.h_sl, h_se=ch.h_se, h_jl=np.full_like(ch.h_jl, np.nan),
+                          h_je=ch.h_je)
     rows[2] = AscentRow(poisoned, rows[2].powers, rows[2].init)
     results, error = ascend_rows(rows, cfg)
     assert isinstance(error, ValueError) and "non-finite objective" in str(error)
@@ -337,7 +341,7 @@ def test_rows_before_a_failed_row_finish_and_the_rest_are_dropped():
     for row, res in zip(rows, results):
         assert same_result(ascend_rows([row], cfg)[0][0], res)
     with pytest.raises(ValueError, match="non-finite objective at the initial state"):
-        sa.ascend_fixed_power(rows[2].channel, rows[2].powers, cfg, rows[2].init)
+        ascend_fixed_power(rows[2].channel, rows[2].powers, cfg, rows[2].init)
 
 
 def assert_a_poisoned_step_fails_its_row(monkeypatch, value, bad=3, variable=False, max_iters=30):
@@ -345,9 +349,9 @@ def assert_a_poisoned_step_fails_its_row(monkeypatch, value, bad=3, variable=Fal
     four rows: that row fails on the third pass, the rows before it finish
     as when run alone, and no row from it on is observed from that pass on.
     Returns the error."""
-    cfg = sa.OptimizerConfig(max_iters=max_iters, zeta=1e6 if variable else None,
-                             mu=sa.db_to_linear(12.0), kappa=0.2, max_cycles=4)
-    rows = rows_of(2, 5, sa.PowerConfig(p_s=10.0, p_j=10.0), range(4), [True, False] * 2)
+    cfg = OptimizerConfig(max_iters=max_iters, zeta=1e6 if variable else None,
+                          mu=db_to_linear(12.0), kappa=0.2, max_cycles=4)
+    rows = rows_of(2, 5, PowerConfig(p_s=10.0, p_j=10.0), range(4), [True, False] * 2)
     project = opt._project_packed
     calls, seen = [], []
 
@@ -400,8 +404,8 @@ def test_a_failed_row_and_the_rows_after_it_leave_the_batch_at_once(
 def test_a_zero_step_block_is_projected_as_project_ca_projects_it(monkeypatch):
     # a zero f_j takes phase zero, as every entry below the projection's
     # guard does, and the accept test judges it like any candidate
-    cfg = sa.OptimizerConfig(max_iters=30)
-    rows = rows_of(2, 5, sa.PowerConfig(p_s=10.0, p_j=10.0), range(4), [True, False] * 2)
+    cfg = OptimizerConfig(max_iters=30)
+    rows = rows_of(2, 5, PowerConfig(p_s=10.0, p_j=10.0), range(4), [True, False] * 2)
     project = opt._project_packed
     calls, projected = [], []
 
@@ -417,7 +421,7 @@ def test_a_zero_step_block_is_projected_as_project_ca_projects_it(monkeypatch):
     results, error = ascend_rows(rows, cfg)
     assert calls[2] == len(rows)  # no row had left the batch
     assert error is None and len(results) == len(rows)
-    assert projected[0].tobytes() == sa.project_ca(np.zeros(5)).tobytes()
+    assert projected[0].tobytes() == project_ca(np.zeros(5)).tobytes()
     monkeypatch.setattr(opt, "_project_packed", project)
     for k in (0, 2, 3):
         assert same_result(ascend_rows([rows[k]], cfg)[0][0], results[k])
@@ -429,9 +433,9 @@ def test_a_rows_rejected_steps_are_its_passes_less_its_accepted_ones(monkeypatch
                                                                     n_rows):
     # a row's pass either accepts, adding one log entry, or rejects; so its
     # rejected steps are n_iters - (len(trace.log) - 1), with no counter
-    cfg = sa.OptimizerConfig(max_iters=30, zeta=1e6 if variable else None,
-                             mu=sa.db_to_linear(12.0), kappa=0.2, max_cycles=4)
-    rows = rows_of(2, 5, sa.PowerConfig(p_s=10.0, p_j=10.0), range(n_rows), [True, False] * 3)
+    cfg = OptimizerConfig(max_iters=30, zeta=1e6 if variable else None,
+                          mu=db_to_linear(12.0), kappa=0.2, max_cycles=4)
+    rows = rows_of(2, 5, PowerConfig(p_s=10.0, p_j=10.0), range(n_rows), [True, False] * 3)
     project = opt._project_packed
     projected, seen = [], []
 
@@ -488,7 +492,7 @@ def test_every_pass_differentiates_every_active_row(monkeypatch):
 
 
 def test_a_non_finite_objective_of_a_finite_step_fails_its_row(monkeypatch):
-    rows = rows_of(2, 5, sa.PowerConfig(p_s=10.0, p_j=10.0), range(4), [True, False] * 2)
+    rows = rows_of(2, 5, PowerConfig(p_s=10.0, p_j=10.0), range(4), [True, False] * 2)
     evaluate = opt.LinkKernel.evaluate
     calls = []
 
@@ -499,7 +503,7 @@ def test_a_non_finite_objective_of_a_finite_step_fails_its_row(monkeypatch):
             lk.diff[1] = np.inf
 
     monkeypatch.setattr(opt.LinkKernel, "evaluate", poison_third_pass)
-    results, error = ascend_rows(rows, sa.OptimizerConfig(max_iters=30))
+    results, error = ascend_rows(rows, OptimizerConfig(max_iters=30))
     assert calls[3] == len(rows)
     assert len(results) == 1 and str(error) == "non-finite objective at cycle 1, iteration 3"
 
@@ -508,9 +512,9 @@ def test_a_non_finite_objective_at_a_restart_names_its_cycle(monkeypatch):
     # the check at a cycle's start named the initial state at every cycle;
     # an infinite power, as a long power ramp can reach, fails the row as it
     # restarts its third cycle
-    cfg = sa.OptimizerConfig(max_iters=30, zeta=1e6, mu=sa.db_to_linear(12.0), kappa=0.2,
-                             max_cycles=4)
-    rows = rows_of(2, 5, sa.PowerConfig(p_s=10.0, p_j=10.0), [0], [True])
+    cfg = OptimizerConfig(max_iters=30, zeta=1e6, mu=db_to_linear(12.0), kappa=0.2,
+                          max_cycles=4)
+    rows = rows_of(2, 5, PowerConfig(p_s=10.0, p_j=10.0), [0], [True])
     set_p_s, restarts = opt.LinkKernel.set_p_s, []
 
     def poison_second_restart(kernel, p_s):
@@ -525,11 +529,11 @@ def test_a_non_finite_objective_at_a_restart_names_its_cycle(monkeypatch):
 
 
 def test_a_start_off_the_ca_manifold_fails_its_row():
-    rows = rows_of(2, 4, sa.PowerConfig(p_s=1.0, p_j=1.0), range(3), [True] * 3)
+    rows = rows_of(2, 4, PowerConfig(p_s=1.0, p_j=1.0), range(3), [True] * 3)
     off = rows[1].init.copy()
     off.f_s = off.f_s * 2.0
     rows[1] = AscentRow(rows[1].channel, rows[1].powers, off)
-    results, error = ascend_rows(rows, sa.OptimizerConfig(max_iters=10))
+    results, error = ascend_rows(rows, OptimizerConfig(max_iters=10))
     assert len(results) == 1 and "constant-amplitude" in str(error)
 
 
@@ -562,34 +566,45 @@ def test_a_start_off_the_ca_manifold_fails_whichever_block_holds_a_nan(blocks):
     # the check took the max of the four blocks' violations, and a NaN one
     # wins or loses by block order: a NaN before the off-manifold block hid
     # it and the start failed as a non-finite objective instead
-    rows = rows_of(2, 4, sa.PowerConfig(p_s=1.0, p_j=1.0), range(3), [True] * 3)
+    rows = rows_of(2, 4, PowerConfig(p_s=1.0, p_j=1.0), range(3), [True] * 3)
     rows[1] = with_start(rows[1], **blocks)
-    results, error = ascend_rows(rows, sa.OptimizerConfig(max_iters=10))
+    results, error = ascend_rows(rows, OptimizerConfig(max_iters=10))
     assert len(results) == 1
     assert str(error) == "initial state violates the constant-amplitude constraint"
-    assert same_result(ascend_rows(rows[:1], sa.OptimizerConfig(max_iters=10))[0][0], results[0])
+    assert same_result(ascend_rows(rows[:1], OptimizerConfig(max_iters=10))[0][0], results[0])
 
 
 def test_a_non_finite_objective_before_an_off_manifold_start_names_the_objective():
-    rows = rows_of(2, 4, sa.PowerConfig(p_s=1.0, p_j=1.0), range(4), [True] * 4)
+    rows = rows_of(2, 4, PowerConfig(p_s=1.0, p_j=1.0), range(4), [True] * 4)
     ch = rows[1].channel
-    poisoned = sa.ChannelSet(h_sl=ch.h_sl, h_se=ch.h_se, h_jl=np.full_like(ch.h_jl, np.nan),
-                             h_je=ch.h_je)
+    poisoned = ChannelSet(h_sl=ch.h_sl, h_se=ch.h_se, h_jl=np.full_like(ch.h_jl, np.nan),
+                          h_je=ch.h_je)
     rows[1] = AscentRow(poisoned, rows[1].powers, rows[1].init)
     rows[2] = with_start(rows[2], f_s=double)
-    results, error = ascend_rows(rows, sa.OptimizerConfig(max_iters=10))
+    results, error = ascend_rows(rows, OptimizerConfig(max_iters=10))
     assert len(results) == 1 and str(error) == "non-finite objective at the initial state"
 
 
 @pytest.mark.parametrize("bad", [0, 1])
 def test_an_infinite_start_entry_fails_its_row_unevaluated(bad):
-    rows = rows_of(2, 4, sa.PowerConfig(p_s=1.0, p_j=1.0), range(3), [True] * 3)
+    rows = rows_of(2, 4, PowerConfig(p_s=1.0, p_j=1.0), range(3), [True] * 3)
     rows[bad] = with_start(rows[bad], f_j=put(np.inf))
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # an evaluation would warn on inf * 0
-        results, error = ascend_rows(rows, sa.OptimizerConfig(max_iters=10))
+        results, error = ascend_rows(rows, OptimizerConfig(max_iters=10))
     assert len(results) == bad
     assert str(error) == "initial state violates the constant-amplitude constraint"
+
+
+@pytest.mark.parametrize("block, message", [("f_s", "precoders must have shape (4,)"),
+                                            ("w_l", "combiners must have shape (2,)")])
+def test_a_start_of_the_wrong_length_fails_its_row(block, message):
+    rows = rows_of(2, 4, PowerConfig(p_s=1.0, p_j=1.0), range(3), [True] * 3)
+    rows[1] = with_start(rows[1], **{block: lambda v: v[:-1]})
+    results, error = ascend_rows(rows, OptimizerConfig(max_iters=10))
+    assert len(results) == 1
+    assert isinstance(error, ValueError) and str(error) == message
+    assert same_result(ascend_rows(rows[:1], OptimizerConfig(max_iters=10))[0][0], results[0])
 
 
 def test_a_batch_builds_its_kernel_and_links_once(monkeypatch):
@@ -602,8 +617,8 @@ def test_a_batch_builds_its_kernel_and_links_once(monkeypatch):
             _init(self, *args)
 
         monkeypatch.setattr(cls, "__init__", counting)
-    rows = rows_of(2, 5, sa.PowerConfig(p_s=10.0, p_j=10.0), range(6), [True, False] * 3)
-    results, error = ascend_rows(rows, sa.OptimizerConfig(max_iters=60, epsilon=1e-3))
+    rows = rows_of(2, 5, PowerConfig(p_s=10.0, p_j=10.0), range(6), [True, False] * 3)
+    results, error = ascend_rows(rows, OptimizerConfig(max_iters=60, epsilon=1e-3))
     assert error is None
     assert len({res.trace.n_iters for res in results}) >= 4, "the batch shrank too seldom"
     assert sorted(built) == ["LinkKernel", "Links", "Links"]
@@ -613,19 +628,19 @@ def test_memory_does_not_grow_with_the_iteration_cap():
     # a batch that converges well before 100 passes runs alike at a cap of
     # 100 and of 10**9, to the same logs and about the same traced peak: no
     # buffer is sized by the cap
-    rows = rows_of(2, 4, sa.PowerConfig(p_s=1.0, p_j=1.0), range(6), [True, False] * 3)
-    ascend_rows(rows, sa.OptimizerConfig(max_iters=100, epsilon=1e-2))  # warm up, untraced
+    rows = rows_of(2, 4, PowerConfig(p_s=1.0, p_j=1.0), range(6), [True, False] * 3)
+    ascend_rows(rows, OptimizerConfig(max_iters=100, epsilon=1e-2))  # warm up, untraced
     logs, peaks = [], []
     for max_iters in (100, 10**9):
         tracemalloc.start()
         try:
-            results, error = ascend_rows(rows, sa.OptimizerConfig(max_iters=max_iters,
-                                                                  epsilon=1e-2))
+            results, error = ascend_rows(rows, OptimizerConfig(max_iters=max_iters,
+                                                               epsilon=1e-2))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
         assert error is None
-        assert {res.trace.reason for res in results} == {sa.TerminationReason.CONVERGED}
+        assert {res.trace.reason for res in results} == {TerminationReason.CONVERGED}
         assert max(res.trace.n_iters for res in results) < 60
         logs.append([res.trace.log.tobytes() for res in results])
     assert logs[0] == logs[1]
@@ -645,14 +660,14 @@ def test_the_split_adds_little_beside_the_logs_it_returns(monkeypatch):
         added.append(tracemalloc.get_traced_memory()[1] - before)
 
     monkeypatch.setattr(opt._Lockstep, "_split_log", traced)
-    rows = rows_of(2, 4, sa.PowerConfig(p_s=1.0, p_j=1.0), range(6), [True, False] * 3)
+    rows = rows_of(2, 4, PowerConfig(p_s=1.0, p_j=1.0), range(6), [True, False] * 3)
     tracemalloc.start()
     try:
-        results, error = ascend_rows(rows, sa.OptimizerConfig(max_iters=3000, epsilon=1e-300))
+        results, error = ascend_rows(rows, OptimizerConfig(max_iters=3000, epsilon=1e-300))
     finally:
         tracemalloc.stop()
     assert error is None
-    assert {res.trace.reason for res in results} == {sa.TerminationReason.ITER_CAP}
+    assert {res.trace.reason for res in results} == {TerminationReason.ITER_CAP}
     logs = sum(res.trace.log.nbytes for res in results)
     assert logs > 15_000 * opt.ITERATION_DTYPE.itemsize  # 17,994 entries here
     assert added[0] < 2.25 * logs, added[0] / logs
