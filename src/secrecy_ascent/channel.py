@@ -21,18 +21,10 @@ other test oracles.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
-
-
-class Band(str, enum.Enum):
-    """Carrier band tag. Metadata only; never enters any formula."""
-
-    SUB6 = "sub6"
-    MMWAVE = "mmwave"
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional
 
-from .channel import Band, ChannelParams
+from .channel import ChannelParams
 from .experiment import ExperimentKind, SystemConfig
 from .metrics import PowerConfig, db_to_linear, linear_to_db
 from .optimizer import OptimizerConfig
@@ -33,7 +33,6 @@ SCHEMA = {
     "n_clusters": (int, REQUIRED),
     "n_rays": (int, REQUIRED),
     "angular_spread_deg": (float, 10.0),
-    "band": (Band, Band.MMWAVE),
     "p_s_db": (float, 10.0),
     "p_j_db": (float, 10.0),
     "delta0": (float, _OPTIMIZER["delta0"]),
@@ -79,7 +78,7 @@ def resolve_values(raw: dict[str, str]) -> dict:
                 resolved[key] = convert(raw[key])
             except ValueError as exc:
                 why = (f"{raw[key]!r} is not one of {', '.join(m.value for m in convert)}"
-                       if convert in (Band, ExperimentKind) else exc)
+                       if convert is ExperimentKind else exc)
                 raise ConfigError(f"invalid value for {key!r}: {why}") from exc
             # float() accepts nan and inf, which no key has a meaning for
             if convert is float and not math.isfinite(resolved[key]):
@@ -178,7 +177,7 @@ def flat_items(resolved: dict) -> list[tuple[str, str]]:
         value = resolved[key]
         if value is None:
             continue
-        if isinstance(value, (ExperimentKind, Band)):
+        if isinstance(value, ExperimentKind):
             rendered = value.value
         elif isinstance(value, float):
             rendered = repr(value)

@@ -6,17 +6,18 @@ powers, a start, and whether w_e is ascended too), and the rows travel as
 one (B, 2*n_rx + 2*n_tx) array of packed states x = [w_l | w_e | f_s | f_j]
 through ``gradients.LinkKernel``, built once per batch. Every pass makes,
 for all active rows at once, one gradient call, one gradient step and one
-constant-amplitude projection of the packed steps, one link evaluation of
-the candidates and one vectorized accept / revert-and-halve / converge
-decision. A 2-norm step before the projection would change nothing, since
-``project_ca`` keeps only the phases. A step that decreases a row's
-objective is a perturbation: the row keeps its iterate and halves its step
-size (floored at ``delta_min``), which keeps the accepted trajectory
-monotone. Every pass does this same work, whichever rows accept. Finished
-rows leave; the batch compacts the rest. A row's records, final state and
-termination reason are bit-identical however many rows share its batch;
-``ascend_fixed_power`` and ``ascend_variable_power`` are batches of one
-row.
+constant-amplitude projection of the packed steps and one link evaluation
+of the candidates. A 2-norm step before the projection would change
+nothing, since ``project_ca`` keeps only the phases. The accept /
+revert-and-halve / converge decision (``_decide``) is one loop over the
+list of the rows' changes, on Python floats; every array operation stays
+batched. A step that decreases a row's objective is a perturbation: the row
+keeps its iterate and halves its step size (floored at ``delta_min``),
+which keeps the accepted trajectory monotone. Every pass does this same
+work, whichever rows accept. Finished rows leave; the batch compacts the
+rest. A row's records, final state and termination reason are
+bit-identical however many rows share its batch; ``ascend_fixed_power``
+and ``ascend_variable_power`` are batches of one row.
 
 The bookkeeping is per batch, not per row: each pass logs its accepted rows
 with a few array copies, and each row's id, cycle, cycle start and p_s sit
@@ -218,6 +219,40 @@ def _project_packed(kernel: LinkKernel, y: np.ndarray, mag: np.ndarray) -> None:
     np.copyto(y, kernel.ca_scale, where=tiny)
 
 
+def _decide(change: list[float], delta: np.ndarray, eps: float, delta_min: float,
+            capped: Sequence[int] = ()) -> tuple[list[int], list, Optional[list[float]]]:
+    """One pass's accept / revert-and-halve / converge decision, row by row,
+    on the rows' changes of c_l - c_e and their step sizes ``delta``.
+
+    A change >= 0 is accepted. A change < -eps is rejected: the row's step
+    size is halved, floored at delta_min. A row's cycle ends (converged) when
+    |change| <= eps, so a change in [-eps, 0) is reverted and ends it, or
+    when a rejected step was already at delta_min. A row in ``capped`` whose
+    cycle does not converge ends at the iteration cap.
+
+    Returns the accepted rows, the ended rows as (row, reason), and the new
+    step sizes of every row, or None when no row was rejected.
+    """
+    accepted, ends, steps = [], [], None
+    for j, d in enumerate(change):
+        if d >= 0.0:
+            accepted.append(j)
+            if d > eps:
+                continue
+        elif d < -eps:
+            if steps is None:
+                steps = delta.tolist()
+            step = steps[j]
+            steps[j] = max(step * 0.5, delta_min)
+            if step > delta_min:
+                continue
+        ends.append((j, TerminationReason.CONVERGED))
+    if capped:
+        converged = {j for j, _ in ends}
+        ends += [(j, TerminationReason.ITER_CAP) for j in capped if j not in converged]
+    return accepted, ends, steps
+
+
 @dataclass(frozen=True)
 class AscentRow:
     """One ascent of a lockstep batch: a channel realization, the powers,
@@ -354,12 +389,12 @@ class _Lockstep:
         state = self.kernel.unpack(self.cur.x[j].copy())
         self.results[i] = OptimizeResult(state, _snapshot(self.cur, j), trace)
 
-    def _fail_first(self, change: np.ndarray, cand: np.ndarray, n_pass: int) -> None:
+    def _fail_first(self, change: list[float], cand: np.ndarray, n_pass: int) -> None:
         """Fail the first row whose candidate objective is not finite. The
         projection gives every finite step a finite candidate, so a candidate
         with a non-finite entry came from a non-finite step, not from the
         objective."""
-        j = int(np.flatnonzero(~np.isfinite(change))[0])
+        j = next(j for j, d in enumerate(change) if not math.isfinite(d))
         if not np.isfinite(cand[j]).all():
             cause = "cannot project a non-finite vector"
         else:
@@ -426,40 +461,31 @@ class _Lockstep:
             np.copyto(cand.we, cur.we, where=hold)
             kernel.evaluate(cand)
 
-            # the decision, for every row at once: accept a step that does not
-            # lower c_l - c_e; end the cycle when |change| <= epsilon, or when
-            # a rejected step was already at the floor; otherwise revert and
-            # halve the step (floored at delta_min)
-            change = cand.diff - cur.diff
-            if not math.isfinite(np.add.reduce(change)):
+            # the decision, row by row on Python floats (``_decide``)
+            change = np.subtract(cand.diff, cur.diff).tolist()
+            if not math.isfinite(sum(change)):
                 # the first failed row and the rows after it leave; the rows
                 # before it redo the pass, to the same bits
                 self._fail_first(change, cand.x, n_pass)
                 self._compact()
                 n_pass -= 1
                 continue
-            accepted = change >= 0.0
-            ended = np.abs(change) <= eps
-            n_accepted = np.count_nonzero(accepted)
-            if n_accepted < n_rows:
-                # a floor row's halved delta returns to delta_min
-                rejected = change < -eps
-                ended |= (delta <= delta_min) & rejected
-                np.multiply(delta, 0.5, out=delta, where=rejected)
-                np.maximum(delta, delta_min, out=delta)
-            if n_accepted == n_rows:
+            capped = ()
+            if n_pass == next_cap:
+                start = n_pass - cfg.max_iters
+                capped = [j for j, s in enumerate(self.meta[:, 2].tolist()) if s == start]
+            accepted, ends, steps = _decide(change, delta, eps, delta_min, capped)
+            if steps is not None:
+                delta[:] = steps
+            if len(accepted) == n_rows:
                 self.cur, self.cand = cand, cur
                 self._log(n_pass)
-            elif n_accepted:
-                cur.assign(cand, accepted)
-                self._log(n_pass, accepted.nonzero()[0])
-
-            ends = []
-            if np.count_nonzero(ended):
-                ends = [(j, TerminationReason.CONVERGED) for j in ended.nonzero()[0].tolist()]
-            if n_pass == next_cap:
-                capped = (self.meta[:, 2] == n_pass - cfg.max_iters) & ~ended
-                ends += [(j, TerminationReason.ITER_CAP) for j in capped.nonzero()[0].tolist()]
+            elif accepted:
+                rows = np.array(accepted)
+                mask = np.zeros(n_rows, bool)
+                mask[rows] = True
+                cur.assign(cand, mask)
+                self._log(n_pass, rows)
             if not ends:
                 continue
             self._compact(self._end_cycles(ends, n_pass))
@@ -476,11 +502,11 @@ def ascend_rows(
     """Run the ascents of ``rows`` (AscentRows sharing n_rx and n_tx) in
     lockstep, as rows of one batch.
 
-    Each pass makes one gradient call, one step and one CA projection, one
-    link evaluation and one vectorized accept / revert-and-halve / converge
-    decision for all active rows. A step that decreases a row's objective is
-    a perturbation: that row keeps its iterate and halves its step size,
-    floored at ``cfg.delta_min``. At fixed power each row runs
+    Each pass makes one gradient call, one step and one CA projection and one
+    link evaluation for all active rows, then decides accept /
+    revert-and-halve / converge in one loop over the rows' changes. A step
+    that decreases a row's objective is a perturbation: that row keeps its
+    iterate and halves its step size, floored at ``cfg.delta_min``. At fixed power each row runs
     one cycle until |change| <= epsilon or ``cfg.max_iters`` passes. With
     ``variable`` set each row repeats cycles, raising its own P_s by
     kappa*P_s after a cycle that misses the secrecy target zeta, up to the

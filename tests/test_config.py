@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from secrecy_ascent.channel import Band
+import secrecy_ascent.cli as cli
 from secrecy_ascent.config import (SCHEMA, ConfigError, build_system_config, flat_items,
                                    parse_config_text, resolve_values)
 from secrecy_ascent.optimizer import OptimizerConfig
@@ -43,17 +43,18 @@ def test_required_keys_alone_build_the_default_optimizer_config():
     assert cfg.optimizer == OptimizerConfig()
 
 
-def test_band_is_a_validated_tag_that_the_built_config_does_not_hold():
-    # the band enters no formula: it is resolved and reported, and the
-    # SystemConfig built from it is the same for every band
+def test_band_is_an_unknown_key(tmp_path, capsys):
+    # the carrier band entered no formula, so the schema no longer has it: a
+    # config that sets it fails as any unknown key does, and nothing runs
     text = "n_tx = 8\nn_rx = 2\nn_clusters = 2\nn_rays = 3\nexperiment = fixed_power\n"
-    built = build_system_config(resolve_values(parse_config_text(text)))
-    for band in Band:
-        resolved = resolve_values(parse_config_text(text + f"band = {band.value}\n"))
-        assert resolved["band"] is band and ("band", band.value) in flat_items(resolved)
-        assert build_system_config(resolved) == built
-    with pytest.raises(ConfigError, match="'band'"):
-        resolve_values(parse_config_text(text + "band = 5g\n"))
+    assert "band" not in SCHEMA and len(SCHEMA) == 18
+    with pytest.raises(ConfigError, match="^unknown key 'band'$"):
+        resolve_values(parse_config_text(text + "band = sub6\n"))
+    path = tmp_path / "band.cfg"
+    path.write_text(text + "band = mmwave\n")
+    assert cli.main(["validate", "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "unknown key 'band'" in err
 
 
 def test_readme_config_keys_are_the_schema():

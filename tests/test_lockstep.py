@@ -671,3 +671,102 @@ def test_the_split_adds_little_beside_the_logs_it_returns(monkeypatch):
     logs = sum(res.trace.log.nbytes for res in results)
     assert logs > 15_000 * opt.ITERATION_DTYPE.itemsize  # 17,994 entries here
     assert added[0] < 2.25 * logs, added[0] / logs
+
+
+def mask_decision(change, delta, eps, delta_min, capped):
+    """The decision as ufuncs over the batch, the oracle of ``_decide``:
+    (accepted mask, converged mask, capped-and-not-converged mask, new delta)."""
+    change, delta = np.array(change), delta.copy()
+    accepted = change >= 0.0
+    ended = np.abs(change) <= eps
+    if np.count_nonzero(accepted) < len(change):
+        rejected = change < -eps
+        ended |= (delta <= delta_min) & rejected
+        np.multiply(delta, 0.5, out=delta, where=rejected)
+        np.maximum(delta, delta_min, out=delta)
+    at_cap = np.zeros(len(change), bool)
+    at_cap[list(capped)] = True
+    return accepted, ended, at_cap & ~ended, delta
+
+
+def assert_decides_as_the_masks(change, delta, eps, delta_min, capped=()):
+    accepted, ends, steps = opt._decide(change, delta, eps, delta_min, capped)
+    want_accepted, want_ended, want_capped, want_delta = mask_decision(
+        change, delta, eps, delta_min, capped)
+    assert accepted == np.flatnonzero(want_accepted).tolist()
+    converged = [j for j, reason in ends if reason is TerminationReason.CONVERGED]
+    at_cap = [j for j, reason in ends if reason is TerminationReason.ITER_CAP]
+    assert sorted(converged) == np.flatnonzero(want_ended).tolist()
+    assert sorted(at_cap) == np.flatnonzero(want_capped).tolist()
+    assert len(ends) == len(converged) + len(at_cap)
+    new_delta = delta if steps is None else np.array(steps)
+    assert new_delta.tobytes() == want_delta.tobytes()
+    # the step sizes are rewritten only on a pass that rejects a row
+    assert (steps is None) == (min(change) >= -eps)
+
+
+@pytest.mark.parametrize("eps, delta_min", [(1e-7, 1e-6), (1e-4, 0.025), (0.5, 0.1)])
+def test_the_decision_is_the_mask_algebra_at_its_edges(eps, delta_min):
+    # every pair of (change, step size) rows and the batch of all of them,
+    # with and without rows at the iteration cap: the accepted rows, the
+    # ended rows and the new step sizes match the ufunc decision bit for bit
+    changes = [0.0, -0.0, eps, -eps, float(np.nextafter(-eps, -np.inf)), 2 * eps, -1.0]
+    steps = [0.1 if delta_min < 0.05 else 1.0, delta_min, 2 * delta_min]
+    rows = [(change, step) for change in changes for step in steps]
+    batches = [[a, b] for a in rows for b in rows] + [rows]
+    for batch in batches:
+        change = [c for c, _ in batch]
+        delta = np.array([s for _, s in batch])
+        for capped in ((), (0,), tuple(range(len(batch)))):
+            assert_decides_as_the_masks(change, delta, eps, delta_min, capped)
+    # batches that are all accepted, none accepted and mixed
+    kept, reverted = changes[:3] + changes[5:6], changes[3:5] + changes[6:]
+    for change in (kept, reverted, kept + reverted, reverted + kept):
+        assert_decides_as_the_masks(change, np.resize(np.array(steps), len(change)), eps,
+                                    delta_min)
+
+
+NO_BACKTRACKING = dict(n_trials="4", seed="5", max_iters="200", delta_min="0.1")
+
+
+@pytest.mark.parametrize("plan", [
+    dict(experiment="fixed_power", p_s_db="10"),
+    dict(experiment="fixed_power", p_s_db="-10"),
+    dict(experiment="variable_power", p_s_db="-10", mu_db="-9"),
+])
+def test_the_floor_ends_a_cycle_on_its_first_rejection(plan):
+    # delta_min == delta0: a rejected step is already at the floor, so the
+    # first rejection of a cycle ends it (converged), and a variable-power
+    # row raises p_s and restarts at delta0. In these plans every row has
+    # such a cycle, and a variable-power row has them after its first too
+    cfg = load_config("sub6", dict(NO_BACKTRACKING, **plan))
+    delta0 = cfg.optimizer.delta0
+    assert cfg.optimizer.delta_min == delta0
+    fixed = cfg.experiment is exp.ExperimentKind.FIXED_POWER
+    trials, failure = exp._shard(cfg, 0, 4)
+    assert failure is None and len(trials) == 4
+    for i, trial in enumerate(trials):
+        rng = exp.seed_fanout(cfg.seed, i)
+        ch, init = draw_channel_set(cfg.channel, rng), warm_start(cfg.channel, rng)
+        for res, optimize_we in zip(trial, (False, True) if fixed else (False,)):
+            trace, log = res.trace, res.trace.log
+            assert set(log["delta"].tolist()) == {delta0}
+            ended_on_a_rejection = []
+            for c in trace.cycles:
+                iterations = log["iteration"][log["cycle"] == c.cycle].tolist()
+                rejected = c.n_iters - len([k for k in iterations if k > 0])
+                assert rejected <= 1
+                if rejected:  # the rejected pass is the cycle's last
+                    assert max(iterations, default=0) == c.n_iters - 1
+                    ended_on_a_rejection.append(c.cycle)
+            if fixed:
+                assert trace.n_iters - (len(log) - 1) == 1
+                assert trace.reason is TerminationReason.CONVERGED
+                alone = ascend_rows([AscentRow(ch, cfg.powers, init, optimize_we)],
+                                    cfg.optimizer)[0][0]
+            else:
+                # in this plan every cycle but the last ends on its rejection
+                assert len(trace.cycles) > 2
+                assert all(c.cycle in ended_on_a_rejection for c in trace.cycles[:-1])
+                alone = opt.ascend_variable_power(ch, cfg.powers, cfg.optimizer, init)
+            assert same_result(alone, res)
