@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -34,17 +34,6 @@ from .metrics import PowerConfig
 from .optimizer import warm_start
 
 GRADCHECK_TOL = 1e-5
-
-
-@dataclass
-class RunManifest:
-    """What produced a run's outputs and where they went."""
-
-    config: dict[str, str]
-    seed: int
-    version: str
-    duration_s: float
-    outputs: dict[str, str] = field(default_factory=dict)
 
 
 def cmd_run(config_path: str, overrides: dict[str, str], output_dir: str, threads: int) -> int:
@@ -78,20 +67,20 @@ def cmd_run(config_path: str, overrides: dict[str, str], output_dir: str, thread
         with open(aggregate_path, "w", newline="") as fh:
             fh.write(report.aggregate_text())
 
-        manifest = RunManifest(
-            config=dict(flat_items(resolved)),
-            seed=cfg.seed,
-            version=__version__,
-            duration_s=round(time.perf_counter() - started, 3),
-            outputs={
+        # what produced the outputs and where they went
+        manifest = {
+            "config": dict(flat_items(resolved)),
+            "seed": cfg.seed,
+            "version": __version__,
+            "duration_s": round(time.perf_counter() - started, 3),
+            "outputs": {
                 "trace_csv": str(trace_path),
                 "aggregate_csv": str(aggregate_path),
                 "report_json": str(report_path),
             },
-        )
+        }
         with open(report_path, "w") as fh:
-            fh.write(json.dumps({"manifest": vars(manifest), "report": vars(report)},
-                                indent=2) + "\n")
+            fh.write(json.dumps({"manifest": manifest, "report": vars(report)}, indent=2) + "\n")
     except OSError as exc:
         # a write that fails fails the run, which leaves no summary; ``fh`` is
         # the file being written, unless the error is that of opening one

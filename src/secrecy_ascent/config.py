@@ -136,27 +136,25 @@ def build_system_config(resolved: dict) -> SystemConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def bundled_config_text(name: str) -> Optional[str]:
-    """Contents of a shipped preset (``mmwave`` or ``sub6``), if it exists."""
-    stem = name[:-4] if name.endswith(".cfg") else name
-    candidate = resources.files("secrecy_ascent") / "configs" / f"{stem}.cfg"
-    return candidate.read_text() if candidate.is_file() else None
-
-
 def resolve_config_file(path_or_name: str, overrides: Optional[dict[str, str]] = None) -> dict:
-    """Resolved (post-default) values for a config file or bundled preset."""
+    """Resolved (post-default) values for a config file or, when no such
+    file exists, a shipped preset (``mmwave`` or ``sub6``)."""
     path = Path(path_or_name)
-    if path.is_file():
-        try:
-            text, source = path.read_text(encoding="utf-8"), str(path)
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
-        text = text.removeprefix("\ufeff")  # not "utf-8-sig": its error offsets skip the BOM
+    try:
+        text = path.read_text(encoding="utf-8") if path.is_file() else None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read: {exc.strerror}") from None
+    if text is not None:
+        # not "utf-8-sig": its error offsets skip the BOM
+        text, source = text.removeprefix("\ufeff"), str(path)
     else:
-        bundled = bundled_config_text(path_or_name)
-        if bundled is None:
+        stem = path_or_name.removesuffix(".cfg")
+        preset = resources.files("secrecy_ascent") / "configs" / f"{stem}.cfg"
+        if not preset.is_file():
             raise ConfigError(f"config file not found: {path_or_name}")
-        text, source = bundled, f"bundled:{path_or_name}"
+        text, source = preset.read_text(), f"bundled:{path_or_name}"
     raw = parse_config_text(text, source=source)
     for key, value in (overrides or {}).items():
         raw[key] = value

@@ -188,7 +188,7 @@ class LinkKernel:
 
     def unpack(self, x: np.ndarray) -> BeamformerState:
         """Views of the four blocks of one row x, in BeamformerState order."""
-        return _unpack_state(x, self.n_rx, self.n_rx, self.n_tx)
+        return _unpack_state(x, self.n_rx, self.n_tx)
 
     def links(self, states: Sequence[BeamformerState]) -> Links:
         """Fresh links at ``states``, one BeamformerState per row, each

@@ -64,9 +64,10 @@ class BeamformerState:
         return (self.w_l, self.w_e, self.f_s, self.f_j)
 
 
-def _unpack_state(packed: np.ndarray, n_wl: int, n_we: int, n_fs: int) -> BeamformerState:
-    """The state whose blocks are the consecutive views of ``packed``."""
-    a, b, c = n_wl, n_wl + n_we, n_wl + n_we + n_fs
+def _unpack_state(packed: np.ndarray, n_rx: int, n_tx: int) -> BeamformerState:
+    """The state whose blocks [w_l | w_e | f_s | f_j] are the consecutive
+    views of ``packed``: two of n_rx entries, then two of n_tx."""
+    a, b, c = n_rx, 2 * n_rx, 2 * n_rx + n_tx
     return BeamformerState(packed[:a], packed[a:b], packed[b:c], packed[c:])
 
 

@@ -23,8 +23,8 @@ The bookkeeping is per batch, not per row: each pass logs its accepted rows
 with a few array copies, and each row's id, cycle, cycle start and p_s sit
 in one array of the live rows. When the batch ends the log becomes
 one column array per ascent (``OptimizerTrace.log``); records are built
-from it only on request. Each row counts its own passes: its ``n_iters``
-is the sum of its cycles'.
+from it only on request. Each row counts its own passes, cycle by cycle:
+an ascent's ``n_iters`` is read as the sum of its cycles'.
 
 The acceptance and convergence tests run on the unclamped capacity
 difference c_l - c_e. The reported secrecy capacity clamps at zero; running
@@ -99,9 +99,9 @@ ITERATION_DTYPE = np.dtype([(name, np.int64 if kind is int else float)
 
 @dataclass(frozen=True)
 class CycleRecord:
-    """Converged state of one fixed-power cycle."""
+    """Converged state of one fixed-power cycle. A cycle's number is its
+    position in ``OptimizerTrace.cycles`` plus one."""
 
-    cycle: int
     c_s: float
     p_s: float
     n_iters: int
@@ -109,8 +109,9 @@ class CycleRecord:
 
 @dataclass(eq=False)
 class OptimizerTrace:
-    """How one ascent went: its accepted iterations, its fixed-power cycles,
-    why it ended and after how many loop passes, the sum of its cycles'.
+    """How one ascent went: its accepted iterations, its fixed-power cycles
+    in order, and why it ended. ``n_iters``, its loop passes, is the sum of
+    its cycles'.
 
     ``log`` holds the accepted iterations as columns, an ITERATION_DTYPE
     array in order of acceptance; it crosses a worker's pipe as one array.
@@ -124,8 +125,11 @@ class OptimizerTrace:
     log: np.ndarray = field(default_factory=lambda: np.empty(0, ITERATION_DTYPE))
     cycles: list[CycleRecord] = field(default_factory=list)
     reason: TerminationReason = TerminationReason.ITER_CAP
-    n_iters: int = 0
     csv_rows: Optional[str] = None
+
+    @property
+    def n_iters(self) -> int:
+        return sum(c.n_iters for c in self.cycles)
 
     @property
     def records(self) -> list[IterationRecord]:
@@ -191,7 +195,7 @@ def warm_start(params: ChannelParams, rng: np.random.Generator) -> BeamformerSta
     n_rx, n_tx = params.n_rx, params.n_tx
     root_n = np.repeat([math.sqrt(n_rx), math.sqrt(n_tx)], [2 * n_rx, 2 * n_tx])
     x = np.exp(2j * np.pi * rng.random(2 * (n_rx + n_tx))) / root_n
-    return _unpack_state(x, n_rx, n_rx, n_tx)
+    return _unpack_state(x, n_rx, n_tx)
 
 
 def _snapshot(lk: Links, row: int) -> SecrecySnapshot:
@@ -360,7 +364,7 @@ class _Lockstep:
         for j, reason in ends:
             i, cycle, start, p_s = meta[j]
             i, c_s = int(i), max(cd[j][2], 0.0)
-            self.cycles[i].append(CycleRecord(int(cycle), c_s, p_s, n_pass - int(start)))
+            self.cycles[i].append(CycleRecord(c_s, p_s, n_pass - int(start)))
             if self.variable:
                 raised = p_s + cfg.kappa * p_s
                 if c_s >= cfg.zeta:
@@ -384,8 +388,7 @@ class _Lockstep:
         return finished
 
     def _finish(self, j: int, i: int, reason: TerminationReason) -> None:
-        n_iters = sum(c.n_iters for c in self.cycles[i])
-        trace = OptimizerTrace(cycles=self.cycles[i], reason=reason, n_iters=n_iters)
+        trace = OptimizerTrace(cycles=self.cycles[i], reason=reason)
         state = self.kernel.unpack(self.cur.x[j].copy())
         self.results[i] = OptimizeResult(state, _snapshot(self.cur, j), trace)
 

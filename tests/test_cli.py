@@ -322,9 +322,18 @@ def test_finalize_matches_asdict_and_csv_writer(tiny_cfg, tmp_path, overrides):
 
         report = cli.run_fixed_power_experiment(cfg, on_trial=observe)
     written = json.loads((tmp_path / "report.json").read_text())
-    manifest = cli.RunManifest(**written["manifest"])
+    manifest = {
+        "config": dict(cli.flat_items(cli.resolve_config_file(tiny_cfg, overrides))),
+        "seed": cfg.seed,
+        "version": cli.__version__,
+        "duration_s": written["manifest"]["duration_s"],
+        "outputs": {name: str(tmp_path / file) for name, file in (
+            ("trace_csv", "trace.csv"), ("aggregate_csv", "aggregate.csv"),
+            ("report_json", "report.json"))},
+    }
+    assert written["manifest"] == manifest
     buf = io.StringIO()
-    json.dump({"manifest": asdict(manifest), "report": asdict(report)}, buf, indent=2)
+    json.dump({"manifest": manifest, "report": asdict(report)}, buf, indent=2)
     buf.write("\n")
     assert (tmp_path / "report.json").read_text() == buf.getvalue()
 
@@ -466,6 +475,22 @@ def test_a_bad_byte_after_a_byte_order_mark_is_named_at_its_offset(tmp_path, cap
     path.write_bytes(b"\xef\xbb\xbfn_tx = 4\xff\n")
     assert run_cli("validate", "--config", str(path)) == 2
     assert f"{path}: not UTF-8 text: invalid start byte at byte 11" in capsys.readouterr().err
+
+
+def test_a_config_file_that_cannot_be_read_exits_2_and_writes_nothing(
+        tiny_cfg, tmp_path, capsys, monkeypatch):
+    def refuse(path, *args, **kwargs):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+
+    monkeypatch.setattr(Path, "read_text", refuse)
+    out = tmp_path / "out"
+    for argv in (["validate"], ["run", "--out", str(out)]):
+        assert run_cli(*argv, "--config", tiny_cfg) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"config error: {tiny_cfg}: cannot read: "
+                                f"{os.strerror(errno.EACCES)}\n")
+    assert not out.exists()
 
 
 def test_failed_run_leaves_no_summary_of_an_earlier_run(tiny_cfg, tmp_path, monkeypatch):
