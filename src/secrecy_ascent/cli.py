@@ -60,9 +60,8 @@ def cmd_run(config_path: str, overrides: dict[str, str], output_dir: str, thread
     try:
         with fh:
             fh.write(",".join(TRACE_HEADER) + "\n")
-            # the shards render each trial's rows where it ran; this only writes them
-            report = run(cfg, threads=threads,
-                         on_trial=lambda i, res, *_: fh.write(res.trace.csv_rows))
+            # a trial's last element is its rows, rendered where it ran
+            report = run(cfg, threads=threads, on_trial=lambda i, *trial: fh.write(trial[-1]))
 
         with open(aggregate_path, "w", newline="") as fh:
             fh.write(report.aggregate_text())

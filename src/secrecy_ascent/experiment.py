@@ -10,10 +10,11 @@ w_e optimized) and comes back as (res_rand, res_opt, bound), its SVD
 diagnostic taken with its draws; a variable-power trial is one row and
 comes back as (res,). A study runs on n = min(threads, shards) processes,
 the calling process being process 0: process k runs shards k, k+n, k+2n,
-... through one generator (``_outcomes``), which renders a shard's
-trace.csv rows before handing the shard on, and a worker sends each
-outcome back over a pipe of its own. Since a row's result does not depend
-on its batch, results are identical for any shard size or worker count.
+... through one generator (``_outcomes``), which, for a study with an
+observer, appends each trial's trace.csv rows to it as its last element
+before handing the shard on, and a worker sends each outcome back over a
+pipe of its own. Since a row's result does not depend on its batch,
+results are identical for any shard size or worker count.
 One loop (``_run_study``) hands each trial to an observer as
 ``on_trial(i, *trial)``, stopping the workers at once if it raises, and
 reduces them in trial-index order as they arrive, their curves into one
@@ -250,18 +251,17 @@ def _outcomes(shard, cfg: SystemConfig, bounds, render: bool):
     yielding each one's outcome (trials, failure) as ``shard`` returns it;
     stop after a failed one. An error the shard raises is reported as data,
     as the failure of its first trial: a TrialError would not survive the
-    trip back from a worker. With ``render``, each trial's trace.csv rows are
-    put on its main ascent's trace, the trial's first result, in
-    ``trace.csv_rows`` before the outcome is yielded."""
+    trip back from a worker. With ``render``, the trace.csv rows of each
+    trial's main ascent, its first result, are appended to the trial as its
+    last element before the outcome is yielded."""
     for start, stop in bounds:
         try:
             trials, failure = shard(cfg, start, stop)
         except Exception as exc:
             trials, failure = [], (start, exc)
         if render:
-            for offset in range(len(trials)):  # no loop variable keeps a trial
-                trials[offset][0].trace.csv_rows = _trace_text(start + offset,
-                                                               trials[offset][0].trace)
+            for k in range(len(trials)):  # no loop variable keeps a trial
+                trials[k] += (_trace_text(start + k, trials[k][0].trace),)
         yield trials, failure
         if failure is not None:
             return
@@ -315,8 +315,8 @@ def _map_trials(shard, cfg: SystemConfig, threads: int, render: bool):
     default start method: on Linux, fork, which starts one in milliseconds
     where spawning it and importing the package takes a third of a second.
 
-    With ``render``, every trial comes with its trace.csv rows, rendered
-    in the process that ran its shard before the shard is handed on. A
+    With ``render``, every trial ends with its trace.csv rows, rendered in
+    the process that ran its shard before the shard is handed on. A
     shard's list lets go of each trial once yielded, so this process holds
     the rendered rows of one shard at a time, as a worker does.
     """
@@ -378,7 +378,7 @@ def _run_study(cfg: SystemConfig, kind: ExperimentKind, threads: int, on_trial):
             reason = res.trace.reason.value
             reasons[reason] = reasons.get(reason, 0) + 1
             if fixed:
-                _, res_opt, bound = trial
+                res_opt, bound = trial[1:3]
                 length = max(res.trace.n_iters, res_opt.trace.n_iters) + 1  # the longer ascent's
                 curves = np.stack([_dense_curve(r.trace, length) for r in (res, res_opt)])
                 lengths.append(res.trace.n_iters)
@@ -418,16 +418,16 @@ def _run_study(cfg: SystemConfig, kind: ExperimentKind, threads: int, on_trial):
 def run_fixed_power_experiment(
     cfg: SystemConfig,
     threads: int = 1,
-    on_trial: Optional[Callable[[int, OptimizeResult, OptimizeResult, float], None]] = None,
+    on_trial: Optional[Callable[[int, OptimizeResult, OptimizeResult, float, str], None]] = None,
 ) -> FixedPowerReport:
     """Per trial: one ascent with the eavesdropper combiner held at its
     random start, one benchmark ascent that optimizes it too (same channel
     and same start), and the SVD diagnostic for that realization.
 
-    ``on_trial`` observes every trial in index order, e.g. to stream traces:
-    the first result it gets carries the trial's trace.csv rows in
-    ``trace.csv_rows``, rendered where the trial ran. Without an observer
-    no rows are rendered, since nothing could read them.
+    ``on_trial(i, res_rand, res_opt, bound, rows)`` observes every trial in
+    index order, e.g. to stream traces: ``rows`` is the trace.csv text of
+    its main ascent, ``res_rand``, rendered where the trial ran. Without an
+    observer no rows are rendered, since nothing could read them.
     """
     return _run_study(cfg, ExperimentKind.FIXED_POWER, threads, on_trial)
 
@@ -435,8 +435,8 @@ def run_fixed_power_experiment(
 def run_variable_power_experiment(
     cfg: SystemConfig,
     threads: int = 1,
-    on_trial: Optional[Callable[[int, OptimizeResult], None]] = None,
+    on_trial: Optional[Callable[[int, OptimizeResult, str], None]] = None,
 ) -> VariablePowerReport:
     """Per trial: one variable-power ascent toward the secrecy target.
-    ``on_trial`` is as in ``run_fixed_power_experiment``."""
+    ``on_trial(i, res, rows)`` is as in ``run_fixed_power_experiment``."""
     return _run_study(cfg, ExperimentKind.VARIABLE_POWER, threads, on_trial)

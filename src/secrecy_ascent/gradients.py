@@ -14,7 +14,7 @@ x = [w_l | w_e | f_s | f_j]: one stacked matmul gives every row's four
 receive images, one reduction the bilinear scalars and combiner norms, and
 one gradient call the packed conjugate gradients. Each row's powers enter
 only the denominators and are held in the kernel next to its channels;
-after a power change (``set_p_s``) the links are evaluated again. Every
+a power change (``set_p_s``) re-weighs the links' scalars in place. Every
 operation is row-wise: a row's values are bit-identical however many rows
 share its batch. A kernel builds its channels' conjugates and the CA scale
 with them, and ``LinkKernel.links(states)`` packs B BeamformerStates into a
@@ -173,10 +173,12 @@ class LinkKernel:
         ca = self.ca_scale = np.empty(2 * (n_rx + n_tx))
         ca[:2 * n_rx], ca[2 * n_rx:] = 1.0 / math.sqrt(n_rx), 1.0 / math.sqrt(n_tx)
 
-    def set_p_s(self, p_s: np.ndarray) -> None:
-        """Set the source power of every row, one value per row."""
+    def set_p_s(self, p_s: np.ndarray, lk: Links) -> None:
+        """Set every row's source power, one value per row, and re-weigh lk's
+        scalars ``s``, which hold no power, into its denominators and capacities."""
         np.copyto(self.link_weights[:, 0], p_s[:, None])
         np.multiply(self.link_weights[:, 0], _GRAD_SIGN, out=self.grad_weights[:, 0])
+        self._weigh(lk)
 
     def compact(self, keep: np.ndarray) -> None:
         """Keep the rows where ``keep`` is set, moved to the front in order."""
@@ -205,6 +207,10 @@ class LinkKernel:
         np.matmul(self.h, lk._precoders, out=lk._images)
         np.copyto(lk._combiner_copy, lk._combiners)
         np.vecdot(lk.w, lk.zb, out=lk.s)
+        self._weigh(lk)
+
+    def _weigh(self, lk: Links) -> None:
+        """Fill lk's denominators and capacities from its scalars ``lk.s``."""
         np.abs(lk.s, out=lk.t)
         np.square(lk.t_s, out=lk.t_s)
         np.multiply(lk.t, self.link_weights, out=lk.t)

@@ -116,16 +116,12 @@ class OptimizerTrace:
     ``log`` holds the accepted iterations as columns, an ITERATION_DTYPE
     array in order of acceptance; it crosses a worker's pipe as one array.
     ``records`` is the same as a list of IterationRecords, built on each
-    use: the loop and the run outputs read the columns. ``csv_rows`` is text
-    a study renders from the log in the process that ran the ascent
-    (``experiment._trace_text``), so that it crosses a pipe ready to write;
-    None when none was rendered.
+    use: the loop and the run outputs read the columns.
     """
 
     log: np.ndarray = field(default_factory=lambda: np.empty(0, ITERATION_DTYPE))
     cycles: list[CycleRecord] = field(default_factory=list)
     reason: TerminationReason = TerminationReason.ITER_CAP
-    csv_rows: Optional[str] = None
 
     @property
     def n_iters(self) -> int:
@@ -318,18 +314,8 @@ class _Lockstep:
         self._compact()
         kernel.evaluate(self.cur)
         self.log = [(0, self.meta, self.cur.cd.copy(), self.delta.copy())]
-        self._check_finite()
+        self._fail_first(self.cur.diff.tolist(), 0)
         self._compact()
-
-    def _check_finite(self) -> None:
-        """Fail the first active row whose objective is not finite, at the start of a
-        cycle: only the rows starting one can have such an objective."""
-        bad = np.flatnonzero(~np.isfinite(self.cur.diff))
-        if bad.size:
-            i, cycle = self.meta[bad[0], :2].tolist()
-            self.failed_at = int(i)
-            at = "the initial state" if cycle == 1 else f"cycle {int(cycle)}, iteration 0"
-            self.error = ValueError(f"non-finite objective at {at}")
 
     def _compact(self, finished: Sequence[int] = ()) -> None:
         """Drop the rows at the indices ``finished`` and every row from the first failed one."""
@@ -382,9 +368,8 @@ class _Lockstep:
         if restart:
             self.meta = np.array(meta)  # a new array: the log holds the old one
             self.delta.put(restart, cfg.delta0)
-            self.kernel.set_p_s(self.meta[:, 3])
-            self.kernel.evaluate(self.cur)
-            self._check_finite()
+            self.kernel.set_p_s(self.meta[:, 3], self.cur)
+            self._fail_first(self.cur.diff.tolist(), n_pass)
         return finished
 
     def _finish(self, j: int, i: int, reason: TerminationReason) -> None:
@@ -392,19 +377,22 @@ class _Lockstep:
         state = self.kernel.unpack(self.cur.x[j].copy())
         self.results[i] = OptimizeResult(state, _snapshot(self.cur, j), trace)
 
-    def _fail_first(self, change: list[float], cand: np.ndarray, n_pass: int) -> None:
-        """Fail the first row whose candidate objective is not finite. The
-        projection gives every finite step a finite candidate, so a candidate
-        with a non-finite entry came from a non-finite step, not from the
-        objective."""
-        j = next(j for j, d in enumerate(change) if not math.isfinite(d))
-        if not np.isfinite(cand[j]).all():
+    def _fail_first(self, values: list[float], n_pass: int, cand=None) -> None:
+        """Fail the first row whose value is not finite, if any: ``values`` are
+        the objectives after a cycle starts, or the changes to the candidates
+        ``cand``. The projection gives every finite step a finite candidate,
+        so a candidate with a non-finite entry came from a non-finite step."""
+        j = next((j for j, v in enumerate(values) if not math.isfinite(v)), None)
+        if j is None:
+            return
+        if cand is not None and not np.isfinite(cand[j]).all():
             cause = "cannot project a non-finite vector"
         else:
             cause = "non-finite objective"
         i, cycle, start, _ = self.meta[j].tolist()
+        at = f"cycle {int(cycle)}, iteration {n_pass - int(start)}"
         self.failed_at = int(i)
-        self.error = ValueError(f"{cause} at cycle {int(cycle)}, iteration {n_pass - int(start)}")
+        self.error = ValueError(f"{cause} at {at if n_pass else 'the initial state'}")
 
     def _next_cap(self) -> int:
         """The pass at which the first active row's cycle reaches max_iters."""
@@ -469,7 +457,7 @@ class _Lockstep:
             if not math.isfinite(sum(change)):
                 # the first failed row and the rows after it leave; the rows
                 # before it redo the pass, to the same bits
-                self._fail_first(change, cand.x, n_pass)
+                self._fail_first(change, n_pass, cand.x)
                 self._compact()
                 n_pass -= 1
                 continue
@@ -514,7 +502,7 @@ def ascend_rows(
     ``variable`` set each row repeats cycles, raising its own P_s by
     kappa*P_s after a cycle that misses the secrecy target zeta, up to the
     ceiling mu: its step size restarts at delta0 and its links are
-    evaluated again at the new power, while the other rows carry on. A row
+    re-weighed at the new power, while the other rows carry on. A row
     that finishes leaves the batch. Each row's ``optimize_we`` decides
     whether its w_e is ascended.
 

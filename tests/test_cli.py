@@ -317,7 +317,7 @@ def test_finalize_matches_asdict_and_csv_writer(tiny_cfg, tmp_path, overrides):
     if variable:
         report = cli.run_variable_power_experiment(cfg)
     else:
-        def observe(i, res, res_opt, bound):
+        def observe(i, res, res_opt, bound, rows):
             passes.append((res.trace.n_iters, res_opt.trace.n_iters))
 
         report = cli.run_fixed_power_experiment(cfg, on_trial=observe)

@@ -196,7 +196,7 @@ def test_fixed_power_single_trial_equals_its_trace():
     cfg = small_config(n_trials=1)
     seen = {}
 
-    def observe(i, res, res_opt, bound):
+    def observe(i, res, res_opt, bound, rows):
         seen["res"] = res
         seen["bound"] = bound
 
@@ -233,7 +233,7 @@ def test_report_curves_are_the_padded_matrix_mean(cfg, one_column):
     sets = ([], [])
 
     def observe(i, res, *rest):
-        if rest:
+        if len(rest) == 3:  # res_opt, bound, rows
             for curves, r in zip(sets, (res, rest[0])):
                 curves.append(_dense_curve(r.trace, r.trace.n_iters + 1))
         else:
@@ -258,7 +258,7 @@ def test_svd_violations_are_the_trials_with_secrecy_above_their_diagnostic():
     cfg = load_config("sub6", dict(n_rx="1", n_tx="1", n_trials="20", max_iters="3", seed="0"))
     trials = []
     report = run_fixed_power_experiment(
-        cfg, on_trial=lambda i, res, res_opt, bound: trials.append((res.snapshot.c_s, bound)))
+        cfg, on_trial=lambda i, res, res_opt, bound, _: trials.append((res.snapshot.c_s, bound)))
     assert any(c_s == 0.0 > bound for c_s, bound in trials)
     assert any(0.0 < bound < c_s for c_s, bound in trials)
     assert report.svd_violation_trials == [
@@ -302,23 +302,25 @@ def test_a_study_holds_no_curve_per_trial(monkeypatch):
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("kind", list(ExperimentKind))
 def test_each_trial_comes_with_its_rows_and_is_let_go_once_observed(kind, threads):
-    # the main ascent carries its trace.csv rows, rendered where it ran; a
-    # trial observed before the current one is no longer held, rows and all.
-    # A fixed-power trial is observed as (i, res, res_opt, bound) and a
-    # variable-power one as (i, res)
+    # a trial ends with its main ascent's trace.csv rows, rendered where it
+    # ran, and no result carries text; a trial observed before the current
+    # one is no longer held. A fixed-power trial is observed as (i, res,
+    # res_opt, bound, rows) and a variable-power one as (i, res, rows)
     cfg = small_config(n_trials=4, max_iters=30, experiment=kind)
     seen = []
 
-    def observe(i, res, *rest):
+    def observe(i, *trial):
         assert [ref() for ref in seen] == [None] * len(seen)
-        assert res.trace.csv_rows == exp._trace_text(i, res.trace)
+        assert trial[-1] == exp._trace_text(i, trial[0].trace)
         if kind is ExperimentKind.FIXED_POWER:
-            res_opt, bound = rest
-            assert res_opt.trace.csv_rows is None and bound > 0
-            seen.append(weakref.ref(res_opt.trace))
+            results, bound = trial[:2], trial[2]
+            assert len(trial) == 4 and bound > 0
         else:
-            assert rest == ()
-        seen.append(weakref.ref(res.trace))
+            results = trial[:1]
+            assert len(trial) == 2
+        for res in results:
+            assert str not in map(type, (*vars(res).values(), *vars(res.trace).values()))
+            seen.append(weakref.ref(res.trace))
 
     run_study(cfg, threads=threads, on_trial=observe)
     assert len(seen) == (8 if kind is ExperimentKind.FIXED_POWER else 4)
@@ -356,9 +358,9 @@ def test_fixed_power_trials_are_order_independent_streams():
     cfg3 = small_config(n_trials=3)
     cfg1 = small_config(n_trials=1)
     finals = []
-    run_fixed_power_experiment(cfg3, on_trial=lambda i, r, o, b: finals.append(r.snapshot.c_s))
+    run_fixed_power_experiment(cfg3, on_trial=lambda i, r, o, b, t: finals.append(r.snapshot.c_s))
     first = []
-    run_fixed_power_experiment(cfg1, on_trial=lambda i, r, o, b: first.append(r.snapshot.c_s))
+    run_fixed_power_experiment(cfg1, on_trial=lambda i, r, o, b, t: first.append(r.snapshot.c_s))
     assert finals[0] == first[0]
 
 

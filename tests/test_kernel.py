@@ -210,11 +210,12 @@ def test_a_kernel_refuses_rows_it_cannot_stack():
 
 @pytest.mark.parametrize("drop", [0, 2, 3], ids=["first", "middle", "last"])
 def test_take_matches_a_kernel_of_the_kept_rows(drop):
-    # a restart evaluates its links again: at unchanged states and powers
-    # that leaves them as they were, and after a power change it gives what
-    # a kernel built at the new powers gives; compaction then takes the kept
-    # rows, whose links and gradient are bit-identical to those of a kernel
-    # built from them at the new powers
+    # evaluating unchanged states at unchanged powers leaves the links as
+    # they were; a power change re-weighs them, leaving the receive images
+    # and scalars as they were and giving what a kernel built at the new
+    # powers gives; compaction then takes the kept rows, whose links and
+    # gradient are bit-identical to those of a kernel built from them at the
+    # new powers
     instances = [random_instance(3, 9, seed=70 + k, p_j=1.0 + k) for k in range(4)]
     kernel = LinkKernel([ch for ch, _, _ in instances], [pw for _, _, pw in instances])
     lk = kernel.links([bf for _, bf, _ in instances])
@@ -223,8 +224,8 @@ def test_take_matches_a_kernel_of_the_kept_rows(drop):
     kernel.evaluate(lk)
     assert [getattr(lk, name).tobytes() for name in links] == before
     p_s = np.array([0.5, 2.0, 8.0, 32.0])
-    kernel.set_p_s(p_s)
-    kernel.evaluate(lk)
+    kernel.set_p_s(p_s, lk)
+    assert [lk.buf.tobytes(), lk.s.tobytes()] == before[:2]
     raised = [(ch, bf, replace(pw, p_s=float(p))) for (ch, bf, pw), p in zip(instances, p_s)]
     fresh = LinkKernel([ch for ch, _, _ in raised], [pw for _, _, pw in raised]).links(
         [bf for _, bf, _ in raised])
@@ -243,17 +244,19 @@ def test_take_matches_a_kernel_of_the_kept_rows(drop):
 
 @pytest.mark.parametrize("gradient_first", [True, False], ids=["after-a-gradient", "at-start"])
 def test_compaction_matches_a_kernel_of_the_kept_rows(gradient_first):
-    # a batch compacts its kernel and links in place after a power change,
-    # after its first gradient has filled ``lk.g`` or, when a start fails,
-    # before: the kept rows' links and gradient are bit-identical to those
-    # of a kernel built from them alone, at the new powers, after the first,
-    # a middle and the last row leave, and again after a second shrink
+    # a power change re-weighs a batch's links, leaving their images and
+    # scalars as they were; the batch then compacts its kernel and links in
+    # place, after its first gradient has filled ``lk.g`` or, when a start
+    # fails, before: the kept rows' links and gradient are bit-identical to
+    # those of a kernel built from them alone, at the new powers, after the
+    # first, a middle and the last row leave, and again after a second shrink
     instances = [random_instance(3, 9, seed=70 + k, p_j=1.0 + k) for k in range(6)]
     kernel = LinkKernel([ch for ch, _, _ in instances], [pw for _, _, pw in instances])
     lk = kernel.links([bf for _, bf, _ in instances])
     p_s = np.array([0.5, 2.0, 8.0, 32.0, 0.125, 4.0])
-    kernel.set_p_s(p_s)
-    kernel.evaluate(lk)
+    before = [lk.buf.tobytes(), lk.s.tobytes()]
+    kernel.set_p_s(p_s, lk)
+    assert [lk.buf.tobytes(), lk.s.tobytes()] == before
     if gradient_first:
         kernel.gradient(lk)
     rows = np.arange(6)

@@ -513,9 +513,9 @@ def test_a_non_finite_objective_at_a_restart_names_its_cycle(monkeypatch):
     rows = rows_of(2, 5, PowerConfig(p_s=10.0, p_j=10.0), [0], [True])
     set_p_s, restarts = opt.LinkKernel.set_p_s, []
 
-    def poison_second_restart(kernel, p_s):
+    def poison_second_restart(kernel, p_s, lk):
         restarts.append(p_s)
-        set_p_s(kernel, np.full_like(p_s, np.inf) if len(restarts) == 2 else p_s)
+        set_p_s(kernel, np.full_like(p_s, np.inf) if len(restarts) == 2 else p_s, lk)
 
     monkeypatch.setattr(opt.LinkKernel, "set_p_s", poison_second_restart)
     with np.errstate(invalid="ignore"):  # inf - inf

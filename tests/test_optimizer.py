@@ -265,7 +265,7 @@ def test_a_trace_stores_no_fact_its_cycles_give():
     # the pass count is the sum of the cycles', and a cycle's number is its
     # position in ``cycles`` plus one: neither is stored
     assert [f.name for f in dataclasses.fields(OptimizerTrace)] == [
-        "log", "cycles", "reason", "csv_rows"]
+        "log", "cycles", "reason"]
     assert [f.name for f in dataclasses.fields(CycleRecord)] == ["c_s", "p_s", "n_iters"]
     trace = OptimizerTrace(cycles=[CycleRecord(1.0, 10.0, 4), CycleRecord(1.5, 11.0, 3)])
     assert trace.n_iters == 7
