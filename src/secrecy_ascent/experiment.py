@@ -10,10 +10,10 @@ w_e optimized) and comes back as (res_rand, res_opt, bound), its SVD
 diagnostic taken with its draws; a variable-power trial is one row and
 comes back as (res,). A study runs on n = min(threads, shards) processes,
 the calling process being process 0: process k runs shards k, k+n, k+2n,
-... through one generator (``_outcomes``), which, for a study with an
-observer, appends each trial's trace.csv rows to it as its last element
-before handing the shard on, and a worker sends each outcome back over a
-pipe of its own. Since a row's result does not depend on its batch,
+... through one generator (``_outcomes``), and a worker sends each
+outcome back over a pipe of its own. A study with an observer runs
+``_rendered_shard``, which appends each trial's trace.csv rows to it as its
+last element. Since a row's result does not depend on its batch,
 results are identical for any shard size or worker count.
 One loop (``_run_study``) hands each trial to an observer as
 ``on_trial(i, *trial)``, stopping the workers at once if it raises, and
@@ -191,19 +191,20 @@ def _texts(values: np.ndarray, fmt) -> map:
 
 def _trace_text(trial: int, trace: OptimizerTrace) -> str:
     """The trace.csv rows of one trial's main ascent, read from the columns
-    of its iteration log.
+    of its iteration log and, for ``p_s_db``, from its cycles.
 
     Each row is one ``%`` format of Python ints and floats: a float's ``%s``
     text is its repr, as in ``csv.writer`` (and ``%s`` formats a float
-    faster than ``%r``). ``delta`` takes a few values per trial and ``p_s``
-    one per cycle, so their text is made once per distinct value.
+    faster than ``%r``). ``delta`` takes a few values per trial, so its text
+    is made once per distinct value, and ``p_s_db``'s once per cycle.
     """
     log = trace.log
+    cycle = log["cycle"].tolist()
+    p_s_db = [repr(linear_to_db(c.p_s)) for c in trace.cycles]
     row = f"{trial},%d,%d,%s,%s,%s,%s,%s\n"
     return "".join(map(row.__mod__, zip(
-        log["cycle"].tolist(), log["iteration"].tolist(), log["c_s"].tolist(),
-        log["c_l"].tolist(), log["c_e"].tolist(),
-        _texts(log["delta"], repr), _texts(log["p_s"], lambda p_s: repr(linear_to_db(p_s))))))
+        cycle, log["iteration"].tolist(), log["c_s"].tolist(), log["c_l"].tolist(),
+        log["c_e"].tolist(), _texts(log["delta"], repr), [p_s_db[c - 1] for c in cycle])))
 
 
 def _shard(cfg: SystemConfig, start: int, stop: int):
@@ -239,40 +240,36 @@ def _shard(cfg: SystemConfig, start: int, stop: int):
             for k in range(len(results) // n)], failure
 
 
-def _shard_bounds(n_trials: int, threads: int) -> list[tuple[int, int]]:
-    """Contiguous shards of SHARD_TRIALS trials, fewer when that would leave
-    a process idle."""
-    size = max(1, min(SHARD_TRIALS, -(-n_trials // threads)))
-    return [(a, min(a + size, n_trials)) for a in range(0, n_trials, size)]
+def _rendered_shard(cfg: SystemConfig, start: int, stop: int):
+    """``_shard``, each trial ending with its main ascent's trace.csv rows."""
+    trials, failure = _shard(cfg, start, stop)
+    for k in range(len(trials)):  # no loop variable keeps a trial
+        trials[k] += (_trace_text(start + k, trials[k][0].trace),)
+    return trials, failure
 
 
-def _outcomes(shard, cfg: SystemConfig, bounds, render: bool):
+def _outcomes(shard, cfg: SystemConfig, bounds):
     """Run the shards ``bounds`` in order, in whichever process calls this,
     yielding each one's outcome (trials, failure) as ``shard`` returns it;
     stop after a failed one. An error the shard raises is reported as data,
     as the failure of its first trial: a TrialError would not survive the
-    trip back from a worker. With ``render``, the trace.csv rows of each
-    trial's main ascent, its first result, are appended to the trial as its
-    last element before the outcome is yielded."""
+    trip back from a worker."""
     for start, stop in bounds:
         try:
             trials, failure = shard(cfg, start, stop)
         except Exception as exc:
             trials, failure = [], (start, exc)
-        if render:
-            for k in range(len(trials)):  # no loop variable keeps a trial
-                trials[k] += (_trace_text(start + k, trials[k][0].trace),)
         yield trials, failure
         if failure is not None:
             return
         del trials  # handed on: free it before the next shard runs
 
 
-def _shard_worker(conn, shard, cfg: SystemConfig, bounds, render: bool) -> None:
+def _shard_worker(conn, shard, cfg: SystemConfig, bounds) -> None:
     """Send the ``_outcomes`` of the shards ``bounds`` on ``conn``, in a
     worker process. An outcome that cannot be sent ends the worker, which
     fails that shard in the calling process."""
-    for outcome in _outcomes(shard, cfg, bounds, render):
+    for outcome in _outcomes(shard, cfg, bounds):
         conn.send(outcome)
         del outcome  # sent: free it before the next shard runs
     conn.close()
@@ -295,36 +292,35 @@ def _received(worker, conn, bounds):
         yield outcome
 
 
-def _map_trials(shard, cfg: SystemConfig, threads: int, render: bool):
-    """Run trials 0..n_trials-1 in shards of ``shard`` (``_shard``, or a
-    stand-in with its signature), yielding (index, trial) in trial order,
-    and raise TrialError for the first trial that failed; ``threads`` below
-    1 is a ValueError.
+def _map_trials(shard, cfg: SystemConfig, threads: int):
+    """Run trials 0..n_trials-1 in shards of ``shard`` (``_shard``,
+    ``_rendered_shard``, or a stand-in with their signature), yielding
+    (index, trial) in trial order, and raise TrialError for the first trial
+    that failed; ``threads`` below 1 is a ValueError.
 
-    n = min(threads, shards) processes run trials, and this process is
-    process 0: process k runs shards k, k+n, k+2n, ... in order, through
-    ``_outcomes``. Shard i is the next outcome of source i mod n: source 0 is
-    this process's own ``_outcomes``, and source k > 0 reads worker k's pipe
-    (``_received``); an outcome waits in its worker until this process reads
-    it. A worker that exits without sending a shard fails that shard's first
-    trial, with its exit code; one that cannot start (a refused fork, no
-    descriptor left) fails its first shard's first trial, naming the OSError.
-    On a failure, or when the caller closes this generator early (as
-    ``_run_study`` does when its observer raises), the live workers are
-    stopped at once rather than waited for. Workers start with the platform's
-    default start method: on Linux, fork, which starts one in milliseconds
-    where spawning it and importing the package takes a third of a second.
-
-    With ``render``, every trial ends with its trace.csv rows, rendered in
-    the process that ran its shard before the shard is handed on. A
-    shard's list lets go of each trial once yielded, so this process holds
-    the rendered rows of one shard at a time, as a worker does.
+    Shards are contiguous, of SHARD_TRIALS trials or fewer when that would
+    leave a process idle. n = min(threads, shards) processes run trials,
+    and this process is process 0: process k runs shards k, k+n, k+2n, ...
+    in order, through ``_outcomes``. Shard i is the next outcome of source i
+    mod n: source 0 is this process's own ``_outcomes``, and source k > 0
+    reads worker k's pipe (``_received``); an outcome waits in its worker
+    until this process reads it. A worker that exits without sending a shard
+    fails that shard's first trial, with its exit code; one that cannot
+    start (a refused fork, no descriptor left) fails its first shard's first
+    trial, naming the OSError. On a failure, or when the caller closes this
+    generator early (as ``_run_study`` does when its observer raises), the
+    live workers are stopped at once rather than waited for. Workers start
+    with the platform's default start method: on Linux, fork, which starts
+    one in milliseconds where spawning it and importing the package takes a
+    third of a second. A shard's list lets go of each trial once yielded, so
+    this process holds one shard's trials at a time, as a worker does.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    bounds = _shard_bounds(cfg.n_trials, threads)
+    size = max(1, min(SHARD_TRIALS, -(-cfg.n_trials // threads)))
+    bounds = [(a, min(a + size, cfg.n_trials)) for a in range(0, cfg.n_trials, size)]
     n = min(threads, len(bounds))
-    sources = [_outcomes(shard, cfg, bounds[0::n], render)]
+    sources = [_outcomes(shard, cfg, bounds[0::n])]
     workers = []  # (worker, the pipe it sends on) of processes 1..n-1, the last maybe unstarted
     try:
         for k in range(1, n):
@@ -333,7 +329,7 @@ def _map_trials(shard, cfg: SystemConfig, threads: int, render: bool):
                 with child:  # a sibling forked later must not hold it open
                     worker = multiprocessing.Process(
                         target=_shard_worker, daemon=True,
-                        args=(child, shard, cfg, bounds[k::n], render))
+                        args=(child, shard, cfg, bounds[k::n]))
                     workers.append((worker, conn))
                     worker.start()
             except OSError as exc:  # a refused fork, or no descriptor left
@@ -372,7 +368,8 @@ def _run_study(cfg: SystemConfig, kind: ExperimentKind, threads: int, on_trial):
     # the iterations or cycles, and at fixed power the SVD diagnostic
     total, finals, lengths, bounds = np.zeros((2, 1)), [], [], []
     reasons: dict[str, int] = {}
-    with closing(_map_trials(_shard, cfg, threads, on_trial is not None)) as trials:
+    shard = _shard if on_trial is None else _rendered_shard
+    with closing(_map_trials(shard, cfg, threads)) as trials:
         for i, trial in trials:
             res = trial[0]
             reason = res.trace.reason.value

@@ -20,11 +20,12 @@ bit-identical however many rows share its batch; ``ascend_fixed_power``
 and ``ascend_variable_power`` are batches of one row.
 
 The bookkeeping is per batch, not per row: each pass logs its accepted rows
-with a few array copies, and each row's id, cycle, cycle start and p_s sit
-in one array of the live rows. When the batch ends the log becomes
-one column array per ascent (``OptimizerTrace.log``); records are built
-from it only on request. Each row counts its own passes, cycle by cycle:
-an ascent's ``n_iters`` is read as the sum of its cycles'.
+with a few array copies, each row's id, cycle and cycle start sit in one
+int array of the live rows, and its power in the kernel's weights only; a
+cycle's power and final c_s live in its ``CycleRecord``. When the batch
+ends the log becomes one column array per ascent (``OptimizerTrace.log``);
+records are built from it only on request. Each row counts its own passes,
+cycle by cycle: an ascent's ``n_iters`` is read as the sum of its cycles'.
 
 The acceptance and convergence tests run on the unclamped capacity
 difference c_l - c_e. The reported secrecy capacity clamps at zero; running
@@ -62,8 +63,11 @@ class OptimizerConfig:
 
     def __post_init__(self):
         for name in ("delta0", "epsilon", "kappa", "mu", "delta_min", "max_iters", "max_cycles"):
-            if not 0 < getattr(self, name) < math.inf:  # false for a NaN; no int overflows
-                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not 0 < value < math.inf:  # false for a NaN; no int overflows
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+            if name.startswith("max_") and value != int(value):  # the loop meets a cap by ==
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.zeta is not None and not math.isfinite(self.zeta):
             raise ValueError(f"zeta must be finite, got {self.zeta!r}")
         if self.delta_min > self.delta0:  # the first rejection would end the cycle
@@ -80,7 +84,8 @@ class TerminationReason(str, enum.Enum):
 
 class IterationRecord(NamedTuple):
     """One accepted iteration. Cycle 1's iteration 0 is the starting point; a
-    later cycle's start, the last state at the raised power, is not logged."""
+    later cycle's start, the last state at the raised power, is not logged.
+    Its power is its cycle's, ``trace.cycles[rec.cycle - 1].p_s``."""
 
     cycle: int
     iteration: int
@@ -88,7 +93,6 @@ class IterationRecord(NamedTuple):
     c_l: float
     c_e: float
     delta: float
-    p_s: float
 
 
 # An ascent's iteration log: one element per accepted iteration, with the
@@ -194,13 +198,6 @@ def warm_start(params: ChannelParams, rng: np.random.Generator) -> BeamformerSta
     return _unpack_state(x, n_rx, n_tx)
 
 
-def _snapshot(lk: Links, row: int) -> SecrecySnapshot:
-    (_, den_l0, den_l1), (_, den_e0, den_e1) = lk.den[row].T.tolist()
-    c_l, c_e, diff = lk.cd[row].tolist()
-    return SecrecySnapshot(gamma_l=den_l1 / den_l0 - 1.0, gamma_e=den_e1 / den_e0 - 1.0,
-                           c_l=c_l, c_e=c_e, c_s=max(diff, 0.0))
-
-
 def _project_packed(kernel: LinkKernel, y: np.ndarray, mag: np.ndarray) -> None:
     """``project_ca`` of every block of every row of y, in place, with each
     block's 1/sqrt(N) from ``kernel.ca_scale``: an entry with modulus below
@@ -271,18 +268,18 @@ class _Lockstep:
     Row-indexed arrays (kernel, with the rows' channels and powers, links,
     with their gradient, ``delta``, ``hold``, ``meta``) hold the active rows
     only, in row order, compacted into the prefix when rows leave; results
-    and cycle records are kept per row id. ``meta`` row j is [row id, cycle,
-    pass the cycle started at, p_s]. At the top of every pass every active
-    row's id is below ``failed_at``, the first failed row's id, so the
-    decision only sees finite changes of live rows: a pass that fails a row
-    drops it and the rows after it, and is redone for the rows before it.
+    and cycle records are kept per row id. ``meta`` row j is the ints [row
+    id, cycle, pass the cycle started at]; its power is the kernel's
+    ``link_weights[j, 0, 0]``. At the top of every pass every active row's
+    id is below ``failed_at``, the first failed row's id, so the decision
+    only sees finite changes of live rows: a pass that fails a row drops it
+    and the rows after it, and is redone for the rows before it.
 
     The iteration log is kept per pass, as (pass, meta rows, [c_l, c_e,
     c_l - c_e] rows, ``delta`` rows) of the rows accepted in it; when the
     batch ends ``_split_log`` turns it into each row's ITERATION_DTYPE log.
     A pass that accepts every row logs ``meta`` itself, so ``meta`` is
-    replaced, never written in place. Its p_s column is the p_s the kernel
-    holds.
+    replaced, never written in place.
     """
 
     def __init__(self, rows, cfg: OptimizerConfig, variable: bool, on_accept):
@@ -296,7 +293,7 @@ class _Lockstep:
                 self.failed_at, self.error = i, exc
                 break
         rows = rows[:self.failed_at]
-        self.meta = np.array([(i, 1, 0, row.powers.p_s) for i, row in enumerate(rows)], float)
+        self.meta = np.array([(i, 1, 0) for i in range(len(rows))], np.int64)
         if not rows:
             return
         kernel = self.kernel = LinkKernel([r.channel for r in rows], [r.powers for r in rows])
@@ -336,8 +333,9 @@ class _Lockstep:
         else:
             self.log.append((n_pass, self.meta[rows], cur.cd[rows], self.delta[rows]))
         if self.on_accept is not None:
-            for j in range(len(self.meta)) if rows is None else rows.tolist():
-                self.on_accept(int(self.meta[j, 0]), self.kernel.unpack(cur.x[j].copy()))
+            ids = self.meta[:, 0].tolist()
+            for j in range(len(ids)) if rows is None else rows.tolist():
+                self.on_accept(ids[j], self.kernel.unpack(cur.x[j].copy()))
 
     def _end_cycles(self, ends, n_pass: int) -> list[int]:
         """Close the cycles of the rows ``ends`` [(j, reason)] and return the
@@ -346,13 +344,14 @@ class _Lockstep:
         higher power, are written once for all such rows."""
         cfg = self.cfg
         cd, meta = self.cur.cd.tolist(), self.meta.tolist()
+        p_s = self.kernel.link_weights[:, 0, 0].tolist()
         finished, restart = [], []
         for j, reason in ends:
-            i, cycle, start, p_s = meta[j]
-            i, c_s = int(i), max(cd[j][2], 0.0)
-            self.cycles[i].append(CycleRecord(c_s, p_s, n_pass - int(start)))
+            i, cycle, start = meta[j]
+            c_s = max(cd[j][2], 0.0)
+            self.cycles[i].append(CycleRecord(c_s, p_s[j], n_pass - start))
             if self.variable:
-                raised = p_s + cfg.kappa * p_s
+                raised = p_s[j] + cfg.kappa * p_s[j]
                 if c_s >= cfg.zeta:
                     reason = TerminationReason.TARGET_REACHED
                 elif raised > cfg.mu:
@@ -361,21 +360,24 @@ class _Lockstep:
                     reason = TerminationReason.CYCLE_CAP
                 else:
                     restart.append(j)
-                    meta[j] = [i, cycle + 1.0, n_pass, raised]
+                    meta[j], p_s[j] = [i, cycle + 1, n_pass], raised
                     continue
             self._finish(j, i, reason)
             finished.append(j)
         if restart:
             self.meta = np.array(meta)  # a new array: the log holds the old one
             self.delta.put(restart, cfg.delta0)
-            self.kernel.set_p_s(self.meta[:, 3], self.cur)
+            self.kernel.set_p_s(np.array(p_s), self.cur)
             self._fail_first(self.cur.diff.tolist(), n_pass)
         return finished
 
     def _finish(self, j: int, i: int, reason: TerminationReason) -> None:
+        (_, den_l0, den_l1), (_, den_e0, den_e1) = self.cur.den[j].T.tolist()
+        c_l, c_e, _ = self.cur.cd[j].tolist()
         trace = OptimizerTrace(cycles=self.cycles[i], reason=reason)
-        state = self.kernel.unpack(self.cur.x[j].copy())
-        self.results[i] = OptimizeResult(state, _snapshot(self.cur, j), trace)
+        snapshot = SecrecySnapshot(gamma_l=den_l1 / den_l0 - 1.0, gamma_e=den_e1 / den_e0 - 1.0,
+                                   c_l=c_l, c_e=c_e, c_s=trace.cycles[-1].c_s)  # just closed
+        self.results[i] = OptimizeResult(self.kernel.unpack(self.cur.x[j].copy()), snapshot, trace)
 
     def _fail_first(self, values: list[float], n_pass: int, cand=None) -> None:
         """Fail the first row whose value is not finite, if any: ``values`` are
@@ -389,14 +391,14 @@ class _Lockstep:
             cause = "cannot project a non-finite vector"
         else:
             cause = "non-finite objective"
-        i, cycle, start, _ = self.meta[j].tolist()
-        at = f"cycle {int(cycle)}, iteration {n_pass - int(start)}"
-        self.failed_at = int(i)
+        i, cycle, start = self.meta[j].tolist()
+        at = f"cycle {cycle}, iteration {n_pass - start}"
+        self.failed_at = i
         self.error = ValueError(f"{cause} at {at if n_pass else 'the initial state'}")
 
     def _next_cap(self) -> int:
         """The pass at which the first active row's cycle reaches max_iters."""
-        return int(np.minimum.reduce(self.meta[:, 2])) + self.cfg.max_iters
+        return min(self.meta[:, 2].tolist()) + self.cfg.max_iters
 
     def _split_log(self) -> None:
         """Give each finished row's trace its log: the rows' entries of the
@@ -414,11 +416,11 @@ class _Lockstep:
         del metas
         order = np.argsort(meta[:, 0], kind="stable")
         bounds = np.searchsorted(meta[order, 0], np.arange(n_done + 1)).tolist()
-        cycle, p_s, iteration = meta[order, 1], meta[order, 3], iteration[order]
+        cycle, iteration = meta[order, 1], iteration[order]
         del meta
         log = np.empty(len(order), ITERATION_DTYPE)
-        log["cycle"], log["iteration"], log["p_s"] = cycle, iteration, p_s
-        del cycle, iteration, p_s
+        log["cycle"], log["iteration"] = cycle, iteration
+        del cycle, iteration
         cd = np.concatenate(cds)
         del cds
         log["c_l"] = cd[order, 0]

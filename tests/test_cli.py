@@ -284,8 +284,9 @@ def test_trace_rows_match_per_record_formatting(tiny_cfg, tmp_path, overrides):
     writer.writerow(TRACE_HEADER)
 
     def write(i, res, *_):
+        cycles = res.trace.cycles
         writer.writerows([i, r.cycle, r.iteration, r.c_s, r.c_l, r.c_e, r.delta,
-                          10.0 * math.log10(r.p_s)] for r in res.trace.records)
+                          10.0 * math.log10(cycles[r.cycle - 1].p_s)] for r in res.trace.records)
 
     if overrides:
         cli.run_variable_power_experiment(cfg, on_trial=write)

@@ -56,9 +56,9 @@ def test_seed_fanout_reproducible_and_distinct():
 
 def test_dense_curve_carries_values_forward():
     recs = [
-        IterationRecord(1, 0, 0.5, 1.0, 0.5, 0.1, 10.0),
-        IterationRecord(1, 2, 0.9, 1.4, 0.5, 0.1, 10.0),
-        IterationRecord(1, 5, 1.2, 1.7, 0.5, 0.1, 10.0),
+        IterationRecord(1, 0, 0.5, 1.0, 0.5, 0.1),
+        IterationRecord(1, 2, 0.9, 1.4, 0.5, 0.1),
+        IterationRecord(1, 5, 1.2, 1.7, 0.5, 0.1),
     ]
     trace = OptimizerTrace(np.array(recs, dtype=ITERATION_DTYPE), [CycleRecord(1.2, 10.0, 7)])
     np.testing.assert_allclose(
@@ -269,8 +269,7 @@ def test_svd_violations_are_the_trials_with_secrecy_above_their_diagnostic():
 def _long_flat_trials(cfg, start, stop):
     """Fixed-power trials start..stop-1 of 10,000 loop passes whose log holds
     two accepted iterations, as ``_shard`` returns them."""
-    log = np.array([(1, 0, 1.0, 2.0, 1.0, 0.1, 10.0), (1, 7, 1.5, 2.5, 1.0, 0.1, 10.0)],
-                   dtype=ITERATION_DTYPE)
+    log = np.array([(1, 0, 1.0, 2.0, 1.0, 0.1), (1, 7, 1.5, 2.5, 1.0, 0.1)], dtype=ITERATION_DTYPE)
 
     def result():
         trace = OptimizerTrace(log.copy(), [CycleRecord(1.5, 10.0, 10_000)],
@@ -617,7 +616,7 @@ def test_a_refused_second_worker_fails_its_first_shard(monkeypatch):
     monkeypatch.setattr(multiprocessing, "Process", InlineWorker)
     seen = []
     with pytest.raises(TrialError) as err:
-        for i, pid in exp._map_trials(_pid_per_trial, small_config(n_trials=3), 3, False):
+        for i, pid in exp._map_trials(_pid_per_trial, small_config(n_trials=3), 3):
             seen.append(i)
     assert seen == [0, 1] and err.value.trial_index == 2
     assert f"could not start a worker process: BlockingIOError({errno.EAGAIN}, " in str(err.value)
@@ -714,7 +713,7 @@ def test_shards_run_round_robin_over_this_process_and_its_workers(
     # shards k, k+n, ..., and process 0 is this one
     monkeypatch.setattr(exp, "SHARD_TRIALS", 1)
     cfg = small_config(n_trials=5)
-    pids = [pid for _, pid in exp._map_trials(_pid_per_trial, cfg, threads, False)]
+    pids = [pid for _, pid in exp._map_trials(_pid_per_trial, cfg, threads)]
     assert len(pids) == 5
     ran = [{pids[i] for i in group} for group in groups]
     assert all(len(one) == 1 for one in ran)
@@ -725,7 +724,7 @@ def test_shards_run_round_robin_over_this_process_and_its_workers(
 @pytest.mark.parametrize("threads", [0, -4])
 def test_map_trials_rejects_threads_below_one(threads):
     with pytest.raises(ValueError, match="threads"):
-        next(exp._map_trials(exp._shard, small_config(), threads, False))
+        next(exp._map_trials(exp._shard, small_config(), threads))
 
 
 def test_system_config_validation():

@@ -245,7 +245,6 @@ def test_lockstep_bookkeeping_invariants(n_rx, n_tx, power_db, seeds, holds, var
         for a, b in zip(records, records[1:]):
             assert b.cycle > a.cycle or (b.cycle == a.cycle and b.iteration > a.iteration)
         for rec in records:
-            assert rec.p_s == cycles[rec.cycle - 1].p_s
             clamped = max(rec.c_l - rec.c_e, 0.0)
             assert np.float64(rec.c_s).tobytes() == np.float64(clamped).tobytes()
         for a, b in zip(cycles, cycles[1:]):
@@ -287,7 +286,7 @@ def test_legitimate_capacity_stays_under_its_single_link_bound(
             return math.log2(1.0 + p_s * gain) * (1.0 + 1e-12)
 
         for rec in res.trace.records:
-            assert rec.c_l <= bound(rec.p_s)
+            assert rec.c_l <= bound(res.trace.cycles[rec.cycle - 1].p_s)
         # the snapshot is of the last cycle's final iterate, at that cycle's
         # power
         assert res.snapshot.c_l <= bound(res.p_s)
@@ -298,7 +297,7 @@ def test_legitimate_capacity_stays_under_its_single_link_bound(
 def test_log_agrees_with_an_independent_evaluator(variable):
     # on_accept sees every accepted iterate; each one's record must carry
     # the c_l and c_e that reference.secrecy_capacity, a separate evaluation
-    # path, gives for it at the record's p_s, in a batch mixing held and
+    # path, gives for it at its cycle's p_s, in a batch mixing held and
     # optimized w_e
     powers = PowerConfig(p_s=db_to_linear(5.0), p_j=db_to_linear(3.0),
                          sigma2_l=0.7, sigma2_e=1.3)
@@ -315,8 +314,8 @@ def test_log_agrees_with_an_independent_evaluator(variable):
         if variable:
             assert len(res.trace.cycles) > 1
         for rec, state in zip(records, [row.init] + seen[i]):
-            pw = PowerConfig(p_s=rec.p_s, p_j=powers.p_j, sigma2_l=powers.sigma2_l,
-                             sigma2_e=powers.sigma2_e)
+            pw = PowerConfig(p_s=res.trace.cycles[rec.cycle - 1].p_s, p_j=powers.p_j,
+                             sigma2_l=powers.sigma2_l, sigma2_e=powers.sigma2_e)
             snap = secrecy_capacity(row.channel, state, pw)
             # the kernel takes each capacity as log2(den1) - log2(den0), so
             # its rounding is relative to the record's larger capacity: an

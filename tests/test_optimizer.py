@@ -9,11 +9,11 @@ from helpers import random_instance
 from secrecy_ascent.channel import ChannelParams, draw_channel_set
 from secrecy_ascent.experiment import seed_fanout
 from secrecy_ascent.metrics import PowerConfig, db_to_linear, linear_to_db
-from secrecy_ascent.optimizer import (AscentRow, CycleRecord, IterationRecord, OptimizerConfig,
-                                      OptimizerTrace, TerminationReason, ascend_fixed_power,
-                                      ascend_rows, ascend_variable_power, ca_violation,
-                                      project_ca, project_unit_norm, state_ca_violation,
-                                      warm_start)
+from secrecy_ascent.optimizer import (ITERATION_DTYPE, AscentRow, CycleRecord, IterationRecord,
+                                      OptimizerConfig, OptimizerTrace, TerminationReason,
+                                      ascend_fixed_power, ascend_rows, ascend_variable_power,
+                                      ca_violation, project_ca, project_unit_norm,
+                                      state_ca_violation, warm_start)
 from secrecy_ascent.reference import secrecy_capacity
 
 SMALL = ChannelParams(n_clusters=2, n_rays=3, n_rx=2, n_tx=8, angular_spread_deg=10)
@@ -262,11 +262,14 @@ def test_target_reached_power_follows_the_cycle_count():
 
 
 def test_a_trace_stores_no_fact_its_cycles_give():
-    # the pass count is the sum of the cycles', and a cycle's number is its
-    # position in ``cycles`` plus one: neither is stored
+    # the pass count is the sum of the cycles', a cycle's number is its
+    # position in ``cycles`` plus one, and a record's power is its cycle's:
+    # none is stored
     assert [f.name for f in dataclasses.fields(OptimizerTrace)] == [
         "log", "cycles", "reason"]
     assert [f.name for f in dataclasses.fields(CycleRecord)] == ["c_s", "p_s", "n_iters"]
+    fields = ("cycle", "iteration", "c_s", "c_l", "c_e", "delta")
+    assert IterationRecord._fields == ITERATION_DTYPE.names == fields
     trace = OptimizerTrace(cycles=[CycleRecord(1.0, 10.0, 4), CycleRecord(1.5, 11.0, 3)])
     assert trace.n_iters == 7
 
@@ -311,4 +314,13 @@ def test_optimizer_config_validation():
     with pytest.raises(ValueError, match=r"delta_min.*delta0"):
         OptimizerConfig(delta0=0.1, delta_min=0.5)
     assert OptimizerConfig(delta0=0.1, delta_min=0.1).delta_min == 0.1  # no backtracking
+
+
+@pytest.mark.parametrize("field", ["max_iters", "max_cycles"])
+def test_a_fractional_cap_is_rejected(field):
+    # the loop meets a cap by ==, so a fractional cap would never be met and
+    # an ascent would run on past it; an integral float is the integer
+    with pytest.raises(ValueError, match=f"{field} must be an integer, got 3.5"):
+        OptimizerConfig(**{field: 3.5})
+    assert getattr(OptimizerConfig(**{field: 3.0}), field) == 3
 
