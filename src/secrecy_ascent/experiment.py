@@ -79,7 +79,7 @@ class SystemConfig:
             raise ValueError("seed must be >= 0")
         variable = self.experiment is ExperimentKind.VARIABLE_POWER
         if variable and self.optimizer.zeta is None:
-            raise ValueError("variable-power experiment needs optimizer.zeta")
+            raise ValueError("variable-power experiment needs 'zeta'")
         if variable and self.powers.p_s > self.optimizer.mu:
             raise ValueError("variable power must start at or below its ceiling: "
                              "'p_s_db' is above 'mu_db'")
@@ -164,9 +164,8 @@ def _dense_curve(trace: OptimizerTrace, length: int) -> np.ndarray:
     Passes with no accepted iteration, or past the ascent's end, hold the last
     accepted value: exactly the objective of the iterate kept through them.
     """
-    log = trace.log
-    idx = np.searchsorted(log["iteration"], np.arange(length), side="right") - 1
-    return log["c_s"][idx]
+    idx = np.searchsorted(trace.log["iteration"], np.arange(length), side="right") - 1
+    return trace.c_s[idx]
 
 
 def _carry_add(total: np.ndarray, curves: np.ndarray) -> np.ndarray:
@@ -203,7 +202,7 @@ def _trace_text(trial: int, trace: OptimizerTrace) -> str:
     p_s_db = [repr(linear_to_db(c.p_s)) for c in trace.cycles]
     row = f"{trial},%d,%d,%s,%s,%s,%s,%s\n"
     return "".join(map(row.__mod__, zip(
-        cycle, log["iteration"].tolist(), log["c_s"].tolist(), log["c_l"].tolist(),
+        cycle, log["iteration"].tolist(), trace.c_s.tolist(), log["c_l"].tolist(),
         log["c_e"].tolist(), _texts(log["delta"], repr), [p_s_db[c - 1] for c in cycle])))
 
 
@@ -358,14 +357,16 @@ def _map_trials(shard, cfg: SystemConfig, threads: int):
 def _run_study(cfg: SystemConfig, kind: ExperimentKind, threads: int, on_trial):
     """The study ``cfg`` describes, which must be of ``kind``: its trials,
     each handed to ``on_trial`` in index order, reduced to the report of
-    ``kind``. An error the observer raises stops the workers before it
-    propagates."""
+    ``kind``. Its mean curves are summed row by row from +0.0; a trial's
+    curve is padded with its final value, so each converged mean is its
+    curve's last point. An error the observer raises stops the workers
+    before it propagates."""
     if cfg.experiment is not kind:
         raise ValueError(f"config does not describe a {kind.value.replace('_', '-')} experiment")
     fixed = kind is ExperimentKind.FIXED_POWER
     # the trials' curves summed as they arrive: row 0 c_s, row 1 c_s_we_opt
-    # at fixed power and p_s_db at variable power; and per trial both finals,
-    # the iterations or cycles, and at fixed power the SVD diagnostic
+    # at fixed power and p_s_db at variable power; and per trial its final
+    # c_s, the iterations or cycles, and at fixed power the SVD diagnostic
     total, finals, lengths, bounds = np.zeros((2, 1)), [], [], []
     reasons: dict[str, int] = {}
     shard = _shard if on_trial is None else _rendered_shard
@@ -385,18 +386,13 @@ def _run_study(cfg: SystemConfig, kind: ExperimentKind, threads: int, on_trial):
                 curves = np.array([(c.c_s, linear_to_db(c.p_s)) for c in cycles]).T
                 lengths.append(len(cycles))
             total = _carry_add(total, curves)
-            finals.append(curves[:, -1].tolist())  # floats: a view would hold the curves
+            finals.append(float(curves[0, -1]))  # a float: a view would hold the curves
             # every name above now holds trial i, so trial i-1 is let go
             if on_trial is not None:
                 on_trial(i, *trial)
-    finals, second_finals = np.array(finals).T
-    final, second_final = float(np.mean(finals)), float(np.mean(second_finals))
-    # numpy's mean of the padded curves: row by row from +0.0, as ``total``
-    # was summed, but pairwise for one column, as ``np.mean`` sums the finals
-    curve, second_curve = ((total / cfg.n_trials).tolist() if total.shape[1] > 1
-                           else ([final], [second_final]))
+    curve, second = (total / cfg.n_trials).tolist()
     common = dict(experiment=kind.value, n_trials=cfg.n_trials, c_s_mean_curve=curve,
-                  converged_c_s_mean=final, converged_c_s_std=float(np.std(finals)),
+                  converged_c_s_mean=curve[-1], converged_c_s_std=float(np.std(finals)),
                   termination_reasons=reasons)
     if fixed:
         # c_s is clamped at 0 and the diagnostic is not: a trial with no
@@ -404,12 +400,12 @@ def _run_study(cfg: SystemConfig, kind: ExperimentKind, threads: int, on_trial):
         # is c_l - c_e by another evaluation path, so an excess within 1e-12
         # relative is rounding, not a violation
         return FixedPowerReport(
-            **common, c_s_we_opt_mean_curve=second_curve, converged_c_s_we_opt_mean=second_final,
+            **common, c_s_we_opt_mean_curve=second, converged_c_s_we_opt_mean=second[-1],
             svd_bound_mean=float(np.mean(bounds)), mean_iterations=float(np.mean(lengths)),
             svd_violation_trials=[i for i, (c_s, bound) in enumerate(zip(finals, bounds))
                                   if c_s - max(bound, 0.0) > 1e-12 * max(1.0, abs(bound))])
-    return VariablePowerReport(**common, p_s_db_mean_curve=second_curve,
-                               mean_cycles=float(np.mean(lengths)), mean_final_p_s_db=second_final)
+    return VariablePowerReport(**common, p_s_db_mean_curve=second,
+                               mean_cycles=float(np.mean(lengths)), mean_final_p_s_db=second[-1])
 
 
 def run_fixed_power_experiment(

@@ -24,8 +24,9 @@ with a few array copies, each row's id, cycle and cycle start sit in one
 int array of the live rows, and its power in the kernel's weights only; a
 cycle's power and final c_s live in its ``CycleRecord``. When the batch
 ends the log becomes one column array per ascent (``OptimizerTrace.log``);
-records are built from it only on request. Each row counts its own passes,
-cycle by cycle: an ascent's ``n_iters`` is read as the sum of its cycles'.
+records are built from it only on request, and every c_s from c_l and c_e
+by the one clamp ``clamp_c_s``. Each row counts its own passes, cycle by
+cycle: an ascent's ``n_iters`` is read as the sum of its cycles'.
 
 The acceptance and convergence tests run on the unclamped capacity
 difference c_l - c_e. The reported secrecy capacity clamps at zero; running
@@ -83,13 +84,12 @@ class TerminationReason(str, enum.Enum):
 
 
 class IterationRecord(NamedTuple):
-    """One accepted iteration. Cycle 1's iteration 0 is the starting point; a
-    later cycle's start, the last state at the raised power, is not logged.
-    Its power is its cycle's, ``trace.cycles[rec.cycle - 1].p_s``."""
+    """One accepted iteration; cycle 1's iteration 0 is the starting point. Its
+    power is its cycle's, ``trace.cycles[rec.cycle - 1].p_s``, and its c_s is
+    ``clamp_c_s(rec.c_l, rec.c_e)``. A later cycle's start is not logged."""
 
     cycle: int
     iteration: int
-    c_s: float
     c_l: float
     c_e: float
     delta: float
@@ -99,6 +99,13 @@ class IterationRecord(NamedTuple):
 # fields of IterationRecord.
 ITERATION_DTYPE = np.dtype([(name, np.int64 if kind is int else float)
                             for name, kind in get_type_hints(IterationRecord).items()])
+
+
+def clamp_c_s(c_l, c_e) -> np.ndarray:
+    """The secrecy capacity max(c_l - c_e, 0), elementwise, -0.0 kept as the
+    builtin ``max`` keeps it: the one clamp that makes every reported c_s."""
+    diff = np.subtract(c_l, c_e)
+    return np.where(diff < 0.0, 0.0, diff)
 
 
 @dataclass(frozen=True)
@@ -119,8 +126,8 @@ class OptimizerTrace:
 
     ``log`` holds the accepted iterations as columns, an ITERATION_DTYPE
     array in order of acceptance; it crosses a worker's pipe as one array.
-    ``records`` is the same as a list of IterationRecords, built on each
-    use: the loop and the run outputs read the columns.
+    ``records`` is the log as IterationRecords and ``c_s`` its clamped c_s,
+    both built on each use: the loop and the run outputs read the columns.
     """
 
     log: np.ndarray = field(default_factory=lambda: np.empty(0, ITERATION_DTYPE))
@@ -130,6 +137,8 @@ class OptimizerTrace:
     @property
     def n_iters(self) -> int:
         return sum(c.n_iters for c in self.cycles)
+
+    c_s = property(lambda self: clamp_c_s(self.log["c_l"], self.log["c_e"]))
 
     @property
     def records(self) -> list[IterationRecord]:
@@ -343,16 +352,15 @@ class _Lockstep:
         step sizes and powers of the rows that start their next cycle, at a
         higher power, are written once for all such rows."""
         cfg = self.cfg
-        cd, meta = self.cur.cd.tolist(), self.meta.tolist()
+        c_s, meta = clamp_c_s(self.cur.c_l, self.cur.c_e).tolist(), self.meta.tolist()
         p_s = self.kernel.link_weights[:, 0, 0].tolist()
         finished, restart = [], []
         for j, reason in ends:
             i, cycle, start = meta[j]
-            c_s = max(cd[j][2], 0.0)
-            self.cycles[i].append(CycleRecord(c_s, p_s[j], n_pass - start))
+            self.cycles[i].append(CycleRecord(c_s[j], p_s[j], n_pass - start))
             if self.variable:
                 raised = p_s[j] + cfg.kappa * p_s[j]
-                if c_s >= cfg.zeta:
+                if c_s[j] >= cfg.zeta:
                     reason = TerminationReason.TARGET_REACHED
                 elif raised > cfg.mu:
                     reason = TerminationReason.POWER_CAP
@@ -402,10 +410,10 @@ class _Lockstep:
 
     def _split_log(self) -> None:
         """Give each finished row's trace its log: the rows' entries of the
-        pass log, in pass order, as one ITERATION_DTYPE array per row. Each
-        field is gathered into row order on its own, and each table of the
-        pass log is dropped once its columns are taken, the meta columns
-        before the log is allocated: no table is reordered whole."""
+        pass log, in pass order, as one ITERATION_DTYPE array per row, c_l
+        and c_e unclamped. Each field is gathered into row order on its own,
+        and each table of the pass log is dropped once its columns are taken,
+        the meta columns before the log is allocated: no table is reordered whole."""
         n_done = self.failed_at
         if not n_done:
             return
@@ -423,12 +431,8 @@ class _Lockstep:
         del cycle, iteration
         cd = np.concatenate(cds)
         del cds
-        log["c_l"] = cd[order, 0]
-        log["c_e"] = cd[order, 1]
-        diff = cd[order, 2]
+        log["c_l"], log["c_e"] = cd[order, 0], cd[order, 1]
         del cd
-        # max(c_l - c_e, 0) exactly as the builtin takes it, -0.0 included
-        log["c_s"] = np.where(diff < 0.0, 0.0, diff)
         log["delta"] = np.concatenate(deltas)[order]
         for i in range(n_done):
             self.results[i].trace.log = log[bounds[i]:bounds[i + 1]]

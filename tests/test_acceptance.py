@@ -209,7 +209,7 @@ def test_acceptance_5_optimizer_invariants():
         res = ascend_fixed_power(
             ch, pw, OptimizerConfig(max_iters=1500), bf, on_accept=feasible
         )
-        c_s = [r.c_s for r in res.trace.records]
+        c_s = res.trace.c_s.tolist()
         if not all(b >= a for a, b in zip(c_s, c_s[1:])):
             failures.append(f"non-monotone accepted trajectory at dims ({n_rx},{n_tx})")
 

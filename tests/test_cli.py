@@ -285,7 +285,7 @@ def test_trace_rows_match_per_record_formatting(tiny_cfg, tmp_path, overrides):
 
     def write(i, res, *_):
         cycles = res.trace.cycles
-        writer.writerows([i, r.cycle, r.iteration, r.c_s, r.c_l, r.c_e, r.delta,
+        writer.writerows([i, r.cycle, r.iteration, max(r.c_l - r.c_e, 0.0), r.c_l, r.c_e, r.delta,
                           10.0 * math.log10(cycles[r.cycle - 1].p_s)] for r in res.trace.records)
 
     if overrides:
@@ -294,6 +294,29 @@ def test_trace_rows_match_per_record_formatting(tiny_cfg, tmp_path, overrides):
     else:
         cli.run_fixed_power_experiment(cfg, on_trial=write)
     assert (tmp_path / "trace.csv").read_bytes() == buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("plan", [
+    ["--max-iters", "60", "--trials", "9", "--seed", "303"],
+    ["--experiment", "variable_power", "--p-s-db", "-10", "--mu-db", "-5", "--max-iters", "12",
+     "--trials", "20", "--seed", "202"],
+], ids=["fixed", "variable"])
+def test_each_converged_mean_is_its_mean_curves_last_point(tmp_path, plan):
+    # a trial's curve is padded with its final value, so a converged mean is
+    # its mean curve's last point, and aggregate.csv's last row states it;
+    # np.mean of the finals, summed pairwise, would be an ulp off on both plans
+    assert run_cli("run", "--config", "sub6", *plan, "--out", str(tmp_path)) == 0
+    report = json.loads((tmp_path / "report.json").read_text())["report"]
+    last = read_csv(tmp_path / "aggregate.csv")[-1]
+    means = {"converged_c_s_mean": ("c_s_mean_curve", 1),
+             "converged_c_s_we_opt_mean": ("c_s_we_opt_mean_curve", 2),
+             "mean_final_p_s_db": ("p_s_db_mean_curve", 2)}
+    checked = [mean for mean in means if mean in report]
+    assert len(checked) == 2
+    for mean in checked:
+        curve, column = means[mean]
+        assert report[mean] == report[curve][-1], mean
+        assert repr(report[mean]) == last[column], mean
 
 
 @pytest.mark.parametrize("overrides", [
@@ -442,7 +465,9 @@ def test_run_bad_config_exit_2(tiny_cfg, tmp_path):
     ("n_tx = 8\nn_rx 2\n", "{path}:2: expected key=value, got 'n_rx 2'"),
     ("n_tx = 8\nn_rx = 2\nn_tx = 4\n", "{path}:3: duplicate key 'n_tx'"),
     ("n_rx = 2\nn_clusters = 2\n", "missing required key 'n_tx'"),
-], ids=["no-equals-sign", "duplicate-key", "missing-key"])
+    ("n_tx = 8\nn_rx = 2\nn_clusters = 2\nn_rays = 3\nexperiment = variable_power\n",
+     "variable-power experiment needs 'zeta'"),
+], ids=["no-equals-sign", "duplicate-key", "missing-key", "variable-power-without-zeta"])
 def test_a_malformed_config_file_exits_2_and_writes_nothing(tmp_path, capsys, text, message):
     path = tmp_path / "bad.cfg"
     path.write_text(text)

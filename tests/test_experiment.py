@@ -55,14 +55,15 @@ def test_seed_fanout_reproducible_and_distinct():
 
 
 def test_dense_curve_carries_values_forward():
+    # the log holds c_l and c_e; a pass's c_s is their difference clamped at 0
     recs = [
-        IterationRecord(1, 0, 0.5, 1.0, 0.5, 0.1),
-        IterationRecord(1, 2, 0.9, 1.4, 0.5, 0.1),
-        IterationRecord(1, 5, 1.2, 1.7, 0.5, 0.1),
+        IterationRecord(1, 0, 0.4, 0.5, 0.1),
+        IterationRecord(1, 2, 1.4, 0.5, 0.1),
+        IterationRecord(1, 5, 1.7, 0.5, 0.1),
     ]
     trace = OptimizerTrace(np.array(recs, dtype=ITERATION_DTYPE), [CycleRecord(1.2, 10.0, 7)])
     np.testing.assert_allclose(
-        _dense_curve(trace, 8), [0.5, 0.5, 0.9, 0.9, 0.9, 1.2, 1.2, 1.2]
+        _dense_curve(trace, 8), [0.0, 0.0, 0.9, 0.9, 0.9, 1.2, 1.2, 1.2]
     )
 
 
@@ -227,9 +228,9 @@ def run_study(cfg, **kwargs):
                  True, id="variable-one-cycle"),
 ])
 def test_report_curves_are_the_padded_matrix_mean(cfg, one_column):
-    # the running sum must give what numpy's mean of every trial's curve,
-    # padded to one matrix, gives: with one column that mean is pairwise, and
-    # a sum taken row by row is an ulp off on the one-cycle plan
+    # each mean curve is the mean of every trial's curve, padded to one
+    # matrix, summed row by row from +0.0 in trial order; with one column
+    # that is not numpy's pairwise mean, an ulp off on the one-cycle plan
     sets = ([], [])
 
     def observe(i, res, *rest):
@@ -246,7 +247,12 @@ def test_report_curves_are_the_padded_matrix_mean(cfg, one_column):
     length = max(c.size for curves in sets for c in curves)
     assert (length == 1) is one_column
     for got, curves in zip((report.c_s_mean_curve, second), sets):
-        assert np.array(got).tobytes() == padded_mean(curves, length).tobytes()
+        total = np.zeros(length)
+        for c in curves:
+            total += np.append(c, np.full(length - c.size, c[-1]))
+        assert np.array(got).tobytes() == (total / len(curves)).tobytes()
+    if one_column:
+        assert report.c_s_mean_curve == [report.converged_c_s_mean]
 
 
 def test_svd_violations_are_the_trials_with_secrecy_above_their_diagnostic():
@@ -269,7 +275,7 @@ def test_svd_violations_are_the_trials_with_secrecy_above_their_diagnostic():
 def _long_flat_trials(cfg, start, stop):
     """Fixed-power trials start..stop-1 of 10,000 loop passes whose log holds
     two accepted iterations, as ``_shard`` returns them."""
-    log = np.array([(1, 0, 1.0, 2.0, 1.0, 0.1), (1, 7, 1.5, 2.5, 1.0, 0.1)], dtype=ITERATION_DTYPE)
+    log = np.array([(1, 0, 2.0, 1.0, 0.1), (1, 7, 2.5, 1.0, 0.1)], dtype=ITERATION_DTYPE)
 
     def result():
         trace = OptimizerTrace(log.copy(), [CycleRecord(1.5, 10.0, 10_000)],

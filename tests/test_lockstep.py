@@ -244,9 +244,6 @@ def test_lockstep_bookkeeping_invariants(n_rx, n_tx, power_db, seeds, holds, var
         assert records[0].iteration == 0 and records[0].cycle == 1
         for a, b in zip(records, records[1:]):
             assert b.cycle > a.cycle or (b.cycle == a.cycle and b.iteration > a.iteration)
-        for rec in records:
-            clamped = max(rec.c_l - rec.c_e, 0.0)
-            assert np.float64(rec.c_s).tobytes() == np.float64(clamped).tobytes()
         for a, b in zip(cycles, cycles[1:]):
             assert b.p_s == a.p_s + cfg.kappa * a.p_s
         assert res.p_s == cycles[-1].p_s

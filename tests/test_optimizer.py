@@ -12,7 +12,7 @@ from secrecy_ascent.metrics import PowerConfig, db_to_linear, linear_to_db
 from secrecy_ascent.optimizer import (ITERATION_DTYPE, AscentRow, CycleRecord, IterationRecord,
                                       OptimizerConfig, OptimizerTrace, TerminationReason,
                                       ascend_fixed_power, ascend_rows, ascend_variable_power,
-                                      ca_violation, project_ca, project_unit_norm,
+                                      ca_violation, clamp_c_s, project_ca, project_unit_norm,
                                       state_ca_violation, warm_start)
 from secrecy_ascent.reference import secrecy_capacity
 
@@ -115,7 +115,7 @@ def test_ascent_trace_monotone_and_feasible():
     seen = []
     res = ascend_fixed_power(ch, PW, OptimizerConfig(max_iters=500), init,
                              on_accept=seen.append)
-    c_s = [r.c_s for r in res.trace.records]
+    c_s = res.trace.c_s.tolist()
     assert all(b >= a for a, b in zip(c_s, c_s[1:]))
     assert res.snapshot.c_s >= c_s[0]
     iters = [r.iteration for r in res.trace.records]
@@ -219,7 +219,7 @@ def test_a_power_restart_is_a_fixed_power_ascent_from_the_last_state(seed):
     fixed = ascend_fixed_power(ch, raised, cfg, first.state)
     second, want = res.trace.log[res.trace.log["cycle"] == 2], fixed.trace.log[1:]
     assert len(second) == len(want) > 0
-    for name in ("iteration", "c_s", "c_l", "c_e", "delta"):
+    for name in ("iteration", "c_l", "c_e", "delta"):
         assert second[name].tobytes() == want[name].tobytes(), name
     assert res.trace.cycles[1].n_iters == fixed.trace.n_iters
     for u, v in zip(res.state.vectors(), fixed.state.vectors()):
@@ -261,14 +261,23 @@ def test_target_reached_power_follows_the_cycle_count():
         assert abs(linear_to_db(res.p_s) - expected) <= 1e-9
 
 
+def test_clamp_c_s_is_the_builtin_max_elementwise():
+    # every reported c_s, a cycle's or a logged iteration's, is this clamp:
+    # max(c_l - c_e, 0.0) bit for bit, -0.0 kept as the builtin keeps it
+    c_l, c_e = [-0.0, 0.0, 1.0, 0.5, 2.0, 3.0], [0.0, 0.0, 0.5, 1.0, 2.0, 1e-300]
+    want = [max(a - b, 0.0) for a, b in zip(c_l, c_e)]
+    assert clamp_c_s(np.array(c_l), np.array(c_e)).tobytes() == np.array(want).tobytes()
+    assert math.copysign(1.0, want[0]) == -1.0
+
+
 def test_a_trace_stores_no_fact_its_cycles_give():
     # the pass count is the sum of the cycles', a cycle's number is its
-    # position in ``cycles`` plus one, and a record's power is its cycle's:
-    # none is stored
+    # position in ``cycles`` plus one, a record's power is its cycle's, and
+    # its c_s is its clamped c_l - c_e: none is stored
     assert [f.name for f in dataclasses.fields(OptimizerTrace)] == [
         "log", "cycles", "reason"]
     assert [f.name for f in dataclasses.fields(CycleRecord)] == ["c_s", "p_s", "n_iters"]
-    fields = ("cycle", "iteration", "c_s", "c_l", "c_e", "delta")
+    fields = ("cycle", "iteration", "c_l", "c_e", "delta")
     assert IterationRecord._fields == ITERATION_DTYPE.names == fields
     trace = OptimizerTrace(cycles=[CycleRecord(1.0, 10.0, 4), CycleRecord(1.5, 11.0, 3)])
     assert trace.n_iters == 7
