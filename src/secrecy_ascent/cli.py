@@ -142,17 +142,14 @@ def cmd_gradcheck(n_rx: int, n_tx: int, instances: int, corrupt: bool) -> int:
 
 
 def _add_override_flags(parser: argparse.ArgumentParser) -> None:
+    # a flag's destination is its key, and a flag not given sets nothing
     for key in SCHEMA:
         flag = "trials" if key == "n_trials" else key.replace("_", "-")
-        parser.add_argument(f"--{flag}", dest=f"cfg_{key}", metavar="V")
+        parser.add_argument(f"--{flag}", dest=key, metavar="V", default=argparse.SUPPRESS)
 
 
 def _collect_overrides(args: argparse.Namespace) -> dict[str, str]:
-    return {
-        name[len("cfg_"):]: value
-        for name, value in vars(args).items()
-        if name.startswith("cfg_") and value is not None
-    }
+    return {key: value for key, value in vars(args).items() if key in SCHEMA}
 
 
 def _positive_int(text: str) -> int:

@@ -2,7 +2,8 @@
 
 The format is one ``key = value`` per line, ``#`` comments, blank lines
 ignored. Powers are written in dB and converted to linear scale on load
-(noise variances stay at 1, so dB powers read as SNRs).
+(noise variances stay at 1, so dB powers read as SNRs). ``SCHEMA`` is the
+one table of defaults, and each key but the dB ones names the field it fills.
 """
 
 from __future__ import annotations
@@ -106,30 +107,23 @@ def _linear_power(resolved: dict, key: str, may_be_zero: bool = False) -> float:
     return power
 
 
+def _by_name(cls, resolved: dict, **derived):
+    """A ``cls`` with each field read from the key of its name, or ``derived``."""
+    return cls(**{f.name: resolved[f.name] for f in dataclasses.fields(cls) if f.name in resolved},
+               **derived)
+
+
 def build_system_config(resolved: dict) -> SystemConfig:
-    """Typed SystemConfig from resolved values, with field-named errors."""
+    """Typed SystemConfig from resolved values, with field-named errors. Each key
+    but a dB one fills the field of its name; the parts are built channel, powers,
+    optimizer, system, so the first invalid key is the one named."""
     try:
-        channel = ChannelParams(
-            n_clusters=resolved["n_clusters"],
-            n_rays=resolved["n_rays"],
-            n_rx=resolved["n_rx"],
-            n_tx=resolved["n_tx"],
-            angular_spread_deg=resolved["angular_spread_deg"],
-        )
-        powers = PowerConfig(
-            p_s=_linear_power(resolved, "p_s_db"),
-            p_j=_linear_power(resolved, "p_j_db", may_be_zero=True),
-        )
-        optimizer = OptimizerConfig(**{key: resolved[key] for key in _OPTIMIZER if key != "mu"},
-                                    mu=_linear_power(resolved, "mu_db"))
-        return SystemConfig(
-            channel=channel,
-            powers=powers,
-            optimizer=optimizer,
-            n_trials=resolved["n_trials"],
-            seed=resolved["seed"],
-            experiment=resolved["experiment"],
-        )
+        channel = _by_name(ChannelParams, resolved)
+        powers = PowerConfig(p_s=_linear_power(resolved, "p_s_db"),
+                             p_j=_linear_power(resolved, "p_j_db", may_be_zero=True))
+        optimizer = _by_name(OptimizerConfig, resolved, mu=_linear_power(resolved, "mu_db"))
+        return _by_name(SystemConfig, resolved, channel=channel, powers=powers,
+                        optimizer=optimizer)
     except ConfigError:
         raise
     except ValueError as exc:
@@ -156,8 +150,7 @@ def resolve_config_file(path_or_name: str, overrides: Optional[dict[str, str]] =
             raise ConfigError(f"config file not found: {path_or_name}")
         text, source = preset.read_text(), f"bundled:{path_or_name}"
     raw = parse_config_text(text, source=source)
-    for key, value in (overrides or {}).items():
-        raw[key] = value
+    raw.update(overrides or {})
     return resolve_values(raw)
 
 
@@ -173,13 +166,6 @@ def flat_items(resolved: dict) -> list[tuple[str, str]]:
     items = []
     for key in SCHEMA:
         value = resolved[key]
-        if value is None:
-            continue
-        if isinstance(value, ExperimentKind):
-            rendered = value.value
-        elif isinstance(value, float):
-            rendered = repr(value)
-        else:
-            rendered = str(value)
-        items.append((key, rendered))
+        if value is not None:
+            items.append((key, value.value if isinstance(value, ExperimentKind) else str(value)))
     return items

@@ -3,6 +3,7 @@
 import numpy as np
 
 from secrecy_ascent.channel import ChannelParams, ChannelSet, draw_channel_set
+from secrecy_ascent.config import load_config
 from secrecy_ascent.gradients import capacity_difference
 from secrecy_ascent.metrics import BeamformerState, PowerConfig
 from secrecy_ascent.optimizer import warm_start
@@ -48,9 +49,6 @@ def objective_in(ch, bf, pw, name):
     return objective
 
 
-MMWAVE_PARAMS = ChannelParams(
-    n_clusters=4, n_rays=15, n_rx=4, n_tx=64, angular_spread_deg=10.0,
-)
-SUB6_PARAMS = ChannelParams(
-    n_clusters=10, n_rays=20, n_rx=4, n_tx=16, angular_spread_deg=10.0,
-)
+# each band's geometry as its bundled preset states it
+MMWAVE_PARAMS = load_config("mmwave").channel
+SUB6_PARAMS = load_config("sub6").channel

@@ -8,15 +8,15 @@ experiment runs are computed once per module.
 import itertools
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from helpers import MMWAVE_PARAMS, SUB6_PARAMS, objective_in, random_instance
+from helpers import objective_in, random_instance
 from secrecy_ascent.channel import ChannelParams, draw_channel_set
-from secrecy_ascent.experiment import (ExperimentKind, SystemConfig, run_fixed_power_experiment,
-                                       run_variable_power_experiment, seed_fanout)
+from secrecy_ascent.config import load_config
+from secrecy_ascent.experiment import (run_fixed_power_experiment, run_variable_power_experiment,
+                                       seed_fanout)
 from secrecy_ascent.gradients import (fd_gradient, grad_fj, grad_fs, grad_we, grad_wl,
                                       gradient_check_error)
 from secrecy_ascent.metrics import BeamformerState, PowerConfig
@@ -43,22 +43,17 @@ def _criterion(index: int, label: str, failures: list[str], notes: str = "") -> 
     assert not failures, f"criterion {index} failed: {'; '.join(failures)}"
 
 
-def _band_config(params, n_trials, seed, experiment, **opt):
-    return SystemConfig(
-        channel=params,
-        powers=POWERS,
-        optimizer=OptimizerConfig(**opt),
-        n_trials=n_trials,
-        seed=seed,
-        experiment=experiment,
-    )
+def _band_config(preset, n_trials, seed, experiment):
+    # a band's study as `run --config <preset>` builds it
+    return load_config(preset, {"n_trials": str(n_trials), "seed": str(seed),
+                                "experiment": experiment})
 
 
 @pytest.fixture(scope="module")
 def fixed_reports():
     reports = {}
-    for label, params, seed in [("mmwave", MMWAVE_PARAMS, 101), ("sub6", SUB6_PARAMS, 102)]:
-        cfg = _band_config(params, FIXED_TRIALS, seed, ExperimentKind.FIXED_POWER)
+    for label, seed in [("mmwave", 101), ("sub6", 102)]:
+        cfg = _band_config(label, FIXED_TRIALS, seed, "fixed_power")
         t0 = time.perf_counter()
         reports[label] = run_fixed_power_experiment(cfg)
         print(f"fixed-power {label}: {FIXED_TRIALS} trials in {time.perf_counter() - t0:.0f}s")
@@ -68,10 +63,8 @@ def fixed_reports():
 @pytest.fixture(scope="module")
 def variable_reports():
     reports = {}
-    for label, params, seed in [("mmwave", MMWAVE_PARAMS, 201), ("sub6", SUB6_PARAMS, 202)]:
-        cfg = _band_config(
-            params, VARIABLE_TRIALS, seed, ExperimentKind.VARIABLE_POWER, zeta=4.0
-        )
+    for label, seed in [("mmwave", 201), ("sub6", 202)]:
+        cfg = _band_config(label, VARIABLE_TRIALS, seed, "variable_power")
         t0 = time.perf_counter()
         reports[label] = run_variable_power_experiment(cfg)
         print(f"variable-power {label}: {VARIABLE_TRIALS} trials in {time.perf_counter() - t0:.0f}s")

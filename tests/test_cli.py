@@ -46,15 +46,6 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
-def test_validate_bundled_presets(capsys):
-    assert run_cli("validate", "--config", "mmwave") == 0
-    out = capsys.readouterr().out
-    assert "n_tx = 64" in out and "n_clusters = 4" in out
-    assert run_cli("validate", "--config", "sub6") == 0
-    out = capsys.readouterr().out
-    assert "n_tx = 16" in out and "n_clusters = 10" in out and "n_rays = 20" in out
-
-
 def test_validate_reports_field_errors(tiny_cfg, capsys):
     assert run_cli("validate", "--config", tiny_cfg, "--trials", "0") == 2
     assert "n_trials" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import re
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -6,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import secrecy_ascent.cli as cli
-from secrecy_ascent.config import (SCHEMA, ConfigError, build_system_config, flat_items,
-                                   parse_config_text, resolve_values)
+from secrecy_ascent.config import (REQUIRED, SCHEMA, ConfigError, build_system_config, flat_items,
+                                   parse_config_text, resolve_config_file, resolve_values)
+from secrecy_ascent.experiment import ExperimentKind
 from secrecy_ascent.optimizer import OptimizerConfig
 
 
@@ -57,11 +59,73 @@ def test_band_is_an_unknown_key(tmp_path, capsys):
     assert out == "" and "unknown key 'band'" in err
 
 
-def test_readme_config_keys_are_the_schema():
-    # each key line of README's "Config keys" block starts with its key
-    # names, comma-separated; continuation lines are indented
+def _readme_config_lines():
+    """README's "Config keys" block as (keys, description) pairs. Each key
+    line starts with its key names, comma-separated; continuation lines are
+    indented and belong to the line above."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = re.search(r"### Config keys\n+```\n(.*?)```", readme, re.S).group(1)
-    documented = [key for line in block.splitlines() if line and not line[0].isspace()
-                  for key in re.split(r"\s{2,}", line, maxsplit=1)[0].split(", ")]
-    assert sorted(documented) == sorted(SCHEMA)
+    block = re.search(r"### Config keys\n.*?```\n(.*?)```", readme, re.S).group(1)
+    lines = []
+    for line in block.splitlines():
+        if line and not line[0].isspace():
+            names, text = re.split(r"\s{2,}", line, maxsplit=1)
+            lines.append((names.split(", "), text))
+        elif line:
+            lines[-1] = (lines[-1][0], f"{lines[-1][1]} {line.strip()}")
+    return lines
+
+
+def test_readme_config_keys_are_the_schema():
+    assert sorted(key for keys, _ in _readme_config_lines() for key in keys) == sorted(SCHEMA)
+
+
+def test_readme_config_defaults_are_the_schemas():
+    # "default X" is the default of each key on its line, "defaults X / Y"
+    # those of its keys in turn; a key stated with no default has none
+    for keys, text in _readme_config_lines():
+        stated = re.search(r"\bdefaults? (\S+(?: / \S+)*)$", text)
+        values = stated.group(1).split(" / ") if stated else [None]
+        values = values * len(keys) if len(values) == 1 else values
+        for key, value in zip(keys, values, strict=True):
+            convert, default = SCHEMA[key]
+            if value is None:
+                assert default is REQUIRED or default is None, key
+            else:
+                assert convert(value) == default, (key, value, default)
+
+
+PRESET_KEYS = ["n_tx", "n_rx", "n_clusters", "n_rays", "zeta", "experiment"]
+# what `validate` prints after a preset's geometry, the same for both bands
+BAND_SHARED = ["angular_spread_deg = 10.0", "p_s_db = 10.0", "p_j_db = 10.0", "delta0 = 0.1",
+               "epsilon = 1e-07", "kappa = 0.01", "zeta = 4.0", "mu_db = 30.0",
+               "max_iters = 10000", "max_cycles = 1000", "delta_min = 1e-06", "n_trials = 1000",
+               "seed = 0", "experiment = fixed_power"]
+
+
+@pytest.mark.parametrize("preset, geometry", [
+    ("mmwave", ["n_tx = 64", "n_rx = 4", "n_clusters = 4", "n_rays = 15"]),
+    ("sub6", ["n_tx = 16", "n_rx = 4", "n_clusters = 10", "n_rays = 20"]),
+], ids=["mmwave", "sub6"])
+def test_a_preset_states_only_what_sets_its_band_apart(preset, geometry, capsys):
+    # every other value is SCHEMA's default: a default that moves moves
+    # both bands, and shows here as a diff
+    text = (resources.files("secrecy_ascent") / "configs" / f"{preset}.cfg").read_text()
+    assert list(parse_config_text(text)) == PRESET_KEYS
+    assert cli.main(["validate", "--config", preset]) == 0
+    assert capsys.readouterr().out.splitlines() == geometry + BAND_SHARED
+
+
+def _changed(value):
+    """A valid value of the key whose value is ``value`` that is not ``value``."""
+    if isinstance(value, ExperimentKind):
+        return next(kind for kind in ExperimentKind if kind is not value)
+    return value + 1 if isinstance(value, int) else value / 2
+
+
+@pytest.mark.parametrize("key", SCHEMA)
+def test_each_key_reaches_the_built_config(key):
+    # keys fill dataclass fields by name: a key whose field is missing or
+    # renamed would be dropped without this
+    resolved = resolve_config_file("sub6")
+    built = build_system_config(resolved)
+    assert build_system_config({**resolved, key: _changed(resolved[key])}) != built
