@@ -132,7 +132,8 @@ def build_system_config(resolved: dict) -> SystemConfig:
 
 def resolve_config_file(path_or_name: str, overrides: Optional[dict[str, str]] = None) -> dict:
     """Resolved (post-default) values for a config file or, when no such
-    file exists, a shipped preset (``mmwave`` or ``sub6``)."""
+    file exists, the shipped preset of that bare name (``mmwave`` or
+    ``sub6``); a name with a directory part is never a preset."""
     path = Path(path_or_name)
     try:
         text = path.read_text(encoding="utf-8") if path.is_file() else None
@@ -146,7 +147,7 @@ def resolve_config_file(path_or_name: str, overrides: Optional[dict[str, str]] =
     else:
         stem = path_or_name.removesuffix(".cfg")
         preset = resources.files("secrecy_ascent") / "configs" / f"{stem}.cfg"
-        if not preset.is_file():
+        if path.name != path_or_name or not preset.is_file():
             raise ConfigError(f"config file not found: {path_or_name}")
         text, source = preset.read_text(), f"bundled:{path_or_name}"
     raw = parse_config_text(text, source=source)

@@ -1,6 +1,6 @@
-"""The types the link quantities are stated in (powers, beamformer states,
-snapshots of both links), the dB conversions every output states its powers
-by, and the SVD diagnostic bound.
+"""The types the engine states the links in (powers and beamformer states),
+the dB conversions every output states its powers by, and the SVD
+diagnostic bound.
 
 The links themselves are evaluated in one place, ``gradients.LinkKernel``;
 the per-vector SINR and capacity formulas it is tested against are in
@@ -69,17 +69,6 @@ def _unpack_state(packed: np.ndarray, n_rx: int, n_tx: int) -> BeamformerState:
     views of ``packed``: two of n_rx entries, then two of n_tx."""
     a, b, c = n_rx, 2 * n_rx, 2 * n_rx + n_tx
     return BeamformerState(packed[:a], packed[a:b], packed[b:c], packed[c:])
-
-
-@dataclass(frozen=True)
-class SecrecySnapshot:
-    """Point evaluation of both links: SINRs, capacities, secrecy capacity."""
-
-    gamma_l: float
-    gamma_e: float
-    c_l: float
-    c_e: float
-    c_s: float
 
 
 def _check_dims(ch: ChannelSet, bf: BeamformerState) -> None:

@@ -26,7 +26,8 @@ cycle's power and final c_s live in its ``CycleRecord``. When the batch
 ends the log becomes one column array per ascent (``OptimizerTrace.log``);
 records are built from it only on request, and every c_s from c_l and c_e
 by the one clamp ``clamp_c_s``. Each row counts its own passes, cycle by
-cycle: an ascent's ``n_iters`` is read as the sum of its cycles'.
+cycle: an ascent's ``n_iters`` is read as the sum of its cycles'. An
+``OptimizeResult`` adds to its trace only the final state and its c_l and c_e.
 
 The acceptance and convergence tests run on the unclamped capacity
 difference c_l - c_e. The reported secrecy capacity clamps at zero; running
@@ -45,8 +46,7 @@ import numpy as np
 
 from .channel import ChannelParams, ChannelSet
 from .gradients import LinkKernel, Links
-from .metrics import (BeamformerState, PowerConfig, SecrecySnapshot, _check_dims, _unpack_state,
-                      db_to_linear)
+from .metrics import BeamformerState, PowerConfig, _check_dims, _unpack_state, db_to_linear
 
 
 @dataclass(frozen=True)
@@ -147,15 +147,14 @@ class OptimizerTrace:
 
 @dataclass
 class OptimizeResult:
-    state: BeamformerState
-    snapshot: SecrecySnapshot
-    trace: OptimizerTrace
+    """A finished ascent: its final state, its trace, and the state's c_l and
+    c_e at the last cycle's power, which the log lacks after a power restart
+    that accepts no step. Its c_s and power are its last cycle's."""
 
-    @property
-    def p_s(self) -> float:
-        """The source power of the last cycle, the one the state and the
-        snapshot are at."""
-        return self.trace.cycles[-1].p_s
+    state: BeamformerState
+    trace: OptimizerTrace
+    c_l: float
+    c_e: float
 
 
 def project_unit_norm(v: np.ndarray) -> np.ndarray:
@@ -380,12 +379,9 @@ class _Lockstep:
         return finished
 
     def _finish(self, j: int, i: int, reason: TerminationReason) -> None:
-        (_, den_l0, den_l1), (_, den_e0, den_e1) = self.cur.den[j].T.tolist()
         c_l, c_e, _ = self.cur.cd[j].tolist()
         trace = OptimizerTrace(cycles=self.cycles[i], reason=reason)
-        snapshot = SecrecySnapshot(gamma_l=den_l1 / den_l0 - 1.0, gamma_e=den_e1 / den_e0 - 1.0,
-                                   c_l=c_l, c_e=c_e, c_s=trace.cycles[-1].c_s)  # just closed
-        self.results[i] = OptimizeResult(self.kernel.unpack(self.cur.x[j].copy()), snapshot, trace)
+        self.results[i] = OptimizeResult(self.kernel.unpack(self.cur.x[j].copy()), trace, c_l, c_e)
 
     def _fail_first(self, values: list[float], n_pass: int, cand=None) -> None:
         """Fail the first row whose value is not finite, if any: ``values`` are

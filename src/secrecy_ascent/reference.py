@@ -4,8 +4,9 @@ Each function here evaluates, one path or one vector at a time, a quantity
 the engine computes in batched form; they are the test suite's independent
 oracles. ``draw_paths`` + ``build_channel`` are the per-ray channel model
 whose random stream and channels ``channel.draw_channel_set`` reproduces bit
-for bit; ``sinr_*``, ``capacity`` and ``secrecy_capacity`` evaluate the links
-that ``gradients.LinkKernel`` fuses. No engine module imports this one.
+for bit; ``sinr_*``, ``capacity`` and ``secrecy_capacity`` (as a
+``SecrecySnapshot``) evaluate the links that ``gradients.LinkKernel`` fuses.
+No engine module imports this one.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelParams, ChannelSet, _assemble, _steering_matrix
-from .metrics import BeamformerState, PowerConfig, SecrecySnapshot, _check_dims
+from .metrics import BeamformerState, PowerConfig, _check_dims
 
 
 @dataclass(frozen=True)
@@ -103,6 +104,17 @@ def capacity(gamma: float) -> float:
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
     return float(np.log2(1.0 + gamma))
+
+
+@dataclass(frozen=True)
+class SecrecySnapshot:
+    """Point evaluation of both links: SINRs, capacities, secrecy capacity."""
+
+    gamma_l: float
+    gamma_e: float
+    c_l: float
+    c_e: float
+    c_s: float
 
 
 def secrecy_capacity(ch: ChannelSet, bf: BeamformerState, pw: PowerConfig) -> SecrecySnapshot:

@@ -252,7 +252,7 @@ def test_acceptance_6_small_instance_exhaustive_oracle():
         init = warm_start(params, rng)
         res = ascend_fixed_power(ch, POWERS, OptimizerConfig(), init)
         best = grid_best(ch, init.w_e)
-        ratio = res.snapshot.c_s / best if best > 0 else float("inf")
+        ratio = res.trace.cycles[-1].c_s / best if best > 0 else float("inf")
         worst_ratio = min(worst_ratio, ratio)
         if ratio >= 0.95:
             wins += 1

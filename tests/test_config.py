@@ -59,6 +59,17 @@ def test_band_is_an_unknown_key(tmp_path, capsys):
     assert out == "" and "unknown key 'band'" in err
 
 
+def test_a_preset_is_named_bare(tmp_path, capsys):
+    # a missing path is a preset only when it is a bare name: a path to a
+    # file that lacks only its .cfg suffix is not found, not joined under
+    # the package's presets, which an absolute path would escape
+    (tmp_path / "x.cfg").write_text(
+        "n_tx = 8\nn_rx = 2\nn_clusters = 2\nn_rays = 3\nexperiment = fixed_power\n")
+    assert cli.main(["validate", "--config", str(tmp_path / "x.cfg")]) == 0
+    assert cli.main(["validate", "--config", str(tmp_path / "x")]) == 2
+    assert f"config file not found: {tmp_path / 'x'}" in capsys.readouterr().err
+
+
 def _readme_config_lines():
     """README's "Config keys" block as (keys, description) pairs. Each key
     line starts with its key names, comma-separated; continuation lines are

@@ -23,7 +23,7 @@ from secrecy_ascent.config import load_config
 from secrecy_ascent.experiment import (ExperimentKind, SystemConfig, TrialError, _carry_add,
                                        _dense_curve, run_fixed_power_experiment,
                                        run_variable_power_experiment, seed_fanout)
-from secrecy_ascent.metrics import BeamformerState, PowerConfig, SecrecySnapshot, linear_to_db
+from secrecy_ascent.metrics import BeamformerState, PowerConfig, linear_to_db
 from secrecy_ascent.optimizer import (ITERATION_DTYPE, CycleRecord, IterationRecord, OptimizeResult,
                                       OptimizerConfig, OptimizerTrace, TerminationReason)
 
@@ -90,7 +90,7 @@ def test_shard_results_pickle_round_trip(kind):
         assert got.trace.cycles == want.trace.cycles
         assert (got.trace.reason, got.trace.n_iters) == (want.trace.reason, want.trace.n_iters)
         assert got.trace.n_iters == sum(c.n_iters for c in got.trace.cycles) > 0
-        assert (got.p_s, got.snapshot) == (want.p_s, want.snapshot)
+        assert (got.c_l, got.c_e) == (want.c_l, want.c_e)
 
 
 def test_state_pickle_keeps_mixed_blocks():
@@ -203,7 +203,7 @@ def test_fixed_power_single_trial_equals_its_trace():
 
     report = run_fixed_power_experiment(cfg, on_trial=observe)
     res = seen["res"]
-    assert report.converged_c_s_mean == pytest.approx(res.snapshot.c_s)
+    assert report.converged_c_s_mean == pytest.approx(res.trace.cycles[-1].c_s)
     assert report.svd_bound_mean == pytest.approx(seen["bound"])
     assert report.mean_iterations == res.trace.n_iters
     dense = _dense_curve(res.trace, res.trace.n_iters + 1)
@@ -264,7 +264,8 @@ def test_svd_violations_are_the_trials_with_secrecy_above_their_diagnostic():
     cfg = load_config("sub6", dict(n_rx="1", n_tx="1", n_trials="20", max_iters="3", seed="0"))
     trials = []
     report = run_fixed_power_experiment(
-        cfg, on_trial=lambda i, res, res_opt, bound, _: trials.append((res.snapshot.c_s, bound)))
+        cfg, on_trial=lambda i, res, res_opt, bound, _: trials.append(
+            (res.trace.cycles[-1].c_s, bound)))
     assert any(c_s == 0.0 > bound for c_s, bound in trials)
     assert any(0.0 < bound < c_s for c_s, bound in trials)
     assert report.svd_violation_trials == [
@@ -280,7 +281,7 @@ def _long_flat_trials(cfg, start, stop):
     def result():
         trace = OptimizerTrace(log.copy(), [CycleRecord(1.5, 10.0, 10_000)],
                                TerminationReason.ITER_CAP)
-        return OptimizeResult(None, SecrecySnapshot(3.0, 1.0, 2.5, 1.0, 1.5), trace)
+        return OptimizeResult(None, trace, 2.5, 1.0)
 
     return [(result(), result(), 2.0) for _ in range(start, stop)], None
 
@@ -363,9 +364,11 @@ def test_fixed_power_trials_are_order_independent_streams():
     cfg3 = small_config(n_trials=3)
     cfg1 = small_config(n_trials=1)
     finals = []
-    run_fixed_power_experiment(cfg3, on_trial=lambda i, r, o, b, t: finals.append(r.snapshot.c_s))
+    run_fixed_power_experiment(
+        cfg3, on_trial=lambda i, r, o, b, t: finals.append(r.trace.cycles[-1].c_s))
     first = []
-    run_fixed_power_experiment(cfg1, on_trial=lambda i, r, o, b, t: first.append(r.snapshot.c_s))
+    run_fixed_power_experiment(
+        cfg1, on_trial=lambda i, r, o, b, t: first.append(r.trace.cycles[-1].c_s))
     assert finals[0] == first[0]
 
 

@@ -174,7 +174,7 @@ def rows_of(n_rx, n_tx, powers, seeds, holds):
 def same_result(a, b):
     return (a.trace.records == b.trace.records and a.trace.cycles == b.trace.cycles
             and a.trace.reason is b.trace.reason and a.trace.n_iters == b.trace.n_iters
-            and a.p_s == b.p_s and a.snapshot == b.snapshot
+            and (a.c_l, a.c_e) == (b.c_l, b.c_e)
             and all(u.tobytes() == v.tobytes()
                     for u, v in zip(a.state.vectors(), b.state.vectors())))
 
@@ -246,7 +246,7 @@ def test_lockstep_bookkeeping_invariants(n_rx, n_tx, power_db, seeds, holds, var
             assert b.cycle > a.cycle or (b.cycle == a.cycle and b.iteration > a.iteration)
         for a, b in zip(cycles, cycles[1:]):
             assert b.p_s == a.p_s + cfg.kappa * a.p_s
-        assert res.p_s == cycles[-1].p_s
+        assert cycles[-1].c_s == max(res.c_l - res.c_e, 0.0)
         back = pickle.loads(pickle.dumps(trace))
         assert back.log.dtype == trace.log.dtype
         assert back.log.tobytes() == trace.log.tobytes()
@@ -284,10 +284,10 @@ def test_legitimate_capacity_stays_under_its_single_link_bound(
 
         for rec in res.trace.records:
             assert rec.c_l <= bound(res.trace.cycles[rec.cycle - 1].p_s)
-        # the snapshot is of the last cycle's final iterate, at that cycle's
-        # power
-        assert res.snapshot.c_l <= bound(res.p_s)
-        assert res.snapshot.c_s <= res.snapshot.c_l
+        # the result's c_l is of the last cycle's final iterate, at that
+        # cycle's power
+        assert res.c_l <= bound(res.trace.cycles[-1].p_s)
+        assert res.trace.cycles[-1].c_s <= res.c_l
 
 
 @pytest.mark.parametrize("variable", [False, True])

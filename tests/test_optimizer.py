@@ -8,12 +8,13 @@ import pytest
 from helpers import random_instance
 from secrecy_ascent.channel import ChannelParams, draw_channel_set
 from secrecy_ascent.experiment import seed_fanout
+from secrecy_ascent.gradients import LinkKernel
 from secrecy_ascent.metrics import PowerConfig, db_to_linear, linear_to_db
 from secrecy_ascent.optimizer import (ITERATION_DTYPE, AscentRow, CycleRecord, IterationRecord,
-                                      OptimizerConfig, OptimizerTrace, TerminationReason,
-                                      ascend_fixed_power, ascend_rows, ascend_variable_power,
-                                      ca_violation, clamp_c_s, project_ca, project_unit_norm,
-                                      state_ca_violation, warm_start)
+                                      OptimizeResult, OptimizerConfig, OptimizerTrace,
+                                      TerminationReason, ascend_fixed_power, ascend_rows,
+                                      ascend_variable_power, ca_violation, clamp_c_s, project_ca,
+                                      project_unit_norm, state_ca_violation, warm_start)
 from secrecy_ascent.reference import secrecy_capacity
 
 SMALL = ChannelParams(n_clusters=2, n_rays=3, n_rx=2, n_tx=8, angular_spread_deg=10)
@@ -117,7 +118,7 @@ def test_ascent_trace_monotone_and_feasible():
                              on_accept=seen.append)
     c_s = res.trace.c_s.tolist()
     assert all(b >= a for a, b in zip(c_s, c_s[1:]))
-    assert res.snapshot.c_s >= c_s[0]
+    assert res.trace.cycles[-1].c_s >= c_s[0]
     iters = [r.iteration for r in res.trace.records]
     assert all(b > a for a, b in zip(iters, iters[1:]))
     assert seen, "no accepted iterations"
@@ -133,7 +134,7 @@ def test_ascent_improves_over_start():
         ch, init = small_problem(seed)
         res = ascend_fixed_power(ch, PW, OptimizerConfig(max_iters=2000), init)
         start = secrecy_capacity(ch, init, PW).c_s
-        assert res.snapshot.c_s >= start
+        assert res.trace.cycles[-1].c_s >= start
 
 
 def test_ascent_zero_gradient_converges_immediately():
@@ -179,7 +180,7 @@ def test_variable_power_trivial_target():
     res = ascend_variable_power(ch, PW, OptimizerConfig(zeta=0.0), init)
     assert res.trace.reason is TerminationReason.TARGET_REACHED
     assert len(res.trace.cycles) == 1
-    assert res.p_s == PW.p_s
+    assert res.trace.cycles[-1].p_s == PW.p_s
 
 
 def test_variable_power_power_cap():
@@ -187,7 +188,7 @@ def test_variable_power_power_cap():
     cfg = OptimizerConfig(zeta=1e6, mu=db_to_linear(11.0), max_iters=200)
     res = ascend_variable_power(ch, PW, cfg, init)
     assert res.trace.reason is TerminationReason.POWER_CAP
-    assert res.p_s <= cfg.mu
+    assert res.trace.cycles[-1].p_s <= cfg.mu
     # every bump multiplies by 1 + kappa
     powers = [c.p_s for c in res.trace.cycles]
     for a, b in zip(powers, powers[1:]):
@@ -200,9 +201,9 @@ def test_variable_power_cycle_cap():
     res = ascend_variable_power(ch, PW, cfg, init)
     assert res.trace.reason is TerminationReason.CYCLE_CAP
     assert len(res.trace.cycles) == 3
-    # the reported power is the last cycle's, not the raise that a fourth
-    # cycle would have run at
-    assert res.p_s == res.trace.cycles[-1].p_s
+    # the result's c_l and c_e are at the last cycle's power, not at the
+    # raise that a fourth cycle would have run at
+    assert max(res.c_l - res.c_e, 0.0) == res.trace.cycles[-1].c_s
 
 
 @pytest.mark.parametrize("seed", range(10, 14))
@@ -258,7 +259,7 @@ def test_target_reached_power_follows_the_cycle_count():
     for res in reached:
         cycles = len(res.trace.cycles)
         expected = p_s_db0 + 10.0 * math.log10(1.0 + cfg.kappa) * (cycles - 1)
-        assert abs(linear_to_db(res.p_s) - expected) <= 1e-9
+        assert abs(linear_to_db(res.trace.cycles[-1].p_s) - expected) <= 1e-9
 
 
 def test_clamp_c_s_is_the_builtin_max_elementwise():
@@ -283,6 +284,21 @@ def test_a_trace_stores_no_fact_its_cycles_give():
     assert trace.n_iters == 7
 
 
+def test_a_result_adds_to_its_trace_only_the_final_state_and_its_links():
+    # a result's c_s and power are its last cycle's; its c_l and c_e are the
+    # one fact the log lacks after a power restart that accepts no step: this
+    # row's second cycle rejects its one pass, so its last log entry is at
+    # cycle 1's power, and the result alone holds the final state's links
+    assert [f.name for f in dataclasses.fields(OptimizeResult)] == ["state", "trace", "c_l", "c_e"]
+    ch, init = small_problem(8)
+    res = ascend_variable_power(ch, PW, OptimizerConfig(zeta=1e6, max_cycles=2, max_iters=1), init)
+    last = res.trace.cycles[-1]
+    assert len(res.trace.cycles) == 2 and res.trace.log["cycle"].tolist() == [1, 1]
+    fresh = LinkKernel((ch,), (dataclasses.replace(PW, p_s=last.p_s),)).links([res.state])
+    assert np.array([res.c_l, res.c_e]).tobytes() == fresh.cd[0, :2].tobytes()
+    assert res.c_l != res.trace.log["c_l"][-1]
+
+
 @pytest.mark.parametrize("variable", [False, True])
 def test_result_pickle_round_trip(variable):
     # results cross a worker's pipe with their records as plain tuples;
@@ -302,7 +318,7 @@ def test_result_pickle_round_trip(variable):
     assert back.trace.cycles == res.trace.cycles
     assert back.trace.reason is res.trace.reason
     assert back.trace.n_iters == res.trace.n_iters
-    assert back.p_s == res.p_s and back.snapshot == res.snapshot
+    assert (back.c_l, back.c_e) == (res.c_l, res.c_e)
     for got, want in zip(back.state.vectors(), res.state.vectors()):
         assert got.tobytes() == want.tobytes()
 
