@@ -182,10 +182,10 @@ def _carry_add(total: np.ndarray, curves: np.ndarray) -> np.ndarray:
 TRACE_HEADER = ["trial", "cycle", "iteration", "c_s", "c_l", "c_e", "delta", "p_s_db"]
 
 
-def _texts(values: np.ndarray, fmt) -> map:
-    """fmt(v) for each of ``values``, computed once per distinct value."""
+def _texts(values: np.ndarray) -> map:
+    """repr(v) for each of ``values``, computed once per distinct value."""
     distinct, index = np.unique(values, return_inverse=True)
-    return map([fmt(v) for v in distinct.tolist()].__getitem__, index.tolist())
+    return map([repr(v) for v in distinct.tolist()].__getitem__, index.tolist())
 
 
 def _trace_text(trial: int, trace: OptimizerTrace) -> str:
@@ -203,7 +203,7 @@ def _trace_text(trial: int, trace: OptimizerTrace) -> str:
     row = f"{trial},%d,%d,%s,%s,%s,%s,%s\n"
     return "".join(map(row.__mod__, zip(
         cycle, log["iteration"].tolist(), trace.c_s.tolist(), log["c_l"].tolist(),
-        log["c_e"].tolist(), _texts(log["delta"], repr), [p_s_db[c - 1] for c in cycle])))
+        log["c_e"].tolist(), _texts(log["delta"]), [p_s_db[c - 1] for c in cycle])))
 
 
 def _shard(cfg: SystemConfig, start: int, stop: int):

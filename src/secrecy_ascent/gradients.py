@@ -16,11 +16,13 @@ one gradient call the packed conjugate gradients. Each row's powers enter
 only the denominators and are held in the kernel next to its channels;
 a power change (``set_p_s``) re-weighs the links' scalars in place. Every
 operation is row-wise: a row's values are bit-identical however many rows
-share its batch. A kernel builds its channels' conjugates and the CA scale
-with them, and ``LinkKernel.links(states)`` packs B BeamformerStates into a
-new ``Links``, which holds their link quantities, gradient and evaluation
-scratch; a batch builds each once and compacts its live rows in place. The
-optimizer's lockstep loop runs on them. At a single state,
+share its batch. A kernel builds its channels' conjugates with them, and
+``LinkKernel.links(states)`` packs B BeamformerStates into a new ``Links``,
+which holds their link quantities, gradient and evaluation scratch; a batch
+builds each once and compacts its live rows in place. The optimizer's
+lockstep loop runs on them. The kernel evaluates any state, on the
+constant-amplitude (CA) manifold or off it; the CA moduli, the projection
+and its scratch are the optimizer's batch's. At a single state,
 ``capacity_difference`` is a batch of one row, ``gradient_bundle`` returns
 that row's four gradient blocks as a ``BeamformerState``, and each
 ``grad_*`` is one field of it. The per-vector forms the kernel is tested
@@ -36,7 +38,6 @@ term and P_s, h_se, f_s in the eavesdropper term).
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -69,7 +70,7 @@ class Links:
     den1] per receiver, with den0 = noise + jamming and den1 = den0 + source
     term, and ``cd`` = [c_l, c_e, c_l - c_e]. ``g`` is where
     ``LinkKernel.gradient`` writes the gradient at ``x``. The rest is scratch
-    of ``LinkKernel.evaluate`` and ``gradient``, and ``mag`` of the projection.
+    of ``LinkKernel.evaluate`` and ``gradient``.
     """
 
     def __init__(self, n_rows: int, n_rx: int, n_tx: int):
@@ -87,8 +88,7 @@ class Links:
             factors=np.empty((n_rows, 3, 2)),
             coef=np.empty((n_rows, 3, 2), dtype=complex),
             weighted=np.empty((n_rows, 2, 2, 1, n_rx), dtype=complex),
-            legs=np.empty((n_rows, 4, 1, n_tx), dtype=complex),
-            mag=np.empty((n_rows, 2 * (n_rx + n_tx))))
+            legs=np.empty((n_rows, 4, 1, n_tx), dtype=complex))
         self.resize(n_rows)
 
     def resize(self, n_rows: int) -> None:
@@ -150,8 +150,7 @@ class LinkKernel:
     and the combiner norm in each receiver's denominators (columns:
     legitimate, eavesdropper). ``grad_weights`` is the same with the
     eavesdropper column negated and 1/ln 2 folded in, the weights of the
-    conjugate gradient of c_l - c_e. ``ca_scale`` is the CA modulus 1/sqrt(N)
-    of each entry of a packed state. All are built here, with the batch.
+    conjugate gradient of c_l - c_e. All are built here, with the batch.
     Every operation is row-wise, so a row's values do not depend on the
     other rows of its batch.
     """
@@ -170,8 +169,6 @@ class LinkKernel:
             [[[pw.p_s, pw.p_s], [pw.p_j, pw.p_j], [pw.sigma2_l, pw.sigma2_e]] for pw in powers],
             dtype=float)
         self.grad_weights = self.link_weights * _GRAD_SIGN
-        ca = self.ca_scale = np.empty(2 * (n_rx + n_tx))
-        ca[:2 * n_rx], ca[2 * n_rx:] = 1.0 / math.sqrt(n_rx), 1.0 / math.sqrt(n_tx)
 
     def set_p_s(self, p_s: np.ndarray, lk: Links) -> None:
         """Set every row's source power, one value per row, and re-weigh lk's

@@ -6,9 +6,10 @@ powers, a start, and whether w_e is ascended too), and the rows travel as
 one (B, 2*n_rx + 2*n_tx) array of packed states x = [w_l | w_e | f_s | f_j]
 through ``gradients.LinkKernel``, built once per batch. Every pass makes,
 for all active rows at once, one gradient call, one gradient step and one
-constant-amplitude projection of the packed steps and one link evaluation
-of the candidates. A 2-norm step before the projection would change
-nothing, since ``project_ca`` keeps only the phases. The accept /
+constant-amplitude projection of the packed steps, on the batch's CA
+moduli, and one link evaluation of the candidates: the kernel models links
+only. A 2-norm step before the projection would change nothing, since
+``project_ca`` keeps only the phases. The accept /
 revert-and-halve / converge decision (``_decide``) is one loop over the
 list of the rows' changes, on Python floats; every array operation stays
 batched. A step that decreases a row's objective is a perturbation: the row
@@ -196,19 +197,23 @@ def state_ca_violation(bf: BeamformerState) -> float:
     return max(ca_violation(v) for v in bf.vectors())
 
 
+def _root_n(n_rx: int, n_tx: int) -> np.ndarray:
+    """sqrt(N) of each entry's block in a packed row: the CA modulus is 1/sqrt(N)."""
+    return np.repeat([math.sqrt(n_rx), math.sqrt(n_tx)], [2 * n_rx, 2 * n_tx])
+
+
 def warm_start(params: ChannelParams, rng: np.random.Generator) -> BeamformerState:
     """Random start: i.i.d. uniform phases for w_l, w_e, f_s, f_j in that
     order, the law of CN(0,1) draws pushed onto the CA manifold, drawn as
     one packed row and returned as its four views."""
     n_rx, n_tx = params.n_rx, params.n_tx
-    root_n = np.repeat([math.sqrt(n_rx), math.sqrt(n_tx)], [2 * n_rx, 2 * n_tx])
-    x = np.exp(2j * np.pi * rng.random(2 * (n_rx + n_tx))) / root_n
+    x = np.exp(2j * np.pi * rng.random(2 * (n_rx + n_tx))) / _root_n(n_rx, n_tx)
     return _unpack_state(x, n_rx, n_tx)
 
 
-def _project_packed(kernel: LinkKernel, y: np.ndarray, mag: np.ndarray) -> None:
+def _project_packed(ca: np.ndarray, y: np.ndarray, mag: np.ndarray) -> None:
     """``project_ca`` of every block of every row of y, in place, with each
-    block's 1/sqrt(N) from ``kernel.ca_scale``: an entry with modulus below
+    entry's modulus 1/sqrt(N) from ``ca``: an entry with modulus below
     1e-12, a zero block's included, takes phase zero. A NaN entry, which
     fails that comparison, stays NaN, and an infinite one comes out NaN
     (inf * 0); the pass then finds the row's objective non-finite, and
@@ -217,11 +222,11 @@ def _project_packed(kernel: LinkKernel, y: np.ndarray, mag: np.ndarray) -> None:
     """
     mag = np.abs(y, out=mag)
     if mag.min() >= 1e-12:
-        y *= np.divide(kernel.ca_scale, mag, out=mag)
+        y *= np.divide(ca, mag, out=mag)
         return
     tiny = mag < 1e-12
-    y *= np.divide(kernel.ca_scale, mag, out=mag, where=~tiny)
-    np.copyto(y, kernel.ca_scale, where=tiny)
+    y *= np.divide(ca, mag, out=mag, where=~tiny)
+    np.copyto(y, ca, where=tiny)
 
 
 def _decide(change: list[float], delta: np.ndarray, eps: float, delta_min: float,
@@ -276,12 +281,14 @@ class _Lockstep:
     Row-indexed arrays (kernel, with the rows' channels and powers, links,
     with their gradient, ``delta``, ``hold``, ``meta``) hold the active rows
     only, in row order, compacted into the prefix when rows leave; results
-    and cycle records are kept per row id. ``meta`` row j is the ints [row
-    id, cycle, pass the cycle started at]; its power is the kernel's
-    ``link_weights[j, 0, 0]``. At the top of every pass every active row's
-    id is below ``failed_at``, the first failed row's id, so the decision
-    only sees finite changes of live rows: a pass that fails a row drops it
-    and the rows after it, and is redone for the rows before it.
+    and cycle records are kept per row id. ``ca`` is each packed entry's CA
+    modulus, and ``mag``, the projection's one scratch array, is viewed at
+    the live rows. ``meta`` row j is the ints [row id, cycle, pass the cycle
+    started at]; its power is the kernel's ``link_weights[j, 0, 0]``. At the
+    top of every pass every active row's id is below ``failed_at``, the
+    first failed row's id, so the decision only sees finite changes of live
+    rows: a pass that fails a row drops it and the rows after it, and is
+    redone for the rows before it.
 
     The iteration log is kept per pass, as (pass, meta rows, [c_l, c_e,
     c_l - c_e] rows, ``delta`` rows) of the rows accepted in it; when the
@@ -306,10 +313,11 @@ class _Lockstep:
             return
         kernel = self.kernel = LinkKernel([r.channel for r in rows], [r.powers for r in rows])
         self.cur, self.cand = (Links(len(rows), kernel.n_rx, kernel.n_tx) for _ in range(2))
+        self.ca, self.mag = 1.0 / _root_n(kernel.n_rx, kernel.n_tx), np.empty(self.cur.x.shape)
         for row, x in zip(rows, self.cur.x):
             np.concatenate(row.init.vectors(), out=x)
         # an entry off its CA modulus fails a start; a NaN is left to the objective's check
-        off = np.flatnonzero((np.abs(np.abs(self.cur.x) - kernel.ca_scale) > 1e-6).any(axis=1))
+        off = np.flatnonzero((np.abs(np.abs(self.cur.x) - self.ca) > 1e-6).any(axis=1))
         if off.size:
             self.failed_at = int(off[0])
             self.error = ValueError("initial state violates the constant-amplitude constraint")
@@ -442,7 +450,7 @@ class _Lockstep:
             if n_rows != len(self.meta):
                 # rows left: the views of the rest
                 n_rows, kernel, delta = len(self.meta), self.kernel, self.delta
-                delta_col, hold = delta[:, None], self.hold[:, None]
+                delta_col, hold, mag = delta[:, None], self.hold[:, None], self.mag[:n_rows]
                 self.cand.resize(n_rows)
                 next_cap = self._next_cap()
             cur, cand = self.cur, self.cand
@@ -450,7 +458,7 @@ class _Lockstep:
             kernel.gradient(cur)
             np.multiply(cur.g_re, delta_col, out=cand.x_re)
             cand.x += cur.x
-            _project_packed(kernel, cand.x, cand.mag)
+            _project_packed(self.ca, cand.x, mag)
             np.copyto(cand.we, cur.we, where=hold)
             kernel.evaluate(cand)
 

@@ -108,10 +108,8 @@ def capacity(gamma: float) -> float:
 
 @dataclass(frozen=True)
 class SecrecySnapshot:
-    """Point evaluation of both links: SINRs, capacities, secrecy capacity."""
+    """Point evaluation of both links: capacities and secrecy capacity."""
 
-    gamma_l: float
-    gamma_e: float
     c_l: float
     c_e: float
     c_s: float
@@ -119,10 +117,6 @@ class SecrecySnapshot:
 
 def secrecy_capacity(ch: ChannelSet, bf: BeamformerState, pw: PowerConfig) -> SecrecySnapshot:
     """Evaluate both links and clamp the capacity difference at zero."""
-    gamma_l = sinr_legitimate(ch, bf, pw)
-    gamma_e = sinr_eavesdropper(ch, bf, pw)
-    c_l = capacity(gamma_l)
-    c_e = capacity(gamma_e)
-    return SecrecySnapshot(
-        gamma_l=gamma_l, gamma_e=gamma_e, c_l=c_l, c_e=c_e, c_s=max(c_l - c_e, 0.0)
-    )
+    c_l = capacity(sinr_legitimate(ch, bf, pw))
+    c_e = capacity(sinr_eavesdropper(ch, bf, pw))
+    return SecrecySnapshot(c_l=c_l, c_e=c_e, c_s=max(c_l - c_e, 0.0))

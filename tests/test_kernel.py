@@ -16,7 +16,8 @@ from secrecy_ascent.channel import ChannelSet
 from secrecy_ascent.gradients import (LinkKernel, capacity_difference, grad_fj, grad_fs, grad_we,
                                       grad_wl)
 from secrecy_ascent.metrics import LN2
-from secrecy_ascent.optimizer import _project_packed, project_ca
+from secrecy_ascent.optimizer import (AscentRow, OptimizerConfig, _Lockstep, _project_packed,
+                                      project_ca)
 
 REL_TOL = 1e-12
 
@@ -152,30 +153,42 @@ def assert_packed_projection_is_project_ca(kernel, got, step):
         assert v_got.tobytes() == project_ca(v_step).tobytes()
 
 
-def test_packed_projection_matches_project_ca_per_block():
-    ch, _, pw = random_instance(3, 7, seed=44)
-    kernel = LinkKernel((ch,), (pw,))
-    rng = np.random.default_rng(45)
+def one_row_batch(ch, bf, pw):
+    """A lockstep batch of one row starting at ``bf``, built but not run."""
+    return _Lockstep([AscentRow(ch, pw, bf)], OptimizerConfig(), False, None)
+
+
+@pytest.mark.parametrize("n_rx, n_tx", [(1, 1), (1, 70), (3, 7), (4, 16), (4, 64), (6, 69)])
+def test_packed_projection_matches_project_ca_per_block(n_rx, n_tx):
+    # N = 1, odd and even N, and both presets' arrays (4x16, 4x64), with the
+    # moduli of a batch whose one row is a warm start: its start check passes
+    # it, so warm_start's division by sqrt(N) and project_ca's 1/sqrt(N)
+    # state one manifold
+    ch, bf, pw = random_instance(n_rx, n_tx, seed=44)
+    batch = one_row_batch(ch, bf, pw)
+    assert batch.error is None and batch.failed_at == 1
+    kernel, rng = batch.kernel, np.random.default_rng(45)
+    n, w_e, f_s = 2 * (n_rx + n_tx), n_rx, 2 * n_rx
     # below the 1e-12 modulus guard: single entries, and a whole zero f_s
-    for guard_entries, value in (((), 0.0), ((0, 5, 9), 1e-13), ((3, 4, 5), 1e-13),
-                                 (range(6, 13), 0.0)):
+    for guard_entries, value in (((), 0.0), ({0, f_s, n - 1}, 1e-13),
+                                 ({w_e - 1, w_e, f_s}, 1e-13), (range(f_s, f_s + n_tx), 0.0)):
         step = packed_step(kernel, rng)
         step[list(guard_entries)] = value
         got = step[None].copy()
-        _project_packed(kernel, got, np.empty(got.shape))
+        _project_packed(batch.ca, got, np.empty(got.shape))
         assert_packed_projection_is_project_ca(kernel, got[0], step)
 
 
 def test_packed_projection_treats_each_row_alone():
-    ch, _, pw = random_instance(3, 7, seed=48)
-    kernel = LinkKernel((ch,), (pw,))
-    rng = np.random.default_rng(49)
+    ch, bf, pw = random_instance(3, 7, seed=48)
+    batch = one_row_batch(ch, bf, pw)
+    kernel, rng = batch.kernel, np.random.default_rng(49)
     steps = np.array([packed_step(kernel, rng) for _ in range(4)])
     steps[1, [2, 8]] = 1e-13  # guard entries in row 1 only
     steps[2, 6:13] = 0.0  # row 2's f_s block is zero
     steps[3, 4] = np.nan  # row 3 holds a NaN, which is no tiny entry
     got = steps.copy()
-    _project_packed(kernel, got, np.empty(got.shape))
+    _project_packed(batch.ca, got, np.empty(got.shape))
     for row in (0, 1, 2):
         assert_packed_projection_is_project_ca(kernel, got[row], steps[row])
     assert np.isnan(got[3, 4]) and np.isfinite(np.delete(got[3], 4)).all()

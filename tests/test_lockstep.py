@@ -349,11 +349,11 @@ def assert_a_poisoned_step_fails_its_row(monkeypatch, value, bad=3, variable=Fal
     project = opt._project_packed
     calls, seen = [], []
 
-    def poison_third_pass(kernel, y, mag):
+    def poison_third_pass(ca, y, mag):
         calls.append(len(y))
         if len(calls) == 3:
             y[bad, 0] = value
-        return project(kernel, y, mag)
+        return project(ca, y, mag)
 
     monkeypatch.setattr(opt, "_project_packed", poison_third_pass)
     with np.errstate(invalid="ignore" if value == np.inf else "warn"):  # inf * 0
@@ -403,11 +403,11 @@ def test_a_zero_step_block_is_projected_as_project_ca_projects_it(monkeypatch):
     project = opt._project_packed
     calls, projected = [], []
 
-    def zero_third_pass(kernel, y, mag):
+    def zero_third_pass(ca, y, mag):
         calls.append(len(y))
         if len(calls) == 3:
             y[1, -5:] = 0.0
-        project(kernel, y, mag)
+        project(ca, y, mag)
         if len(calls) == 3:
             projected.append(y[1, -5:].copy())
 
@@ -419,6 +419,28 @@ def test_a_zero_step_block_is_projected_as_project_ca_projects_it(monkeypatch):
     monkeypatch.setattr(opt, "_project_packed", project)
     for k in (0, 2, 3):
         assert same_result(ascend_rows([rows[k]], cfg)[0][0], results[k])
+
+
+def test_the_batch_holds_the_ca_moduli_and_one_projection_scratch(monkeypatch):
+    # the kernel and the links model links only; the batch holds each
+    # packed entry's modulus 1/sqrt(N), bit for bit, and one scratch array
+    # at its full row count, which every pass's projection views
+    rows = rows_of(2, 5, PowerConfig(p_s=10.0, p_j=10.0), range(3), [True] * 3)
+    batch = opt._Lockstep(rows, OptimizerConfig(max_iters=30), False, None)
+    assert not hasattr(batch.kernel, "ca_scale")
+    assert "mag" not in vars(batch.cur) and "mag" not in vars(batch.cand)
+    moduli = [1.0 / math.sqrt(2)] * 4 + [1.0 / math.sqrt(5)] * 10
+    assert batch.ca.tolist() == moduli
+    assert batch.mag.shape == (3, 14) and batch.mag.dtype == float
+    project, scratch = opt._project_packed, []
+
+    def viewing(ca, y, mag):
+        scratch.append(mag.base is batch.mag)
+        project(ca, y, mag)
+
+    monkeypatch.setattr(opt, "_project_packed", viewing)
+    batch.run()
+    assert batch.error is None and scratch and all(scratch)
 
 
 @pytest.mark.parametrize("n_rows", [4, 5])
@@ -433,9 +455,9 @@ def test_a_rows_rejected_steps_are_its_passes_less_its_accepted_ones(monkeypatch
     project = opt._project_packed
     projected, seen = [], []
 
-    def counting(kernel, y, mag):
+    def counting(ca, y, mag):
         projected.append(len(y))
-        project(kernel, y, mag)
+        project(ca, y, mag)
 
     monkeypatch.setattr(opt, "_project_packed", counting)
     results, error = ascend_rows(rows, cfg, variable, on_accept=lambda i, state: seen.append(i))
