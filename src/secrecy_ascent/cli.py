@@ -36,6 +36,33 @@ from .optimizer import warm_start
 GRADCHECK_TOL = 1e-5
 
 
+# json's spelling of the floats whose repr is not their json text
+_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _nested_json(value, depth: int) -> str:
+    """json.dumps(value, indent=2) as it reads ``depth`` levels deep: json
+    escapes each newline inside a string, so every newline of its text is
+    layout."""
+    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
+
+
+def _report_json(manifest: dict, report: dict, curves: dict[str, list[str]]) -> str:
+    """report.json: json.dumps({"manifest": manifest, "report": report},
+    indent=2) and a newline, byte for byte. A field named in ``curves``, its
+    values' reprs by field name, is joined from those texts into json's
+    layout at depth 2, where json would render it item by item in pure
+    Python. A float's json text is its repr, NaN and the infinities apart."""
+    fields = []
+    for name, value in report.items():
+        texts = curves.get(name)
+        text = ("[\n      " + ",\n      ".join(map(_JSON_FLOATS.get, texts, texts)) + "\n    ]"
+                if texts else _nested_json(value, 2))  # json writes an empty list as []
+        fields.append(f"{json.dumps(name)}: {text}")
+    return ('{\n  "manifest": ' + _nested_json(manifest, 1)
+            + ',\n  "report": {\n    ' + ",\n    ".join(fields) + "\n  }\n}\n")
+
+
 def cmd_run(config_path: str, overrides: dict[str, str], output_dir: str, threads: int) -> int:
     started = time.perf_counter()
     resolved = resolve_config_file(config_path, overrides)
@@ -63,8 +90,9 @@ def cmd_run(config_path: str, overrides: dict[str, str], output_dir: str, thread
             # a trial's last element is its rows, rendered where it ran
             report = run(cfg, threads=threads, on_trial=lambda i, *trial: fh.write(trial[-1]))
 
+        curves = report._curve_texts()
         with open(aggregate_path, "w", newline="") as fh:
-            fh.write(report.aggregate_text())
+            fh.write(report.aggregate_text(curves))
 
         # what produced the outputs and where they went
         manifest = {
@@ -79,7 +107,7 @@ def cmd_run(config_path: str, overrides: dict[str, str], output_dir: str, thread
             },
         }
         with open(report_path, "w") as fh:
-            fh.write(json.dumps({"manifest": manifest, "report": vars(report)}, indent=2) + "\n")
+            fh.write(_report_json(manifest, vars(report), curves))
     except OSError as exc:
         # a write that fails fails the run, which leaves no summary; ``fh`` is
         # the file being written, unless the error is that of opening one

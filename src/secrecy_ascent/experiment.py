@@ -99,6 +99,13 @@ class AggregateReport:
     converged_c_s_std: float
     termination_reasons: dict[str, int]
 
+    def _curve_texts(self) -> dict[str, list[str]]:
+        """The repr of each value of each mean curve, by field name: the one
+        text of each value, which aggregate.csv's rows and report.json's
+        curve lists both join."""
+        return {name: list(map(repr, value)) for name, value in vars(self).items()
+                if name.endswith("_curve")}
+
 
 @dataclass
 class FixedPowerReport(AggregateReport):
@@ -116,13 +123,15 @@ class FixedPowerReport(AggregateReport):
     def svd_violations(self) -> int:
         return len(self.svd_violation_trials)
 
-    def aggregate_text(self) -> str:
-        """aggregate.csv, one ``%`` format per row, as ``_trace_text`` writes trace.csv."""
-        row = f"%d,%s,%s,{self.svd_bound_mean!r}\n"
-        rows = zip(range(len(self.c_s_mean_curve)), self.c_s_mean_curve,
-                   self.c_s_we_opt_mean_curve)
+    def aggregate_text(self, texts: dict[str, list[str]]) -> str:
+        """aggregate.csv, one f-string per row joined from ``texts``, the
+        report's ``_curve_texts``: a float's text is its repr, as in
+        ``csv.writer``, and the constant column's is made once."""
+        tail = f",{self.svd_bound_mean!r}\n"
+        rows = zip(range(len(self.c_s_mean_curve)), texts["c_s_mean_curve"],
+                   texts["c_s_we_opt_mean_curve"])
         return ("iteration,c_s_mean,c_s_we_opt_mean,svd_bound_mean\n"
-                + "".join(map(row.__mod__, rows)))
+                + "".join([f"{t},{c_s},{c_s_opt}{tail}" for t, c_s, c_s_opt in rows]))
 
 
 @dataclass
@@ -134,11 +143,12 @@ class VariablePowerReport(AggregateReport):
     mean_cycles: float
     mean_final_p_s_db: float
 
-    def aggregate_text(self) -> str:
+    def aggregate_text(self, texts: dict[str, list[str]]) -> str:
         """aggregate.csv, as ``FixedPowerReport.aggregate_text`` writes it."""
-        rows = zip(range(1, len(self.c_s_mean_curve) + 1), self.c_s_mean_curve,
-                   self.p_s_db_mean_curve)
-        return "cycle,c_s_mean,p_s_db_mean\n" + "".join(map("%d,%s,%s\n".__mod__, rows))
+        rows = zip(range(1, len(self.c_s_mean_curve) + 1), texts["c_s_mean_curve"],
+                   texts["p_s_db_mean_curve"])
+        return ("cycle,c_s_mean,p_s_db_mean\n"
+                + "".join([f"{k},{c_s},{p_db}\n" for k, c_s, p_db in rows]))
 
 
 class TrialError(RuntimeError):
@@ -192,18 +202,19 @@ def _trace_text(trial: int, trace: OptimizerTrace) -> str:
     """The trace.csv rows of one trial's main ascent, read from the columns
     of its iteration log and, for ``p_s_db``, from its cycles.
 
-    Each row is one ``%`` format of Python ints and floats: a float's ``%s``
-    text is its repr, as in ``csv.writer`` (and ``%s`` formats a float
-    faster than ``%r``). ``delta`` takes a few values per trial, so its text
-    is made once per distinct value, and ``p_s_db``'s once per cycle.
+    Each row is one f-string of Python ints and texts, a float's text being
+    its repr, as in ``csv.writer``. A row's head, ``trial,cycle,``, and its
+    ``p_s_db`` tail are made once per cycle, and ``delta``, which takes a
+    few values per trial, has its text made once per distinct value.
     """
     log = trace.log
-    cycle = log["cycle"].tolist()
-    p_s_db = [repr(linear_to_db(c.p_s)) for c in trace.cycles]
-    row = f"{trial},%d,%d,%s,%s,%s,%s,%s\n"
-    return "".join(map(row.__mod__, zip(
-        cycle, log["iteration"].tolist(), trace.c_s.tolist(), log["c_l"].tolist(),
-        log["c_e"].tolist(), _texts(log["delta"]), [p_s_db[c - 1] for c in cycle])))
+    heads = [f"{trial},{k}," for k in range(1, len(trace.cycles) + 1)]
+    tails = [f",{linear_to_db(c.p_s)!r}\n" for c in trace.cycles]
+    return "".join([f"{heads[k]}{t},{c_s!r},{c_l!r},{c_e!r},{delta}{tails[k]}"
+                    for k, t, c_s, c_l, c_e, delta in zip(
+                        (log["cycle"] - 1).tolist(), log["iteration"].tolist(),
+                        trace.c_s.tolist(), log["c_l"].tolist(), log["c_e"].tolist(),
+                        _texts(log["delta"]))])
 
 
 def _shard(cfg: SystemConfig, start: int, stop: int):

@@ -197,9 +197,9 @@ def state_ca_violation(bf: BeamformerState) -> float:
     return max(ca_violation(v) for v in bf.vectors())
 
 
-def _root_n(n_rx: int, n_tx: int) -> np.ndarray:
-    """sqrt(N) of each entry's block in a packed row: the CA modulus is 1/sqrt(N)."""
-    return np.repeat([math.sqrt(n_rx), math.sqrt(n_tx)], [2 * n_rx, 2 * n_tx])
+def _ca_moduli(n_rx: int, n_tx: int) -> np.ndarray:
+    """Each entry's CA modulus in a packed row: 1/sqrt(N) of its block."""
+    return np.repeat([1.0 / math.sqrt(n_rx), 1.0 / math.sqrt(n_tx)], [2 * n_rx, 2 * n_tx])
 
 
 def warm_start(params: ChannelParams, rng: np.random.Generator) -> BeamformerState:
@@ -207,7 +207,7 @@ def warm_start(params: ChannelParams, rng: np.random.Generator) -> BeamformerSta
     order, the law of CN(0,1) draws pushed onto the CA manifold, drawn as
     one packed row and returned as its four views."""
     n_rx, n_tx = params.n_rx, params.n_tx
-    x = np.exp(2j * np.pi * rng.random(2 * (n_rx + n_tx))) / _root_n(n_rx, n_tx)
+    x = np.exp(2j * np.pi * rng.random(2 * (n_rx + n_tx))) * _ca_moduli(n_rx, n_tx)
     return _unpack_state(x, n_rx, n_tx)
 
 
@@ -313,7 +313,7 @@ class _Lockstep:
             return
         kernel = self.kernel = LinkKernel([r.channel for r in rows], [r.powers for r in rows])
         self.cur, self.cand = (Links(len(rows), kernel.n_rx, kernel.n_tx) for _ in range(2))
-        self.ca, self.mag = 1.0 / _root_n(kernel.n_rx, kernel.n_tx), np.empty(self.cur.x.shape)
+        self.ca, self.mag = _ca_moduli(kernel.n_rx, kernel.n_tx), np.empty(self.cur.x.shape)
         for row, x in zip(rows, self.cur.x):
             np.concatenate(row.init.vectors(), out=x)
         # an entry off its CA modulus fails a start; a NaN is left to the objective's check

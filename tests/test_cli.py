@@ -261,29 +261,43 @@ def test_run_summary_names_termination_reasons(tiny_cfg, tmp_path, capsys):
     {},
     {"experiment": "variable_power", "zeta": "1000", "mu_db": "12", "kappa": "0.1",
      "max_iters": "40"},
+    # two-digit trial ids, cycles whose passes are all rejected before one
+    # that logs rows, and steps halved down to delta_min: where a row's
+    # per-cycle texts could be misread
+    {"experiment": "variable_power", "zeta": "1000", "mu_db": "30", "kappa": "0.5",
+     "max_iters": "5", "delta_min": "0.03", "n_trials": "12"},
 ])
 def test_trace_rows_match_per_record_formatting(tiny_cfg, tmp_path, overrides):
-    # trace.csv reuses the text of repeated delta and p_s values; it must be
-    # byte-identical to formatting every field of every record
+    # trace.csv reuses the text of repeated delta and p_s values and of each
+    # cycle's head; it must be byte-identical to formatting every field of
+    # every record
     argv = ["run", "--config", tiny_cfg, "--out", str(tmp_path)]
     for key, value in overrides.items():
-        argv += [f"--{key.replace('_', '-')}", value]
+        argv += ["--trials" if key == "n_trials" else f"--{key.replace('_', '-')}", value]
     assert run_cli(*argv) == 0
     cfg = cli.build_system_config(cli.resolve_config_file(tiny_cfg, overrides))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(TRACE_HEADER)
+    silent = []  # per trial, its cycles that log no row but precede one that does
 
     def write(i, res, *_):
         cycles = res.trace.cycles
         writer.writerows([i, r.cycle, r.iteration, max(r.c_l - r.c_e, 0.0), r.c_l, r.c_e, r.delta,
                           10.0 * math.log10(cycles[r.cycle - 1].p_s)] for r in res.trace.records)
+        logged = {r.cycle for r in res.trace.records}
+        silent.append(len(set(range(1, max(logged))) - logged))
 
     if overrides:
         cli.run_variable_power_experiment(cfg, on_trial=write)
         assert len({row[7] for row in csv.reader(io.StringIO(buf.getvalue()))}) > 3
     else:
         cli.run_fixed_power_experiment(cfg, on_trial=write)
+    if "delta_min" in overrides:
+        rows = list(csv.reader(io.StringIO(buf.getvalue())))[1:]
+        assert any(row[0] == "11" for row in rows)
+        assert any(row[6] == overrides["delta_min"] for row in rows)
+        assert sum(silent) > 0
     assert (tmp_path / "trace.csv").read_bytes() == buf.getvalue().encode()
 
 
@@ -318,10 +332,10 @@ def test_each_converged_mean_is_its_mean_curves_last_point(tmp_path, plan):
     {"epsilon": "1e-3", "max_iters": "400", "seed": "8"},  # the longest one holds w_e
 ])
 def test_finalize_matches_asdict_and_csv_writer(tiny_cfg, tmp_path, overrides):
-    # report.json and aggregate.csv are written from shallow field dicts and
-    # one format per row; they must be byte-identical to dumping
-    # dataclasses.asdict with json.dump(indent=2) and writing the rows
-    # through csv.writer
+    # report.json and aggregate.csv are written from shallow field dicts,
+    # their curves joined from one text per value; they must be
+    # byte-identical to dumping dataclasses.asdict with json.dump(indent=2)
+    # and writing the rows through csv.writer
     argv = ["run", "--config", tiny_cfg, "--out", str(tmp_path)]
     for key, value in overrides.items():
         argv += [f"--{key.replace('_', '-')}", value]
@@ -347,29 +361,94 @@ def test_finalize_matches_asdict_and_csv_writer(tiny_cfg, tmp_path, overrides):
             ("report_json", "report.json"))},
     }
     assert written["manifest"] == manifest
-    buf = io.StringIO()
-    json.dump({"manifest": manifest, "report": asdict(report)}, buf, indent=2)
-    buf.write("\n")
-    assert (tmp_path / "report.json").read_text() == buf.getvalue()
+    assert (tmp_path / "report.json").read_text() == json_dump_report(manifest, report)
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    if variable:
-        writer.writerow(["cycle", "c_s_mean", "p_s_db_mean"])
-        writer.writerows([k, c_s, p_db] for k, (c_s, p_db) in enumerate(
-            zip(report.c_s_mean_curve, report.p_s_db_mean_curve), start=1))
-    else:
+    expected = csv_writer_aggregate(report)
+    if not variable:
         # the longest ascents of the two sets differ, and both curves are
         # padded to one length: aggregate.csv is the report's columns
         held, optimized = (max(n) for n in zip(*passes))
         assert held != optimized
         main, opt = report.c_s_mean_curve, report.c_s_we_opt_mean_curve
         assert len(main) == len(opt) == max(held, optimized) + 1
+    assert len(expected.splitlines()) > 3
+    assert (tmp_path / "aggregate.csv").read_bytes() == expected.encode()
+
+
+def json_dump_report(manifest, report):
+    """report.json as json.dump(indent=2) writes ``manifest`` and
+    dataclasses.asdict(report), and a newline."""
+    buf = io.StringIO()
+    json.dump({"manifest": manifest, "report": asdict(report)}, buf, indent=2)
+    return buf.getvalue() + "\n"
+
+
+def csv_writer_aggregate(report):
+    """aggregate.csv as csv.writer writes the report's curves as columns."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    if isinstance(report, exp.VariablePowerReport):
+        writer.writerow(["cycle", "c_s_mean", "p_s_db_mean"])
+        writer.writerows([k, c_s, p_db] for k, (c_s, p_db) in enumerate(
+            zip(report.c_s_mean_curve, report.p_s_db_mean_curve), start=1))
+    else:
         writer.writerow(["iteration", "c_s_mean", "c_s_we_opt_mean", "svd_bound_mean"])
-        writer.writerows([t, c_s, c_s_opt, report.svd_bound_mean]
-                         for t, (c_s, c_s_opt) in enumerate(zip(main, opt)))
-    assert len(buf.getvalue().splitlines()) > 3
-    assert (tmp_path / "aggregate.csv").read_bytes() == buf.getvalue().encode()
+        writer.writerows([t, c_s, c_s_opt, report.svd_bound_mean] for t, (c_s, c_s_opt) in
+                         enumerate(zip(report.c_s_mean_curve, report.c_s_we_opt_mean_curve)))
+    return buf.getvalue()
+
+
+# a float's text at its edges: a signed zero, the least subnormal, the
+# first exponent form, a shortest round trip, and json's own spellings
+EDGE_FLOATS = [-0.0, 5e-324, 1e16, 0.1, math.nan, math.inf, -math.inf]
+
+
+def hand_built_report(variable, curve, second, value):
+    """A report with the mean curves ``curve`` and ``second`` and ``value``
+    in every float field that is not a curve."""
+    common = dict(n_trials=3, c_s_mean_curve=curve, converged_c_s_mean=value,
+                  converged_c_s_std=value, termination_reasons={"iter_cap": 2, "converged": 1})
+    if variable:
+        return exp.VariablePowerReport(experiment="variable_power", **common,
+                                       p_s_db_mean_curve=second, mean_cycles=value,
+                                       mean_final_p_s_db=value)
+    return exp.FixedPowerReport(experiment="fixed_power", **common, c_s_we_opt_mean_curve=second,
+                                converged_c_s_we_opt_mean=value, svd_bound_mean=value,
+                                mean_iterations=value, svd_violation_trials=[0, 2])
+
+
+@pytest.mark.parametrize("value", EDGE_FLOATS, ids=repr)
+@pytest.mark.parametrize("variable", [False, True], ids=["fixed", "variable"])
+def test_the_summary_writer_matches_json_and_csv_writer_at_float_edges(
+        tiny_cfg, tmp_path, monkeypatch, variable, value):
+    # report.json's curves and aggregate.csv's rows are joined from one text
+    # per curve value. At fixed power every edge sits in both curves; at
+    # variable power the curves are one point, ``value``. Every other float
+    # field is ``value``. Both files must be byte-identical to json.dump and
+    # csv.writer
+    if variable:
+        report = hand_built_report(True, [value], [value], value)
+        name, flags = "run_variable_power_experiment", ["--experiment", "variable_power",
+                                                        "--zeta", "0.5"]
+    else:
+        report = hand_built_report(False, EDGE_FLOATS, EDGE_FLOATS[::-1], value)
+        name, flags = "run_fixed_power_experiment", []
+    monkeypatch.setattr(cli, name, lambda cfg, threads, on_trial: report)
+    assert run_cli("run", "--config", tiny_cfg, *flags, "--out", str(tmp_path)) == 0
+    text = (tmp_path / "report.json").read_text()
+    assert text == json_dump_report(json.loads(text)["manifest"], report)
+    assert (tmp_path / "aggregate.csv").read_bytes() == csv_writer_aggregate(report).encode()
+
+
+@settings(max_examples=200, deadline=None)
+@given(curve=st.lists(st.floats()), variable=st.booleans())
+@example(curve=[], variable=False)
+def test_the_summary_writer_matches_json_and_csv_writer_on_any_floats(curve, variable):
+    report = hand_built_report(variable, curve, curve[::-1], curve[-1] if curve else math.nan)
+    curves = report._curve_texts()
+    manifest = {"config": {"seed": 5}, "seed": 5, "outputs": {"trace_csv": "trace.csv"}}
+    assert cli._report_json(manifest, vars(report), curves) == json_dump_report(manifest, report)
+    assert report.aggregate_text(curves) == csv_writer_aggregate(report)
 
 
 def _readme_report_fields(class_name):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import pickle
 
@@ -109,6 +110,22 @@ def test_warm_start_is_uniform_phases_from_one_block():
     for name, block in zip(("w_l", "w_e", "f_s", "f_j"), blocks):
         expected = np.exp(2j * np.pi * block) / math.sqrt(block.size)
         assert getattr(bf, name).tobytes() == expected.tobytes(), name
+
+
+@pytest.mark.parametrize("n_rx, n_tx, digest", [
+    (3, 7, "2effc0a3a77c7695847f5fda1282afaaee823303324f5e41fe4026d5056c21e1"),
+    (6, 69, "e943f8daaf493fe8939d672c855caffc098ba57ee5ed7476087d955b46278253"),
+])
+def test_warm_start_bits_are_pinned_where_the_moduli_are_inexact(n_rx, n_tx, digest):
+    # 1/sqrt(N) rounds when N is not a power of 4; a start's phases are
+    # scaled by the CA moduli, and these digests are the bits of dividing
+    # each phase by sqrt(N), which numpy does as a multiply by 1/sqrt(N)
+    params = ChannelParams(n_clusters=2, n_rays=2, n_rx=n_rx, n_tx=n_tx, angular_spread_deg=10)
+    h = hashlib.sha256()
+    for seed in range(50):
+        for v in warm_start(params, np.random.default_rng(seed)).vectors():
+            h.update(v.tobytes())
+    assert h.hexdigest() == digest
 
 
 def test_ascent_trace_monotone_and_feasible():
