@@ -29,7 +29,7 @@ from .experiment import (
     run_fixed_power_experiment,
     run_variable_power_experiment,
 )
-from .gradients import LinkKernel, fd_gradient, gradient_check_error
+from .gradients import LinkKernel, fd_gradient, gradient_bundle, gradient_check_error
 from .metrics import PowerConfig
 from .optimizer import warm_start
 
@@ -40,27 +40,22 @@ GRADCHECK_TOL = 1e-5
 _JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _nested_json(value, depth: int) -> str:
-    """json.dumps(value, indent=2) as it reads ``depth`` levels deep: json
-    escapes each newline inside a string, so every newline of its text is
-    layout."""
-    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
-
-
 def _report_json(manifest: dict, report: dict, curves: dict[str, list[str]]) -> str:
     """report.json: json.dumps({"manifest": manifest, "report": report},
-    indent=2) and a newline, byte for byte. A field named in ``curves``, its
-    values' reprs by field name, is joined from those texts into json's
-    layout at depth 2, where json would render it item by item in pure
-    Python. A float's json text is its repr, NaN and the infinities apart."""
-    fields = []
-    for name, value in report.items():
-        texts = curves.get(name)
-        text = ("[\n      " + ",\n      ".join(map(_JSON_FLOATS.get, texts, texts)) + "\n    ]"
-                if texts else _nested_json(value, 2))  # json writes an empty list as []
-        fields.append(f"{json.dumps(name)}: {text}")
-    return ('{\n  "manifest": ' + _nested_json(manifest, 1)
-            + ',\n  "report": {\n    ' + ",\n    ".join(fields) + "\n  }\n}\n")
+    indent=2) and a newline, byte for byte. json lays out the text with each
+    non-empty curve named in ``curves`` as a marker, a NUL and its name,
+    which no other value holds (json escapes a NUL, and a path or a config
+    value has none); each marker's json text is then replaced by the list
+    joined from the curve's value texts, where json would render it item by
+    item in pure Python. A float's json text is its repr, NaN and the
+    infinities apart."""
+    marks = {name: "\0" + name for name, texts in curves.items() if texts}
+    text = json.dumps({"manifest": manifest, "report": {**report, **marks}}, indent=2)
+    for name, mark in marks.items():
+        texts = curves[name]
+        text = text.replace(json.dumps(mark), "[\n      " + ",\n      ".join(
+            map(_JSON_FLOATS.get, texts, texts)) + "\n    ]")
+    return text + "\n"
 
 
 def cmd_run(config_path: str, overrides: dict[str, str], output_dir: str, threads: int) -> int:
@@ -149,9 +144,8 @@ def cmd_gradcheck(n_rx: int, n_tx: int, instances: int, corrupt: bool) -> int:
     for _ in range(instances):
         ch = draw_channel_set(params, rng)
         bf = warm_start(params, rng)
-        # one kernel per instance: the analytic gradient, and each probe as one row
-        kernel = LinkKernel((ch,), (pw,))
-        bundle = kernel.unpack(kernel.gradient(kernel.links([bf]))[0])
+        bundle = gradient_bundle(ch, bf, pw)
+        kernel = LinkKernel((ch,), (pw,))  # one per instance: each probe is one row
         for name in worst:
             grad = getattr(bundle, name)
             if corrupt and name == "w_l":

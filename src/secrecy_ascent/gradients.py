@@ -24,9 +24,9 @@ lockstep loop runs on them. The kernel evaluates any state, on the
 constant-amplitude (CA) manifold or off it; the CA moduli, the projection
 and its scratch are the optimizer's batch's. At a single state,
 ``capacity_difference`` is a batch of one row, ``gradient_bundle`` returns
-that row's four gradient blocks as a ``BeamformerState``, and each
-``grad_*`` is one field of it. The per-vector forms the kernel is tested
-against (SINRs and capacities) are in ``reference``.
+that row's four gradient blocks as a ``BeamformerState``, the gradient
+``gradcheck`` checks, and each ``grad_*`` is one field of it. The
+per-vector forms the kernel is tested against are in ``reference``.
 
 ``fd_gradient`` is an independent central-difference oracle over the real
 and imaginary parts of each coordinate, assembled into the same convention
@@ -185,10 +185,6 @@ class LinkKernel:
             a[:n_rows] = a[keep]
             setattr(self, name, a[:n_rows])
 
-    def unpack(self, x: np.ndarray) -> BeamformerState:
-        """Views of the four blocks of one row x, in BeamformerState order."""
-        return _unpack_state(x, self.n_rx, self.n_tx)
-
     def links(self, states: Sequence[BeamformerState]) -> Links:
         """Fresh links at ``states``, one BeamformerState per row, each
         packed into its row x = [w_l | w_e | f_s | f_j]."""
@@ -246,7 +242,7 @@ def gradient_bundle(ch: ChannelSet, bf: BeamformerState, pw: PowerConfig) -> Bea
     state, in the state's fields, from one kernel evaluation (a batch of one
     row)."""
     kernel, lk = _evaluate(ch, bf, pw)
-    return kernel.unpack(kernel.gradient(lk)[0])
+    return _unpack_state(kernel.gradient(lk)[0], kernel.n_rx, kernel.n_tx)
 
 
 def grad_wl(ch: ChannelSet, bf: BeamformerState, pw: PowerConfig) -> np.ndarray:

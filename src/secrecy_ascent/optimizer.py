@@ -8,17 +8,18 @@ through ``gradients.LinkKernel``, built once per batch. Every pass makes,
 for all active rows at once, one gradient call, one gradient step and one
 constant-amplitude projection of the packed steps, on the batch's CA
 moduli, and one link evaluation of the candidates: the kernel models links
-only. A 2-norm step before the projection would change nothing, since
-``project_ca`` keeps only the phases. The accept /
-revert-and-halve / converge decision (``_decide``) is one loop over the
-list of the rows' changes, on Python floats; every array operation stays
-batched. A step that decreases a row's objective is a perturbation: the row
-keeps its iterate and halves its step size (floored at ``delta_min``),
-which keeps the accepted trajectory monotone. Every pass does this same
-work, whichever rows accept. Finished rows leave; the batch compacts the
-rest. A row's records, final state and termination reason are
+only. A 2-norm step before the projection (``_project_packed``, of which
+``project_ca`` is one block) would change nothing, since it keeps only the
+phases. The accept / revert-and-halve / converge decision (``_decide``) is
+one loop over the list of the rows' changes, on Python floats; every array
+operation stays batched. A step that decreases a row's objective is a
+perturbation: the row keeps its iterate and halves its step size (floored
+at ``delta_min``), which keeps the accepted trajectory monotone. Every pass
+does this same work, whichever rows accept. Finished rows leave; the batch
+compacts the rest. A row's records, final state and termination reason are
 bit-identical however many rows share its batch; ``ascend_fixed_power``
-and ``ascend_variable_power`` are batches of one row.
+and ``ascend_variable_power`` are batches of one row, and take no observer:
+the one observer is ``ascend_rows``'s ``on_accept(row, state)``.
 
 The bookkeeping is per batch, not per row: each pass logs its accepted rows
 with a few array copies, each row's id, cycle and cycle start sit in one
@@ -167,21 +168,15 @@ def project_unit_norm(v: np.ndarray) -> np.ndarray:
 
 
 def project_ca(v: np.ndarray) -> np.ndarray:
-    """Force every entry onto modulus 1/sqrt(N), keeping phases.
-
-    Entries with modulus below 1e-12 have no usable phase and are set to
-    1/sqrt(N) with phase zero. The output always has unit 2-norm. A NaN or
-    infinite entry has no phase either, but it is a degenerate iterate, not
-    a small one: it raises ValueError.
+    """``_project_packed`` of one block: v's entries on modulus 1/sqrt(N),
+    phases kept, in a new complex array of unit 2-norm. A NaN or infinite
+    entry has no phase, but it is a degenerate iterate, not a small one: it
+    raises ValueError.
     """
-    n = v.size
-    scale = 1.0 / math.sqrt(n)
-    mag = np.abs(v)
-    if not np.isfinite(mag).all():
+    if not np.isfinite(np.abs(v)).all():
         raise ValueError("cannot project a non-finite vector")
-    out = np.full(v.shape, scale, dtype=complex)
-    ok = mag >= 1e-12
-    out[ok] = v[ok] * (scale / mag[ok])
+    out = v.astype(complex)
+    _project_packed(1.0 / math.sqrt(v.size), out, np.empty(v.shape))
     return out
 
 
@@ -211,12 +206,13 @@ def warm_start(params: ChannelParams, rng: np.random.Generator) -> BeamformerSta
     return _unpack_state(x, n_rx, n_tx)
 
 
-def _project_packed(ca: np.ndarray, y: np.ndarray, mag: np.ndarray) -> None:
-    """``project_ca`` of every block of every row of y, in place, with each
-    entry's modulus 1/sqrt(N) from ``ca``: an entry with modulus below
-    1e-12, a zero block's included, takes phase zero. A NaN entry, which
-    fails that comparison, stays NaN, and an infinite one comes out NaN
-    (inf * 0); the pass then finds the row's objective non-finite, and
+def _project_packed(ca, y: np.ndarray, mag: np.ndarray) -> None:
+    """The CA projection, in place: each entry of y keeps its phase and
+    takes the modulus 1/sqrt(N) of its block from ``ca`` (per entry, or one
+    scalar), so each block has unit 2-norm; one with modulus below 1e-12,
+    a zero block's included, takes phase zero. A NaN entry, which fails
+    that comparison, stays NaN, and an infinite one comes out NaN (inf * 0);
+    the pass then finds the row's objective non-finite, and
     ``_Lockstep._fail_first`` names the step as the cause. ``mag`` is
     scratch of y's shape.
     """
@@ -351,7 +347,7 @@ class _Lockstep:
         if self.on_accept is not None:
             ids = self.meta[:, 0].tolist()
             for j in range(len(ids)) if rows is None else rows.tolist():
-                self.on_accept(ids[j], self.kernel.unpack(cur.x[j].copy()))
+                self.on_accept(ids[j], _unpack_state(cur.x[j].copy(), cur.n_rx, cur.n_tx))
 
     def _end_cycles(self, ends, n_pass: int) -> list[int]:
         """Close the cycles of the rows ``ends`` [(j, reason)] and return the
@@ -389,7 +385,8 @@ class _Lockstep:
     def _finish(self, j: int, i: int, reason: TerminationReason) -> None:
         c_l, c_e, _ = self.cur.cd[j].tolist()
         trace = OptimizerTrace(cycles=self.cycles[i], reason=reason)
-        self.results[i] = OptimizeResult(self.kernel.unpack(self.cur.x[j].copy()), trace, c_l, c_e)
+        state = _unpack_state(self.cur.x[j].copy(), self.cur.n_rx, self.cur.n_tx)
+        self.results[i] = OptimizeResult(state, trace, c_l, c_e)
 
     def _fail_first(self, values: list[float], n_pass: int, cand=None) -> None:
         """Fail the first row whose value is not finite, if any: ``values`` are
@@ -531,9 +528,8 @@ def ascend_rows(
     return batch.results[:batch.failed_at], batch.error
 
 
-def _ascend_one(row: AscentRow, cfg: OptimizerConfig, variable: bool, on_accept):
-    observe = None if on_accept is None else (lambda _row, state: on_accept(state))
-    results, error = ascend_rows([row], cfg, variable, observe)
+def _ascend_one(row: AscentRow, cfg: OptimizerConfig, variable: bool) -> OptimizeResult:
+    results, error = ascend_rows([row], cfg, variable)
     if error is not None:
         raise error
     return results[0]
@@ -544,7 +540,6 @@ def ascend_fixed_power(
     pw: PowerConfig,
     cfg: OptimizerConfig,
     init: BeamformerState,
-    on_accept: Optional[Callable[[BeamformerState], None]] = None,
 ) -> OptimizeResult:
     """Maximize the secrecy objective at constant source power: a batch of
     one row in ``ascend_rows``.
@@ -553,7 +548,7 @@ def ascend_fixed_power(
     variant, which ascends w_e alongside the other three vectors, is an
     ``AscentRow(..., optimize_we=True)`` in ``ascend_rows``.
     """
-    return _ascend_one(AscentRow(ch, pw, init), cfg, False, on_accept)
+    return _ascend_one(AscentRow(ch, pw, init), cfg, False)
 
 
 def ascend_variable_power(
@@ -561,7 +556,6 @@ def ascend_variable_power(
     pw: PowerConfig,
     cfg: OptimizerConfig,
     init: BeamformerState,
-    on_accept: Optional[Callable[[BeamformerState], None]] = None,
 ) -> OptimizeResult:
     """Repeat fixed-power cycles, raising P_s by kappa*P_s after any cycle
     that misses the secrecy target zeta, up to the power ceiling mu: a batch
@@ -572,4 +566,4 @@ def ascend_variable_power(
     the target as reached without touching the power. The eavesdropper
     combiner stays at its initial value.
     """
-    return _ascend_one(AscentRow(ch, pw, init), cfg, True, on_accept)
+    return _ascend_one(AscentRow(ch, pw, init), cfg, True)

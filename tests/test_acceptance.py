@@ -20,8 +20,9 @@ from secrecy_ascent.experiment import (run_fixed_power_experiment, run_variable_
 from secrecy_ascent.gradients import (fd_gradient, grad_fj, grad_fs, grad_we, grad_wl,
                                       gradient_check_error)
 from secrecy_ascent.metrics import BeamformerState, PowerConfig
-from secrecy_ascent.optimizer import (OptimizerConfig, ascend_fixed_power, project_ca,
-                                      project_unit_norm, state_ca_violation, warm_start)
+from secrecy_ascent.optimizer import (AscentRow, OptimizerConfig, ascend_fixed_power, ascend_rows,
+                                      project_ca, project_unit_norm, state_ca_violation,
+                                      warm_start)
 from secrecy_ascent.reference import secrecy_capacity
 
 pytestmark = pytest.mark.acceptance
@@ -187,7 +188,7 @@ def test_acceptance_5_optimizer_invariants():
     failures = []
     checked_states = 0
 
-    def feasible(state):
+    def feasible(_row, state):
         nonlocal checked_states
         checked_states += 1
         if state_ca_violation(state) >= 1e-9:
@@ -199,9 +200,10 @@ def test_acceptance_5_optimizer_invariants():
     run_plan = [(2, 8, 0), (2, 8, 1), (3, 16, 2), (2, 4, 3), (4, 64, 4), (4, 16, 5)]
     for n_rx, n_tx, seed in run_plan:
         ch, bf, pw = random_instance(n_rx, n_tx, seed=500 + seed, n_clusters=3, n_rays=5)
-        res = ascend_fixed_power(
-            ch, pw, OptimizerConfig(max_iters=1500), bf, on_accept=feasible
-        )
+        results, error = ascend_rows([AscentRow(ch, pw, bf)], OptimizerConfig(max_iters=1500),
+                                     on_accept=feasible)
+        assert error is None, error
+        res = results[0]
         c_s = res.trace.c_s.tolist()
         if not all(b >= a for a, b in zip(c_s, c_s[1:])):
             failures.append(f"non-monotone accepted trajectory at dims ({n_rx},{n_tx})")

@@ -15,7 +15,7 @@ from helpers import random_instance
 from secrecy_ascent.channel import ChannelSet
 from secrecy_ascent.gradients import (LinkKernel, capacity_difference, grad_fj, grad_fs, grad_we,
                                       grad_wl)
-from secrecy_ascent.metrics import LN2
+from secrecy_ascent.metrics import LN2, _unpack_state
 from secrecy_ascent.optimizer import (AscentRow, OptimizerConfig, _Lockstep, _project_packed,
                                       project_ca)
 
@@ -87,7 +87,7 @@ def one_row(ch, bf, pw):
 
 def fused_gradients(ch, bf, pw):
     kernel, lk = one_row(ch, bf, pw)
-    g = kernel.unpack(kernel.gradient(lk)[0])
+    g = _unpack_state(kernel.gradient(lk)[0], kernel.n_rx, kernel.n_tx)
     return lk, {"w_l": g.w_l, "w_e": g.w_e, "f_s": g.f_s, "f_j": g.f_j}
 
 
@@ -149,7 +149,9 @@ def packed_step(kernel, rng):
 
 
 def assert_packed_projection_is_project_ca(kernel, got, step):
-    for v_got, v_step in zip(kernel.unpack(got).vectors(), kernel.unpack(step).vectors()):
+    dims = kernel.n_rx, kernel.n_tx
+    for v_got, v_step in zip(_unpack_state(got, *dims).vectors(),
+                             _unpack_state(step, *dims).vectors()):
         assert v_got.tobytes() == project_ca(v_step).tobytes()
 
 

@@ -63,6 +63,30 @@ def test_project_ca_rejects_a_non_finite_entry(bad):
         project_ca(np.array([bad, 1.0], dtype=complex))
 
 
+@pytest.mark.parametrize("n, digest", [
+    (1, "0661a348077f369dd261e31bf649042d4205e81e8e6eef18a06601350c3d468b"),
+    (4, "3b03e23e59007bc2a36be86ff25d9b14a57da95eec1e943c04c6410c15040002"),
+    (16, "dacebef63260f6c4771d572f852a2b09e085fac5292a5310bfdd50a911983538"),
+    (64, "f69f1c0cff634b959a97f74ea79a0483b841a0787ecb2ec786f5f0d076790104"),
+    (69, "2d929c4589e93fa749bdfafde37b88536f64f9db6b934ad9aa2bd687b9a47515"),
+])
+def test_project_ca_bits_are_pinned(n, digest):
+    # moduli spread over 1e-15..1e5, so that some entries fall below the
+    # 1e-12 phase guard, then the all-zero vector and a real vector; 1/sqrt(n)
+    # is inexact at n = 69
+    rng = np.random.default_rng(n)
+    h = hashlib.sha256()
+    tiny = 0
+    for _ in range(30):
+        moduli = 10.0 ** rng.uniform(-15.0, 5.0, n)
+        tiny += int(np.count_nonzero(moduli < 1e-12))
+        v = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * moduli / math.sqrt(2.0)
+        for w in (v, np.zeros(n, dtype=complex), rng.standard_normal(n) * moduli):
+            h.update(project_ca(w).tobytes())
+    assert tiny
+    assert h.hexdigest() == digest
+
+
 def test_projection_properties_random_vectors():
     rng = np.random.default_rng(30)
     for _ in range(1000):
@@ -131,8 +155,10 @@ def test_warm_start_bits_are_pinned_where_the_moduli_are_inexact(n_rx, n_tx, dig
 def test_ascent_trace_monotone_and_feasible():
     ch, init = small_problem(0)
     seen = []
-    res = ascend_fixed_power(ch, PW, OptimizerConfig(max_iters=500), init,
-                             on_accept=seen.append)
+    results, error = ascend_rows([AscentRow(ch, PW, init)], OptimizerConfig(max_iters=500),
+                                 on_accept=lambda _row, state: seen.append(state))
+    assert error is None
+    res = results[0]
     c_s = res.trace.c_s.tolist()
     assert all(b >= a for a, b in zip(c_s, c_s[1:]))
     assert res.trace.cycles[-1].c_s >= c_s[0]
