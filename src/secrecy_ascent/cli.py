@@ -1,6 +1,9 @@
 """Command-line front end: run experiments, validate configs, check gradients.
 
-Outputs of ``run``:
+``gradcheck`` checks the packed gradient the ascent steps along against one
+central-difference pass over the packed state per instance, block by block.
+
+Outputs of ``run``, the last two rendered by the report (``output_texts``):
   trace.csv      per accepted iteration of every trial's main ascent
                  (columns: trial, cycle, iteration, c_s, c_l, c_e, delta, p_s_db)
   aggregate.csv  the report's mean curves as columns, benchmark columns included
@@ -11,10 +14,8 @@ Outputs of ``run``:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -29,33 +30,11 @@ from .experiment import (
     run_fixed_power_experiment,
     run_variable_power_experiment,
 )
-from .gradients import LinkKernel, fd_gradient, gradient_bundle, gradient_check_error
-from .metrics import PowerConfig
+from .gradients import LinkKernel, fd_gradient, gradient_check_error
+from .metrics import PowerConfig, _unpack_state
 from .optimizer import warm_start
 
 GRADCHECK_TOL = 1e-5
-
-
-# json's spelling of the floats whose repr is not their json text
-_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _report_json(manifest: dict, report: dict, curves: dict[str, list[str]]) -> str:
-    """report.json: json.dumps({"manifest": manifest, "report": report},
-    indent=2) and a newline, byte for byte. json lays out the text with each
-    non-empty curve named in ``curves`` as a marker, a NUL and its name,
-    which no other value holds (json escapes a NUL, and a path or a config
-    value has none); each marker's json text is then replaced by the list
-    joined from the curve's value texts, where json would render it item by
-    item in pure Python. A float's json text is its repr, NaN and the
-    infinities apart."""
-    marks = {name: "\0" + name for name, texts in curves.items() if texts}
-    text = json.dumps({"manifest": manifest, "report": {**report, **marks}}, indent=2)
-    for name, mark in marks.items():
-        texts = curves[name]
-        text = text.replace(json.dumps(mark), "[\n      " + ",\n      ".join(
-            map(_JSON_FLOATS.get, texts, texts)) + "\n    ]")
-    return text + "\n"
 
 
 def cmd_run(config_path: str, overrides: dict[str, str], output_dir: str, threads: int) -> int:
@@ -85,10 +64,6 @@ def cmd_run(config_path: str, overrides: dict[str, str], output_dir: str, thread
             # a trial's last element is its rows, rendered where it ran
             report = run(cfg, threads=threads, on_trial=lambda i, *trial: fh.write(trial[-1]))
 
-        curves = report._curve_texts()
-        with open(aggregate_path, "w", newline="") as fh:
-            fh.write(report.aggregate_text(curves))
-
         # what produced the outputs and where they went
         manifest = {
             "config": dict(flat_items(resolved)),
@@ -101,8 +76,11 @@ def cmd_run(config_path: str, overrides: dict[str, str], output_dir: str, thread
                 "report_json": str(report_path),
             },
         }
+        aggregate_csv, report_json = report.output_texts(manifest)
+        with open(aggregate_path, "w", newline="") as fh:
+            fh.write(aggregate_csv)
         with open(report_path, "w") as fh:
-            fh.write(_report_json(manifest, vars(report), curves))
+            fh.write(report_json)
     except OSError as exc:
         # a write that fails fails the run, which leaves no summary; ``fh`` is
         # the file being written, unless the error is that of opening one
@@ -143,19 +121,17 @@ def cmd_gradcheck(n_rx: int, n_tx: int, instances: int, corrupt: bool) -> int:
     worst = {"w_l": 0.0, "f_j": 0.0, "f_s": 0.0, "w_e": 0.0}
     for _ in range(instances):
         ch = draw_channel_set(params, rng)
-        bf = warm_start(params, rng)
-        bundle = gradient_bundle(ch, bf, pw)
         kernel = LinkKernel((ch,), (pw,))  # one per instance: each probe is one row
+        lk = kernel.links([warm_start(params, rng)])
+        grad = _unpack_state(kernel.gradient(lk)[0], n_rx, n_tx)
+        if corrupt:
+            grad.w_l = grad.w_l + 1e-3
+        ref = _unpack_state(fd_gradient(
+            lambda x: float(kernel.links([_unpack_state(x, n_rx, n_tx)]).diff[0]), lk.x[0]),
+            n_rx, n_tx)
         for name in worst:
-            grad = getattr(bundle, name)
-            if corrupt and name == "w_l":
-                grad = grad + 1e-3
-
-            def objective(v, _name=name):
-                return float(kernel.links([replace(bf, **{_name: v})]).diff[0])
-
-            ref = fd_gradient(objective, getattr(bf, name))
-            worst[name] = max(worst[name], gradient_check_error(grad, ref))
+            worst[name] = max(worst[name],
+                              gradient_check_error(getattr(grad, name), getattr(ref, name)))
     ok = all(err < GRADCHECK_TOL for err in worst.values())
     for name, err in worst.items():
         status = "ok" if err < GRADCHECK_TOL else "FAIL"

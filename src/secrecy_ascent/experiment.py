@@ -21,13 +21,14 @@ reduces them in trial-index order as they arrive, their curves into one
 running sum (``_carry_add``) so that a study's memory does not grow with
 its trials, into the report of its experiment: a ``FixedPowerReport`` or a
 ``VariablePowerReport``, each holding only what its experiment computes and
-writing its own aggregate.csv rows. The trace.csv rows and the report state
-each power in dB by the one ``metrics.linear_to_db``.
+rendering its own aggregate.csv and report.json. The trace.csv rows and
+the report state each power in dB by the one ``metrics.linear_to_db``.
 """
 
 from __future__ import annotations
 
 import enum
+import json
 import multiprocessing
 from contextlib import closing
 from dataclasses import dataclass
@@ -85,12 +86,17 @@ class SystemConfig:
                              "'p_s_db' is above 'mu_db'")
 
 
+# json's spelling of the floats whose repr is not their json text
+_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 @dataclass
 class AggregateReport:
     """What both experiments report: Monte Carlo means and spreads, and the
     mean c_s curve on the longest trial's axis, shorter trials padded by
-    carrying their terminal value forward. aggregate.csv is the report's
-    curves as columns (``aggregate_text``)."""
+    carrying their terminal value forward. A report renders its own output
+    files (``output_texts``): aggregate.csv, its curves as columns, and
+    report.json, the report beside its run's manifest."""
 
     experiment: str
     n_trials: int
@@ -99,12 +105,25 @@ class AggregateReport:
     converged_c_s_std: float
     termination_reasons: dict[str, int]
 
-    def _curve_texts(self) -> dict[str, list[str]]:
-        """The repr of each value of each mean curve, by field name: the one
-        text of each value, which aggregate.csv's rows and report.json's
-        curve lists both join."""
-        return {name: list(map(repr, value)) for name, value in vars(self).items()
-                if name.endswith("_curve")}
+    def output_texts(self, manifest: dict) -> tuple[str, str]:
+        """(aggregate.csv, report.json) of this report and its run's ``manifest``.
+        Each curve value's text is its repr, made once and joined into both
+        aggregate.csv's rows (``_aggregate_text``) and report.json's lists.
+        report.json is json.dumps({"manifest": manifest, "report": report},
+        indent=2) and a newline, byte for byte: json lays out the text with
+        each non-empty curve as a marker, a NUL and its name, which no other
+        value holds (json escapes a NUL, and a path or a config value has
+        none), and each marker's json text is then replaced by the list joined
+        from the curve's texts, where json would render it item by item in
+        pure Python. A float's json text is its repr, NaN and the infinities apart."""
+        curves = {name: list(map(repr, value)) for name, value in vars(self).items()
+                  if name.endswith("_curve")}
+        marks = {name: "\0" + name for name, texts in curves.items() if texts}
+        text = json.dumps({"manifest": manifest, "report": {**vars(self), **marks}}, indent=2)
+        for name, mark in marks.items():
+            text = text.replace(json.dumps(mark), "[\n      " + ",\n      ".join(
+                map(_JSON_FLOATS.get, curves[name], curves[name])) + "\n    ]")
+        return self._aggregate_text(curves), text + "\n"
 
 
 @dataclass
@@ -123,9 +142,9 @@ class FixedPowerReport(AggregateReport):
     def svd_violations(self) -> int:
         return len(self.svd_violation_trials)
 
-    def aggregate_text(self, texts: dict[str, list[str]]) -> str:
-        """aggregate.csv, one f-string per row joined from ``texts``, the
-        report's ``_curve_texts``: a float's text is its repr, as in
+    def _aggregate_text(self, texts: dict[str, list[str]]) -> str:
+        """aggregate.csv, one f-string per row joined from ``texts``, each
+        curve's value texts by name: a float's text is its repr, as in
         ``csv.writer``, and the constant column's is made once."""
         tail = f",{self.svd_bound_mean!r}\n"
         rows = zip(range(len(self.c_s_mean_curve)), texts["c_s_mean_curve"],
@@ -143,8 +162,8 @@ class VariablePowerReport(AggregateReport):
     mean_cycles: float
     mean_final_p_s_db: float
 
-    def aggregate_text(self, texts: dict[str, list[str]]) -> str:
-        """aggregate.csv, as ``FixedPowerReport.aggregate_text`` writes it."""
+    def _aggregate_text(self, texts: dict[str, list[str]]) -> str:
+        """aggregate.csv, as ``FixedPowerReport._aggregate_text`` writes it."""
         rows = zip(range(1, len(self.c_s_mean_curve) + 1), texts["c_s_mean_curve"],
                    texts["p_s_db_mean_curve"])
         return ("cycle,c_s_mean,p_s_db_mean\n"

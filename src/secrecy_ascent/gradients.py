@@ -24,9 +24,10 @@ lockstep loop runs on them. The kernel evaluates any state, on the
 constant-amplitude (CA) manifold or off it; the CA moduli, the projection
 and its scratch are the optimizer's batch's. At a single state,
 ``capacity_difference`` is a batch of one row, ``gradient_bundle`` returns
-that row's four gradient blocks as a ``BeamformerState``, the gradient
-``gradcheck`` checks, and each ``grad_*`` is one field of it. The
-per-vector forms the kernel is tested against are in ``reference``.
+that row's four gradient blocks as a ``BeamformerState``, and each
+``grad_*`` is one field of it: views for tests and tools, which no engine
+module calls (``gradcheck`` checks the packed gradient). The per-vector
+forms the kernel is tested against are in ``reference``.
 
 ``fd_gradient`` is an independent central-difference oracle over the real
 and imaginary parts of each coordinate, assembled into the same convention
@@ -240,7 +241,7 @@ def _evaluate(ch: ChannelSet, bf: BeamformerState, pw: PowerConfig):
 def gradient_bundle(ch: ChannelSet, bf: BeamformerState, pw: PowerConfig) -> BeamformerState:
     """The conjugate gradients of c_l - c_e w.r.t. all four vectors at one
     state, in the state's fields, from one kernel evaluation (a batch of one
-    row)."""
+    row): ``LinkKernel.gradient``'s packed row, unpacked."""
     kernel, lk = _evaluate(ch, bf, pw)
     return _unpack_state(kernel.gradient(lk)[0], kernel.n_rx, kernel.n_tx)
 

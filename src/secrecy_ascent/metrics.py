@@ -57,9 +57,6 @@ class BeamformerState:
     f_s: np.ndarray
     f_j: np.ndarray
 
-    def copy(self) -> "BeamformerState":
-        return BeamformerState(self.w_l.copy(), self.w_e.copy(), self.f_s.copy(), self.f_j.copy())
-
     def vectors(self):
         return (self.w_l, self.w_e, self.f_s, self.f_j)
 

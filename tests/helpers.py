@@ -1,5 +1,7 @@
 """Shared builders for the test suite."""
 
+import copy
+
 import numpy as np
 
 from secrecy_ascent.channel import ChannelParams, ChannelSet, draw_channel_set
@@ -42,7 +44,7 @@ def objective_in(ch, bf, pw, name):
     """c_l - c_e as a function of one beamformer vector, others held."""
 
     def objective(v):
-        probe = bf.copy()
+        probe = copy.deepcopy(bf)
         setattr(probe, name, v)
         return capacity_difference(ch, probe, pw)
 

@@ -8,17 +8,23 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import secrecy_ascent.cli as cli
 import secrecy_ascent.experiment as exp
+from secrecy_ascent.channel import ChannelParams, draw_channel_set
 from secrecy_ascent.config import SCHEMA
 from secrecy_ascent.experiment import TRACE_HEADER, ExperimentKind
+from secrecy_ascent.gradients import (capacity_difference, fd_gradient, gradient_bundle,
+                                      gradient_check_error)
+from secrecy_ascent.metrics import PowerConfig
+from secrecy_ascent.optimizer import warm_start
 
 TINY = """
 n_tx = 8
@@ -458,10 +464,9 @@ def test_the_summary_writer_matches_json_and_csv_writer_on_any_floats(curve, var
     # number or a name, and a path cannot hold a NUL
     report = hand_built_report(variable, curve, curve[::-1] if second else [],
                                curve[-1] if curve else math.nan)
-    curves = report._curve_texts()
     manifest = {"config": {"seed": 5}, "seed": 5, "outputs": {"trace_csv": path}}
-    assert cli._report_json(manifest, vars(report), curves) == json_dump_report(manifest, report)
-    assert report.aggregate_text(curves) == csv_writer_aggregate(report)
+    assert report.output_texts(manifest) == (csv_writer_aggregate(report),
+                                             json_dump_report(manifest, report))
 
 
 def test_a_failing_property_test_leaves_the_session_running(tmp_path):
@@ -698,6 +703,44 @@ def test_gradcheck_default_and_scalar_dims():
 def test_gradcheck_corrupt_negative_control(capsys):
     assert run_cli("gradcheck", "--instances", "1", "--corrupt") == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def per_block_gradcheck_lines(n_rx, n_tx, instances, corrupt):
+    """gradcheck's report built block by block: each block's gradient from
+    ``gradient_bundle``, and its finite differences over states with that
+    block replaced, on gradcheck's instances and seed."""
+    params = ChannelParams(n_clusters=3, n_rays=4, n_rx=n_rx, n_tx=n_tx, angular_spread_deg=10.0)
+    pw = PowerConfig(p_s=10.0, p_j=10.0)
+    rng = np.random.default_rng(0)
+    worst = {"w_l": 0.0, "f_j": 0.0, "f_s": 0.0, "w_e": 0.0}
+    for _ in range(instances):
+        ch = draw_channel_set(params, rng)
+        bf = warm_start(params, rng)
+        bundle = gradient_bundle(ch, bf, pw)
+        for name in worst:
+            grad = getattr(bundle, name)
+            if corrupt and name == "w_l":
+                grad = grad + 1e-3
+            ref = fd_gradient(lambda v: capacity_difference(ch, replace(bf, **{name: v}), pw),
+                              getattr(bf, name))
+            worst[name] = max(worst[name], gradient_check_error(grad, ref))
+    return "".join(f"grad {name}: max relative error {err:.3e}  "
+                   f"[{'ok' if err < cli.GRADCHECK_TOL else 'FAIL'}]\n"
+                   for name, err in worst.items())
+
+
+@pytest.mark.parametrize("argv, dims, instances, corrupt", [
+    (["--n-rx", "4", "--n-tx", "64"], (4, 64), 5, False),
+    ([], (4, 16), 5, False),
+    (["--n-rx", "1", "--n-tx", "1"], (1, 1), 5, False),
+    (["--n-rx", "3", "--n-tx", "7"], (3, 7), 5, False),
+    (["--instances", "1", "--corrupt"], (4, 16), 1, True),
+], ids=["4x64", "4x16", "1x1", "3x7", "corrupt"])
+def test_gradcheck_prints_the_per_block_check(capsys, argv, dims, instances, corrupt):
+    # the packed gradient and its one finite-difference pass per instance
+    # report, block by block, what each block's own check reports
+    assert run_cli("gradcheck", *argv) == int(corrupt)
+    assert capsys.readouterr().out == per_block_gradcheck_lines(*dims, instances, corrupt)
 
 
 @pytest.mark.parametrize("value", ["0", "-4", "two", "1.5"])

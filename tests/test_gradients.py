@@ -1,4 +1,5 @@
 import cmath
+import copy
 import math
 
 import numpy as np
@@ -118,7 +119,7 @@ def test_grad_wl_phase_covariance():
     ch, bf, pw = random_instance(3, 5, seed=27)
     base = grad_wl(ch, bf, pw)
     for alpha in (0.7, -1.9):
-        rotated = bf.copy()
+        rotated = copy.deepcopy(bf)
         rotated.w_l = bf.w_l * np.exp(1j * alpha)
         np.testing.assert_allclose(
             grad_wl(ch, rotated, pw), base * np.exp(1j * alpha), atol=1e-10

@@ -8,6 +8,7 @@ the trials; each worker gets its shards' bounds from it, so the patch holds
 under any start method.
 """
 
+import copy
 import json
 import math
 import pickle
@@ -544,7 +545,7 @@ def test_a_non_finite_objective_at_a_restart_names_its_cycle(monkeypatch):
 
 def test_a_start_off_the_ca_manifold_fails_its_row():
     rows = rows_of(2, 4, PowerConfig(p_s=1.0, p_j=1.0), range(3), [True] * 3)
-    off = rows[1].init.copy()
+    off = copy.deepcopy(rows[1].init)
     off.f_s = off.f_s * 2.0
     rows[1] = AscentRow(rows[1].channel, rows[1].powers, off)
     results, error = ascend_rows(rows, OptimizerConfig(max_iters=10))
@@ -554,7 +555,7 @@ def test_a_start_off_the_ca_manifold_fails_its_row():
 def with_start(row, **blocks):
     """``row`` with the blocks ``blocks`` of its start replaced, each by a
     function of the block."""
-    init = row.init.copy()
+    init = copy.deepcopy(row.init)
     for name, change in blocks.items():
         setattr(init, name, change(getattr(init, name)))
     return AscentRow(row.channel, row.powers, init, row.optimize_we)

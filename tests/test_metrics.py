@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -140,7 +141,7 @@ def test_gamma_l_phase_invariance():
     ch, bf, pw = random_instance(3, 4, seed=13)
     base = sinr_legitimate(ch, bf, pw)
     for alpha in (0.3, 1.9, -2.4):
-        rotated = bf.copy()
+        rotated = copy.deepcopy(bf)
         rotated.w_l = bf.w_l * np.exp(1j * alpha)
         assert sinr_legitimate(ch, rotated, pw) == pytest.approx(base, rel=1e-12)
 
@@ -156,7 +157,7 @@ def test_unit_norm_combiner_matches_simplified_sinr():
 
 def test_dimension_mismatch_raises():
     ch, bf, pw = random_instance(2, 4, seed=15)
-    bad = bf.copy()
+    bad = copy.deepcopy(bf)
     bad.w_l = np.ones(3, dtype=complex) / math.sqrt(3)
     with pytest.raises(ValueError):
         sinr_legitimate(ch, bad, pw)

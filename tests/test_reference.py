@@ -51,3 +51,36 @@ def test_engine_modules_neither_define_nor_import_the_oracles(module):
 def test_the_oracles_are_in_reference():
     for name in MOVED:
         assert hasattr(reference, name)
+
+
+# the single-state layer, by defining module: each name is a batch of one
+# row or one state's view of the packed engine, and only tests and tools call it
+SINGLE_STATE = {
+    "gradients": ("grad_wl", "grad_fj", "grad_fs", "grad_we", "gradient_bundle",
+                  "capacity_difference"),
+    "optimizer": ("ascend_fixed_power", "ascend_variable_power", "state_ca_violation",
+                  "project_unit_norm"),
+}
+# experiment re-exports the two single-row ascents, where tools that wrap its
+# per-trial layers look them up
+REEXPORTS = {"experiment": {("import", "ascend_fixed_power"), ("import", "ascend_variable_power")}}
+
+
+def references(tree: ast.Module):
+    """(kind, name) of each name a module refers to: a bare name ("name"),
+    an attribute ("attribute"), or a name it imports ("import")."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield "name", node.id
+        elif isinstance(node, ast.Attribute):
+            yield "attribute", node.attr
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield from (("import", a.name.split(".")[-1]) for a in node.names)
+
+
+@pytest.mark.parametrize("module", ENGINE)
+def test_no_engine_module_but_its_home_names_the_single_state_layer(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    foreign = {name for home, names in SINGLE_STATE.items() if home != module for name in names}
+    named = {ref for ref in references(tree) if ref[1] in foreign}
+    assert not named - REEXPORTS.get(module, set())
