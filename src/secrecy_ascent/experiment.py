@@ -20,8 +20,8 @@ One loop (``_run_study``) hands each trial to an observer as
 reduces them in trial-index order as they arrive, their curves into one
 running sum (``_carry_add``) so that a study's memory does not grow with
 its trials, into the report of its experiment: a ``FixedPowerReport`` or a
-``VariablePowerReport``, each holding only what its experiment computes and
-rendering its own aggregate.csv and report.json. The trace.csv rows and
+``VariablePowerReport``, each holding only what its experiment computes; both
+render their files by ``AggregateReport.output_texts``. The trace.csv rows and
 the report state each power in dB by the one ``metrics.linear_to_db``.
 """
 
@@ -94,8 +94,9 @@ _JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 class AggregateReport:
     """What both experiments report: Monte Carlo means and spreads, and the
     mean c_s curve on the longest trial's axis, shorter trials padded by
-    carrying their terminal value forward. A report renders its own output
-    files (``output_texts``): aggregate.csv, its curves as columns, and
+    carrying their terminal value forward. Both reports' output files are
+    rendered here (``output_texts``): aggregate.csv, its columns a report's
+    ``_axis`` (header, first value), its curves and its ``_constants``, and
     report.json, the report beside its run's manifest."""
 
     experiment: str
@@ -125,6 +126,16 @@ class AggregateReport:
                 map(_JSON_FLOATS.get, curves[name], curves[name])) + "\n    ]")
         return self._aggregate_text(curves), text + "\n"
 
+    def _aggregate_text(self, texts: dict[str, list[str]]) -> str:
+        """aggregate.csv from ``texts``, each curve's value texts by name: the
+        axis column, the curves in field order, each headed by its name less
+        ``_curve``, and the constant columns, each constant's text made once."""
+        (axis, first), constants = self._axis, self._constants
+        header = ",".join([axis, *(name[:-len("_curve")] for name in texts), *constants])
+        tail = "".join(f",{getattr(self, name)!r}" for name in constants) + "\n"
+        rows = zip(map(str, range(first, first + len(self.c_s_mean_curve))), *texts.values())
+        return header + "\n" + "".join([",".join(row) + tail for row in rows])
+
 
 @dataclass
 class FixedPowerReport(AggregateReport):
@@ -138,19 +149,11 @@ class FixedPowerReport(AggregateReport):
     mean_iterations: float
     svd_violation_trials: list[int]
 
+    _axis, _constants = ("iteration", 0), ("svd_bound_mean",)
+
     @property
     def svd_violations(self) -> int:
         return len(self.svd_violation_trials)
-
-    def _aggregate_text(self, texts: dict[str, list[str]]) -> str:
-        """aggregate.csv, one f-string per row joined from ``texts``, each
-        curve's value texts by name: a float's text is its repr, as in
-        ``csv.writer``, and the constant column's is made once."""
-        tail = f",{self.svd_bound_mean!r}\n"
-        rows = zip(range(len(self.c_s_mean_curve)), texts["c_s_mean_curve"],
-                   texts["c_s_we_opt_mean_curve"])
-        return ("iteration,c_s_mean,c_s_we_opt_mean,svd_bound_mean\n"
-                + "".join([f"{t},{c_s},{c_s_opt}{tail}" for t, c_s, c_s_opt in rows]))
 
 
 @dataclass
@@ -162,12 +165,7 @@ class VariablePowerReport(AggregateReport):
     mean_cycles: float
     mean_final_p_s_db: float
 
-    def _aggregate_text(self, texts: dict[str, list[str]]) -> str:
-        """aggregate.csv, as ``FixedPowerReport._aggregate_text`` writes it."""
-        rows = zip(range(1, len(self.c_s_mean_curve) + 1), texts["c_s_mean_curve"],
-                   texts["p_s_db_mean_curve"])
-        return ("cycle,c_s_mean,p_s_db_mean\n"
-                + "".join([f"{k},{c_s},{p_db}\n" for k, c_s, p_db in rows]))
+    _axis, _constants = ("cycle", 1), ()
 
 
 class TrialError(RuntimeError):

@@ -30,6 +30,9 @@ records are built from it only on request, and every c_s from c_l and c_e
 by the one clamp ``clamp_c_s``. Each row counts its own passes, cycle by
 cycle: an ascent's ``n_iters`` is read as the sum of its cycles'. An
 ``OptimizeResult`` adds to its trace only the final state and its c_l and c_e.
+A record that validates nothing and is never written after it is built is a
+NamedTuple, like ``CycleRecord``; ``OptimizerConfig`` (it validates) and
+``OptimizerTrace`` (``_split_log`` fills in its log) are dataclasses.
 
 The acceptance and convergence tests run on the unclamped capacity
 difference c_l - c_e. The reported secrecy capacity clamps at zero; running
@@ -110,8 +113,7 @@ def clamp_c_s(c_l, c_e) -> np.ndarray:
     return np.where(diff < 0.0, 0.0, diff)
 
 
-@dataclass(frozen=True)
-class CycleRecord:
+class CycleRecord(NamedTuple):
     """Converged state of one fixed-power cycle. A cycle's number is its
     position in ``OptimizerTrace.cycles`` plus one."""
 
@@ -147,8 +149,7 @@ class OptimizerTrace:
         return list(map(IterationRecord._make, self.log.tolist()))
 
 
-@dataclass
-class OptimizeResult:
+class OptimizeResult(NamedTuple):
     """A finished ascent: its final state, its trace, and the state's c_l and
     c_e at the last cycle's power, which the log lacks after a power restart
     that accepts no step. Its c_s and power are its last cycle's."""
@@ -259,8 +260,7 @@ def _decide(change: list[float], delta: np.ndarray, eps: float, delta_min: float
     return accepted, ends, steps
 
 
-@dataclass(frozen=True)
-class AscentRow:
+class AscentRow(NamedTuple):
     """One ascent of a lockstep batch: a channel realization, the powers,
     the starting point, and whether w_e is ascended too (the benchmark
     variant) or held at its start."""

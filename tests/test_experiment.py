@@ -325,7 +325,7 @@ def test_each_trial_comes_with_its_rows_and_is_let_go_once_observed(kind, thread
             results = trial[:1]
             assert len(trial) == 2
         for res in results:
-            assert str not in map(type, (*vars(res).values(), *vars(res.trace).values()))
+            assert str not in map(type, (*res, *vars(res.trace).values()))
             seen.append(weakref.ref(res.trace))
 
     run_study(cfg, threads=threads, on_trial=observe)

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import pickle
+from multiprocessing.reduction import ForkingPickler
 
 import numpy as np
 import pytest
@@ -320,7 +321,7 @@ def test_a_trace_stores_no_fact_its_cycles_give():
     # its c_s is its clamped c_l - c_e: none is stored
     assert [f.name for f in dataclasses.fields(OptimizerTrace)] == [
         "log", "cycles", "reason"]
-    assert [f.name for f in dataclasses.fields(CycleRecord)] == ["c_s", "p_s", "n_iters"]
+    assert CycleRecord._fields == ("c_s", "p_s", "n_iters")
     fields = ("cycle", "iteration", "c_l", "c_e", "delta")
     assert IterationRecord._fields == ITERATION_DTYPE.names == fields
     trace = OptimizerTrace(cycles=[CycleRecord(1.0, 10.0, 4), CycleRecord(1.5, 11.0, 3)])
@@ -332,7 +333,7 @@ def test_a_result_adds_to_its_trace_only_the_final_state_and_its_links():
     # one fact the log lacks after a power restart that accepts no step: this
     # row's second cycle rejects its one pass, so its last log entry is at
     # cycle 1's power, and the result alone holds the final state's links
-    assert [f.name for f in dataclasses.fields(OptimizeResult)] == ["state", "trace", "c_l", "c_e"]
+    assert OptimizeResult._fields == ("state", "trace", "c_l", "c_e")
     ch, init = small_problem(8)
     res = ascend_variable_power(ch, PW, OptimizerConfig(zeta=1e6, max_cycles=2, max_iters=1), init)
     last = res.trace.cycles[-1]
@@ -364,6 +365,25 @@ def test_result_pickle_round_trip(variable):
     assert (back.c_l, back.c_e) == (res.c_l, res.c_e)
     for got, want in zip(back.state.vectors(), res.state.vectors()):
         assert got.tobytes() == want.tobytes()
+
+
+def test_a_multi_cycle_result_crosses_a_pipe_as_the_same_named_tuples():
+    # a result and its cycle records are NamedTuples, pickled as a worker's
+    # pipe sends them: each comes back as its own type, every value equal
+    ch, init = small_problem(5)
+    res = ascend_variable_power(ch, PW, OptimizerConfig(zeta=1e6, max_cycles=4, max_iters=50),
+                                init)
+    back = pickle.loads(ForkingPickler.dumps(res))
+    assert type(back) is OptimizeResult and isinstance(back, tuple)
+    assert len(back.trace.cycles) == len(res.trace.cycles) == 4
+    assert all(type(c) is CycleRecord for c in back.trace.cycles)
+    assert [tuple(map(repr, c)) for c in back.trace.cycles] == [
+        tuple(map(repr, c)) for c in res.trace.cycles]
+    assert (repr(back.c_l), repr(back.c_e)) == (repr(res.c_l), repr(res.c_e))
+    assert back.trace.log.tobytes() == res.trace.log.tobytes()
+    assert back.trace.reason is res.trace.reason
+    for got, want in zip(back.state.vectors(), res.state.vectors()):
+        assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
 
 
 def test_optimizer_config_validation():
