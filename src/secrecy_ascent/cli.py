@@ -125,7 +125,7 @@ def cmd_gradcheck(n_rx: int, n_tx: int, instances: int, corrupt: bool) -> int:
         lk = kernel.links([warm_start(params, rng)])
         grad = _unpack_state(kernel.gradient(lk)[0], n_rx, n_tx)
         if corrupt:
-            grad.w_l = grad.w_l + 1e-3
+            grad = grad._replace(w_l=grad.w_l + 1e-3)
         ref = _unpack_state(fd_gradient(
             lambda x: float(kernel.links([_unpack_state(x, n_rx, n_tx)]).diff[0]), lk.x[0]),
             n_rx, n_tx)

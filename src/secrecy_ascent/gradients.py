@@ -191,7 +191,7 @@ class LinkKernel:
         packed into its row x = [w_l | w_e | f_s | f_j]."""
         lk = Links(len(states), self.n_rx, self.n_tx)
         for bf, row in zip(states, lk.x):
-            np.concatenate(bf.vectors(), out=row)
+            np.concatenate(bf, out=row)
         self.evaluate(lk)
         return lk
 

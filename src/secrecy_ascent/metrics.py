@@ -4,13 +4,15 @@ diagnostic bound.
 
 The links themselves are evaluated in one place, ``gradients.LinkKernel``;
 the per-vector SINR and capacity formulas it is tested against are in
-``reference``.
+``reference``. ``PowerConfig`` validates, so by ``optimizer``'s record rule
+it is a dataclass and ``BeamformerState`` a NamedTuple.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,18 +49,14 @@ class PowerConfig:
             raise ValueError("noise variances must be > 0")
 
 
-@dataclass
-class BeamformerState:
+class BeamformerState(NamedTuple):
     """Combiners (w_l at the receiver, w_e at the eavesdropper) and
-    precoders (f_s at the source, f_j at the jammer)."""
+    precoders (f_s at the source, f_j at the jammer), in packed order."""
 
     w_l: np.ndarray
     w_e: np.ndarray
     f_s: np.ndarray
     f_j: np.ndarray
-
-    def vectors(self):
-        return (self.w_l, self.w_e, self.f_s, self.f_j)
 
 
 def _unpack_state(packed: np.ndarray, n_rx: int, n_tx: int) -> BeamformerState:

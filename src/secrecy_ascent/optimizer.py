@@ -29,10 +29,12 @@ ends the log becomes one column array per ascent (``OptimizerTrace.log``);
 records are built from it only on request, and every c_s from c_l and c_e
 by the one clamp ``clamp_c_s``. Each row counts its own passes, cycle by
 cycle: an ascent's ``n_iters`` is read as the sum of its cycles'. An
-``OptimizeResult`` adds to its trace only the final state and its c_l and c_e.
-A record that validates nothing and is never written after it is built is a
-NamedTuple, like ``CycleRecord``; ``OptimizerConfig`` (it validates) and
-``OptimizerTrace`` (``_split_log`` fills in its log) are dataclasses.
+``OptimizeResult`` adds to its trace only the final state and its c_l and c_e;
+``_split_log`` builds each result once, with its log. A record is a dataclass
+only if its ``__post_init__`` validates its fields (``ChannelParams``,
+``ChannelSet``, ``PowerConfig``, ``OptimizerConfig``, ``SystemConfig``) or it
+is one of the reports, which share fields and methods; every other record,
+``BeamformerState`` and ``OptimizerTrace`` too, is a NamedTuple.
 
 The acceptance and convergence tests run on the unclamped capacity
 difference c_l - c_e. The reported secrecy capacity clamps at zero; running
@@ -44,7 +46,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence, get_type_hints
 
 import numpy as np
@@ -122,8 +124,7 @@ class CycleRecord(NamedTuple):
     n_iters: int
 
 
-@dataclass(eq=False)
-class OptimizerTrace:
+class OptimizerTrace(NamedTuple):
     """How one ascent went: its accepted iterations, its fixed-power cycles
     in order, and why it ended. ``n_iters``, its loop passes, is the sum of
     its cycles'.
@@ -134,9 +135,9 @@ class OptimizerTrace:
     both built on each use: the loop and the run outputs read the columns.
     """
 
-    log: np.ndarray = field(default_factory=lambda: np.empty(0, ITERATION_DTYPE))
-    cycles: list[CycleRecord] = field(default_factory=list)
-    reason: TerminationReason = TerminationReason.ITER_CAP
+    log: np.ndarray
+    cycles: list[CycleRecord]
+    reason: TerminationReason
 
     @property
     def n_iters(self) -> int:
@@ -190,7 +191,7 @@ def ca_violation(v: np.ndarray) -> float:
 
 
 def state_ca_violation(bf: BeamformerState) -> float:
-    return max(ca_violation(v) for v in bf.vectors())
+    return max(map(ca_violation, bf))
 
 
 def _ca_moduli(n_rx: int, n_tx: int) -> np.ndarray:
@@ -274,28 +275,28 @@ class AscentRow(NamedTuple):
 class _Lockstep:
     """The rows of one ``ascend_rows`` call and their shared pass loop.
 
-    Row-indexed arrays (kernel, with the rows' channels and powers, links,
-    with their gradient, ``delta``, ``hold``, ``meta``) hold the active rows
-    only, in row order, compacted into the prefix when rows leave; results
-    and cycle records are kept per row id. ``ca`` is each packed entry's CA
-    modulus, and ``mag``, the projection's one scratch array, is viewed at
-    the live rows. ``meta`` row j is the ints [row id, cycle, pass the cycle
-    started at]; its power is the kernel's ``link_weights[j, 0, 0]``. At the
-    top of every pass every active row's id is below ``failed_at``, the
-    first failed row's id, so the decision only sees finite changes of live
-    rows: a pass that fails a row drops it and the rows after it, and is
-    redone for the rows before it.
+    Row-indexed arrays (kernel, with the rows' channels and powers, links, with
+    their gradient, ``delta``, ``hold``, ``meta``) hold the active rows only,
+    in row order, compacted into the prefix when rows leave; cycle records and
+    ``finals``, a finished row's (state, reason, c_l, c_e), are kept per row
+    id. ``ca`` is each packed entry's CA modulus, and ``mag``, the projection's
+    one scratch array, is viewed at the live rows. ``meta`` row j is the ints
+    [row id, cycle, pass the cycle started at]; its power is the kernel's
+    ``link_weights[j, 0, 0]``. At the top of every pass every active row's id
+    is below ``failed_at``, the first failed row's id, so the decision only
+    sees finite changes of live rows: a pass that fails a row drops it and the
+    rows after it, and is redone for the rows before it.
 
     The iteration log is kept per pass, as (pass, meta rows, [c_l, c_e,
     c_l - c_e] rows, ``delta`` rows) of the rows accepted in it; when the
-    batch ends ``_split_log`` turns it into each row's ITERATION_DTYPE log.
-    A pass that accepts every row logs ``meta`` itself, so ``meta`` is
-    replaced, never written in place.
+    batch ends ``_split_log`` turns it into each row's ITERATION_DTYPE log
+    and builds each result once, with its log. A pass that accepts every
+    row logs ``meta`` itself, so ``meta`` is replaced, never written in place.
     """
 
     def __init__(self, rows, cfg: OptimizerConfig, variable: bool, on_accept):
         self.cfg, self.variable, self.on_accept = cfg, variable, on_accept
-        self.results: list[Optional[OptimizeResult]] = [None] * len(rows)
+        self.finals, self.results = [None] * len(rows), []
         self.failed_at, self.error = len(rows), None
         for i, row in enumerate(rows):
             try:
@@ -311,7 +312,7 @@ class _Lockstep:
         self.cur, self.cand = (Links(len(rows), kernel.n_rx, kernel.n_tx) for _ in range(2))
         self.ca, self.mag = _ca_moduli(kernel.n_rx, kernel.n_tx), np.empty(self.cur.x.shape)
         for row, x in zip(rows, self.cur.x):
-            np.concatenate(row.init.vectors(), out=x)
+            np.concatenate(row.init, out=x)
         # an entry off its CA modulus fails a start; a NaN is left to the objective's check
         off = np.flatnonzero((np.abs(np.abs(self.cur.x) - self.ca) > 1e-6).any(axis=1))
         if off.size:
@@ -384,9 +385,8 @@ class _Lockstep:
 
     def _finish(self, j: int, i: int, reason: TerminationReason) -> None:
         c_l, c_e, _ = self.cur.cd[j].tolist()
-        trace = OptimizerTrace(cycles=self.cycles[i], reason=reason)
         state = _unpack_state(self.cur.x[j].copy(), self.cur.n_rx, self.cur.n_tx)
-        self.results[i] = OptimizeResult(state, trace, c_l, c_e)
+        self.finals[i] = (state, reason, c_l, c_e)
 
     def _fail_first(self, values: list[float], n_pass: int, cand=None) -> None:
         """Fail the first row whose value is not finite, if any: ``values`` are
@@ -410,9 +410,9 @@ class _Lockstep:
         return min(self.meta[:, 2].tolist()) + self.cfg.max_iters
 
     def _split_log(self) -> None:
-        """Give each finished row's trace its log: the rows' entries of the
-        pass log, in pass order, as one ITERATION_DTYPE array per row, c_l
-        and c_e unclamped. Each field is gathered into row order on its own,
+        """Build each finished row's result, with its trace's log: the row's
+        entries of the pass log, in pass order, as one ITERATION_DTYPE array,
+        c_l and c_e unclamped. Each field is gathered into row order on its own,
         and each table of the pass log is dropped once its columns are taken,
         the meta columns before the log is allocated: no table is reordered whole."""
         n_done = self.failed_at
@@ -435,8 +435,9 @@ class _Lockstep:
         log["c_l"], log["c_e"] = cd[order, 0], cd[order, 1]
         del cd
         log["delta"] = np.concatenate(deltas)[order]
-        for i in range(n_done):
-            self.results[i].trace.log = log[bounds[i]:bounds[i + 1]]
+        for i, (state, reason, c_l, c_e) in enumerate(self.finals[:n_done]):
+            trace = OptimizerTrace(log[bounds[i]:bounds[i + 1]], self.cycles[i], reason)
+            self.results.append(OptimizeResult(state, trace, c_l, c_e))
 
     def run(self) -> None:
         cfg = self.cfg
@@ -525,7 +526,7 @@ def ascend_rows(
         raise ValueError("variable-power ascent needs cfg.zeta")
     batch = _Lockstep(list(rows), cfg, variable, on_accept)
     batch.run()
-    return batch.results[:batch.failed_at], batch.error
+    return batch.results, batch.error
 
 
 def _ascend_one(row: AscentRow, cfg: OptimizerConfig, variable: bool) -> OptimizeResult:

@@ -6,13 +6,14 @@ oracles. ``draw_paths`` + ``build_channel`` are the per-ray channel model
 whose random stream and channels ``channel.draw_channel_set`` reproduces bit
 for bit; ``sinr_*``, ``capacity`` and ``secrecy_capacity`` (as a
 ``SecrecySnapshot``) evaluate the links that ``gradients.LinkKernel`` fuses.
-No engine module imports this one.
+No engine module imports this one. Its records validate nothing, so by
+``optimizer``'s record rule they are NamedTuples.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,8 +21,7 @@ from .channel import ChannelParams, ChannelSet, _assemble, _steering_matrix
 from .metrics import BeamformerState, PowerConfig, _check_dims
 
 
-@dataclass(frozen=True)
-class PathComponent:
+class PathComponent(NamedTuple):
     """One ray: complex gain plus arrival/departure azimuths in radians."""
 
     gain: complex
@@ -106,8 +106,7 @@ def capacity(gamma: float) -> float:
     return float(np.log2(1.0 + gamma))
 
 
-@dataclass(frozen=True)
-class SecrecySnapshot:
+class SecrecySnapshot(NamedTuple):
     """Point evaluation of both links: capacities and secrecy capacity."""
 
     c_l: float

@@ -1,7 +1,5 @@
 """Shared builders for the test suite."""
 
-import copy
-
 import numpy as np
 
 from secrecy_ascent.channel import ChannelParams, ChannelSet, draw_channel_set
@@ -44,9 +42,7 @@ def objective_in(ch, bf, pw, name):
     """c_l - c_e as a function of one beamformer vector, others held."""
 
     def objective(v):
-        probe = copy.deepcopy(bf)
-        setattr(probe, name, v)
-        return capacity_difference(ch, probe, pw)
+        return capacity_difference(ch, bf._replace(**{name: v}), pw)
 
     return objective
 

@@ -193,7 +193,7 @@ def test_acceptance_5_optimizer_invariants():
         checked_states += 1
         if state_ca_violation(state) >= 1e-9:
             failures.append("accepted iterate violates CA constraint")
-        for v in state.vectors():
+        for v in state:
             if abs(np.linalg.norm(v) - 1.0) >= 1e-9:
                 failures.append("accepted iterate violates unit norm")
 

@@ -8,7 +8,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -721,7 +721,7 @@ def per_block_gradcheck_lines(n_rx, n_tx, instances, corrupt):
             grad = getattr(bundle, name)
             if corrupt and name == "w_l":
                 grad = grad + 1e-3
-            ref = fd_gradient(lambda v: capacity_difference(ch, replace(bf, **{name: v}), pw),
+            ref = fd_gradient(lambda v: capacity_difference(ch, bf._replace(**{name: v}), pw),
                               getattr(bf, name))
             worst[name] = max(worst[name], gradient_check_error(grad, ref))
     return "".join(f"grad {name}: max relative error {err:.3e}  "

@@ -61,7 +61,8 @@ def test_dense_curve_carries_values_forward():
         IterationRecord(1, 2, 1.4, 0.5, 0.1),
         IterationRecord(1, 5, 1.7, 0.5, 0.1),
     ]
-    trace = OptimizerTrace(np.array(recs, dtype=ITERATION_DTYPE), [CycleRecord(1.2, 10.0, 7)])
+    trace = OptimizerTrace(np.array(recs, dtype=ITERATION_DTYPE), [CycleRecord(1.2, 10.0, 7)],
+                           TerminationReason.CONVERGED)
     np.testing.assert_allclose(
         _dense_curve(trace, 8), [0.0, 0.0, 0.9, 0.9, 0.9, 1.2, 1.2, 1.2]
     )
@@ -81,7 +82,7 @@ def test_shard_results_pickle_round_trip(kind):
     assert [t[2:] for t in back] == [t[2:] for t in trials]
     pairs = [(g, w) for got, want in zip(back, trials) for g, w in zip(got[:2], want[:2])]
     for got, want in pairs:
-        for g, w in zip(got.state.vectors(), want.state.vectors()):
+        for g, w in zip(got.state, want.state):
             assert (g.shape, g.dtype) == (w.shape, w.dtype)
             assert g.tobytes() == w.tobytes()
         assert got.trace.log.dtype == want.trace.log.dtype
@@ -99,7 +100,7 @@ def test_state_pickle_keeps_mixed_blocks():
     bf = BeamformerState(w_l=np.ones(2), w_e=np.ones(2, dtype=complex),
                          f_s=np.arange(3.0) + 1j, f_j=np.zeros((1, 3), dtype=complex))
     back = pickle.loads(pickle.dumps(bf))
-    for g, w in zip(back.vectors(), bf.vectors()):
+    for g, w in zip(back, bf):
         assert (g.shape, g.dtype, g.tobytes()) == (w.shape, w.dtype, w.tobytes())
 
 
@@ -325,8 +326,8 @@ def test_each_trial_comes_with_its_rows_and_is_let_go_once_observed(kind, thread
             results = trial[:1]
             assert len(trial) == 2
         for res in results:
-            assert str not in map(type, (*res, *vars(res.trace).values()))
-            seen.append(weakref.ref(res.trace))
+            assert str not in map(type, (*res, *res.trace))
+            seen.append(weakref.ref(res.trace.log))
 
     run_study(cfg, threads=threads, on_trial=observe)
     assert len(seen) == (8 if kind is ExperimentKind.FIXED_POWER else 4)

@@ -1,5 +1,4 @@
 import cmath
-import copy
 import math
 
 import numpy as np
@@ -91,7 +90,7 @@ def test_grad_fj_cancels_under_full_symmetry():
     ch, bf, pw = random_instance(3, 4, seed=24)
     sym = ChannelSet(h_sl=ch.h_sl, h_se=ch.h_sl.copy(),
                      h_jl=ch.h_jl, h_je=ch.h_jl.copy())
-    bf.w_e = bf.w_l.copy()
+    bf = bf._replace(w_e=bf.w_l.copy())
     np.testing.assert_allclose(grad_fj(sym, bf, pw), 0.0, atol=1e-18)
 
 
@@ -119,8 +118,7 @@ def test_grad_wl_phase_covariance():
     ch, bf, pw = random_instance(3, 5, seed=27)
     base = grad_wl(ch, bf, pw)
     for alpha in (0.7, -1.9):
-        rotated = copy.deepcopy(bf)
-        rotated.w_l = bf.w_l * np.exp(1j * alpha)
+        rotated = bf._replace(w_l=bf.w_l * np.exp(1j * alpha))
         np.testing.assert_allclose(
             grad_wl(ch, rotated, pw), base * np.exp(1j * alpha), atol=1e-10
         )

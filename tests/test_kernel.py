@@ -150,8 +150,7 @@ def packed_step(kernel, rng):
 
 def assert_packed_projection_is_project_ca(kernel, got, step):
     dims = kernel.n_rx, kernel.n_tx
-    for v_got, v_step in zip(_unpack_state(got, *dims).vectors(),
-                             _unpack_state(step, *dims).vectors()):
+    for v_got, v_step in zip(_unpack_state(got, *dims), _unpack_state(step, *dims)):
         assert v_got.tobytes() == project_ca(v_step).tobytes()
 
 

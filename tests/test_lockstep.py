@@ -8,7 +8,6 @@ the trials; each worker gets its shards' bounds from it, so the patch holds
 under any start method.
 """
 
-import copy
 import json
 import math
 import pickle
@@ -177,7 +176,7 @@ def same_result(a, b):
             and a.trace.reason is b.trace.reason and a.trace.n_iters == b.trace.n_iters
             and (a.c_l, a.c_e) == (b.c_l, b.c_e)
             and all(u.tobytes() == v.tobytes()
-                    for u, v in zip(a.state.vectors(), b.state.vectors())))
+                    for u, v in zip(a.state, b.state)))
 
 
 @settings(max_examples=25, deadline=None)
@@ -545,8 +544,7 @@ def test_a_non_finite_objective_at_a_restart_names_its_cycle(monkeypatch):
 
 def test_a_start_off_the_ca_manifold_fails_its_row():
     rows = rows_of(2, 4, PowerConfig(p_s=1.0, p_j=1.0), range(3), [True] * 3)
-    off = copy.deepcopy(rows[1].init)
-    off.f_s = off.f_s * 2.0
+    off = rows[1].init._replace(f_s=rows[1].init.f_s * 2.0)
     rows[1] = AscentRow(rows[1].channel, rows[1].powers, off)
     results, error = ascend_rows(rows, OptimizerConfig(max_iters=10))
     assert len(results) == 1 and "constant-amplitude" in str(error)
@@ -555,9 +553,8 @@ def test_a_start_off_the_ca_manifold_fails_its_row():
 def with_start(row, **blocks):
     """``row`` with the blocks ``blocks`` of its start replaced, each by a
     function of the block."""
-    init = copy.deepcopy(row.init)
-    for name, change in blocks.items():
-        setattr(init, name, change(getattr(init, name)))
+    init = row.init._replace(**{name: change(getattr(row.init, name))
+                                for name, change in blocks.items()})
     return AscentRow(row.channel, row.powers, init, row.optimize_we)
 
 

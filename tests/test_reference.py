@@ -1,7 +1,11 @@
 """The package layout: the oracles live in ``reference`` alone, and no
-other module of the package, its root included, defines or imports them."""
+other module of the package, its root included, defines or imports them.
+A record is a dataclass only if it validates its fields or is a report,
+and no module of the package or of its tests imports a name it never uses."""
 
 import ast
+import dataclasses
+import importlib
 from pathlib import Path
 
 import pytest
@@ -84,3 +88,48 @@ def test_no_engine_module_but_its_home_names_the_single_state_layer(module):
     foreign = {name for home, names in SINGLE_STATE.items() if home != module for name in names}
     named = {ref for ref in references(tree) if ref[1] in foreign}
     assert not named - REEXPORTS.get(module, set())
+
+
+SOURCES = sorted([*PACKAGE.glob("*.py"), *Path(__file__).parent.glob("*.py")])
+
+
+def unused_imports(path: Path):
+    """``file:line: name`` of each name that ``path`` imports and never uses
+    as a bare name; an import whose lines carry ``# noqa: F401`` (a
+    re-export) is exempt, and so is ``from __future__``."""
+    text = path.read_text()
+    lines, tree = text.splitlines(), ast.parse(text)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = (alias.asname or alias.name).split(".")[0]
+            if name not in used:
+                yield f"{path.name}:{node.lineno}: {name}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_module_imports_a_name_it_never_uses(path):
+    assert list(unused_imports(path)) == []
+
+
+VALIDATING = {"ChannelParams", "ChannelSet", "PowerConfig", "OptimizerConfig", "SystemConfig"}
+REPORTS = {"AggregateReport", "FixedPowerReport", "VariablePowerReport"}
+NAMED_TUPLES = {"BeamformerState", "IterationRecord", "CycleRecord", "OptimizerTrace",
+                "OptimizeResult", "AscentRow", "PathComponent", "SecrecySnapshot"}
+
+
+def test_a_record_is_a_dataclass_only_if_it_validates_or_is_a_report():
+    classes = {}
+    for module in (*ENGINE, "reference"):
+        mod = importlib.import_module(f"secrecy_ascent.{module}")
+        classes.update((name, obj) for name, obj in vars(mod).items()
+                       if isinstance(obj, type) and obj.__module__ == mod.__name__)
+    assert {name for name, cls in classes.items()
+            if dataclasses.is_dataclass(cls)} == VALIDATING | REPORTS
+    assert all("__post_init__" in vars(classes[name]) for name in VALIDATING)
+    assert {name for name, cls in classes.items() if issubclass(cls, tuple)} == NAMED_TUPLES
