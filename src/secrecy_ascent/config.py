@@ -2,8 +2,9 @@
 
 The format is one ``key = value`` per line, ``#`` comments, blank lines
 ignored. Powers are written in dB and converted to linear scale on load
-(noise variances stay at 1, so dB powers read as SNRs). ``SCHEMA`` is the
-one table of defaults, and each key but the dB ones names the field it fills.
+(the noise variance is 1 at both receivers, so dB powers read as SNRs).
+``SCHEMA`` is the one table of defaults, and each key but the dB ones names
+the field it fills.
 """
 
 from __future__ import annotations
@@ -161,12 +162,9 @@ def load_config(path_or_name: str, overrides: Optional[dict[str, str]] = None) -
 
 
 def flat_items(resolved: dict) -> list[tuple[str, str]]:
-    """Canonical key=value rendering of a resolved config, schema order.
-
-    Keys resolved to None (an unset zeta) are omitted."""
+    """Canonical key=value rendering of a resolved config, schema order."""
     items = []
     for key in SCHEMA:
         value = resolved[key]
-        if value is not None:
-            items.append((key, value.value if isinstance(value, ExperimentKind) else str(value)))
+        items.append((key, value.value if isinstance(value, ExperimentKind) else str(value)))
     return items

@@ -79,8 +79,6 @@ class SystemConfig:
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         variable = self.experiment is ExperimentKind.VARIABLE_POWER
-        if variable and self.optimizer.zeta is None:
-            raise ValueError("variable-power experiment needs 'zeta'")
         if variable and self.powers.p_s > self.optimizer.mu:
             raise ValueError("variable power must start at or below its ceiling: "
                              "'p_s_db' is above 'mu_db'")

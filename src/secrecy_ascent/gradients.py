@@ -50,7 +50,7 @@ from .metrics import LN2, BeamformerState, PowerConfig, _check_dims, _unpack_sta
 _GRAD_SIGN = np.array([1.0, -1.0]) / LN2
 
 
-# Rows [1/den1, 1/den1 - 1/den0, 1/den1 - 1/den0] from [1/(sigma2 |w|^2), 1/den0,
+# Rows [1/den1, 1/den1 - 1/den0, 1/den1 - 1/den0] from [1/|w|^2, 1/den0,
 # 1/den1]: the denominator factors of the source, jammer and combiner terms.
 # Its products are exact, so each entry rounds once.
 _DEN_FACTORS = np.array([[0.0, 0.0, 1.0], [0.0, -1.0, 1.0], [0.0, -1.0, 1.0]])
@@ -67,11 +67,12 @@ class Links:
     t's receive images (s source, j jammer) and the last block is a copy of
     the combiners, made at each evaluation; ``zb`` views it as
     (B, 3, 2, n_rx). ``s`` = w^H [z_s, z_j, w] per receiver (B, 3, 2): the
-    bilinear scalars, then the combiner norms. ``den`` = [sigma2 |w|^2, den0,
-    den1] per receiver, with den0 = noise + jamming and den1 = den0 + source
-    term, and ``cd`` = [c_l, c_e, c_l - c_e]. ``g`` is where
-    ``LinkKernel.gradient`` writes the gradient at ``x``. The rest is scratch
-    of ``LinkKernel.evaluate`` and ``gradient``.
+    bilinear scalars, then the combiner norms. ``den`` = [|w|^2, den0,
+    den1] per receiver, with den0 = |w|^2 + jamming (unit noise through the
+    combiner) and den1 = den0 + source term, and ``cd`` = [c_l, c_e,
+    c_l - c_e]. ``g`` is where ``LinkKernel.gradient`` writes the gradient
+    at ``x``. The rest is scratch of ``LinkKernel.evaluate`` and
+    ``gradient``.
     """
 
     def __init__(self, n_rows: int, n_rx: int, n_tx: int):
@@ -146,10 +147,11 @@ class LinkKernel:
     legitimate and eavesdropper legs are summed in pairs, so legs with equal
     inputs get equal values and symmetric legs cancel exactly.
 
-    ``link_weights`` row b is [[p_s, p_s], [p_j, p_j], [sigma2_l,
-    sigma2_e]], from row b of ``powers``: the weights of |s_s|^2, |s_j|^2
-    and the combiner norm in each receiver's denominators (columns:
-    legitimate, eavesdropper). ``grad_weights`` is the same with the
+    ``link_weights`` row b is [[p_s, p_s], [p_j, p_j], [1, 1]], from row b
+    of ``powers``: the weights of |s_s|^2, |s_j|^2 and the combiner norm in
+    each receiver's denominators (columns: legitimate, eavesdropper). The
+    noise variance is 1 at both receivers, so a denominator's noise term is
+    the combiner norm |w|^2. ``grad_weights`` is the same with the
     eavesdropper column negated and 1/ln 2 folded in, the weights of the
     conjugate gradient of c_l - c_e. All are built here, with the batch.
     Every operation is row-wise, so a row's values do not depend on the
@@ -167,7 +169,7 @@ class LinkKernel:
                           dtype=complex).reshape(len(channels), 2, 2 * n_rx, n_tx)
         self.h_conj = self.h.conj().reshape(len(channels), 4, n_rx, n_tx)
         self.link_weights = np.array(
-            [[[pw.p_s, pw.p_s], [pw.p_j, pw.p_j], [pw.sigma2_l, pw.sigma2_e]] for pw in powers],
+            [[[pw.p_s, pw.p_s], [pw.p_j, pw.p_j], [1.0, 1.0]] for pw in powers],
             dtype=float)
         self.grad_weights = self.link_weights * _GRAD_SIGN
 

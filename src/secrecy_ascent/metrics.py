@@ -33,20 +33,17 @@ def linear_to_db(x: float) -> float:
 
 @dataclass(frozen=True)
 class PowerConfig:
-    """Transmit/jamming powers and noise variances, all linear scale."""
+    """Source and jammer powers, linear scale. The noise variance at both
+    receivers is 1, so a power is its SNR."""
 
     p_s: float
     p_j: float
-    sigma2_l: float = 1.0
-    sigma2_e: float = 1.0
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.p_s, self.p_j, self.sigma2_l, self.sigma2_e))):
-            raise ValueError("powers and noise variances must be finite")
+        if not (math.isfinite(self.p_s) and math.isfinite(self.p_j)):
+            raise ValueError("powers must be finite")
         if not (self.p_s >= 0 and self.p_j >= 0):
             raise ValueError("powers must be >= 0")
-        if not (self.sigma2_l > 0 and self.sigma2_e > 0):
-            raise ValueError("noise variances must be > 0")
 
 
 class BeamformerState(NamedTuple):
@@ -77,8 +74,8 @@ def _check_dims(ch: ChannelSet, bf: BeamformerState) -> None:
 def svd_upper_bound(ch: ChannelSet, pw: PowerConfig) -> float:
     """Secrecy diagnostic from extreme singular values of the four channels:
 
-        log2(1 + P_s s_max(h_sl)^2 / (sigma_l^2 + P_j s_min(h_jl)^2))
-      - log2(1 + P_s s_min(h_se)^2 / (sigma_e^2 + P_j s_max(h_je)^2))
+        log2(1 + P_s s_max(h_sl)^2 / (1 + P_j s_min(h_jl)^2))
+      - log2(1 + P_s s_min(h_se)^2 / (1 + P_j s_max(h_je)^2))
 
     Best case for the legitimate link (largest singular value of h_sl,
     smallest of h_jl) against the worst case for the eavesdropper (smallest
@@ -89,6 +86,6 @@ def svd_upper_bound(ch: ChannelSet, pw: PowerConfig) -> float:
     """
     s_sl, s_se, s_jl, s_je = np.linalg.svd(np.stack((ch.h_sl, ch.h_se, ch.h_jl, ch.h_je)),
                                            compute_uv=False)
-    term_l = np.log2(1.0 + pw.p_s * s_sl[0] ** 2 / (pw.sigma2_l + pw.p_j * s_jl[-1] ** 2))
-    term_e = np.log2(1.0 + pw.p_s * s_se[-1] ** 2 / (pw.sigma2_e + pw.p_j * s_je[0] ** 2))
+    term_l = np.log2(1.0 + pw.p_s * s_sl[0] ** 2 / (1.0 + pw.p_j * s_jl[-1] ** 2))
+    term_e = np.log2(1.0 + pw.p_s * s_se[-1] ** 2 / (1.0 + pw.p_j * s_je[0] ** 2))
     return float(term_l - term_e)

@@ -63,7 +63,7 @@ class OptimizerConfig:
     delta0: float = 0.1
     epsilon: float = 1e-7
     kappa: float = 1e-2
-    zeta: Optional[float] = None
+    zeta: float = 4.0  # secrecy target in bps/Hz, read by variable-power ascents
     mu: float = db_to_linear(30.0)
     max_iters: int = 10_000
     max_cycles: int = 1_000
@@ -76,7 +76,7 @@ class OptimizerConfig:
                 raise ValueError(f"{name} must be finite and > 0, got {value!r}")
             if name.startswith("max_") and value != int(value):  # the loop meets a cap by ==
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.zeta is not None and not math.isfinite(self.zeta):
+        if not math.isfinite(self.zeta):
             raise ValueError(f"zeta must be finite, got {self.zeta!r}")
         if self.delta_min > self.delta0:  # the first rejection would end the cycle
             raise ValueError(f"delta_min ({self.delta_min!r}) must be <= delta0 ({self.delta0!r})")
@@ -522,8 +522,6 @@ def ascend_rows(
     observes every accepted iterate, and none of an abandoned row from then
     on. A row's result does not depend on the other rows of its batch.
     """
-    if variable and cfg.zeta is None:
-        raise ValueError("variable-power ascent needs cfg.zeta")
     batch = _Lockstep(list(rows), cfg, variable, on_accept)
     batch.run()
     return batch.results, batch.error

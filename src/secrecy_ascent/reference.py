@@ -80,12 +80,10 @@ def _bilinear_power(w: np.ndarray, h: np.ndarray, f: np.ndarray) -> float:
 
 
 def sinr_legitimate(ch: ChannelSet, bf: BeamformerState, pw: PowerConfig) -> float:
-    """P_s|w_l^H H_sl f_s|^2 / (w_l^H w_l sigma_l^2 + P_j|w_l^H H_jl f_j|^2)."""
+    """P_s|w_l^H H_sl f_s|^2 / (w_l^H w_l + P_j|w_l^H H_jl f_j|^2), at unit noise."""
     _check_dims(ch, bf)
     num = pw.p_s * _bilinear_power(bf.w_l, ch.h_sl, bf.f_s)
-    den = pw.sigma2_l * float(np.vdot(bf.w_l, bf.w_l).real) + pw.p_j * _bilinear_power(
-        bf.w_l, ch.h_jl, bf.f_j
-    )
+    den = float(np.vdot(bf.w_l, bf.w_l).real) + pw.p_j * _bilinear_power(bf.w_l, ch.h_jl, bf.f_j)
     return num / den
 
 
@@ -93,9 +91,7 @@ def sinr_eavesdropper(ch: ChannelSet, bf: BeamformerState, pw: PowerConfig) -> f
     """Mirror of sinr_legitimate on the eavesdropper side."""
     _check_dims(ch, bf)
     num = pw.p_s * _bilinear_power(bf.w_e, ch.h_se, bf.f_s)
-    den = pw.sigma2_e * float(np.vdot(bf.w_e, bf.w_e).real) + pw.p_j * _bilinear_power(
-        bf.w_e, ch.h_je, bf.f_j
-    )
+    den = float(np.vdot(bf.w_e, bf.w_e).real) + pw.p_j * _bilinear_power(bf.w_e, ch.h_je, bf.f_j)
     return num / den
 
 

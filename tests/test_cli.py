@@ -19,10 +19,10 @@ from hypothesis import strategies as st
 import secrecy_ascent.cli as cli
 import secrecy_ascent.experiment as exp
 from secrecy_ascent.channel import ChannelParams, draw_channel_set
-from secrecy_ascent.config import SCHEMA
+from secrecy_ascent.config import SCHEMA, flat_items, resolve_config_file
 from secrecy_ascent.experiment import TRACE_HEADER, ExperimentKind
-from secrecy_ascent.gradients import (capacity_difference, fd_gradient, gradient_bundle,
-                                      gradient_check_error)
+from secrecy_ascent.gradients import (LinkKernel, capacity_difference, fd_gradient,
+                                      gradient_bundle, gradient_check_error)
 from secrecy_ascent.metrics import PowerConfig
 from secrecy_ascent.optimizer import warm_start
 
@@ -57,8 +57,6 @@ def read_csv(path):
 def test_validate_reports_field_errors(tiny_cfg, capsys):
     assert run_cli("validate", "--config", tiny_cfg, "--trials", "0") == 2
     assert "n_trials" in capsys.readouterr().err
-    assert run_cli("validate", "--config", tiny_cfg, "--experiment", "variable_power") == 2
-    assert "zeta" in capsys.readouterr().err
     assert run_cli("validate", "--config", tiny_cfg, "--p-s-db", "garble") == 2
     assert "p_s_db" in capsys.readouterr().err
     # a step floor above the first step would end each cycle at its first
@@ -535,14 +533,15 @@ OVERRIDE_FLAGS = ["--trials" if key == "n_trials" else f"--{key.replace('_', '-'
 SURFACE = {
     "run": (["--config", "--out", "--threads", *OVERRIDE_FLAGS], ["--n-trials", "2"]),
     "validate": (["--config", *OVERRIDE_FLAGS], ["--n-trials", "2"]),
-    "gradcheck": (["--n-rx", "--n-tx", "--instances", "--corrupt"], ["--seed", "1"]),
+    "gradcheck": (["--n-rx", "--n-tx", "--instances"], ["--seed", "1", "--corrupt"]),
 }
 
 
 @pytest.mark.parametrize("command", SURFACE)
 def test_each_setting_has_one_flag(tiny_cfg, tmp_path, capsys, command):
     # one spelling per key, one source for the process count, a fixed
-    # gradcheck seed: a removed spelling is an unknown argument
+    # gradcheck seed and no self-test flag: a removed spelling is an unknown
+    # argument
     expected, removed = SURFACE[command]
     sub = next(action for action in cli.build_parser()._actions
                if isinstance(action, argparse._SubParsersAction))
@@ -559,6 +558,20 @@ def test_each_setting_has_one_flag(tiny_cfg, tmp_path, capsys, command):
     assert not out.exists()
 
 
+def test_each_setting_is_one_the_product_sets(tiny_cfg, capsys):
+    # the noise variance is the model's constant 1, not a power field; every
+    # key has a value, zeta the presets' 4 bps/Hz, so a plan that omits it
+    # lists it and runs variable power; gradcheck has no self-test flag
+    assert tuple(f.name for f in fields(PowerConfig)) == ("p_s", "p_j")
+    assert all(default is not None for _, default in SCHEMA.values())
+    items = flat_items(resolve_config_file(tiny_cfg))
+    assert [key for key, _ in items] == list(SCHEMA) and len(items) == 18
+    assert ("zeta", "4.0") in items
+    assert run_cli("validate", "--config", tiny_cfg, "--experiment", "variable_power") == 0
+    assert "zeta = 4.0\n" in capsys.readouterr().out
+    assert SURFACE["gradcheck"][0] == ["--n-rx", "--n-tx", "--instances"]
+
+
 def test_run_bad_config_exit_2(tiny_cfg, tmp_path):
     assert run_cli("run", "--config", tiny_cfg, "--out", str(tmp_path / "x"),
                    "--p-s-db", "oops") == 2
@@ -569,9 +582,7 @@ def test_run_bad_config_exit_2(tiny_cfg, tmp_path):
     ("n_tx = 8\nn_rx 2\n", "{path}:2: expected key=value, got 'n_rx 2'"),
     ("n_tx = 8\nn_rx = 2\nn_tx = 4\n", "{path}:3: duplicate key 'n_tx'"),
     ("n_rx = 2\nn_clusters = 2\n", "missing required key 'n_tx'"),
-    ("n_tx = 8\nn_rx = 2\nn_clusters = 2\nn_rays = 3\nexperiment = variable_power\n",
-     "variable-power experiment needs 'zeta'"),
-], ids=["no-equals-sign", "duplicate-key", "missing-key", "variable-power-without-zeta"])
+], ids=["no-equals-sign", "duplicate-key", "missing-key"])
 def test_a_malformed_config_file_exits_2_and_writes_nothing(tmp_path, capsys, text, message):
     path = tmp_path / "bad.cfg"
     path.write_text(text)
@@ -700,9 +711,25 @@ def test_gradcheck_default_and_scalar_dims():
     assert run_cli("gradcheck", "--n-rx", "4", "--n-tx", "64", "--instances", "2") == 0
 
 
-def test_gradcheck_corrupt_negative_control(capsys):
-    assert run_cli("gradcheck", "--instances", "1", "--corrupt") == 1
-    assert "FAIL" in capsys.readouterr().out
+def corrupt_gradient(monkeypatch):
+    """Make ``LinkKernel.gradient`` add 1e-3 to every entry of each row's w_l block."""
+    gradient = LinkKernel.gradient
+
+    def corrupted(kernel, lk):
+        g = gradient(kernel, lk)
+        g[:, :kernel.n_rx] += 1e-3
+        return g
+
+    monkeypatch.setattr(LinkKernel, "gradient", corrupted)
+
+
+def test_gradcheck_corrupt_negative_control(capsys, monkeypatch):
+    # the check trips on a corrupted gradient: one failing block, exit 1
+    expected = per_block_gradcheck_lines(4, 16, 1, True)
+    corrupt_gradient(monkeypatch)
+    assert run_cli("gradcheck", "--instances", "1") == 1
+    assert capsys.readouterr().out == expected
+    assert expected.count("FAIL") == 1 and "w_l" in expected.splitlines()[0]
 
 
 def per_block_gradcheck_lines(n_rx, n_tx, instances, corrupt):
@@ -734,13 +761,18 @@ def per_block_gradcheck_lines(n_rx, n_tx, instances, corrupt):
     ([], (4, 16), 5, False),
     (["--n-rx", "1", "--n-tx", "1"], (1, 1), 5, False),
     (["--n-rx", "3", "--n-tx", "7"], (3, 7), 5, False),
-    (["--instances", "1", "--corrupt"], (4, 16), 1, True),
+    (["--instances", "1"], (4, 16), 1, True),
 ], ids=["4x64", "4x16", "1x1", "3x7", "corrupt"])
-def test_gradcheck_prints_the_per_block_check(capsys, argv, dims, instances, corrupt):
+def test_gradcheck_prints_the_per_block_check(capsys, monkeypatch, argv, dims, instances,
+                                              corrupt):
     # the packed gradient and its one finite-difference pass per instance
-    # report, block by block, what each block's own check reports
+    # report, block by block, what each block's own check reports; the
+    # expected lines are built before the kernel's gradient is corrupted
+    expected = per_block_gradcheck_lines(*dims, instances, corrupt)
+    if corrupt:
+        corrupt_gradient(monkeypatch)
     assert run_cli("gradcheck", *argv) == int(corrupt)
-    assert capsys.readouterr().out == per_block_gradcheck_lines(*dims, instances, corrupt)
+    assert capsys.readouterr().out == expected
 
 
 @pytest.mark.parametrize("value", ["0", "-4", "two", "1.5"])

@@ -13,15 +13,13 @@ from secrecy_ascent.experiment import ExperimentKind
 from secrecy_ascent.optimizer import OptimizerConfig
 
 
-def value_of(convert, default):
+def value_of(convert):
     """Values ``resolve_values`` accepts for a key with this converter."""
     if convert is int:
-        values = st.integers()
-    elif convert is float:
-        values = st.floats(allow_nan=False, allow_infinity=False)
-    else:  # an enum
-        values = st.sampled_from(list(convert))
-    return st.one_of(st.none(), values) if default is None else values
+        return st.integers()
+    if convert is float:
+        return st.floats(allow_nan=False, allow_infinity=False)
+    return st.sampled_from(list(convert))  # an enum
 
 
 def typed(resolved: dict) -> dict:
@@ -30,7 +28,7 @@ def typed(resolved: dict) -> dict:
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.fixed_dictionaries({key: value_of(*spec) for key, spec in SCHEMA.items()}))
+@given(st.fixed_dictionaries({key: value_of(convert) for key, (convert, _) in SCHEMA.items()}))
 def test_flat_items_round_trip_through_the_parser(resolved):
     text = "".join(f"{key} = {value}\n" for key, value in flat_items(resolved))
     back = resolve_values(parse_config_text(text))
@@ -100,12 +98,12 @@ def test_readme_config_defaults_are_the_schemas():
         for key, value in zip(keys, values, strict=True):
             convert, default = SCHEMA[key]
             if value is None:
-                assert default is REQUIRED or default is None, key
+                assert default is REQUIRED, key
             else:
                 assert convert(value) == default, (key, value, default)
 
 
-PRESET_KEYS = ["n_tx", "n_rx", "n_clusters", "n_rays", "zeta", "experiment"]
+PRESET_KEYS = ["n_tx", "n_rx", "n_clusters", "n_rays", "experiment"]
 # what `validate` prints after a preset's geometry, the same for both bands
 BAND_SHARED = ["angular_spread_deg = 10.0", "p_s_db = 10.0", "p_j_db = 10.0", "delta0 = 0.1",
                "epsilon = 1e-07", "kappa = 0.01", "zeta = 4.0", "mu_db = 30.0",

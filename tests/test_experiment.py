@@ -742,15 +742,6 @@ def test_system_config_validation():
         small_config(n_trials=0)
     with pytest.raises(ValueError):
         replace(small_config(), seed=-1)
-    with pytest.raises(ValueError):
-        SystemConfig(
-            channel=SMALL,
-            powers=PowerConfig(p_s=1.0, p_j=1.0),
-            optimizer=OptimizerConfig(),  # no zeta
-            n_trials=1,
-            seed=0,
-            experiment=ExperimentKind.VARIABLE_POWER,
-        )
 
 
 def test_benchmark_ordering_small_sample():

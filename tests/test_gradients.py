@@ -69,18 +69,18 @@ def test_grad_wl_scalar_hand_evaluation():
     # cancels exactly; checked against the explicit two-term expression
     w, h_sl, h_jl = 0.8 + 0.6j, 1.3 - 0.4j, 0.2 + 0.9j
     f_s, f_j = cmath.exp(0.3j), cmath.exp(-1.1j)
-    p_s, p_j, sigma2 = 2.5, 1.7, 1.3
+    p_s, p_j = 2.5, 1.7
     a_sl, a_jl = h_sl * f_s, h_jl * f_j
     s_sl, s_jl = w.conjugate() * a_sl, w.conjugate() * a_jl
-    den0 = sigma2 * abs(w) ** 2 + p_j * abs(s_jl) ** 2
+    den0 = abs(w) ** 2 + p_j * abs(s_jl) ** 2
     den1 = den0 + p_s * abs(s_sl) ** 2
-    base = sigma2 * w + p_j * s_jl.conjugate() * a_jl
+    base = w + p_j * s_jl.conjugate() * a_jl
     full = base + p_s * s_sl.conjugate() * a_sl
     hand = (full / den1 - base / den0) / math.log(2.0)
 
     ch = scalar_channel(h_sl=h_sl, h_jl=h_jl)
     bf = scalar_state(w_l=w, f_s=f_s, f_j=f_j)
-    got = grad_wl(ch, bf, PowerConfig(p_s=p_s, p_j=p_j, sigma2_l=sigma2))
+    got = grad_wl(ch, bf, PowerConfig(p_s=p_s, p_j=p_j))
     assert abs(got[0] - hand) < 1e-12
     assert abs(hand) < 1e-12
 
@@ -100,7 +100,7 @@ def test_grad_fs_without_eavesdropper_channel():
                        h_jl=ch.h_jl, h_je=ch.h_je)
     got = grad_fs(quiet, bf, pw)
     s_sl = bf.w_l.conj() @ ch.h_sl @ bf.f_s
-    den1 = (pw.sigma2_l * np.vdot(bf.w_l, bf.w_l).real
+    den1 = (np.vdot(bf.w_l, bf.w_l).real
             + pw.p_j * abs(bf.w_l.conj() @ ch.h_jl @ bf.f_j) ** 2
             + pw.p_s * abs(s_sl) ** 2)
     legit_term = pw.p_s * s_sl * (ch.h_sl.conj().T @ bf.w_l) / den1 / math.log(2.0)

@@ -35,22 +35,22 @@ class RefLinks:
         self.s_je = w_e.conj() @ self.a_je
         wl2 = float(np.vdot(w_l, w_l).real)
         we2 = float(np.vdot(w_e, w_e).real)
-        self.den_l0 = pw.sigma2_l * wl2 + pw.p_j * abs(self.s_jl) ** 2
+        self.den_l0 = wl2 + pw.p_j * abs(self.s_jl) ** 2
         self.den_l1 = self.den_l0 + pw.p_s * abs(self.s_sl) ** 2
-        self.den_e0 = pw.sigma2_e * we2 + pw.p_j * abs(self.s_je) ** 2
+        self.den_e0 = we2 + pw.p_j * abs(self.s_je) ** 2
         self.den_e1 = self.den_e0 + pw.p_s * abs(self.s_se) ** 2
         self.c_l = math.log2(self.den_l1) - math.log2(self.den_l0)
         self.c_e = math.log2(self.den_e1) - math.log2(self.den_e0)
 
 
 def ref_grad_wl(lk, bf, pw):
-    base = pw.sigma2_l * bf.w_l + pw.p_j * np.conj(lk.s_jl) * lk.a_jl
+    base = bf.w_l + pw.p_j * np.conj(lk.s_jl) * lk.a_jl
     full = base + pw.p_s * np.conj(lk.s_sl) * lk.a_sl
     return (full / lk.den_l1 - base / lk.den_l0) / LN2
 
 
 def ref_grad_we(lk, bf, pw):
-    base = pw.sigma2_e * bf.w_e + pw.p_j * np.conj(lk.s_je) * lk.a_je
+    base = bf.w_e + pw.p_j * np.conj(lk.s_je) * lk.a_je
     full = base + pw.p_s * np.conj(lk.s_se) * lk.a_se
     return (base / lk.den_e0 - full / lk.den_e1) / LN2
 
@@ -223,7 +223,7 @@ def test_a_kernel_refuses_rows_it_cannot_stack():
 
 
 @pytest.mark.parametrize("drop", [0, 2, 3], ids=["first", "middle", "last"])
-def test_take_matches_a_kernel_of_the_kept_rows(drop):
+def test_a_power_change_reweighs_as_a_kernel_built_at_the_new_powers(drop):
     # evaluating unchanged states at unchanged powers leaves the links as
     # they were; a power change re-weighs them, leaving the receive images
     # and scalars as they were and giving what a kernel built at the new

@@ -197,7 +197,7 @@ def test_lockstep_rows_are_monotone_feasible_and_batch_independent(
     # None: p_s = p_j = 0, where every gradient vanishes
     p = 0.0 if power_db is None else db_to_linear(power_db)
     powers = PowerConfig(p_s=p, p_j=p)
-    cfg = OptimizerConfig(max_iters=40, epsilon=1e-6, zeta=3.0 if variable else None,
+    cfg = OptimizerConfig(max_iters=40, epsilon=1e-6, zeta=3.0,
                           mu=db_to_linear(12.0), kappa=0.2, max_cycles=4)
     rows = rows_of(n_rx, n_tx, powers, seeds, holds)
     results, error = ascend_rows(rows, cfg, variable=variable)
@@ -233,7 +233,7 @@ def test_lockstep_bookkeeping_invariants(n_rx, n_tx, power_db, seeds, holds, var
     # end; each row's records and cycles must still tell one consistent story
     p = 0.0 if power_db is None else db_to_linear(power_db)
     powers = PowerConfig(p_s=p, p_j=p)
-    cfg = OptimizerConfig(max_iters=40, epsilon=1e-6, zeta=3.0 if variable else None,
+    cfg = OptimizerConfig(max_iters=40, epsilon=1e-6, zeta=3.0,
                           mu=db_to_linear(12.0), kappa=0.2, max_cycles=4)
     results, error = ascend_rows(rows_of(n_rx, n_tx, powers, seeds, holds), cfg,
                                  variable=variable)
@@ -259,25 +259,23 @@ def test_lockstep_bookkeeping_invariants(n_rx, n_tx, power_db, seeds, holds, var
     n_rx=st.integers(1, 3),
     n_tx=st.integers(1, 6),
     power_db=st.floats(-10.0, 20.0),
-    sigma2_l=st.floats(0.25, 4.0),
     seeds=st.lists(st.integers(0, 2**16), min_size=1, max_size=5),
     holds=st.lists(st.booleans(), min_size=5, max_size=5),
     variable=st.booleans(),
 )
 def test_legitimate_capacity_stays_under_its_single_link_bound(
-        n_rx, n_tx, power_db, sigma2_l, seeds, holds, variable):
+        n_rx, n_tx, power_db, seeds, holds, variable):
     # |w_l^H H_sl f_s|^2 <= |w_l|^2 sigma_max(H_sl)^2 |f_s|^2, |f_s| = 1 on
-    # the CA manifold and jamming only adds to the denominator, so
-    # c_l <= log2(1 + p_s sigma_max(H_sl)^2 / sigma_l^2) at every iterate
-    powers = PowerConfig(p_s=db_to_linear(power_db), p_j=db_to_linear(power_db),
-                         sigma2_l=sigma2_l)
-    cfg = OptimizerConfig(max_iters=40, epsilon=1e-6, zeta=3.0 if variable else None,
+    # the CA manifold and jamming only adds to the denominator, so at unit
+    # noise c_l <= log2(1 + p_s sigma_max(H_sl)^2) at every iterate
+    powers = PowerConfig(p_s=db_to_linear(power_db), p_j=db_to_linear(power_db))
+    cfg = OptimizerConfig(max_iters=40, epsilon=1e-6, zeta=3.0,
                           mu=db_to_linear(25.0), kappa=0.2, max_cycles=4)
     rows = rows_of(n_rx, n_tx, powers, seeds, holds)
     results, error = ascend_rows(rows, cfg, variable=variable)
     assert error is None and len(results) == len(rows)
     for row, res in zip(rows, results):
-        gain = np.linalg.svd(row.channel.h_sl, compute_uv=False)[0] ** 2 / sigma2_l
+        gain = np.linalg.svd(row.channel.h_sl, compute_uv=False)[0] ** 2
 
         def bound(p_s):
             return math.log2(1.0 + p_s * gain) * (1.0 + 1e-12)
@@ -296,9 +294,8 @@ def test_log_agrees_with_an_independent_evaluator(variable):
     # the c_l and c_e that reference.secrecy_capacity, a separate evaluation
     # path, gives for it at its cycle's p_s, in a batch mixing held and
     # optimized w_e
-    powers = PowerConfig(p_s=db_to_linear(5.0), p_j=db_to_linear(3.0),
-                         sigma2_l=0.7, sigma2_e=1.3)
-    cfg = OptimizerConfig(max_iters=40, epsilon=1e-6, zeta=1e6 if variable else None,
+    powers = PowerConfig(p_s=db_to_linear(5.0), p_j=db_to_linear(3.0))
+    cfg = OptimizerConfig(max_iters=40, epsilon=1e-6, zeta=1e6,
                           mu=db_to_linear(12.0), kappa=0.2, max_cycles=4)
     rows = rows_of(3, 6, powers, range(30, 36), [True, False, False, True, True, False])
     seen = {i: [] for i in range(len(rows))}
@@ -311,8 +308,7 @@ def test_log_agrees_with_an_independent_evaluator(variable):
         if variable:
             assert len(res.trace.cycles) > 1
         for rec, state in zip(records, [row.init] + seen[i]):
-            pw = PowerConfig(p_s=res.trace.cycles[rec.cycle - 1].p_s, p_j=powers.p_j,
-                             sigma2_l=powers.sigma2_l, sigma2_e=powers.sigma2_e)
+            pw = PowerConfig(p_s=res.trace.cycles[rec.cycle - 1].p_s, p_j=powers.p_j)
             snap = secrecy_capacity(row.channel, state, pw)
             # the kernel takes each capacity as log2(den1) - log2(den0), so
             # its rounding is relative to the record's larger capacity: an
@@ -343,7 +339,7 @@ def assert_a_poisoned_step_fails_its_row(monkeypatch, value, bad=3, variable=Fal
     four rows: that row fails on the third pass, the rows before it finish
     as when run alone, and no row from it on is observed from that pass on.
     Returns the error."""
-    cfg = OptimizerConfig(max_iters=max_iters, zeta=1e6 if variable else None,
+    cfg = OptimizerConfig(max_iters=max_iters, zeta=1e6,
                           mu=db_to_linear(12.0), kappa=0.2, max_cycles=4)
     rows = rows_of(2, 5, PowerConfig(p_s=10.0, p_j=10.0), range(4), [True, False] * 2)
     project = opt._project_packed
@@ -449,7 +445,7 @@ def test_a_rows_rejected_steps_are_its_passes_less_its_accepted_ones(monkeypatch
                                                                     n_rows):
     # a row's pass either accepts, adding one log entry, or rejects; so its
     # rejected steps are n_iters - (len(trace.log) - 1), with no counter
-    cfg = OptimizerConfig(max_iters=30, zeta=1e6 if variable else None,
+    cfg = OptimizerConfig(max_iters=30, zeta=1e6,
                           mu=db_to_linear(12.0), kappa=0.2, max_cycles=4)
     rows = rows_of(2, 5, PowerConfig(p_s=10.0, p_j=10.0), range(n_rows), [True, False] * 3)
     project = opt._project_packed

@@ -115,8 +115,8 @@ def test_svd_upper_bound_equals_four_separate_svds(params):
         ch = draw_channel_set(params, rng)
         s_sl, s_se, s_jl, s_je = (np.linalg.svd(h, compute_uv=False)
                                   for h in (ch.h_sl, ch.h_se, ch.h_jl, ch.h_je))
-        term_l = np.log2(1.0 + pw.p_s * s_sl[0] ** 2 / (pw.sigma2_l + pw.p_j * s_jl[-1] ** 2))
-        term_e = np.log2(1.0 + pw.p_s * s_se[-1] ** 2 / (pw.sigma2_e + pw.p_j * s_je[0] ** 2))
+        term_l = np.log2(1.0 + pw.p_s * s_sl[0] ** 2 / (1.0 + pw.p_j * s_jl[-1] ** 2))
+        term_e = np.log2(1.0 + pw.p_s * s_se[-1] ** 2 / (1.0 + pw.p_j * s_je[0] ** 2))
         assert svd_upper_bound(ch, pw) == float(term_l - term_e)
 
 
@@ -145,11 +145,11 @@ def test_gamma_l_phase_invariance():
 
 
 def test_unit_norm_combiner_matches_simplified_sinr():
-    # for ||w_l|| = 1 the noise term reduces to sigma_l^2
+    # for ||w_l|| = 1 the unit noise term w_l^H w_l is 1
     ch, bf, pw = random_instance(3, 4, seed=14)
     assert abs(np.linalg.norm(bf.w_l) - 1.0) < 1e-9
     num = pw.p_s * abs(bf.w_l.conj() @ ch.h_sl @ bf.f_s) ** 2
-    den = pw.sigma2_l + pw.p_j * abs(bf.w_l.conj() @ ch.h_jl @ bf.f_j) ** 2
+    den = 1.0 + pw.p_j * abs(bf.w_l.conj() @ ch.h_jl @ bf.f_j) ** 2
     assert sinr_legitimate(ch, bf, pw) == pytest.approx(num / den, rel=1e-9)
 
 
@@ -165,9 +165,7 @@ def test_dimension_mismatch_raises():
 def test_power_config_validation():
     with pytest.raises(ValueError):
         PowerConfig(p_s=-1.0, p_j=0.0)
-    with pytest.raises(ValueError):
-        PowerConfig(p_s=1.0, p_j=1.0, sigma2_l=0.0)
-    for field in ("p_s", "p_j", "sigma2_l", "sigma2_e"):
+    for field in ("p_s", "p_j"):
         for value in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError):
                 PowerConfig(**{"p_s": 1.0, "p_j": 1.0, field: value})

@@ -212,12 +212,6 @@ def test_optimize_we_updates_eavesdropper_combiner():
     assert not np.array_equal(moved.state.w_e, init.w_e)
 
 
-def test_variable_power_requires_zeta():
-    ch, init = small_problem(5)
-    with pytest.raises(ValueError):
-        ascend_variable_power(ch, PW, OptimizerConfig(), init)
-
-
 def test_variable_power_trivial_target():
     ch, init = small_problem(6)
     res = ascend_variable_power(ch, PW, OptimizerConfig(zeta=0.0), init)
