@@ -203,25 +203,6 @@ def test_run_writes_all_outputs(tiny_cfg, tmp_path):
         assert os.path.exists(path)
 
 
-def test_run_trace_deterministic_across_runs_and_threads(tiny_cfg, tmp_path):
-    outs = []
-    for name, threads in [("a", None), ("b", None), ("c", "2")]:
-        argv = ["run", "--config", tiny_cfg, "--out", str(tmp_path / name)]
-        if threads:
-            argv += ["--threads", threads]
-        assert run_cli(*argv) == 0
-        outs.append((tmp_path / name / "trace.csv").read_bytes())
-    assert outs[0] == outs[1] == outs[2]
-
-
-def test_run_report_json_round_trips(tiny_cfg, tmp_path):
-    out = tmp_path / "out"
-    assert run_cli("run", "--config", tiny_cfg, "--out", str(out)) == 0
-    text = (out / "report.json").read_text()
-    parsed = json.loads(text)
-    assert json.dumps(parsed, indent=2) + "\n" == text
-
-
 def test_run_variable_power_outputs(tiny_cfg, tmp_path):
     out = tmp_path / "vp"
     code = run_cli(
@@ -272,6 +253,9 @@ def test_run_summary_names_termination_reasons(tiny_cfg, tmp_path, capsys):
     # per-cycle texts could be misread
     {"experiment": "variable_power", "zeta": "1000", "mu_db": "30", "kappa": "0.5",
      "max_iters": "5", "delta_min": "0.03", "n_trials": "12"},
+    # a cycle cap that ends every trial, each of its cycles written once
+    {"experiment": "variable_power", "p_s_db": "-10", "mu_db": "-5", "max_iters": "12",
+     "max_cycles": "3"},
 ])
 def test_trace_rows_match_per_record_formatting(tiny_cfg, tmp_path, overrides):
     # trace.csv reuses the text of repeated delta and p_s values and of each
@@ -295,10 +279,12 @@ def test_trace_rows_match_per_record_formatting(tiny_cfg, tmp_path, overrides):
         silent.append(len(set(range(1, max(logged))) - logged))
 
     if overrides:
-        cli.run_variable_power_experiment(cfg, on_trial=write)
+        report = cli.run_variable_power_experiment(cfg, on_trial=write)
         assert len({row[7] for row in csv.reader(io.StringIO(buf.getvalue()))}) > 3
     else:
         cli.run_fixed_power_experiment(cfg, on_trial=write)
+    if "max_cycles" in overrides:
+        assert report.termination_reasons == {"cycle_cap": 2}
     if "delta_min" in overrides:
         rows = list(csv.reader(io.StringIO(buf.getvalue())))[1:]
         assert any(row[0] == "11" for row in rows)

@@ -346,20 +346,6 @@ def test_a_study_without_an_observer_renders_no_rows(monkeypatch, threads):
         run_fixed_power_experiment(cfg))
 
 
-def test_fixed_power_experiment_deterministic():
-    cfg = small_config()
-    a = run_fixed_power_experiment(cfg)
-    b = run_fixed_power_experiment(cfg)
-    assert asdict(a) == asdict(b)
-
-
-def test_fixed_power_deterministic_across_thread_counts():
-    cfg = small_config(n_trials=4)
-    serial = run_fixed_power_experiment(cfg, threads=1)
-    parallel = run_fixed_power_experiment(cfg, threads=2)
-    assert asdict(serial) == asdict(parallel)
-
-
 def test_fixed_power_trials_are_order_independent_streams():
     # trial k's results do not depend on how many trials ran before it
     cfg3 = small_config(n_trials=3)
@@ -391,13 +377,6 @@ def test_variable_power_experiment_curves():
         "target_reached", "power_cap", "cycle_cap"
     }
     assert np.all(np.isfinite(report.c_s_mean_curve))
-
-
-def test_variable_power_experiment_deterministic():
-    cfg = small_config(n_trials=2, experiment=ExperimentKind.VARIABLE_POWER, zeta=0.5)
-    a = run_variable_power_experiment(cfg)
-    b = run_variable_power_experiment(cfg)
-    assert asdict(a) == asdict(b)
 
 
 def test_trial_error_identifies_seed(monkeypatch):
