@@ -27,14 +27,15 @@ and its scratch are the optimizer's batch's. At a single state,
 that row's four gradient blocks as a ``BeamformerState``, and each
 ``grad_*`` is one field of it: views for tests and tools, which no engine
 module calls (``gradcheck`` checks the packed gradient). The per-vector
-forms the kernel is tested against are in ``reference``.
+link forms the kernel is tested against are in ``reference``, and the
+per-vector gradient forms in ``tests/test_kernel.py``.
 
 ``fd_gradient`` is an independent central-difference oracle over the real
-and imaginary parts of each coordinate, assembled into the same convention
-0.5 * (d/dRe + j * d/dIm). It is the arbiter used by the test suite: the
-analytic forms below are the ones that agree with it (for the source
-precoder this means source-side factors P_s, h_sl, f_s in the legitimate
-term and P_s, h_se, f_s in the eavesdropper term).
+and imaginary parts of each coordinate, at a fixed step of 1e-6, assembled
+into the same convention 0.5 * (d/dRe + j * d/dIm). It is the arbiter used
+by the test suite: the analytic forms below are the ones that agree with it
+(for the source precoder this means source-side factors P_s, h_sl, f_s in
+the legitimate term and P_s, h_se, f_s in the eavesdropper term).
 """
 
 from __future__ import annotations
@@ -290,16 +291,14 @@ def gradient_check_error(analytic: np.ndarray, reference: np.ndarray) -> float:
     return float(np.linalg.norm(analytic - reference)) / max(norm_ref, 1e-8)
 
 
-def fd_gradient(
-    objective: Callable[[np.ndarray], float], point: np.ndarray, h: float = 1e-6
-) -> np.ndarray:
+def fd_gradient(objective: Callable[[np.ndarray], float], point: np.ndarray) -> np.ndarray:
     """Central-difference conjugate gradient of a real objective.
 
-    Probes each coordinate along the real and imaginary axes and assembles
-    0.5 * (d/dRe + j * d/dIm). Independent of every analytic form above.
+    Probes each coordinate along the real and imaginary axes, a step h
+    either way, and assembles 0.5 * (d/dRe + j * d/dIm). Independent of
+    every analytic form above.
     """
-    if h <= 0:
-        raise ValueError("h must be > 0")
+    h = 1e-6
     grad = np.zeros(point.shape, dtype=complex)
     for k in range(point.size):
         probes = []

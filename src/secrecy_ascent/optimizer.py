@@ -18,8 +18,7 @@ at ``delta_min``), which keeps the accepted trajectory monotone. Every pass
 does this same work, whichever rows accept. Finished rows leave; the batch
 compacts the rest. A row's records, final state and termination reason are
 bit-identical however many rows share its batch; ``ascend_fixed_power``
-and ``ascend_variable_power`` are batches of one row, and take no observer:
-the one observer is ``ascend_rows``'s ``on_accept(row, state)``.
+and ``ascend_variable_power`` are batches of one row.
 
 The bookkeeping is per batch, not per row: each pass logs its accepted rows
 with a few array copies, each row's id, cycle and cycle start sit in one
@@ -47,7 +46,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence, get_type_hints
+from typing import NamedTuple, Optional, Sequence, get_type_hints
 
 import numpy as np
 
@@ -228,7 +227,7 @@ def _project_packed(ca, y: np.ndarray, mag: np.ndarray) -> None:
 
 
 def _decide(change: list[float], delta: np.ndarray, eps: float, delta_min: float,
-            capped: Sequence[int] = ()) -> tuple[list[int], list, Optional[list[float]]]:
+            capped: Sequence[int]) -> tuple[list[int], list, Optional[list[float]]]:
     """One pass's accept / revert-and-halve / converge decision, row by row,
     on the rows' changes of c_l - c_e and their step sizes ``delta``.
 
@@ -294,8 +293,8 @@ class _Lockstep:
     row logs ``meta`` itself, so ``meta`` is replaced, never written in place.
     """
 
-    def __init__(self, rows, cfg: OptimizerConfig, variable: bool, on_accept):
-        self.cfg, self.variable, self.on_accept = cfg, variable, on_accept
+    def __init__(self, rows, cfg: OptimizerConfig, variable: bool):
+        self.cfg, self.variable = cfg, variable
         self.finals, self.results = [None] * len(rows), []
         self.failed_at, self.error = len(rows), None
         for i, row in enumerate(rows):
@@ -340,15 +339,10 @@ class _Lockstep:
     def _log(self, n_pass: int, rows: Optional[np.ndarray] = None) -> None:
         """Log the new iterates (already in ``cur``) of every row, or of the
         rows at the indices ``rows``."""
-        cur = self.cur
         if rows is None:
-            self.log.append((n_pass, self.meta, cur.cd.copy(), self.delta.copy()))
+            self.log.append((n_pass, self.meta, self.cur.cd.copy(), self.delta.copy()))
         else:
-            self.log.append((n_pass, self.meta[rows], cur.cd[rows], self.delta[rows]))
-        if self.on_accept is not None:
-            ids = self.meta[:, 0].tolist()
-            for j in range(len(ids)) if rows is None else rows.tolist():
-                self.on_accept(ids[j], _unpack_state(cur.x[j].copy(), cur.n_rx, cur.n_tx))
+            self.log.append((n_pass, self.meta[rows], self.cur.cd[rows], self.delta[rows]))
 
     def _end_cycles(self, ends, n_pass: int) -> list[int]:
         """Close the cycles of the rows ``ends`` [(j, reason)] and return the
@@ -496,7 +490,6 @@ def ascend_rows(
     rows,
     cfg: OptimizerConfig,
     variable: bool = False,
-    on_accept: Optional[Callable[[int, BeamformerState], None]] = None,
 ) -> tuple[list[OptimizeResult], Optional[Exception]]:
     """Run the ascents of ``rows`` (AscentRows sharing n_rx and n_tx) in
     lockstep, as rows of one batch.
@@ -518,11 +511,11 @@ def ascend_rows(
     row that failed (a start that fails its checks, a non-finite objective
     or a non-finite step), and that row's error, or None if no
     row failed. That row and the rows after it leave the batch on the pass
-    that fails, which the rows before it redo; ``on_accept(row, state)``
-    observes every accepted iterate, and none of an abandoned row from then
-    on. A row's result does not depend on the other rows of its batch.
+    that fails, which the rows before it redo; no iterate of theirs is logged
+    from that pass on. A row's result does not depend on the other rows of
+    its batch.
     """
-    batch = _Lockstep(list(rows), cfg, variable, on_accept)
+    batch = _Lockstep(list(rows), cfg, variable)
     batch.run()
     return batch.results, batch.error
 

@@ -2,10 +2,11 @@
 
 import numpy as np
 
+import secrecy_ascent.optimizer as opt
 from secrecy_ascent.channel import ChannelParams, ChannelSet, draw_channel_set
 from secrecy_ascent.config import load_config
 from secrecy_ascent.gradients import capacity_difference
-from secrecy_ascent.metrics import BeamformerState, PowerConfig
+from secrecy_ascent.metrics import BeamformerState, PowerConfig, _unpack_state
 from secrecy_ascent.optimizer import warm_start
 
 
@@ -45,6 +46,23 @@ def objective_in(ch, bf, pw, name):
         return capacity_difference(ch, bf._replace(**{name: v}), pw)
 
     return objective
+
+
+def record_accepted(monkeypatch) -> list:
+    """Record every accepted iterate of the lockstep batches run from now on,
+    as (pass, row id, state) in order of acceptance: the iterates of the
+    pass log's entries, each start's apart. A pass is logged after its
+    decision, so a pass that fails a row and is redone is recorded once."""
+    seen, log = [], opt._Lockstep._log
+
+    def recording(batch, n_pass, rows=None):
+        log(batch, n_pass, rows)
+        cur, ids = batch.cur, batch.meta[:, 0].tolist()
+        for j in range(len(ids)) if rows is None else rows.tolist():
+            seen.append((n_pass, ids[j], _unpack_state(cur.x[j].copy(), cur.n_rx, cur.n_tx)))
+
+    monkeypatch.setattr(opt._Lockstep, "_log", recording)
+    return seen
 
 
 # each band's geometry as its bundled preset states it

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import objective_in, random_instance
+from helpers import objective_in, random_instance, record_accepted
 from secrecy_ascent.channel import ChannelParams, draw_channel_set
 from secrecy_ascent.config import load_config
 from secrecy_ascent.experiment import (run_fixed_power_experiment, run_variable_power_experiment,
@@ -182,31 +182,26 @@ def test_acceptance_4_benchmark_ordering_and_bound(fixed_reports):
                failures, notes="; ".join(notes))
 
 
-def test_acceptance_5_optimizer_invariants():
+def test_acceptance_5_optimizer_invariants(monkeypatch):
     """Exact invariants: monotone accepted trajectories, feasible iterates,
     idempotent projections."""
     failures = []
-    checked_states = 0
-
-    def feasible(_row, state):
-        nonlocal checked_states
-        checked_states += 1
-        if state_ca_violation(state) >= 1e-9:
-            failures.append("accepted iterate violates CA constraint")
-        for v in state:
-            if abs(np.linalg.norm(v) - 1.0) >= 1e-9:
-                failures.append("accepted iterate violates unit norm")
-
+    seen = record_accepted(monkeypatch)
     run_plan = [(2, 8, 0), (2, 8, 1), (3, 16, 2), (2, 4, 3), (4, 64, 4), (4, 16, 5)]
     for n_rx, n_tx, seed in run_plan:
         ch, bf, pw = random_instance(n_rx, n_tx, seed=500 + seed, n_clusters=3, n_rays=5)
-        results, error = ascend_rows([AscentRow(ch, pw, bf)], OptimizerConfig(max_iters=1500),
-                                     on_accept=feasible)
+        results, error = ascend_rows([AscentRow(ch, pw, bf)], OptimizerConfig(max_iters=1500))
         assert error is None, error
         res = results[0]
         c_s = res.trace.c_s.tolist()
         if not all(b >= a for a, b in zip(c_s, c_s[1:])):
             failures.append(f"non-monotone accepted trajectory at dims ({n_rx},{n_tx})")
+    for _, _, state in seen:
+        if state_ca_violation(state) >= 1e-9:
+            failures.append("accepted iterate violates CA constraint")
+        for v in state:
+            if abs(np.linalg.norm(v) - 1.0) >= 1e-9:
+                failures.append("accepted iterate violates unit norm")
 
     rng = np.random.default_rng(60)
     worst_ca, worst_un = 0.0, 0.0
@@ -223,7 +218,7 @@ def test_acceptance_5_optimizer_invariants():
         failures.append(f"project_unit_norm not idempotent to 1e-15 (worst {worst_un:.2e})")
     _criterion(5, "optimizer invariants: monotone traces, feasible iterates, "
                   "idempotent projections",
-               failures, notes=f"{checked_states} accepted iterates checked")
+               failures, notes=f"{len(seen)} accepted iterates checked")
 
 
 def test_acceptance_6_small_instance_exhaustive_oracle():

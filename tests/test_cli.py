@@ -1,6 +1,7 @@
 import argparse
 import csv
 import errno
+import inspect
 import io
 import json
 import math
@@ -24,7 +25,7 @@ from secrecy_ascent.experiment import TRACE_HEADER, ExperimentKind
 from secrecy_ascent.gradients import (LinkKernel, capacity_difference, fd_gradient,
                                       gradient_bundle, gradient_check_error)
 from secrecy_ascent.metrics import PowerConfig
-from secrecy_ascent.optimizer import warm_start
+from secrecy_ascent.optimizer import ascend_rows, warm_start
 
 TINY = """
 n_tx = 8
@@ -547,7 +548,8 @@ def test_each_setting_has_one_flag(tiny_cfg, tmp_path, capsys, command):
 def test_each_setting_is_one_the_product_sets(tiny_cfg, capsys):
     # the noise variance is the model's constant 1, not a power field; every
     # key has a value, zeta the presets' 4 bps/Hz, so a plan that omits it
-    # lists it and runs variable power; gradcheck has no self-test flag
+    # lists it and runs variable power; gradcheck has no self-test flag; the
+    # lockstep ascent takes no observer and the gradient oracle no step
     assert tuple(f.name for f in fields(PowerConfig)) == ("p_s", "p_j")
     assert all(default is not None for _, default in SCHEMA.values())
     items = flat_items(resolve_config_file(tiny_cfg))
@@ -556,6 +558,8 @@ def test_each_setting_is_one_the_product_sets(tiny_cfg, capsys):
     assert run_cli("validate", "--config", tiny_cfg, "--experiment", "variable_power") == 0
     assert "zeta = 4.0\n" in capsys.readouterr().out
     assert SURFACE["gradcheck"][0] == ["--n-rx", "--n-tx", "--instances"]
+    assert list(inspect.signature(ascend_rows).parameters) == ["rows", "cfg", "variable"]
+    assert list(inspect.signature(fd_gradient).parameters) == ["objective", "point"]
 
 
 def test_run_bad_config_exit_2(tiny_cfg, tmp_path):

@@ -464,19 +464,18 @@ def _fail_naming_the_process(cfg, start, stop):
     raise RuntimeError(os.getpid())
 
 
-@pytest.mark.parametrize("n_trials, threads, lead_here", [
-    (40, 2, True),  # two shards, two processes: this one runs shard 0
-    (60, 2, True),  # three shards on two processes: this one runs shards 0 and 2
-    (60, 3, True),
+@pytest.mark.parametrize("n_trials, threads", [
+    (40, 2),  # two shards, two processes
+    (60, 2),  # three shards on two processes: this one runs shards 0 and 2
+    (60, 3),  # three shards, three processes
 ])
-def test_lead_shard_runs_here_only_while_threads_bound_the_processes(
-        monkeypatch, n_trials, threads, lead_here):
+def test_the_study_process_runs_the_lead_shard(monkeypatch, n_trials, threads):
     monkeypatch.setattr(exp, "_shard", _fail_naming_the_process)
     cfg = small_config(n_trials=n_trials)
     with pytest.raises(TrialError) as err:
         run_fixed_power_experiment(cfg, threads=threads)
     assert err.value.trial_index == 0
-    assert (err.value.__cause__.args[0] == os.getpid()) is lead_here
+    assert err.value.__cause__.args[0] == os.getpid()
 
 
 DEAD_WORKER_STUDY = """

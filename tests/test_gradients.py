@@ -26,19 +26,7 @@ def test_fd_gradient_of_linear_form():
     np.testing.assert_allclose(grad, c, atol=1e-9)
 
 
-def test_fd_gradient_truncation_decays_quadratically():
-    # central differences: error O(h^2), so h -> h/10 shrinks it ~100x
-    ch, bf, pw = random_instance(2, 4, seed=22)
-    objective = objective_in(ch, bf, pw, "f_s")
-    exact = grad_fs(ch, bf, pw)
-    err_coarse = np.linalg.norm(fd_gradient(objective, bf.f_s, h=1e-3) - exact)
-    err_fine = np.linalg.norm(fd_gradient(objective, bf.f_s, h=1e-4) - exact)
-    assert err_fine < err_coarse / 50.0
-
-
-def test_fd_gradient_rejects_bad_step_and_nonfinite():
-    with pytest.raises(ValueError):
-        fd_gradient(lambda v: 0.0, np.array([1.0 + 0j]), h=0.0)
+def test_fd_gradient_rejects_a_non_finite_objective():
     with pytest.raises(ValueError):
         fd_gradient(lambda v: float("nan"), np.array([1.0 + 0j]))
 

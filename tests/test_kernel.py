@@ -156,7 +156,7 @@ def assert_packed_projection_is_project_ca(kernel, got, step):
 
 def one_row_batch(ch, bf, pw):
     """A lockstep batch of one row starting at ``bf``, built but not run."""
-    return _Lockstep([AscentRow(ch, pw, bf)], OptimizerConfig(), False, None)
+    return _Lockstep([AscentRow(ch, pw, bf)], OptimizerConfig(), False)
 
 
 @pytest.mark.parametrize("n_rx, n_tx", [(1, 1), (1, 70), (3, 7), (4, 16), (4, 64), (6, 69)])

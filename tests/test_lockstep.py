@@ -19,6 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import record_accepted
 import secrecy_ascent.cli as cli
 import secrecy_ascent.experiment as exp
 import secrecy_ascent.optimizer as opt
@@ -289,19 +290,18 @@ def test_legitimate_capacity_stays_under_its_single_link_bound(
 
 
 @pytest.mark.parametrize("variable", [False, True])
-def test_log_agrees_with_an_independent_evaluator(variable):
-    # on_accept sees every accepted iterate; each one's record must carry
-    # the c_l and c_e that reference.secrecy_capacity, a separate evaluation
-    # path, gives for it at its cycle's p_s, in a batch mixing held and
-    # optimized w_e
+def test_log_agrees_with_an_independent_evaluator(monkeypatch, variable):
+    # each accepted iterate's record must carry the c_l and c_e that
+    # reference.secrecy_capacity, a separate evaluation path, gives for it at
+    # its cycle's p_s, in a batch mixing held and optimized w_e
     powers = PowerConfig(p_s=db_to_linear(5.0), p_j=db_to_linear(3.0))
     cfg = OptimizerConfig(max_iters=40, epsilon=1e-6, zeta=1e6,
                           mu=db_to_linear(12.0), kappa=0.2, max_cycles=4)
     rows = rows_of(3, 6, powers, range(30, 36), [True, False, False, True, True, False])
-    seen = {i: [] for i in range(len(rows))}
-    results, error = ascend_rows(rows, cfg, variable=variable,
-                                 on_accept=lambda i, state: seen[i].append(state))
+    accepted = record_accepted(monkeypatch)
+    results, error = ascend_rows(rows, cfg, variable=variable)
     assert error is None and len(results) == len(rows)
+    seen = {i: [state for _, row, state in accepted if row == i] for i in range(len(rows))}
     for i, (row, res) in enumerate(zip(rows, results)):
         records = res.trace.records
         assert len(seen[i]) == len(records) - 1 > 0
@@ -343,7 +343,7 @@ def assert_a_poisoned_step_fails_its_row(monkeypatch, value, bad=3, variable=Fal
                           mu=db_to_linear(12.0), kappa=0.2, max_cycles=4)
     rows = rows_of(2, 5, PowerConfig(p_s=10.0, p_j=10.0), range(4), [True, False] * 2)
     project = opt._project_packed
-    calls, seen = [], []
+    calls, seen = [], record_accepted(monkeypatch)
 
     def poison_third_pass(ca, y, mag):
         calls.append(len(y))
@@ -353,11 +353,10 @@ def assert_a_poisoned_step_fails_its_row(monkeypatch, value, bad=3, variable=Fal
 
     monkeypatch.setattr(opt, "_project_packed", poison_third_pass)
     with np.errstate(invalid="ignore" if value == np.inf else "warn"):  # inf * 0
-        results, error = ascend_rows(rows, cfg, variable,
-                                     on_accept=lambda i, state: seen.append((len(calls), i)))
+        results, error = ascend_rows(rows, cfg, variable)
     assert calls[2] == len(rows)  # no row had left the batch
     assert isinstance(error, ValueError) and len(results) == bad
-    assert [i for n_pass, i in seen if n_pass >= 3 and i >= bad] == []
+    assert [i for n_pass, i, _ in seen if n_pass >= 3 and i >= bad] == []
     monkeypatch.setattr(opt, "_project_packed", project)
     for row, res in zip(rows, results):
         assert same_result(ascend_rows([row], cfg, variable)[0][0], res)
@@ -384,7 +383,7 @@ def test_an_infinite_step_fails_its_row_as_a_non_finite_step(monkeypatch):
 def test_a_failed_row_and_the_rows_after_it_leave_the_batch_at_once(
         monkeypatch, bad, variable, max_iters):
     # the rows after the failed one used to be decided on the failing pass,
-    # so their iterates reached on_accept although they were never returned;
+    # so their iterates were observed although they were never returned;
     # at max_iters 3 the failing pass is also the survivors' cap pass
     error = assert_a_poisoned_step_fails_its_row(monkeypatch, np.nan, bad=bad,
                                                  variable=variable, max_iters=max_iters)
@@ -422,7 +421,7 @@ def test_the_batch_holds_the_ca_moduli_and_one_projection_scratch(monkeypatch):
     # packed entry's modulus 1/sqrt(N), bit for bit, and one scratch array
     # at its full row count, which every pass's projection views
     rows = rows_of(2, 5, PowerConfig(p_s=10.0, p_j=10.0), range(3), [True] * 3)
-    batch = opt._Lockstep(rows, OptimizerConfig(max_iters=30), False, None)
+    batch = opt._Lockstep(rows, OptimizerConfig(max_iters=30), False)
     assert not hasattr(batch.kernel, "ca_scale")
     assert "mag" not in vars(batch.cur) and "mag" not in vars(batch.cand)
     moduli = [1.0 / math.sqrt(2)] * 4 + [1.0 / math.sqrt(5)] * 10
@@ -449,16 +448,17 @@ def test_a_rows_rejected_steps_are_its_passes_less_its_accepted_ones(monkeypatch
                           mu=db_to_linear(12.0), kappa=0.2, max_cycles=4)
     rows = rows_of(2, 5, PowerConfig(p_s=10.0, p_j=10.0), range(n_rows), [True, False] * 3)
     project = opt._project_packed
-    projected, seen = [], []
+    projected, accepted = [], record_accepted(monkeypatch)
 
     def counting(ca, y, mag):
         projected.append(len(y))
         project(ca, y, mag)
 
     monkeypatch.setattr(opt, "_project_packed", counting)
-    results, error = ascend_rows(rows, cfg, variable, on_accept=lambda i, state: seen.append(i))
+    results, error = ascend_rows(rows, cfg, variable)
     assert error is None and len(results) == n_rows
     assert sum(projected) == sum(res.trace.n_iters for res in results)
+    seen = [i for _, i, _ in accepted]
     assert [seen.count(i) for i in range(n_rows)] == [len(res.trace.log) - 1 for res in results]
     assert sum(res.trace.n_iters - (len(res.trace.log) - 1) for res in results) > 0
 

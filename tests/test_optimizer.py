@@ -7,6 +7,7 @@ from multiprocessing.reduction import ForkingPickler
 import numpy as np
 import pytest
 
+from helpers import record_accepted
 from secrecy_ascent.channel import ChannelParams, draw_channel_set
 from secrecy_ascent.experiment import seed_fanout
 from secrecy_ascent.gradients import LinkKernel
@@ -152,11 +153,10 @@ def test_warm_start_bits_are_pinned_where_the_moduli_are_inexact(n_rx, n_tx, dig
     assert h.hexdigest() == digest
 
 
-def test_ascent_trace_monotone_and_feasible():
+def test_ascent_trace_monotone_and_feasible(monkeypatch):
     ch, init = small_problem(0)
-    seen = []
-    results, error = ascend_rows([AscentRow(ch, PW, init)], OptimizerConfig(max_iters=500),
-                                 on_accept=lambda _row, state: seen.append(state))
+    seen = record_accepted(monkeypatch)
+    results, error = ascend_rows([AscentRow(ch, PW, init)], OptimizerConfig(max_iters=500))
     assert error is None
     res = results[0]
     c_s = res.trace.c_s.tolist()
@@ -165,7 +165,7 @@ def test_ascent_trace_monotone_and_feasible():
     iters = [r.iteration for r in res.trace.records]
     assert all(b > a for a, b in zip(iters, iters[1:]))
     assert seen, "no accepted iterations"
-    for state in seen:
+    for _, _, state in seen:
         assert state_ca_violation(state) < 1e-9
         for v in state:
             assert abs(np.linalg.norm(v) - 1.0) < 1e-9
